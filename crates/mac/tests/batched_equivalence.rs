@@ -3,16 +3,17 @@
 //! The batched engine must reproduce the timeline [`DpEngine`] decision
 //! trace *byte-for-byte*: identical [`DpIntervalReport`]s (outcome,
 //! candidates, swaps, trace events in order), identical σ evolution, and
-//! identical RNG stream position after every interval. Two layers:
+//! identical RNG stream position after every interval. Every case below
+//! also folds the reports into an FNV-1a fingerprint pinned as an absolute
+//! constant, so a silent semantic change in *either* engine breaks loudly
+//! even if both change in the same way:
 //!
-//! * a proptest sweeping link counts, swap-pair counts, deadlines,
-//!   payloads, channel reliabilities and arrival patterns;
-//! * a golden test pinning a fingerprint of 300 traced intervals at the
-//!   benchmark seed 2018, so a silent semantic change in *either* engine
-//!   breaks loudly even if both change in the same way the proptest
-//!   cannot distinguish.
+//! * four golden shapes at the benchmark seed 2018 (video, control,
+//!   concede pressure, saturated N = 200);
+//! * a mixed per-link payload shape ([`MacTiming::with_link_payloads`]);
+//! * a fixed grid over swap pairs × deadlines × payloads × trace mode,
+//!   hashed into one constant.
 
-use proptest::prelude::*;
 use rand::Rng;
 use rtmac_mac::{BatchedDpEngine, DpConfig, DpEngine, MacTiming};
 use rtmac_phy::channel::Bernoulli;
@@ -79,6 +80,15 @@ fn drive_pair(
     hash
 }
 
+/// Asserts a pinned fingerprint with the re-pinning instructions.
+fn assert_pinned(what: &str, hash: u64, pinned: u64) {
+    assert_eq!(
+        hash, pinned,
+        "{what}: DP decision trace changed (got {hash:#018X}): if intentional, \
+         re-pin this fingerprint and regenerate the bench_results goldens"
+    );
+}
+
 /// The golden trace: 20 video links (the fig. 3 shape), traced, at the
 /// benchmark seed. The constant pins the *decision trace itself*, not just
 /// batched-vs-timeline agreement, so both engines are anchored to the
@@ -88,11 +98,7 @@ fn golden_trace_fingerprint_at_seed_2018() {
     let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(20), 1500);
     let config = DpConfig::new(timing).with_trace(true);
     let hash = drive_pair(&config, 20, 2018, 300, 0.9, 3);
-    assert_eq!(
-        hash, 0x9A17_F84D_1E38_09CB,
-        "DP decision trace changed: if intentional, re-pin this fingerprint \
-         and regenerate the bench_results goldens"
-    );
+    assert_pinned("video shape", hash, 0x9A17_F84D_1E38_09CB);
 }
 
 /// Control-loop shape: short 2 ms deadline, 100 B payloads, two pairs.
@@ -100,7 +106,8 @@ fn golden_trace_fingerprint_at_seed_2018() {
 fn golden_control_shape_matches() {
     let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(2), 100);
     let config = DpConfig::new(timing).with_swap_pairs(2).with_trace(true);
-    drive_pair(&config, 10, 2018, 300, 0.7, 2);
+    let hash = drive_pair(&config, 10, 2018, 300, 0.7, 2);
+    assert_pinned("control shape", hash, 0x1A6C_FDE6_5404_A19A);
 }
 
 /// Deadline so tight that data frames never fit: the Remark-4 concede
@@ -109,7 +116,8 @@ fn golden_control_shape_matches() {
 fn golden_concede_pressure_matches() {
     let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_micros(200), 1500);
     let config = DpConfig::new(timing).with_trace(true);
-    drive_pair(&config, 6, 2018, 400, 0.9, 1);
+    let hash = drive_pair(&config, 6, 2018, 400, 0.9, 1);
+    assert_pinned("concede pressure", hash, 0x6005_6622_EC82_B1D1);
 }
 
 /// Saturated large-ish N: the batched walk stops at the deadline long
@@ -118,34 +126,54 @@ fn golden_concede_pressure_matches() {
 fn golden_saturated_n200_matches() {
     let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(20), 1500);
     let config = DpConfig::new(timing);
-    drive_pair(&config, 200, 2018, 30, 0.8, 4);
+    let hash = drive_pair(&config, 200, 2018, 30, 0.8, 4);
+    assert_pinned("saturated N = 200", hash, 0xDCB7_F255_CE13_F857);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Mixed traffic classes on one medium: per-link payloads cycling through
+/// 1500/100/500 B, so airtimes differ by link and short control frames
+/// squeeze into tail time a video frame cannot use.
+#[test]
+fn golden_link_payloads_match() {
+    let payloads: Vec<u32> = (0..12).map(|l| [1500, 100, 500][l % 3]).collect();
+    let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(2), 1500)
+        .with_link_payloads(&payloads);
+    let config = DpConfig::new(timing).with_swap_pairs(2).with_trace(true);
+    let hash = drive_pair(&config, 12, 2018, 300, 0.8, 3);
+    assert_pinned("per-link payloads", hash, 0x0277_7F53_3101_D3BF);
+}
 
-    /// Bit-for-bit equivalence across the configuration space.
-    #[test]
-    fn prop_batched_matches_timeline(
-        n in 2usize..14,
-        swap_pairs in 0usize..4,
-        deadline_idx in 0usize..4,
-        payload_idx in 0usize..3,
-        success in 0.3f64..1.0,
-        trace in 0u8..2,
-        seed in 0u64..1_000_000,
-        max_arrivals in 0u32..4,
-    ) {
-        let deadline_us = [200u64, 500, 2_000, 20_000][deadline_idx];
-        let payload = [100u32, 500, 1500][payload_idx];
-        let timing = MacTiming::new(
-            PhyProfile::ieee80211a(),
-            Nanos::from_micros(deadline_us),
-            payload,
-        );
-        let config = DpConfig::new(timing)
-            .with_swap_pairs(swap_pairs)
-            .with_trace(trace == 1);
-        drive_pair(&config, n, seed, 12, success, max_arrivals);
+/// A fixed grid over the configuration space: swap pairs 0..4 × deadlines
+/// {200 µs, 500 µs, 2 ms, 20 ms} × payloads {100, 500, 1500} B × trace
+/// on/off, 12 intervals each. Link count, seed, channel reliability and
+/// arrival bound are derived from the case index so the grid also spans
+/// N = 2..=13. Every case's fingerprint folds into one constant.
+#[test]
+fn grid_fingerprint() {
+    let mut hash = FNV_OFFSET;
+    let mut case = 0usize;
+    for swap_pairs in 0..4 {
+        for deadline_us in [200u64, 500, 2_000, 20_000] {
+            for payload in [100u32, 500, 1500] {
+                for trace in [false, true] {
+                    let timing = MacTiming::new(
+                        PhyProfile::ieee80211a(),
+                        Nanos::from_micros(deadline_us),
+                        payload,
+                    );
+                    let config = DpConfig::new(timing)
+                        .with_swap_pairs(swap_pairs)
+                        .with_trace(trace);
+                    let n = 2 + (case * 5) % 12;
+                    let success = 0.3 + 0.1 * ((case * 3) % 7) as f64;
+                    let max_arrivals = ((case * 3) % 4) as u32;
+                    let h = drive_pair(&config, n, case as u64, 12, success, max_arrivals);
+                    hash = fnv1a(hash, &h.to_le_bytes());
+                    case += 1;
+                }
+            }
+        }
     }
+    assert_eq!(case, 96);
+    assert_pinned("configuration grid", hash, 0x54B7_C28C_53DC_D700);
 }

@@ -8,6 +8,7 @@ use rtmac::model::{LinkId, Permutation};
 use rtmac::phy::{channel::Bernoulli, PhyProfile};
 use rtmac::scenario::{self, InfluenceSpec, PolicySpec};
 use rtmac::sim::{Nanos, SeedStream};
+use rtmac_bench::figures;
 use rtmac_bench::table::SeriesTable;
 
 /// DB-DP deliveries per interval under a given slot width, in the regime
@@ -103,30 +104,6 @@ fn r_constant_table(intervals: usize) -> SeriesTable {
     table
 }
 
-/// Convergence interval vs number of swap pairs (Remark 6).
-fn swap_pairs_table(intervals: usize) -> SeriesTable {
-    let mut table = SeriesTable::new(
-        "Ablation: swap pairs per interval (Remark 6; convergence of lowest-priority link)",
-        "pairs",
-        vec!["converged_at".into(), "deficiency".into()],
-    );
-    for pairs in [1usize, 2, 3, 5] {
-        let report = scenario::video(20, 0.55, 0.93, 7)
-            .with_intervals(intervals)
-            .with_track(19, 0.01)
-            .with_policy(PolicySpec::db_dp_pairs(pairs))
-            .run()
-            .expect("valid network");
-        let converged = report
-            .tracked
-            .as_ref()
-            .and_then(|t| t.converged_at())
-            .map_or(-1.0, |k| k as f64);
-        table.push_row(pairs as f64, vec![converged, report.final_total_deficiency]);
-    }
-    table
-}
-
 /// Centralized capacity as polling overhead grows — the coordination cost
 /// the paper's introduction warns about.
 fn polling_table(intervals: usize) -> SeriesTable {
@@ -162,7 +139,7 @@ fn main() {
         ("ablation_slot", slot_width_table(intervals.min(500))),
         ("ablation_influence", influence_table(intervals)),
         ("ablation_r", r_constant_table(intervals)),
-        ("ablation_pairs", swap_pairs_table(intervals)),
+        ("ablation_pairs", figures::ablation_pairs(intervals)),
         ("ablation_polling", polling_table(intervals.min(500))),
     ];
     for (name, table) in &tables {

@@ -223,6 +223,33 @@ pub fn fig6(intervals: usize, seed: u64) -> SeriesTable {
     table
 }
 
+/// Ablation of Remark 6: convergence interval of the lowest-initial-priority
+/// link and final deficiency as the number of swap pairs per interval grows
+/// (α* = 0.55, ρ = 0.93, seed 7).
+#[must_use]
+pub fn ablation_pairs(intervals: usize) -> SeriesTable {
+    let mut table = SeriesTable::new(
+        "Ablation: swap pairs per interval (Remark 6; convergence of lowest-priority link)",
+        "pairs",
+        vec!["converged_at".into(), "deficiency".into()],
+    );
+    for pairs in [1usize, 2, 3, 5] {
+        let report = scenario::video(20, 0.55, 0.93, 7)
+            .with_intervals(intervals)
+            .with_track(19, 0.01)
+            .with_policy(PolicySpec::db_dp_pairs(pairs))
+            .run()
+            .expect("valid network");
+        let converged = report
+            .tracked
+            .as_ref()
+            .and_then(|t| t.converged_at())
+            .map_or(-1.0, |k| k as f64);
+        table.push_row(pairs as f64, vec![converged, report.final_total_deficiency]);
+    }
+    table
+}
+
 fn group_columns() -> Vec<String> {
     let mut cols = Vec::new();
     for c in Contender::ALL {

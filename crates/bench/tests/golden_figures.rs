@@ -13,6 +13,8 @@ use rtmac_bench::figures;
 const SEED: u64 = 2018;
 const VIDEO_INTERVALS: usize = 5000;
 const CONTROL_INTERVALS: usize = 20_000;
+/// The horizon the `ablations` binary publishes its tables with.
+const ABLATION_INTERVALS: usize = 3000;
 
 fn checked_in(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -62,5 +64,36 @@ fn fig9_csv_is_byte_identical() {
         checked_in("fig9"),
         "fig9 regenerated through the scenario registry diverged from \
          bench_results/fig9.csv"
+    );
+}
+
+#[test]
+fn fig5_csv_is_byte_identical() {
+    let result = figures::fig5(VIDEO_INTERVALS, SEED);
+    assert_eq!(
+        result.table.to_csv(),
+        checked_in("fig5"),
+        "fig5 regenerated through the scenario registry diverged from \
+         bench_results/fig5.csv"
+    );
+}
+
+#[test]
+fn fig6_csv_is_byte_identical() {
+    let table = figures::fig6(VIDEO_INTERVALS, SEED);
+    assert_eq!(
+        table.to_csv(),
+        checked_in("fig6"),
+        "fig6 (fixed-priority DP) diverged from bench_results/fig6.csv"
+    );
+}
+
+#[test]
+fn ablation_pairs_csv_is_byte_identical() {
+    let table = figures::ablation_pairs(ABLATION_INTERVALS);
+    assert_eq!(
+        table.to_csv(),
+        checked_in("ablation_pairs"),
+        "the swap-pairs ablation diverged from bench_results/ablation_pairs.csv"
     );
 }

@@ -1,11 +1,10 @@
-//! Pinned microbenchmarks of the batched interval kernel against the
-//! slot-walking timeline engine across the N-grid, plus the work-stealing
-//! Runner. The tracked machine-readable numbers come from the
-//! `bench_kernel` binary; this criterion suite is for quick interactive
-//! comparisons (`cargo bench -p rtmac-bench --bench kernel`).
+//! Pinned microbenchmarks of the DP interval kernel across the N-grid,
+//! plus the work-stealing Runner. The tracked machine-readable numbers
+//! come from the `bench_kernel` binary; this criterion suite is for quick
+//! interactive comparisons (`cargo bench -p rtmac-bench --bench kernel`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rtmac::mac::{BatchedDpEngine, DpConfig, DpEngine, MacTiming};
+use rtmac::mac::{DpConfig, DpEngine, MacTiming};
 use rtmac::phy::{channel::Bernoulli, PhyProfile};
 use rtmac::sim::{Nanos, SeedStream};
 use std::hint::black_box;
@@ -14,29 +13,8 @@ fn video_timing() -> MacTiming {
     MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(20), 1500)
 }
 
-fn bench_batched_grid(c: &mut Criterion) {
+fn bench_kernel_grid(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched_one_interval");
-    for n in [10usize, 100, 1_000, 10_000] {
-        let mut engine = BatchedDpEngine::new(DpConfig::new(video_timing()).with_swap_pairs(3), n);
-        let mut channel = Bernoulli::new(vec![0.7; n]).unwrap();
-        let mut rng = SeedStream::new(1).rng(0);
-        let arrivals = vec![3u32; n];
-        let mu = vec![0.5f64; n];
-        group.bench_function(&format!("n{n}"), |b| {
-            b.iter(|| {
-                let report = engine.step(&arrivals, &mu, &mut channel, &mut rng);
-                black_box(report.outcome.deliveries.len())
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_timeline_grid(c: &mut Criterion) {
-    let mut group = c.benchmark_group("timeline_one_interval");
-    // The timeline engine walks every slot of the 20 ms interval, so one
-    // interval at N = 10,000 already takes milliseconds; trim the samples.
-    group.sample_size(10);
     for n in [10usize, 100, 1_000, 10_000] {
         let mut engine = DpEngine::new(DpConfig::new(video_timing()).with_swap_pairs(3), n);
         let mut channel = Bernoulli::new(vec![0.7; n]).unwrap();
@@ -45,7 +23,7 @@ fn bench_timeline_grid(c: &mut Criterion) {
         let mu = vec![0.5f64; n];
         group.bench_function(&format!("n{n}"), |b| {
             b.iter(|| {
-                let report = engine.run_interval(&arrivals, &mu, &mut channel, &mut rng);
+                let report = engine.step(&arrivals, &mu, &mut channel, &mut rng);
                 black_box(report.outcome.deliveries.len())
             })
         });
@@ -64,10 +42,5 @@ fn bench_runner_map(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_batched_grid,
-    bench_timeline_grid,
-    bench_runner_map
-);
+criterion_group!(benches, bench_kernel_grid, bench_runner_map);
 criterion_main!(benches);

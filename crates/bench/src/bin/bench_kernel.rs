@@ -1,5 +1,5 @@
-//! Tracked kernel benchmark: measures batched vs timeline interval
-//! throughput over an N-grid plus Runner job throughput, and *appends*
+//! Tracked kernel benchmark: measures DP interval-kernel throughput over
+//! an N-grid plus Runner job throughput, and *appends*
 //! the run to the machine-readable `bench_results/BENCH_kernel.json`
 //! history (one entry per recorded run, oldest first).
 //!
@@ -15,8 +15,8 @@
 //! ```
 
 use rtmac_bench::kernel::{
-    append_history, measure_batched, measure_runner, measure_timeline, migrate_history,
-    render_entry, validate_bench_json, KernelPoint,
+    append_history, measure_kernel, measure_runner, migrate_history, render_entry,
+    validate_bench_json, KernelPoint,
 };
 
 const SEED: u64 = 2018;
@@ -77,10 +77,9 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let mode = if quick { "quick" } else { "full" };
 
-    // Interval counts per grid point, scaled so the timeline engine's
-    // O(slots x N) walk stays tractable at large N while every rate is
-    // still measured over real work.
-    let batched_grid: &[(usize, usize)] = if quick {
+    // Interval counts per grid point, scaled so every point runs for a
+    // comparable wall time.
+    let grid_points: &[(usize, usize)] = if quick {
         &[(10, 2_000), (100, 500), (1_000, 100), (10_000, 20)]
     } else {
         &[
@@ -90,32 +89,22 @@ fn main() {
             (10_000, 2_000),
         ]
     };
-    let timeline_grid: &[(usize, usize)] = if quick {
-        &[(10, 100), (100, 20), (1_000, 5), (10_000, 2)]
-    } else {
-        &[(10, 20_000), (100, 2_000), (1_000, 200), (10_000, 20)]
-    };
-
     let mut grid: Vec<KernelPoint> = Vec::new();
-    for &(n, intervals) in batched_grid {
-        eprintln!("batched  N = {n:>6}: {intervals} intervals...");
-        grid.push(measure_batched(n, intervals, SEED));
-    }
-    for &(n, intervals) in timeline_grid {
-        eprintln!("timeline N = {n:>6}: {intervals} intervals...");
-        grid.push(measure_timeline(n, intervals, SEED));
+    for &(n, intervals) in grid_points {
+        eprintln!("N = {n:>6}: {intervals} intervals...");
+        grid.push(measure_kernel(n, intervals, SEED));
     }
 
     let headline_intervals = if quick { 10_000 } else { 1_000_000 };
-    eprintln!("headline: batched N = 10000 x {headline_intervals} intervals...");
-    let headline = measure_batched(10_000, headline_intervals, SEED);
+    eprintln!("headline: N = 10000 x {headline_intervals} intervals...");
+    let headline = measure_kernel(10_000, headline_intervals, SEED);
     eprintln!(
         "headline: {:.0} intervals/sec ({:.1} s)",
         headline.intervals_per_sec, headline.elapsed_s
     );
 
     let (jobs, work) = if quick { (64, 20) } else { (512, 200) };
-    eprintln!("runner: {jobs} jobs x {work} timeline intervals...");
+    eprintln!("runner: {jobs} jobs x {work} kernel intervals...");
     let runner = measure_runner(jobs, work);
 
     let entry = render_entry(mode, SEED, &headline, &grid, &runner);

@@ -1,9 +1,8 @@
-//! Kernel throughput benchmark: the massive-N batched interval kernel
-//! against the slot-walking timeline engine, plus the work-stealing
-//! [`rtmac::Runner`]'s job throughput.
+//! Kernel throughput benchmark: the DP interval kernel over an N-grid,
+//! plus the work-stealing [`rtmac::Runner`]'s job throughput.
 //!
-//! The `bench_kernel` binary drives [`measure_batched`], [`measure_timeline`]
-//! and [`measure_runner`] over an N-grid and *appends* the run to the
+//! The `bench_kernel` binary drives [`measure_kernel`] and
+//! [`measure_runner`] over an N-grid and *appends* the run to the
 //! machine-readable `bench_results/BENCH_kernel.json` described in
 //! `bench_results/README.md`: a `rtmac-bench-kernel/2` document whose
 //! `history` array holds one entry per recorded run, oldest first, so the
@@ -18,16 +17,14 @@
 //! `Instant` use carries a lint waiver. Nothing measured feeds back into
 //! simulation state, so determinism of the simulators is untouched.
 
-use rtmac::mac::{BatchedDpEngine, DpConfig, DpEngine, MacTiming};
+use rtmac::mac::{DpConfig, DpEngine, MacTiming};
 use rtmac::phy::{channel::Bernoulli, PhyProfile};
 use rtmac::sim::{Nanos, SeedStream};
 use std::fmt::Write as _;
 
-/// One measured (engine, N) grid point.
+/// One measured N grid point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelPoint {
-    /// Which interval kernel ran: `"batched"` or `"timeline"`.
-    pub engine: &'static str,
     /// Number of links simulated.
     pub n_links: usize,
     /// Intervals stepped during the measurement.
@@ -57,17 +54,16 @@ fn video_timing() -> MacTiming {
     MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(20), 1500)
 }
 
-/// Steps the batched kernel for `intervals` intervals at `n_links` links
-/// and returns the measured throughput.
+/// Steps the DP interval kernel for `intervals` intervals at `n_links`
+/// links and returns the measured throughput.
 ///
 /// # Panics
 ///
 /// Panics if the Bernoulli channel rejects the probability vector (cannot
 /// happen for the fixed 0.7 used here).
 #[must_use]
-pub fn measure_batched(n_links: usize, intervals: usize, seed: u64) -> KernelPoint {
-    let mut engine =
-        BatchedDpEngine::new(DpConfig::new(video_timing()).with_swap_pairs(3), n_links);
+pub fn measure_kernel(n_links: usize, intervals: usize, seed: u64) -> KernelPoint {
+    let mut engine = DpEngine::new(DpConfig::new(video_timing()).with_swap_pairs(3), n_links);
     let mut channel = Bernoulli::new(vec![0.7; n_links]).expect("valid p");
     let mut rng = SeedStream::new(seed).rng(0);
     let arrivals = vec![3u32; n_links];
@@ -80,7 +76,6 @@ pub fn measure_batched(n_links: usize, intervals: usize, seed: u64) -> KernelPoi
     }
     let elapsed_s = start.elapsed().as_secs_f64().max(1e-12);
     KernelPoint {
-        engine: "batched",
         n_links,
         intervals,
         elapsed_s,
@@ -88,37 +83,7 @@ pub fn measure_batched(n_links: usize, intervals: usize, seed: u64) -> KernelPoi
     }
 }
 
-/// Steps the slot-walking timeline engine for `intervals` intervals at
-/// `n_links` links and returns the measured throughput.
-///
-/// # Panics
-///
-/// Panics if the Bernoulli channel rejects the probability vector (cannot
-/// happen for the fixed 0.7 used here).
-#[must_use]
-pub fn measure_timeline(n_links: usize, intervals: usize, seed: u64) -> KernelPoint {
-    let mut engine = DpEngine::new(DpConfig::new(video_timing()).with_swap_pairs(3), n_links);
-    let mut channel = Bernoulli::new(vec![0.7; n_links]).expect("valid p");
-    let mut rng = SeedStream::new(seed).rng(0);
-    let arrivals = vec![3u32; n_links];
-    let mu = vec![0.5f64; n_links];
-    // lint: allow(wall-clock) — this *is* the throughput measurement.
-    let start = std::time::Instant::now();
-    for _ in 0..intervals {
-        let report = engine.run_interval(&arrivals, &mu, &mut channel, &mut rng);
-        std::hint::black_box(report.outcome.deliveries.len());
-    }
-    let elapsed_s = start.elapsed().as_secs_f64().max(1e-12);
-    KernelPoint {
-        engine: "timeline",
-        n_links,
-        intervals,
-        elapsed_s,
-        intervals_per_sec: intervals as f64 / elapsed_s,
-    }
-}
-
-/// Maps `jobs` small DB-DP simulations (`work_intervals` timeline intervals
+/// Maps `jobs` small DB-DP simulations (`work_intervals` kernel intervals
 /// at 10 links each) through the default work-stealing [`rtmac::Runner`]
 /// and returns the pool's job throughput.
 #[must_use]
@@ -129,7 +94,7 @@ pub fn measure_runner(jobs: usize, work_intervals: usize) -> RunnerPoint {
     // lint: allow(wall-clock) — this *is* the throughput measurement.
     let start = std::time::Instant::now();
     let out = runner.map(items, |seed| {
-        let point = measure_timeline(10, work_intervals, seed);
+        let point = measure_kernel(10, work_intervals, seed);
         point.intervals
     });
     let elapsed_s = start.elapsed().as_secs_f64().max(1e-12);
@@ -142,20 +107,22 @@ pub fn measure_runner(jobs: usize, work_intervals: usize) -> RunnerPoint {
     }
 }
 
+/// Every point names the kernel `"batched"`, its name throughout the
+/// history (older entries also hold `"timeline"` points of the deleted
+/// slot-walking engine).
 fn write_point(out: &mut String, p: &KernelPoint) {
     let _ = write!(
         out,
-        "{{\"engine\": \"{}\", \"n_links\": {}, \"intervals\": {}, \
+        "{{\"engine\": \"batched\", \"n_links\": {}, \"intervals\": {}, \
          \"elapsed_s\": {:.6}, \"intervals_per_sec\": {:.1}}}",
-        p.engine, p.n_links, p.intervals, p.elapsed_s, p.intervals_per_sec
+        p.n_links, p.intervals, p.elapsed_s, p.intervals_per_sec
     );
 }
 
 /// Renders one history entry (schema in `bench_results/README.md`).
-/// `headline` is the flagship batched run; `grid` carries every
-/// (engine, N) point; `speedup` pairs batched over timeline throughput at
-/// each N present for both engines. Feed the result to [`append_history`]
-/// to produce the tracked `BENCH_kernel.json` document.
+/// `headline` is the flagship run and `grid` carries every N point. Feed
+/// the result to [`append_history`] to produce the tracked
+/// `BENCH_kernel.json` document.
 #[must_use]
 pub fn render_entry(
     mode: &str,
@@ -176,21 +143,6 @@ pub fn render_entry(
         write_point(&mut out, p);
         out.push_str(if i + 1 < grid.len() { ",\n" } else { "\n" });
     }
-    out.push_str("  ],\n  \"speedup\": [\n");
-    let mut rows = Vec::new();
-    for b in grid.iter().filter(|p| p.engine == "batched") {
-        if let Some(t) = grid
-            .iter()
-            .find(|p| p.engine == "timeline" && p.n_links == b.n_links)
-        {
-            rows.push(format!(
-                "    {{\"n_links\": {}, \"batched_over_timeline\": {:.2}}}",
-                b.n_links,
-                b.intervals_per_sec / t.intervals_per_sec.max(1e-12)
-            ));
-        }
-    }
-    let _ = writeln!(out, "{}", rows.join(",\n"));
     out.push_str("  ],\n  \"runner\": ");
     let _ = write!(
         out,
@@ -575,7 +527,8 @@ fn check_point(p: &Json, ctx: &str) -> Result<(), String> {
 }
 
 /// Validates one history entry: mode, seed, a positive-throughput batched
-/// headline and grid, a non-empty speedup table, and a sane runner block.
+/// headline and grid, a sane runner block, and — in entries recorded while
+/// the slot-walking engine existed — a non-empty speedup table.
 fn check_entry(doc: &Json, ctx: &str) -> Result<(), String> {
     let mode = doc
         .get("mode")
@@ -603,20 +556,20 @@ fn check_entry(doc: &Json, ctx: &str) -> Result<(), String> {
     for (i, p) in grid.iter().enumerate() {
         check_point(p, &format!("{ctx}: grid[{i}]"))?;
     }
-    let Some(Json::Arr(speedup)) = doc.get("speedup") else {
-        return Err(format!("{ctx}: missing \"speedup\" array"));
-    };
-    if speedup.is_empty() {
-        return Err(format!(
-            "{ctx}: empty \"speedup\" — no N measured on both engines"
-        ));
-    }
-    for (i, row) in speedup.iter().enumerate() {
-        for key in ["n_links", "batched_over_timeline"] {
-            row.get(key)
-                .and_then(Json::num)
-                .filter(|x| *x > 0.0)
-                .ok_or(format!("{ctx}: speedup[{i}]: missing positive \"{key}\""))?;
+    if let Some(speedup) = doc.get("speedup") {
+        let Json::Arr(speedup) = speedup else {
+            return Err(format!("{ctx}: \"speedup\" is not an array"));
+        };
+        if speedup.is_empty() {
+            return Err(format!("{ctx}: empty \"speedup\""));
+        }
+        for (i, row) in speedup.iter().enumerate() {
+            for key in ["n_links", "batched_over_timeline"] {
+                row.get(key)
+                    .and_then(Json::num)
+                    .filter(|x| *x > 0.0)
+                    .ok_or(format!("{ctx}: speedup[{i}]: missing positive \"{key}\""))?;
+            }
         }
     }
     let runner = doc
@@ -677,8 +630,8 @@ mod tests {
     use super::*;
 
     fn sample_entry() -> String {
-        let headline = measure_batched(16, 40, 2018);
-        let grid = vec![measure_batched(8, 40, 2018), measure_timeline(8, 10, 2018)];
+        let headline = measure_kernel(16, 40, 2018);
+        let grid = vec![measure_kernel(8, 40, 2018), measure_kernel(32, 20, 2018)];
         let runner = measure_runner(4, 5);
         render_entry("quick", 2018, &headline, &grid, &runner)
     }
@@ -737,11 +690,18 @@ mod tests {
 
     #[test]
     fn measurements_report_positive_throughput() {
-        let b = measure_batched(32, 20, 7);
-        let t = measure_timeline(32, 5, 7);
-        assert!(b.intervals_per_sec > 0.0);
-        assert!(t.intervals_per_sec > 0.0);
-        assert_eq!(b.engine, "batched");
-        assert_eq!(t.engine, "timeline");
+        assert!(measure_kernel(32, 20, 7).intervals_per_sec > 0.0);
+    }
+
+    /// The tracked history still validates, including its entries with a
+    /// timeline grid and speedup table, and new entries append to it.
+    #[test]
+    fn tracked_history_validates_and_grows() {
+        let tracked = include_str!("../../../bench_results/BENCH_kernel.json");
+        assert_eq!(validate_bench_json(tracked), Ok(()));
+        let entry = sample_entry();
+        assert!(!entry.contains("speedup"));
+        let (appended, _) = append_history(Some(tracked), &entry).expect("append");
+        assert_eq!(validate_bench_json(&appended), Ok(()));
     }
 }

@@ -45,10 +45,6 @@ workloads — these stay supported for custom networks):
   --ratio R          required delivery ratio (0.9)
   --intervals K      intervals to simulate (1000)
   --seed S           RNG seed (0)
-  --engine E         DP interval kernel for DB-DP runs: timeline | batched
-                     (timeline). `batched` is the massive-N kernel —
-                     bit-identical results, O(min(N, deadline/slot)) per
-                     interval.
 
 Sweep flags:
   --progress         live completed/total and items/sec on stderr while
@@ -392,9 +388,6 @@ fn run_emulate(opts: &EmulateOpts) -> Result<String, CliError> {
     if let Some(seed) = opts.seed {
         sc = sc.with_seed(seed);
     }
-    if let Some(engine) = opts.engine {
-        sc = sc.with_engine(engine);
-    }
     let intervals = opts.intervals.unwrap_or(sc.intervals);
     let mut cfg = rtmac_net::EmulationConfig::new(sc.clone(), intervals);
     cfg.transport = opts.transport;
@@ -484,7 +477,6 @@ mod tests {
             ratio: 0.9,
             intervals: 100,
             seed: 1,
-            engine: rtmac::scenario::EngineSpec::Timeline,
         }
     }
 

@@ -42,16 +42,8 @@ proptest! {
         ratio in 0.01f64..1.0,
         intervals in 1usize..10_000,
         seed in 0u64..u64::MAX,
-        policy_engine_i in 0usize..12,
+        policy_i in 0usize..6,
     ) {
-        // The vendored proptest tops out at 10-tuple strategies, so the
-        // policy index and engine choice share one dimension.
-        let policy_i = policy_engine_i % 6;
-        let engine = if policy_engine_i / 6 == 1 {
-            EngineSpec::Batched
-        } else {
-            EngineSpec::Timeline
-        };
         let sc = Scenario {
             name: "custom",
             links,
@@ -67,7 +59,7 @@ proptest! {
             track: None,
             fault: None,
             admission: None,
-            engine,
+            engine: EngineSpec::Timeline,
         };
 
         let argv = render_run_command(&sc);

@@ -1,9 +1,6 @@
 //! The end-to-end network simulator: arrivals → policy → debts → metrics.
 
-use rtmac_mac::{
-    BatchedDpEngine, ChurnEvent, DpConfig, FaultyDpEngine, IntervalOutcome, MacTiming,
-    RecoveryConfig,
-};
+use rtmac_mac::{ChurnEvent, DpConfig, FaultyDpEngine, IntervalOutcome, MacTiming, RecoveryConfig};
 use rtmac_model::metrics::{ConvergenceTracker, DeficiencySeries};
 use rtmac_model::{ConfigError, DebtLedger, LinkId, NetworkConfig, Requirements};
 use rtmac_phy::channel::{Bernoulli, LossModel};
@@ -13,7 +10,7 @@ use rtmac_sim::{Nanos, SeedStream, SimRng};
 use rtmac_traffic::{ArrivalProcess, BernoulliArrivals, BurstUniform, ConstantArrivals};
 
 use crate::admission::{self, AdmissionReport};
-use crate::scenario::{AdmissionSpec, EngineSpec, FaultSpec};
+use crate::scenario::{AdmissionSpec, FaultSpec};
 use crate::{DbDp, PolicyKind, RunReport, TransmissionPolicy};
 
 /// Runtime state of the feasibility-aware admission gate (see
@@ -309,7 +306,6 @@ pub struct NetworkBuilder {
     track: Option<(LinkId, f64)>,
     fault: Option<FaultSpec>,
     admission: Option<AdmissionSpec>,
-    engine: EngineSpec,
 }
 
 impl Default for NetworkBuilder {
@@ -330,7 +326,6 @@ impl Default for NetworkBuilder {
             track: None,
             fault: None,
             admission: None,
-            engine: EngineSpec::Timeline,
         }
     }
 }
@@ -511,17 +506,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Selects the DP interval kernel (default [`EngineSpec::Timeline`]).
-    /// [`EngineSpec::Batched`] runs the massive-N [`BatchedDpEngine`] —
-    /// bit-identical results, `O(min(N, deadline/slot))` per interval —
-    /// and is only supported for the fault-free DB-DP policy;
-    /// [`build`](Self::build) rejects every other combination.
-    #[must_use]
-    pub fn engine(mut self, engine: EngineSpec) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Validates everything and builds the [`Network`].
     ///
     /// # Errors
@@ -618,37 +602,7 @@ impl NetworkBuilder {
         });
         let budget = timing.max_transmissions();
         let seeds = SeedStream::new(self.seed);
-        let mut policy: Box<dyn TransmissionPolicy> = match (kind, self.fault, self.engine) {
-            (
-                PolicyKind::DbDp {
-                    influence,
-                    r,
-                    swap_pairs,
-                },
-                None,
-                EngineSpec::Batched,
-            ) => Box::new(DbDp::batched(
-                BatchedDpEngine::new(
-                    DpConfig::new(timing).with_swap_pairs(swap_pairs),
-                    config.n_links(),
-                ),
-                influence,
-                r,
-                config.success_probabilities().to_vec(),
-            )),
-            (_, Some(spec), EngineSpec::Batched) => {
-                return Err(ConfigError::InvalidParameter {
-                    name: "engine (the batched kernel does not support fault injection; \
-                           use the timeline engine)",
-                    value: spec.false_busy,
-                })
-            }
-            (_, None, EngineSpec::Batched) => {
-                return Err(ConfigError::InvalidParameter {
-                    name: "engine (the batched kernel only drives the DB-DP policy)",
-                    value: f64::NAN,
-                })
-            }
+        let mut policy: Box<dyn TransmissionPolicy> = match (kind, self.fault) {
             (
                 PolicyKind::DbDp {
                     influence,
@@ -656,7 +610,6 @@ impl NetworkBuilder {
                     swap_pairs,
                 },
                 Some(spec),
-                EngineSpec::Timeline,
             ) => {
                 for (name, p) in [
                     ("fault false_busy (must lie in [0, 1))", spec.false_busy),
@@ -821,13 +774,13 @@ impl NetworkBuilder {
                     config.success_probabilities().to_vec(),
                 ))
             }
-            (_, Some(spec), EngineSpec::Timeline) => {
+            (_, Some(spec)) => {
                 return Err(ConfigError::InvalidParameter {
                     name: "fault (fault injection requires the DB-DP policy)",
                     value: spec.false_busy,
                 })
             }
-            (kind, None, EngineSpec::Timeline) => {
+            (kind, None) => {
                 kind.instantiate(config.n_links(), config.success_probabilities(), timing)
             }
         };

@@ -2,9 +2,8 @@
 //! debt-driven wrappers around the `rtmac-mac` engines.
 
 use rtmac_mac::{
-    BatchedDpEngine, CentralizedEngine, ChurnEvent, DcfConfig, DcfEngine, DpConfig, DpEngine,
-    FaultStats, FaultyDpEngine, FcsmaEngine, FcsmaQuantizer, FrameCsmaEngine, IntervalOutcome,
-    MacTiming,
+    CentralizedEngine, ChurnEvent, DcfConfig, DcfEngine, DpConfig, DpEngine, FaultStats,
+    FaultyDpEngine, FcsmaEngine, FcsmaQuantizer, FrameCsmaEngine, IntervalOutcome, MacTiming,
 };
 use rtmac_model::influence::{DebtInfluence, Linear, PaperLog};
 use rtmac_model::{DebtLedger, LinkId, Permutation};
@@ -319,13 +318,11 @@ pub struct DbDp {
 }
 
 /// Which DP engine a [`DbDp`] policy drives: the pristine collision-free
-/// timeline engine (the fault-free default), the batched massive-N kernel
-/// (bit-identical to the timeline engine), or the degraded-mode engine of
-/// the fault-injection experiments.
+/// engine (every fault-free run) or the degraded-mode engine of the
+/// fault-injection experiments.
 #[derive(Debug)]
 enum DpDriver {
     Pristine(Box<DpEngine>),
-    Batched(Box<BatchedDpEngine>),
     Faulty(Box<FaultyDpEngine>),
 }
 
@@ -333,7 +330,6 @@ impl DpDriver {
     fn n_links(&self) -> usize {
         match self {
             DpDriver::Pristine(e) => e.n_links(),
-            DpDriver::Batched(e) => e.n_links(),
             DpDriver::Faulty(e) => e.n_links(),
         }
     }
@@ -349,21 +345,6 @@ impl DbDp {
     #[must_use]
     pub fn new(engine: DpEngine, influence: Box<dyn DebtInfluence>, r: f64, p: Vec<f64>) -> Self {
         Self::with_driver(DpDriver::Pristine(Box::new(engine)), influence, r, p)
-    }
-
-    /// Wires the *batched* massive-N DP kernel to the same debt-driven
-    /// coin parameters. The policy name, randomness consumption, and every
-    /// reported number are identical to [`DbDp::new`] — the engines are
-    /// bit-for-bit equivalent — only the per-interval cost changes. Panics
-    /// as [`DbDp::new`].
-    #[must_use]
-    pub fn batched(
-        engine: BatchedDpEngine,
-        influence: Box<dyn DebtInfluence>,
-        r: f64,
-        p: Vec<f64>,
-    ) -> Self {
-        Self::with_driver(DpDriver::Batched(Box::new(engine)), influence, r, p)
     }
 
     /// Wires the *degraded-mode* DP engine (sensing faults, churn,
@@ -388,10 +369,8 @@ impl DbDp {
         assert!(r.is_finite() && r > 0.0, "R must be positive and finite");
         assert_eq!(p.len(), driver.n_links(), "one p_n per link");
         let n = p.len();
-        // The batched kernel is bit-identical to the pristine engine, so it
-        // shares the pristine name: reports must not depend on the kernel.
         let degraded = match driver {
-            DpDriver::Pristine(_) | DpDriver::Batched(_) => "",
+            DpDriver::Pristine(_) => "",
             DpDriver::Faulty(_) => ", degraded",
         };
         let name = format!("DB-DP(f={}, R={r}{degraded})", influence.name());
@@ -413,21 +392,12 @@ impl DbDp {
     }
 
     /// The underlying pristine DP engine (e.g. to inspect `σ`); `None`
-    /// when the policy runs the batched or degraded-mode engine.
+    /// when the policy runs the degraded-mode engine.
     #[must_use]
     pub fn engine(&self) -> Option<&DpEngine> {
         match &self.driver {
             DpDriver::Pristine(e) => Some(e),
-            DpDriver::Batched(_) | DpDriver::Faulty(_) => None,
-        }
-    }
-
-    /// The underlying batched massive-N kernel, when selected.
-    #[must_use]
-    pub fn batched_engine(&self) -> Option<&BatchedDpEngine> {
-        match &self.driver {
-            DpDriver::Batched(e) => Some(e),
-            DpDriver::Pristine(_) | DpDriver::Faulty(_) => None,
+            DpDriver::Faulty(_) => None,
         }
     }
 
@@ -435,7 +405,7 @@ impl DbDp {
     #[must_use]
     pub fn faulty_engine(&self) -> Option<&FaultyDpEngine> {
         match &self.driver {
-            DpDriver::Pristine(_) | DpDriver::Batched(_) => None,
+            DpDriver::Pristine(_) => None,
             DpDriver::Faulty(e) => Some(e),
         }
     }
@@ -462,12 +432,7 @@ impl TransmissionPolicy for DbDp {
             );
         }
         match &mut self.driver {
-            DpDriver::Pristine(engine) => {
-                engine
-                    .run_interval(arrivals, &self.mu_buf, channel, rng)
-                    .outcome
-            }
-            DpDriver::Batched(engine) => engine
+            DpDriver::Pristine(engine) => engine
                 .step(arrivals, &self.mu_buf, channel, rng)
                 .outcome
                 .clone(),
@@ -482,7 +447,6 @@ impl TransmissionPolicy for DbDp {
     fn sigma(&self) -> Option<&Permutation> {
         match &self.driver {
             DpDriver::Pristine(engine) => Some(engine.sigma()),
-            DpDriver::Batched(engine) => Some(engine.sigma()),
             // Degraded mode: the belief multiset need not be a permutation.
             DpDriver::Faulty(_) => None,
         }
@@ -490,7 +454,7 @@ impl TransmissionPolicy for DbDp {
 
     fn fault_stats(&self) -> Option<FaultStats> {
         match &self.driver {
-            DpDriver::Pristine(_) | DpDriver::Batched(_) => None,
+            DpDriver::Pristine(_) => None,
             DpDriver::Faulty(engine) => Some(engine.stats()),
         }
     }
@@ -682,8 +646,9 @@ impl TransmissionPolicy for FixedPriority {
         // μ is irrelevant with no swap pairs; 0.5 keeps the engine's
         // validation satisfied.
         self.engine
-            .run_interval(arrivals, &self.mu, channel, rng)
+            .step(arrivals, &self.mu, channel, rng)
             .outcome
+            .clone()
     }
 
     fn sigma(&self) -> Option<&Permutation> {

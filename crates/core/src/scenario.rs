@@ -259,28 +259,25 @@ impl PolicySpec {
     }
 }
 
-/// Which DP interval kernel executes a run.
+/// Inert data: the DP interval kernel a scenario once selected.
 ///
-/// The two engines are bit-for-bit equivalent (pinned by the
-/// `batched_equivalence` test suite); the choice only trades
-/// per-interval complexity. Only the DB-DP policy consults this —
-/// [`crate::NetworkBuilder::build`] rejects `Batched` for every other
-/// policy and for fault-injection runs, both of which have no batched
-/// implementation.
+/// There is one fault-free DP engine ([`rtmac_mac::DpEngine`]) and no code
+/// branches on this value; both variants run identically. It survives only
+/// because the standalone benchmark package names it (`benchmark/src/
+/// mirror.rs` matches on both variants and `benchmark/workloads/*.scenario`
+/// say `engine = batched`). The follow-up benchmark change that drops those
+/// references deletes it, together with [`Scenario::engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineSpec {
-    /// The reference timeline engine: replays every slot boundary,
-    /// `O(deadline/slot · N)` per interval.
+    /// The historical default spelling.
     #[default]
     Timeline,
-    /// The massive-N interval kernel: walks links in counter order over
-    /// flat struct-of-arrays state, `O(min(N, deadline/slot))` boundaries
-    /// per interval and zero heap allocations while stepping.
+    /// The historical massive-N spelling; runs the same engine.
     Batched,
 }
 
 impl EngineSpec {
-    /// The `--engine` spelling.
+    /// The `engine = …` spelling of scenario files.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -553,8 +550,8 @@ pub struct Scenario {
     /// Feasibility-aware admission control over churn events; `None` leaves
     /// every link admitted unconditionally.
     pub admission: Option<AdmissionSpec>,
-    /// Which DP interval kernel executes the run (DB-DP only; the two
-    /// engines produce bit-identical results).
+    /// Inert: carried for scenario files and the benchmark package only;
+    /// see [`EngineSpec`].
     pub engine: EngineSpec,
 }
 
@@ -628,13 +625,6 @@ impl Scenario {
         self
     }
 
-    /// Selects the DP interval kernel (default [`EngineSpec::Timeline`]).
-    #[must_use]
-    pub fn with_engine(mut self, engine: EngineSpec) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// A preconfigured [`NetworkBuilder`] — the escape hatch for consumers
     /// that need knobs the declarative form does not carry (custom loss
     /// models, per-link payloads); chain the extra builder calls before
@@ -648,7 +638,6 @@ impl Scenario {
             .success_probabilities(self.success.expand(self.links))
             .delivery_ratios(self.ratio.expand(self.links))
             .policy(self.policy.kind(self.links))
-            .engine(self.engine)
             .seed(self.seed);
         if let Some(traffic) = self.traffic.instantiate(self.links) {
             b = b.traffic(traffic);

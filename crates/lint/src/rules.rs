@@ -71,14 +71,14 @@ pub enum RuleKind {
 }
 
 /// Default hot-path roots for `hot-path-alloc`: the per-interval decision
-/// paths of the scalar, batched, and faulty DP engines (Algorithm 2 runs
-/// on every link in every interval, so these must stay allocation-free).
+/// paths of the pristine and faulty DP engines (Algorithm 2 runs on every
+/// link in every interval, so these must stay allocation-free). The
+/// pristine engine's owned-report `run_interval` is a convenience clone of
+/// `step`, not a root.
 pub const HOT_PATH_DEFAULT_ROOTS: &[&str] = &[
-    "DpEngine::run_interval",
-    "DpEngine::run_interval_with_candidates",
-    "DpEngine::run_interval_with_coins",
-    "BatchedDpEngine::step",
-    "BatchedDpEngine::step_with_candidates",
+    "DpEngine::step",
+    "DpEngine::step_with_candidates",
+    "DpEngine::step_with_coins",
     "FaultyDpEngine::run_interval",
     "FaultyDpEngine::run_interval_with_candidates",
 ];
@@ -420,7 +420,7 @@ pub const RULES: &[Rule] = &[
         explain: "Algorithm 2 runs on every link in every interval, so the \
                   per-interval decision path must be allocation-free: a single \
                   Vec::new in a transitively-called helper turns the massive-N \
-                  batched sweep into an allocator benchmark. This rule builds the \
+                  sweep into an allocator benchmark. This rule builds the \
                   workspace call graph (DESIGN.md §13), walks forward from the \
                   configured `roots` (default: the DP engines' interval entry \
                   points), and convicts every allocating construct — constructor \

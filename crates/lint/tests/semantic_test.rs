@@ -88,17 +88,17 @@ fn real_workspace_has_zero_semantic_findings() {
     );
 }
 
-/// Seeded-mutation check: planting a `clone()` in `BatchedDpEngine`'s
-/// interval path of a copied `batched.rs` must be convicted by
-/// `hot-path-alloc` at the exact planted position.
+/// Seeded-mutation check: planting a `clone()` in `DpEngine`'s interval
+/// path of a copied `dp.rs` must be convicted by `hot-path-alloc` at the
+/// exact planted position.
 #[test]
-fn seeded_mutation_in_batched_interval_path_is_convicted() {
-    let source = fs::read_to_string(repo_root().join("crates/mac/src/batched.rs"))
-        .expect("batched.rs readable");
+fn seeded_mutation_in_dp_interval_path_is_convicted() {
+    let source =
+        fs::read_to_string(repo_root().join("crates/mac/src/dp.rs")).expect("dp.rs readable");
     let anchor = "        report.candidates.extend_from_slice(candidates);\n";
     assert!(
         source.contains(anchor),
-        "mutation anchor vanished from batched.rs"
+        "mutation anchor vanished from dp.rs"
     );
     let planted = "        let _mutation = report.candidates.clone();\n";
     let mutated = source.replace(anchor, &format!("{anchor}{planted}"));
@@ -109,13 +109,13 @@ fn seeded_mutation_in_batched_interval_path_is_convicted() {
     let expected_col = planted.find("clone").expect("clone in planted line") + 1;
 
     // A scratch workspace holding only the mutated file and a config that
-    // runs hot-path-alloc alone, rooted at the batched engine's steppers.
+    // runs hot-path-alloc alone, rooted at the engine's steppers.
     let root = std::env::temp_dir().join(format!("rtmac-lint-mutation-{}", std::process::id()));
     let src = root.join("src");
     fs::create_dir_all(&src).expect("scratch workspace dir");
-    fs::write(src.join("batched.rs"), mutated).expect("write mutated copy");
+    fs::write(src.join("dp.rs"), mutated).expect("write mutated copy");
     let mut config = String::from(
-        "[rules.hot-path-alloc]\nseverity = \"deny\"\nroots = [\"BatchedDpEngine::step\", \"BatchedDpEngine::step_with_candidates\"]\n",
+        "[rules.hot-path-alloc]\nseverity = \"deny\"\nroots = [\"DpEngine::step\", \"DpEngine::step_with_candidates\", \"DpEngine::step_with_coins\"]\n",
     );
     for rule in rules::RULES {
         if rule.id != "hot-path-alloc" {
@@ -135,12 +135,7 @@ fn seeded_mutation_in_batched_interval_path_is_convicted() {
         .collect();
     assert_eq!(
         convicted,
-        vec![(
-            "src/batched.rs",
-            expected_line,
-            expected_col,
-            "hot-path-alloc"
-        )],
+        vec![("src/dp.rs", expected_line, expected_col, "hot-path-alloc")],
         "expected exactly the planted clone() to be convicted"
     );
 }

@@ -10,12 +10,60 @@
 //! other's intention purely by carrier sensing at the instant their backoff
 //! counter reaches 1 (Eqs. 7–8); a confirmed handshake exchanges their
 //! priorities for the next interval.
+//!
+//! # How [`DpEngine`] steps an interval
+//!
+//! A literal replay would visit every slot boundary, decrement all `N`
+//! backoff counters and scan for the link whose counter reached zero:
+//! `O(N × deadline/slot)` work, although at most `⌊deadline/airtime⌋`
+//! links ever transmit. The engine instead exploits that Eq. 6 makes the
+//! counters *deterministic in the priority order*: a non-candidate with
+//! priority `s` starts at `(s − 1) + 2·|{pairs with C + 1 < s}|`, and the
+//! two members of swap pair `j` (upper priority `C`) occupy counters in
+//! `[C − 1 + 2j, C + 2 + 2j]` depending only on their coins. Three facts
+//! follow, giving `O(min(N, deadline/slot))` per interval:
+//!
+//! 1. **All counters are distinct** and a link with initial counter `c`
+//!    acts at slot boundary `k = c` (counters decrement once per processed
+//!    boundary after the first). Walking links in priority order — with a
+//!    local two-element sort inside each pair block — visits them in
+//!    strictly increasing counter order.
+//! 2. **Idle gaps collapse**: between two consecutive actors the interval
+//!    advances by whole idle slots, so the walk jumps `gap` boundaries in
+//!    O(1) arithmetic (bounded by `⌈(deadline − t)/slot⌉` so the
+//!    deadline-stop boundary is exact).
+//! 3. **Carrier-sense checks become bitset lookups**: "busy at boundary
+//!    `k`" means "a transmission starts at `k`", so the walk records each
+//!    transmission boundary in a [`SenseBoard`] and the Eq. 7/8 checks
+//!    (counter at 1, i.e. boundary `initial − 1`) and the Remark-4 concede
+//!    check (boundary after a claim that did not fit) are resolved *after*
+//!    the walk as O(1) queries, guarded by the processed bound `B` (a
+//!    boundary never processed means "check never ran").
+//!
+//! The RNG is consumed in protocol order — shared candidate draw, per-pair
+//! coins in candidate order (hi before lo), channel attempts in counter
+//! order — and the decision trace is pinned by FNV fingerprints in
+//! `tests/dp_fingerprints.rs`. The device-view [`crate::reference`]
+//! network is the independent slot-by-slot oracle.
+//!
+//! # Allocation discipline
+//!
+//! The constructor allocates only σ. The first step sizes the working
+//! storage — the per-pair state, the claim board, the reused
+//! [`DpIntervalReport`] — and from then on stepping performs **zero heap
+//! allocations** (pinned by `tests/alloc_regression.rs` with a counting
+//! allocator). Trace mode is the documented exception: it buffers and
+//! sorts events and is meant for debugging, not the hot path.
+//!
+//! `mu` values of non-candidate links are range-checked only in debug
+//! builds (checking all `N` per interval would be the dominant cost at
+//! `N = 10 000`); the candidate links' values are asserted in all builds.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rtmac_model::{AdjacentTransposition, LinkId, Permutation};
 use rtmac_phy::channel::LossModel;
-use rtmac_phy::Medium;
+use rtmac_phy::{Medium, SenseBoard};
 use rtmac_sim::{Nanos, SimRng};
 
 use crate::{IntervalOutcome, MacTiming};
@@ -76,7 +124,7 @@ impl DpConfig {
 }
 
 /// Explicit coin outcomes for one drawn candidate pair — Eq. 5 made
-/// external, the way [`DpEngine::run_interval_with_candidates`] already
+/// external, the way [`DpEngine::step_with_candidates`] already
 /// externalizes the shared candidate draw. Used by the bounded model
 /// checker (`crates/verify`) to enumerate every ξ vector exhaustively
 /// instead of sampling it.
@@ -92,6 +140,7 @@ pub struct PairCoins {
 
 /// Where an interval's coin flips come from: drawn from `μ` (Eq. 5) or
 /// injected verbatim, one [`PairCoins`] per drawn candidate pair.
+#[derive(Clone, Copy)]
 enum CoinSource<'a> {
     Mu(&'a [f64]),
     Fixed(&'a [PairCoins]),
@@ -163,7 +212,7 @@ pub enum TraceEvent {
 
 /// Result of one DP interval: the generic [`IntervalOutcome`] plus the
 /// protocol's reordering trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DpIntervalReport {
     /// Deliveries, attempts and overhead counters.
     pub outcome: IntervalOutcome,
@@ -176,25 +225,28 @@ pub struct DpIntervalReport {
     pub trace: Vec<TraceEvent>,
 }
 
-/// Per-pair handshake state for one interval.
-#[derive(Debug, Clone)]
-struct PairState {
-    /// Upper priority `C` of the pair.
+/// Sentinel for "no concede check armed" in [`Pair::concede_at`].
+const UNARMED: u64 = u64::MAX;
+
+/// One drawn swap pair's handshake state for the current interval.
+#[derive(Debug, Clone, Copy)]
+struct Pair {
+    /// Upper priority `C` (pairs are sorted and pairwise non-adjacent).
     c: usize,
-    hi: LinkId,
-    lo: LinkId,
-    /// `ξ_hi = −1`: the higher-priority candidate wants to move down.
+    /// Link index holding priority `C`.
+    hi: usize,
+    /// Link index holding priority `C + 1`.
+    lo: usize,
+    /// Initial backoff counter of the hi member (Eq. 6).
+    hi_counter: u64,
+    /// Initial backoff counter of the lo member (Eq. 6).
+    lo_counter: u64,
+    /// `ξ_hi = −1`: hi wants to move down.
     hi_wants_down: bool,
-    /// `ξ_lo = +1`: the lower-priority candidate wants to move up.
+    /// `ξ_lo = +1`: lo wants to move up.
     lo_wants_up: bool,
-    hi_checked: bool,
-    lo_checked: bool,
-    /// Channel sensed busy when hi's counter reached 1 (Eq. 7).
-    hi_busy_at_1: bool,
-    /// Channel sensed idle when lo's counter reached 1 (Eq. 8).
-    lo_idle_at_1: bool,
-    /// lo actually began a transmission (the `R_i + R_j ≥ 1` event of
-    /// Eq. 9 — without it the handshake cannot complete).
+    /// lo actually began a transmission (Eq. 9's `R_i + R_j ≥ 1`; without
+    /// it the handshake cannot complete).
     lo_transmitted: bool,
     /// Deadline corner case the paper leaves unspecified (it idealizes
     /// claim frames to zero width, Definition 10): hi chose to *stay*
@@ -203,41 +255,216 @@ struct PairState {
     /// 1 and senses *idle*, so lo will infer "hi wants down". To keep the
     /// permutation consistent with sensing alone, hi then concedes iff a
     /// transmission starts at exactly the next slot boundary (only lo can
-    /// occupy that backoff slot, so the observation is unambiguous).
-    hi_concede_arm_pending: bool,
-    hi_concede_armed: bool,
-    hi_concede: bool,
+    /// occupy that backoff slot, so the observation is unambiguous). This
+    /// is that boundary, or [`UNARMED`] when hi's claim fitted or hi
+    /// wanted down anyway.
+    concede_at: u64,
 }
 
-impl PairState {
-    fn hi_swaps(&self) -> bool {
-        (self.hi_wants_down && self.hi_busy_at_1) || self.hi_concede
-    }
-
-    fn lo_swaps(&self) -> bool {
-        self.lo_wants_up && self.lo_idle_at_1 && self.lo_transmitted
-    }
-}
-
-/// Per-interval working buffers, owned by the engine so the hot loop
-/// allocates nothing after the first interval.
+/// Per-interval working storage, owned by the engine and sized on the
+/// first step so the hot loop never allocates after it.
 #[derive(Debug, Clone, Default)]
-struct Scratch {
-    pairs: Vec<PairState>,
-    pending_empty: Vec<bool>,
-    counter: Vec<u64>,
-    role: Vec<Option<(usize, bool)>>,
-    data: Vec<u32>,
-    done: Vec<bool>,
-    transmitters: Vec<usize>,
-    /// Shuffle scratch for [`draw_nonadjacent_candidates_into`]; reused
-    /// across intervals so the per-interval draw stops allocating after
-    /// the first call.
+struct DpState {
+    /// The drawn pairs, in candidate order.
+    pairs: Vec<Pair>,
+    /// Bit-per-boundary transmission-start record (horizon 0 until the
+    /// first step sizes it).
+    board: SenseBoard,
+    /// The drawn candidate set (reused buffer).
+    candidates: Vec<usize>,
+    /// Shuffle scratch for the stars-and-bars candidate draw.
     draw_pool: Vec<usize>,
+    /// Links whose per-link outcome entries were written this interval;
+    /// clearing only these keeps the reset O(transmitters), not O(N).
+    touched: Vec<usize>,
+    /// Trace mode only: events keyed by (boundary, within-boundary seq)
+    /// for the post-walk merge into protocol order.
+    trace_tmp: Vec<(u64, u32, TraceEvent)>,
+    /// Trace mode only: start time of every processed boundary.
+    boundary_times: Vec<Nanos>,
+    /// Debug-postcondition scratch (σ bijection check without `vec!`).
+    seen: Vec<bool>,
+}
+
+/// What happened at a claimant's action boundary.
+enum Claim {
+    /// The deadline was reached before the claimant acted.
+    Stopped,
+    /// Nothing to send (no data, no pending empty claim); idle boundary.
+    Idle,
+    /// The frame no longer fit before the deadline (Remark 4).
+    NoFit,
+    /// A transmission started at the claimant's boundary.
+    Transmitted,
+}
+
+/// The walking state of one interval: current time, next unprocessed
+/// boundary, and the sinks the walk writes into.
+struct Walk<'a> {
+    timing: &'a MacTiming,
+    slot: Nanos,
+    deadline: Nanos,
+    arrivals: &'a [u32],
+    channel: &'a mut dyn LossModel,
+    rng: &'a mut SimRng,
+    board: &'a mut SenseBoard,
+    outcome: &'a mut IntervalOutcome,
+    touched: &'a mut Vec<usize>,
+    trace: Option<TraceRec<'a>>,
+    medium: Medium,
+    t: Nanos,
+    next_boundary: u64,
+    stopped: bool,
+}
+
+/// Trace-mode sinks (separate struct so the hot path carries one `Option`).
+struct TraceRec<'a> {
+    events: &'a mut Vec<(u64, u32, TraceEvent)>,
+    times: &'a mut Vec<Nanos>,
+}
+
+impl Walk<'_> {
+    /// Processes `count` idle boundaries: one idle slot each.
+    fn advance_idle(&mut self, count: u64) {
+        if let Some(tr) = &mut self.trace {
+            for i in 0..count {
+                tr.times.push(self.t + self.slot * i);
+            }
+        }
+        self.outcome.idle_slots += count;
+        self.t += self.slot * count;
+        self.next_boundary += count;
+    }
+
+    /// Advances to boundary `counter` and lets `link` act there.
+    ///
+    /// `pending_empty` is Step 2's flag: the link is a swap candidate with
+    /// no arrivals, so it claims its backoff slot with an empty frame.
+    fn claim(&mut self, link: usize, counter: u64, pending_empty: bool) -> Claim {
+        debug_assert!(!self.stopped, "claim after deadline stop");
+        debug_assert!(
+            counter >= self.next_boundary,
+            "claimants must arrive in counter order"
+        );
+        // A boundary where t >= deadline is never processed.
+        if self.t >= self.deadline {
+            self.stopped = true;
+            return Claim::Stopped;
+        }
+        // Idle gap: every boundary strictly before `counter` belongs to no
+        // remaining claimant, so each processed one adds exactly one idle
+        // slot. `m` is how many boundaries fit before the deadline
+        // (t + (m−1)·slot < deadline ≤ t + m·slot), so the walk stops at
+        // exactly the boundary a slot-by-slot replay would stop at.
+        let gap = counter - self.next_boundary;
+        let remaining = self.deadline - self.t;
+        let m = remaining / self.slot + u64::from(!(remaining % self.slot).is_zero());
+        if gap >= m {
+            self.advance_idle(m);
+            self.stopped = true;
+            return Claim::Stopped;
+        }
+        self.advance_idle(gap);
+        // Boundary `counter` is processed (t < deadline holds because
+        // gap ≤ m − 1).
+        let has_data = self.arrivals[link] > 0;
+        if !has_data && !pending_empty {
+            self.advance_idle(1);
+            return Claim::Idle;
+        }
+        let airtime = if has_data {
+            self.timing.data_airtime_for(link)
+        } else {
+            self.timing.empty_airtime()
+        };
+        if !self.timing.fits(self.t, airtime) {
+            // Remark 4: not enough time left — idle out the interval.
+            self.advance_idle(1);
+            return Claim::NoFit;
+        }
+
+        // Transmission boundary (Step 6): record the claim bit, then hold
+        // the medium back-to-back until the buffer drains or time runs out.
+        debug_assert!(
+            !self.board.busy_at(counter as usize),
+            "two claimants at boundary {counter}: DP counters must be distinct"
+        );
+        self.board.record_start(counter as usize);
+        if let Some(tr) = &mut self.trace {
+            tr.times.push(self.t);
+        }
+        let mut now = self.t;
+        let mut seq: u32 = 1;
+        if has_data {
+            debug_assert!(!pending_empty, "pending empty claims require zero arrivals");
+            let mut data = self.arrivals[link];
+            self.touched.push(link);
+            while data > 0 && self.timing.fits(now, airtime) {
+                let tx = self.medium.transmit(now, &[airtime]);
+                self.outcome.attempts[link] += 1;
+                let delivered = self.channel.attempt(LinkId::new(link), self.rng);
+                if delivered {
+                    data -= 1;
+                    self.outcome.deliveries[link] += 1;
+                    self.outcome.latency_sum[link] += tx.ends_at;
+                }
+                if let Some(tr) = &mut self.trace {
+                    tr.events.push((
+                        counter,
+                        seq,
+                        TraceEvent::TxStart {
+                            link: LinkId::new(link),
+                            at: now,
+                            kind: FrameKind::Data,
+                        },
+                    ));
+                    tr.events.push((
+                        counter,
+                        seq + 1,
+                        TraceEvent::TxEnd {
+                            link: LinkId::new(link),
+                            at: tx.ends_at,
+                            delivered,
+                        },
+                    ));
+                    seq += 2;
+                }
+                now = tx.ends_at;
+            }
+        } else {
+            let tx = self.medium.transmit(now, &[airtime]);
+            self.outcome.empty_packets += 1;
+            if let Some(tr) = &mut self.trace {
+                tr.events.push((
+                    counter,
+                    seq,
+                    TraceEvent::TxStart {
+                        link: LinkId::new(link),
+                        at: now,
+                        kind: FrameKind::Empty,
+                    },
+                ));
+                tr.events.push((
+                    counter,
+                    seq + 1,
+                    TraceEvent::TxEnd {
+                        link: LinkId::new(link),
+                        at: tx.ends_at,
+                        delivered: false,
+                    },
+                ));
+            }
+            now = tx.ends_at;
+        }
+        self.t = now + self.slot; // one idle slot before the next boundary
+        self.next_boundary = counter + 1;
+        Claim::Transmitted
+    }
 }
 
 /// The DP protocol engine. Persists the priority permutation `σ` across
-/// intervals; everything else is per-interval state.
+/// intervals; everything else is per-interval state, stepped in
+/// `O(min(N, deadline/slot))` (see the module docs).
 ///
 /// # Example
 ///
@@ -253,7 +480,7 @@ struct Scratch {
 /// let mut rng = SeedStream::new(7).rng(0);
 /// // One packet per link, neutral coins: everything is delivered
 /// // collision-free in priority order.
-/// let report = engine.run_interval(&[1, 1, 1, 1], &[0.5; 4], &mut channel, &mut rng);
+/// let report = engine.step(&[1, 1, 1, 1], &[0.5; 4], &mut channel, &mut rng);
 /// assert_eq!(report.outcome.total_deliveries(), 4);
 /// assert_eq!(report.outcome.collisions, 0);
 /// ```
@@ -261,12 +488,18 @@ struct Scratch {
 pub struct DpEngine {
     config: DpConfig,
     sigma: Permutation,
-    scratch: Scratch,
+    state: DpState,
+    report: DpIntervalReport,
 }
+
+/// The name the standalone benchmark package (`benchmark/`) imports for
+/// the interval kernel; it is [`DpEngine`] itself.
+pub type BatchedDpEngine = DpEngine;
 
 impl DpEngine {
     /// Creates an engine for `n_links` links with the identity priority
-    /// ordering (`σ_n(0) = n + 1`).
+    /// ordering (`σ_n(0) = n + 1`). Only σ is allocated here; the working
+    /// buffers are sized on the first step.
     ///
     /// # Panics
     ///
@@ -276,7 +509,8 @@ impl DpEngine {
         DpEngine {
             config,
             sigma: Permutation::identity(n_links),
-            scratch: Scratch::default(),
+            state: DpState::default(),
+            report: DpIntervalReport::default(),
         }
     }
 
@@ -313,28 +547,10 @@ impl DpEngine {
         &self.config
     }
 
-    /// Draws `swap_pairs` pairwise non-adjacent upper priorities `C` from
-    /// `{1, …, N−1}` (Step 1 / Remark 6). With one pair this is exactly the
-    /// uniform draw of Algorithm 2.
-    fn draw_candidates(&mut self, rng: &mut SimRng) -> Vec<usize> {
-        // The candidate set is moved into the caller-owned DpIntervalReport;
-        // only the shuffle pool is scratch, and that one persists across
-        // intervals.
-        // lint: allow(hot-path-alloc) — report-owned candidate buffer; shuffle pool reused via Scratch
-        let mut out = Vec::with_capacity(self.config.swap_pairs);
-        let mut pool = std::mem::take(&mut self.scratch.draw_pool);
-        draw_nonadjacent_candidates_into(
-            self.sigma.len(),
-            self.config.swap_pairs,
-            rng,
-            &mut out,
-            &mut pool,
-        );
-        self.scratch.draw_pool = pool;
-        out
-    }
-
-    /// Runs one interval of the DP protocol (Steps 1–7 of Algorithm 2).
+    /// Runs one interval of the DP protocol (Steps 1–7 of Algorithm 2),
+    /// drawing the shared candidate set internally. The returned report is
+    /// an engine-owned buffer, valid until the next step; clone it to keep
+    /// it.
     ///
     /// * `arrivals[n]` — packets arriving at link `n` at the interval start.
     /// * `mu[n]` — the coin parameter `μ_n ∈ (0, 1)` of Eq. 5. The DB-DP
@@ -344,16 +560,16 @@ impl DpEngine {
     /// # Panics
     ///
     /// Panics if `arrivals`, `mu`, or the channel's link count disagree
-    /// with the engine's, or if some `μ_n ∉ (0, 1)`.
-    pub fn run_interval(
+    /// with the engine's, or (candidate links always, every link in debug
+    /// builds) if some `μ_n ∉ (0, 1)`.
+    pub fn step(
         &mut self,
         arrivals: &[u32],
         mu: &[f64],
         channel: &mut dyn LossModel,
         rng: &mut SimRng,
-    ) -> DpIntervalReport {
-        let candidates = self.draw_candidates(rng);
-        self.run_candidates(arrivals, CoinSource::Mu(mu), candidates, channel, rng)
+    ) -> &DpIntervalReport {
+        self.run(arrivals, CoinSource::Mu(mu), None, channel, rng)
     }
 
     /// Runs one interval with an explicitly chosen candidate set — the
@@ -363,24 +579,17 @@ impl DpEngine {
     ///
     /// # Panics
     ///
-    /// Same as [`DpEngine::run_interval`], plus a panic if the candidate
-    /// set is malformed.
-    pub fn run_interval_with_candidates(
+    /// Same as [`DpEngine::step`], plus a panic if the candidate set is
+    /// malformed.
+    pub fn step_with_candidates(
         &mut self,
         arrivals: &[u32],
         mu: &[f64],
         candidates: &[usize],
         channel: &mut dyn LossModel,
         rng: &mut SimRng,
-    ) -> DpIntervalReport {
-        self.run_candidates(
-            arrivals,
-            CoinSource::Mu(mu),
-            // lint: allow(hot-path-alloc) — copies the caller's injected draw into the report-owned set
-            candidates.to_vec(),
-            channel,
-            rng,
-        )
+    ) -> &DpIntervalReport {
+        self.run(arrivals, CoinSource::Mu(mu), Some(candidates), channel, rng)
     }
 
     /// Runs one interval with both the candidate draw *and* the private
@@ -392,49 +601,144 @@ impl DpEngine {
     ///
     /// # Panics
     ///
-    /// Same as [`DpEngine::run_interval_with_candidates`], plus a panic
-    /// if `coins` and `candidates` disagree in length.
-    pub fn run_interval_with_coins(
+    /// Same as [`DpEngine::step_with_candidates`], plus a panic if `coins`
+    /// and `candidates` disagree in length.
+    pub fn step_with_coins(
         &mut self,
         arrivals: &[u32],
         candidates: &[usize],
         coins: &[PairCoins],
         channel: &mut dyn LossModel,
         rng: &mut SimRng,
-    ) -> DpIntervalReport {
+    ) -> &DpIntervalReport {
         assert_eq!(
             coins.len(),
             candidates.len(),
             "one PairCoins per candidate pair"
         );
-        self.run_candidates(
+        self.run(
             arrivals,
             CoinSource::Fixed(coins),
-            // lint: allow(hot-path-alloc) — copies the caller's injected draw into the report-owned set
-            candidates.to_vec(),
+            Some(candidates),
             channel,
             rng,
         )
     }
 
-    /// The shared interval body. Takes the candidate set by value so the
-    /// [`DpEngine::run_interval`] path hands its freshly drawn `Vec`
-    /// straight through without a copy.
-    fn run_candidates(
+    /// [`DpEngine::step`] returning an owned copy of the report, for
+    /// callers that keep it past the next interval.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`DpEngine::step`].
+    pub fn run_interval(
         &mut self,
         arrivals: &[u32],
-        coins: CoinSource<'_>,
-        candidates: Vec<usize>,
+        mu: &[f64],
         channel: &mut dyn LossModel,
         rng: &mut SimRng,
     ) -> DpIntervalReport {
+        self.step(arrivals, mu, channel, rng).clone()
+    }
+
+    /// Sizes the working storage on the first step: the claim board covers
+    /// every boundary an interval can process — it stops at the deadline
+    /// after at most `deadline/slot + 1` boundaries (each advances t by ≥
+    /// one slot) and runs out of claimants after `max counter + 1 ≤
+    /// n + 2·pairs` boundaries. Injected candidate sets may hold more pairs
+    /// than the configured draw, up to `n/2`.
+    fn size_buffers(&mut self) {
+        let n = self.sigma.len();
+        let want = self.config.swap_pairs.min(n / 2);
+        let timing = &self.config.timing;
+        let by_deadline = (timing.deadline() / timing.slot()) as usize + 2;
+        let by_counters = n + 2 * (n / 2) + 2;
+        let horizon = by_deadline.min(by_counters);
+        let state = &mut self.state;
+        state.board = SenseBoard::new(horizon);
+        state.pairs.reserve(want);
+        state.candidates.reserve(want);
+        if want > 1 {
+            state.draw_pool.reserve(n);
+        }
+        state.touched.reserve(n.min(horizon));
+        state.seen.resize(n, false);
+        self.report.outcome = IntervalOutcome::empty(n);
+        self.report.candidates.reserve(want);
+        self.report.swaps.reserve(want);
+    }
+
+    /// The shared interval body.
+    #[allow(clippy::too_many_lines)] // one interval, one function: the walk,
+                                     // the sense resolution, and the commit are a single documented unit.
+    fn run(
+        &mut self,
+        arrivals: &[u32],
+        coins: CoinSource<'_>,
+        inject: Option<&[usize]>,
+        channel: &mut dyn LossModel,
+        rng: &mut SimRng,
+    ) -> &DpIntervalReport {
         let n = self.sigma.len();
         assert_eq!(arrivals.len(), n, "arrivals must have one entry per link");
         assert_eq!(channel.n_links(), n, "channel link count mismatch");
-        if let CoinSource::Mu(mu) = &coins {
+        if let CoinSource::Mu(mu) = coins {
             assert_eq!(mu.len(), n, "mu must have one entry per link");
+            #[cfg(debug_assertions)]
             for (i, &m) in mu.iter().enumerate() {
-                assert!(m > 0.0 && m < 1.0, "mu[{i}] = {m} must lie in (0, 1)");
+                debug_assert!(m > 0.0 && m < 1.0, "mu[{i}] = {m} must lie in (0, 1)");
+            }
+        }
+        if self.state.board.horizon() == 0 {
+            self.size_buffers();
+        }
+
+        let Self {
+            config,
+            sigma,
+            state,
+            report,
+        } = self;
+        let timing = config.timing();
+        let tracing = config.trace();
+        let DpState {
+            pairs,
+            board,
+            candidates,
+            draw_pool,
+            touched,
+            trace_tmp,
+            boundary_times,
+            seen,
+        } = state;
+
+        // ------------------------------------------------------ reset
+        for &l in touched.iter() {
+            report.outcome.deliveries[l] = 0;
+            report.outcome.attempts[l] = 0;
+            report.outcome.latency_sum[l] = Nanos::ZERO;
+        }
+        touched.clear();
+        report.outcome.empty_packets = 0;
+        report.outcome.collisions = 0;
+        report.outcome.busy_time = Nanos::ZERO;
+        report.outcome.idle_slots = 0;
+        report.outcome.leftover = Nanos::ZERO;
+        report.candidates.clear();
+        report.swaps.clear();
+        report.trace.clear();
+        board.reset();
+        trace_tmp.clear();
+        boundary_times.clear();
+
+        // ------------------------------------- Step 1: candidate draw
+        match inject {
+            Some(c) => {
+                candidates.clear();
+                candidates.extend_from_slice(c);
+            }
+            None => {
+                draw_nonadjacent_candidates_into(n, config.swap_pairs(), rng, candidates, draw_pool)
             }
         }
         for (i, &c) in candidates.iter().enumerate() {
@@ -446,322 +750,215 @@ impl DpEngine {
                 );
             }
         }
-        let Self {
-            config,
-            sigma,
-            scratch,
-        } = self;
-        let timing = &config.timing;
-        let tracing = config.trace;
-        // lint: allow(hot-path-alloc) — report-owned trace; lazily allocating and empty unless tracing is on
-        let mut trace: Vec<TraceEvent> = Vec::new();
+        report.candidates.extend_from_slice(candidates);
 
-        // Step 2–3: empty packets and coins for candidates.
-        let Scratch {
-            pairs,
-            pending_empty,
-            counter,
-            role,
-            data,
-            done,
-            transmitters,
-            draw_pool: _,
-        } = scratch;
+        // ------------------ Steps 2–4: coins and counters, per pair.
+        // Coins are drawn in candidate order, hi before lo.
         pairs.clear();
-        pending_empty.clear();
-        pending_empty.resize(n, false);
         for (j, &c) in candidates.iter().enumerate() {
-            let hi = sigma.link_with_priority(c);
-            let lo = sigma.link_with_priority(c + 1);
-            for link in [hi, lo] {
-                if arrivals[link.index()] == 0 {
-                    pending_empty[link.index()] = true;
-                }
-            }
+            let hi = sigma.link_with_priority(c).index();
+            let lo = sigma.link_with_priority(c + 1).index();
             // ξ = +1 with probability μ (Eq. 5), unless injected verbatim.
-            let (xi_hi_up, xi_lo_up) = match &coins {
-                CoinSource::Mu(mu) => (
-                    rng.random_bool(mu[hi.index()]),
-                    rng.random_bool(mu[lo.index()]),
-                ),
+            let (xi_hi_up, xi_lo_up) = match coins {
+                CoinSource::Mu(mu) => {
+                    for link in [hi, lo] {
+                        let m = mu[link];
+                        assert!(m > 0.0 && m < 1.0, "mu[{link}] = {m} must lie in (0, 1)");
+                    }
+                    (rng.random_bool(mu[hi]), rng.random_bool(mu[lo]))
+                }
                 CoinSource::Fixed(flips) => (flips[j].hi_up, flips[j].lo_up),
             };
-            pairs.push(PairState {
+            let hi_wants_down = !xi_hi_up;
+            let lo_wants_up = xi_lo_up;
+            let off = 2 * j as u64;
+            // Eq. 6: counter = σ_n − ξ (+ 2 per completed earlier pair).
+            let hi_counter = if hi_wants_down {
+                c as u64 + 1 + off
+            } else {
+                c as u64 - 1 + off
+            };
+            let lo_counter = if lo_wants_up {
+                c as u64 + off
+            } else {
+                c as u64 + 2 + off
+            };
+            pairs.push(Pair {
                 c,
                 hi,
                 lo,
-                hi_wants_down: !xi_hi_up,
-                lo_wants_up: xi_lo_up,
-                hi_checked: false,
-                lo_checked: false,
-                hi_busy_at_1: false,
-                lo_idle_at_1: false,
+                hi_counter,
+                lo_counter,
+                hi_wants_down,
+                lo_wants_up,
                 lo_transmitted: false,
-                hi_concede_arm_pending: false,
-                hi_concede_armed: false,
-                hi_concede: false,
+                concede_at: UNARMED,
             });
         }
 
-        // Step 4: deterministic backoff counters (Eq. 6, generalized to
-        // multiple pairs: each completed pair shifts later priorities by 2).
-        counter.clear();
-        counter.resize(n, 0);
-        role.clear();
-        role.resize(n, None); // (pair idx, is_hi)
-        for (j, pair) in pairs.iter().enumerate() {
-            role[pair.hi.index()] = Some((j, true));
-            role[pair.lo.index()] = Some((j, false));
-        }
-        for link in 0..n {
-            let sigma_n = sigma.priority_of(LinkId::new(link));
-            counter[link] = match role[link] {
-                Some((j, is_hi)) => {
-                    let pair = &pairs[j];
-                    let offset = 2 * j as u64;
-                    let xi: i64 = if is_hi {
-                        if pair.hi_wants_down {
-                            -1
-                        } else {
-                            1
-                        }
-                    } else if pair.lo_wants_up {
-                        1
-                    } else {
-                        -1
-                    };
-                    (sigma_n as i64 - xi) as u64 + offset
+        // Trace mode: every link's BackoffSet in link order, before any
+        // transmission. O(N · pairs) here is fine — trace mode is
+        // explicitly off the hot path.
+        if tracing {
+            for link in 0..n {
+                let sigma_n = sigma.priority_of(LinkId::new(link));
+                let mut counter = None;
+                for pair in pairs.iter() {
+                    if pair.hi == link {
+                        counter = Some(pair.hi_counter);
+                    } else if pair.lo == link {
+                        counter = Some(pair.lo_counter);
+                    }
                 }
-                None => {
+                let counter = counter.unwrap_or_else(|| {
                     let pairs_above = pairs.iter().filter(|p| p.c + 1 < sigma_n).count() as u64;
                     (sigma_n as u64 - 1) + 2 * pairs_above
-                }
-            };
-            if tracing {
-                trace.push(TraceEvent::BackoffSet {
+                });
+                report.trace.push(TraceEvent::BackoffSet {
                     link: LinkId::new(link),
-                    counter: counter[link],
+                    counter,
                 });
             }
         }
 
-        // Interval state.
-        data.clear();
-        data.extend_from_slice(arrivals);
-        done.clear();
-        done.resize(n, false);
-        let mut outcome = IntervalOutcome::empty(n);
-        let mut medium = Medium::new();
-        let slot = timing.slot();
-        let deadline = timing.deadline();
-
-        let mut t = Nanos::ZERO;
-        let mut first_boundary = true;
-        loop {
-            if t >= deadline || done.iter().all(|&d| d) {
-                break;
-            }
-
-            // Counters decrement at every idle slot boundary except the
-            // interval start itself (links with β = 0 transmit immediately).
-            if !first_boundary {
-                for link in 0..n {
-                    if !done[link] && counter[link] > 0 {
-                        counter[link] -= 1;
-                    }
-                }
-            }
-
-            // Who starts transmitting at this boundary?
-            transmitters.clear();
-            for link in 0..n {
-                if done[link] || counter[link] != 0 {
-                    continue;
-                }
-                let has_data = data[link] > 0;
-                let has_empty = pending_empty[link];
-                if !has_data && !has_empty {
-                    done[link] = true;
-                    continue;
-                }
-                let airtime = if has_data {
-                    timing.data_airtime_for(link)
-                } else {
-                    timing.empty_airtime()
-                };
-                if timing.fits(t, airtime) {
-                    transmitters.push(link);
-                } else {
-                    // Remark 4: not enough time left — idle out the interval.
-                    done[link] = true;
-                    // See PairState::hi_concede_arm_pending: a staying hi
-                    // candidate whose claim no longer fits arms the concede
-                    // check for the next boundary.
-                    if let Some((j, true)) = role[link] {
-                        if !pairs[j].hi_wants_down {
-                            pairs[j].hi_concede_arm_pending = true;
-                        }
-                    }
-                }
-            }
-
-            // Step 5: carrier-sense checks of the swap candidates, at the
-            // boundary where their counter stands at 1. "Busy" means a
-            // transmission starts at this very boundary (the medium is idle
-            // between boundaries by construction).
-            let busy_now = !transmitters.is_empty();
-            for pair in pairs.iter_mut() {
-                // Evaluate a concede check armed at the previous boundary,
-                // then promote one staged this boundary.
-                if pair.hi_concede_armed {
-                    pair.hi_concede = busy_now;
-                    pair.hi_concede_armed = false;
-                }
-                if pair.hi_concede_arm_pending {
-                    pair.hi_concede_armed = true;
-                    pair.hi_concede_arm_pending = false;
-                }
-                if pair.hi_wants_down
-                    && !pair.hi_checked
-                    && !done[pair.hi.index()]
-                    && counter[pair.hi.index()] == 1
-                {
-                    pair.hi_checked = true;
-                    pair.hi_busy_at_1 = busy_now;
-                    if tracing {
-                        trace.push(TraceEvent::SenseCheck {
-                            link: pair.hi,
-                            at: t,
-                            busy: busy_now,
-                        });
-                    }
-                }
-                if pair.lo_wants_up
-                    && !pair.lo_checked
-                    && !done[pair.lo.index()]
-                    && counter[pair.lo.index()] == 1
-                {
-                    pair.lo_checked = true;
-                    pair.lo_idle_at_1 = !busy_now;
-                    if tracing {
-                        trace.push(TraceEvent::SenseCheck {
-                            link: pair.lo,
-                            at: t,
-                            busy: busy_now,
-                        });
-                    }
-                }
-            }
-
-            if transmitters.is_empty() {
-                outcome.idle_slots += 1;
-                t += slot;
-                first_boundary = false;
-                continue;
-            }
-
-            // The DP backoff construction guarantees a unique transmitter.
-            debug_assert_eq!(
-                transmitters.len(),
-                1,
-                "DP protocol must be collision-free (σ = {}, counters = {:?})",
-                sigma,
-                counter
-            );
-
-            if transmitters.len() == 1 {
-                let link = transmitters[0];
-                if let Some((j, false)) = role[link] {
-                    pairs[j].lo_transmitted = true;
-                }
-                // Step 6: transmit until the buffer drains or time runs out,
-                // holding the medium back-to-back.
-                let mut now = t;
-                let airtime = timing.data_airtime_for(link);
-                while data[link] > 0 && timing.fits(now, airtime) {
-                    let tx = medium.transmit(now, &[airtime]);
-                    outcome.attempts[link] += 1;
-                    let delivered = channel.attempt(LinkId::new(link), rng);
-                    if delivered {
-                        data[link] -= 1;
-                        outcome.deliveries[link] += 1;
-                        outcome.latency_sum[link] += tx.ends_at;
-                    }
-                    if tracing {
-                        trace.push(TraceEvent::TxStart {
-                            link: LinkId::new(link),
-                            at: now,
-                            kind: FrameKind::Data,
-                        });
-                        trace.push(TraceEvent::TxEnd {
-                            link: LinkId::new(link),
-                            at: tx.ends_at,
-                            delivered,
-                        });
-                    }
-                    now = tx.ends_at;
-                }
-                if data[link] == 0
-                    && pending_empty[link]
-                    && timing.fits(now, timing.empty_airtime())
-                {
-                    let tx = medium.transmit(now, &[timing.empty_airtime()]);
-                    outcome.empty_packets += 1;
-                    pending_empty[link] = false;
-                    if tracing {
-                        trace.push(TraceEvent::TxStart {
-                            link: LinkId::new(link),
-                            at: now,
-                            kind: FrameKind::Empty,
-                        });
-                        trace.push(TraceEvent::TxEnd {
-                            link: LinkId::new(link),
-                            at: tx.ends_at,
-                            delivered: false,
-                        });
-                    }
-                    now = tx.ends_at;
-                }
-                done[link] = true;
-                t = now + slot; // one idle slot before the next decrement
+        // --------------------- Phase 1: the priority walk (Steps 4/6).
+        // Claimants are visited in strictly increasing counter order: the
+        // priority sweep 1..=N, with the two members of each pair block
+        // locally ordered by counter (pair j's counters lie strictly
+        // between its neighbours' — see the module docs).
+        let mut walk = Walk {
+            timing,
+            slot: timing.slot(),
+            deadline: timing.deadline(),
+            arrivals,
+            channel,
+            rng,
+            board,
+            outcome: &mut report.outcome,
+            touched,
+            trace: if tracing {
+                Some(TraceRec {
+                    events: trace_tmp,
+                    times: boundary_times,
+                })
             } else {
-                // Defensive generic path (unreachable for a correct DP
-                // construction, checked above in debug builds): simultaneous
-                // starts collide and all frames are lost.
-                let airtimes: Vec<Nanos> = transmitters
-                    .iter()
-                    .map(|&l| {
-                        if data[l] > 0 {
-                            timing.data_airtime_for(l)
-                        } else {
-                            timing.empty_airtime()
-                        }
-                    })
-                    // lint: allow(hot-path-alloc) — defensive collision path, unreachable for a correct DP construction
-                    .collect();
-                let tx = medium.transmit(t, &airtimes);
-                for &l in transmitters.iter() {
-                    if data[l] > 0 {
-                        outcome.attempts[l] += 1;
+                None
+            },
+            medium: Medium::new(),
+            t: Nanos::ZERO,
+            next_boundary: 0,
+            stopped: false,
+        };
+        let mut pair_idx = 0usize;
+        let mut p = 1usize;
+        'walk: while p <= n {
+            if pair_idx < pairs.len() && pairs[pair_idx].c == p {
+                let pair = &mut pairs[pair_idx];
+                let hi_first = pair.hi_counter < pair.lo_counter;
+                for step in 0..2 {
+                    let is_hi = (step == 0) == hi_first;
+                    let (link, counter) = if is_hi {
+                        (pair.hi, pair.hi_counter)
                     } else {
-                        outcome.empty_packets += 1;
-                        pending_empty[l] = false;
+                        (pair.lo, pair.lo_counter)
+                    };
+                    // Step 2: a candidate with no arrivals claims its
+                    // backoff slot with an empty frame.
+                    let pending_empty = arrivals[link] == 0;
+                    match walk.claim(link, counter, pending_empty) {
+                        Claim::Stopped => break 'walk,
+                        Claim::Transmitted => {
+                            if !is_hi {
+                                pair.lo_transmitted = true;
+                            }
+                        }
+                        Claim::NoFit => {
+                            // Remark 4: a *staying* hi whose claim no
+                            // longer fits concedes iff a transmission
+                            // starts at exactly the next boundary.
+                            if is_hi && !pair.hi_wants_down {
+                                pair.concede_at = counter + 1;
+                            }
+                        }
+                        Claim::Idle => {}
                     }
-                    done[l] = true;
                 }
-                // The episode is counted once through `medium.stats()` at
-                // interval end (adding it here too would double-count).
-                t = tx.ends_at + slot;
+                p += 2;
+                pair_idx += 1;
+            } else {
+                let link = sigma.link_with_priority(p).index();
+                let counter = (p as u64 - 1) + 2 * pair_idx as u64;
+                if let Claim::Stopped = walk.claim(link, counter, false) {
+                    break 'walk;
+                }
+                p += 1;
             }
-            first_boundary = false;
+        }
+        // The first boundary the interval does *not* process: either the
+        // deadline-stop boundary or `max counter + 1` once every claimant
+        // acted. Sense checks at boundaries ≥ b_end never ran.
+        let b_end = walk.next_boundary;
+        let collisions = walk.medium.stats().collisions;
+        let busy_time = walk.medium.stats().busy_time;
+        let busy_until = walk.medium.busy_until();
+        report.outcome.collisions += collisions;
+        report.outcome.busy_time = busy_time;
+        report.outcome.leftover = timing.deadline().saturating_sub(busy_until);
+        if tracing {
+            debug_assert_eq!(
+                boundary_times.len() as u64,
+                b_end,
+                "one recorded time per processed boundary"
+            );
         }
 
-        // Steps 5/7: commit the handshakes and update σ for interval k+1.
-        // lint: allow(hot-path-alloc) — report-owned swap list; lazily allocates only when a swap commits
-        let mut swaps = Vec::new();
-        for pair in pairs.iter() {
-            let hi_swaps = pair.hi_swaps();
-            let lo_swaps = pair.lo_swaps();
+        // ------- Phase 2: bitset sense resolution + commit (Steps 5/7).
+        for (j, pair) in pairs.iter().enumerate() {
+            let mut hi_busy_at_1 = false;
+            let mut lo_idle_at_1 = false;
+            if pair.hi_wants_down {
+                // Eq. 7: hi senses at the boundary where its counter
+                // stands at 1, i.e. boundary `initial − 1`.
+                let s = pair.hi_counter - 1;
+                if s < b_end {
+                    let busy = board.busy_at(s as usize);
+                    hi_busy_at_1 = busy;
+                    if tracing {
+                        trace_tmp.push((
+                            s,
+                            0,
+                            TraceEvent::SenseCheck {
+                                link: LinkId::new(pair.hi),
+                                at: boundary_times[s as usize],
+                                busy,
+                            },
+                        ));
+                    }
+                }
+            }
+            if pair.lo_wants_up {
+                // Eq. 8: same construction for lo.
+                let s = pair.lo_counter - 1;
+                if s < b_end {
+                    let busy = board.busy_at(s as usize);
+                    lo_idle_at_1 = !busy;
+                    if tracing {
+                        trace_tmp.push((
+                            s,
+                            0,
+                            TraceEvent::SenseCheck {
+                                link: LinkId::new(pair.lo),
+                                at: boundary_times[s as usize],
+                                busy,
+                            },
+                        ));
+                    }
+                }
+            }
+            let ca = pair.concede_at;
+            let hi_concede = ca != UNARMED && ca < b_end && board.busy_at(ca as usize);
+            let hi_swaps = (pair.hi_wants_down && hi_busy_at_1) || hi_concede;
+            let lo_swaps = lo_idle_at_1 && pair.lo_wants_up && pair.lo_transmitted;
             debug_assert_eq!(
                 hi_swaps, lo_swaps,
                 "swap handshake diverged for pair C = {} (σ = {})",
@@ -770,21 +967,33 @@ impl DpEngine {
             if hi_swaps && lo_swaps {
                 let t = AdjacentTransposition::new(pair.c);
                 sigma.apply(t);
-                swaps.push(t);
+                report.swaps.push(t);
                 if tracing {
-                    trace.push(TraceEvent::SwapCommitted { upper: pair.c });
+                    trace_tmp.push((
+                        u64::MAX,
+                        j as u32,
+                        TraceEvent::SwapCommitted { upper: pair.c },
+                    ));
                 }
             }
         }
 
-        // Interval postconditions (cheap enough to keep in debug builds):
-        // σ(k+1) must still be a bijection of 1..=N, and each drawn pair
-        // commits at most one transposition, so the committed swaps are a
-        // strictly-increasing subset of the drawn candidates.
+        // Trace mode: merge the out-of-order sense checks back into
+        // per-boundary emission order. Keys are unique (sense boundaries
+        // are pairwise distinct; tx events use seq ≥ 1).
+        if tracing {
+            trace_tmp.sort_unstable_by_key(|&(b, s, _)| (b, s));
+            report.trace.extend(trace_tmp.iter().map(|&(_, _, e)| e));
+        }
+
+        // Interval postconditions (debug only, using engine-owned scratch
+        // instead of a fresh `vec!`): σ(k+1) must still be a bijection of
+        // 1..=N, and each drawn pair commits at most one transposition, so
+        // the committed swaps are a strictly-increasing subset of the
+        // drawn candidates.
         #[cfg(debug_assertions)]
         {
-            // lint: allow(hot-path-alloc) — debug_assertions-only bijection check, compiled out of release builds
-            let mut seen = vec![false; n];
+            seen.fill(false);
             for &p in sigma.priorities() {
                 debug_assert!(
                     p >= 1 && p <= n && !seen[p - 1],
@@ -793,12 +1002,12 @@ impl DpEngine {
                 seen[p - 1] = true;
             }
             debug_assert!(
-                swaps.len() <= candidates.len(),
+                report.swaps.len() <= report.candidates.len(),
                 "more swaps committed ({}) than pairs drawn ({})",
-                swaps.len(),
-                candidates.len()
+                report.swaps.len(),
+                report.candidates.len()
             );
-            for w in swaps.windows(2) {
+            for w in report.swaps.windows(2) {
                 debug_assert!(
                     w[0].upper() < w[1].upper(),
                     "a drawn pair committed two swaps (uppers {} and {})",
@@ -806,24 +1015,18 @@ impl DpEngine {
                     w[1].upper()
                 );
             }
-            for t in &swaps {
+            for t in report.swaps.iter() {
                 debug_assert!(
-                    candidates.contains(&t.upper()),
+                    report.candidates.contains(&t.upper()),
                     "committed swap at priority {} was never drawn as a candidate",
                     t.upper()
                 );
             }
         }
+        #[cfg(not(debug_assertions))]
+        let _ = seen;
 
-        outcome.collisions += medium.stats().collisions;
-        outcome.busy_time = medium.stats().busy_time;
-        outcome.leftover = deadline.saturating_sub(medium.busy_until());
-        DpIntervalReport {
-            outcome,
-            candidates,
-            swaps,
-            trace,
-        }
+        report
     }
 }
 
@@ -834,7 +1037,7 @@ impl DpEngine {
 /// disjoint; the result is sorted ascending. `want` is clamped to `⌊n/2⌋`
 /// (the maximum number of disjoint adjacent pairs), and the draw is empty
 /// when `n < 2` or `want == 0`. This is the same sampler
-/// [`DpEngine::run_interval`] uses internally for its shared candidate
+/// [`DpEngine::step`] uses internally for its shared candidate
 /// draw; the statistical model checker (`crates/verify`) calls it directly
 /// to sample the candidate-*set* dimension of a trajectory.
 ///
@@ -862,8 +1065,8 @@ pub fn draw_nonadjacent_candidates(n: usize, want: usize, rng: &mut SimRng) -> V
 /// set into `out` using `pool` as shuffle scratch.
 ///
 /// Consumes exactly the same RNG sequence as the allocating form, so a
-/// caller that swaps one for the other (the batched interval kernel does)
-/// keeps bit-identical traces. Both buffers are cleared first; after the
+/// caller that swaps one for the other (the interval kernel does) keeps
+/// bit-identical traces. Both buffers are cleared first; after the
 /// first call at a given `(n, want)` no further allocation occurs.
 pub fn draw_nonadjacent_candidates_into(
     n: usize,
@@ -1094,7 +1297,9 @@ mod tests {
         // Paper's link 2 = our link index 1 (wants down: μ ≈ 0);
         // paper's link 3 = our link index 2 (wants up: μ ≈ 1).
         let mu = [0.5, 1e-12, 1.0 - 1e-12, 0.5];
-        let report = e.run_interval_with_candidates(&[1; 4], &mu, &[2], &mut ch, &mut rng);
+        let report = e
+            .step_with_candidates(&[1; 4], &mu, &[2], &mut ch, &mut rng)
+            .clone();
 
         // Backoffs per Eq. 6 / Fig. 2: β = [0, 3, 2, 5].
         let backoffs: Vec<(usize, u64)> = report
@@ -1154,7 +1359,7 @@ mod tests {
         assert_eq!(report.outcome.deliveries, [1, 1, 1, 1]);
     }
 
-    /// All four ξ combinations of a single pair, pinned deterministically:
+    /// All four injected ξ combinations of a single pair:
     /// the swap commits iff (hi wants down) AND (lo wants up), matching
     /// Eq. 9's (1−μ_i)·μ_j structure.
     #[test]
@@ -1168,12 +1373,10 @@ mod tests {
             let mut e = DpEngine::new(DpConfig::new(timing_ms(20, 1500)), 2);
             let mut ch = Bernoulli::reliable(2);
             let mut rng = SeedStream::new(9).rng(0);
-            let eps = 1e-12;
-            let mu = [
-                if hi_up { 1.0 - eps } else { eps },
-                if lo_up { 1.0 - eps } else { eps },
-            ];
-            let r = e.run_interval_with_candidates(&[1, 1], &mu, &[1], &mut ch, &mut rng);
+            let coins = [PairCoins { hi_up, lo_up }];
+            let r = e
+                .step_with_coins(&[1, 1], &[1], &coins, &mut ch, &mut rng)
+                .clone();
             assert_eq!(
                 !r.swaps.is_empty(),
                 expect_swap,
@@ -1202,7 +1405,9 @@ mod tests {
         // hi has a data packet (doesn't fit); lo has no arrival -> empty
         // claim frame (fits).
         let mu = [1.0 - eps, 1.0 - eps];
-        let r = e.run_interval_with_candidates(&[1, 0], &mu, &[1], &mut ch, &mut rng);
+        let r = e
+            .step_with_candidates(&[1, 0], &mu, &[1], &mut ch, &mut rng)
+            .clone();
         // lo transmitted its empty claim; hi conceded; both swapped.
         assert_eq!(r.outcome.empty_packets, 1);
         assert_eq!(r.outcome.attempts, [0, 0], "hi's data frame never fit");
@@ -1222,7 +1427,9 @@ mod tests {
         let mu = [1.0 - eps, 1.0 - eps];
         // Both have data frames (326 µs) that can never fit in 60 µs; lo's
         // would-be empty frame is not generated because it has an arrival.
-        let r = e.run_interval_with_candidates(&[1, 1], &mu, &[1], &mut ch, &mut rng);
+        let r = e
+            .step_with_candidates(&[1, 1], &mu, &[1], &mut ch, &mut rng)
+            .clone();
         assert!(r.swaps.is_empty());
         assert_eq!(r.outcome.total_deliveries(), 0);
         assert_eq!(e.sigma().priorities(), [1, 2]);
@@ -1243,7 +1450,9 @@ mod tests {
         let mut e = engine(6);
         let mut ch = Bernoulli::reliable(6);
         let mut rng = SeedStream::new(1).rng(0);
-        let _ = e.run_interval_with_candidates(&[1; 6], &[0.5; 6], &[2, 3], &mut ch, &mut rng);
+        let _ = e
+            .step_with_candidates(&[1; 6], &[0.5; 6], &[2, 3], &mut ch, &mut rng)
+            .clone();
     }
 
     /// Mixed payloads on one medium: a 100 B control link squeezes its
@@ -1281,6 +1490,64 @@ mod tests {
         let mut ch = Bernoulli::reliable(2);
         let mut rng = SeedStream::new(0).rng(0);
         let _ = e.run_interval(&[1, 1], &[0.0, 0.5], &mut ch, &mut rng);
+    }
+
+    #[test]
+    fn report_buffer_resets_between_intervals() {
+        let mut e = engine(3);
+        let mut ch = Bernoulli::reliable(3);
+        let mut rng = SeedStream::new(4).rng(0);
+        let first = e.step(&[2, 0, 1], &[0.5; 3], &mut ch, &mut rng).clone();
+        assert_eq!(first.outcome.total_deliveries(), 3);
+        // A later all-idle interval must not leak the previous counters.
+        let second = e.step(&[0, 0, 0], &[0.5; 3], &mut ch, &mut rng);
+        assert_eq!(second.outcome.total_deliveries(), 0);
+        assert_eq!(second.outcome.total_attempts(), 0);
+    }
+
+    /// Injected coins equal to what μ would draw reproduce the μ-driven
+    /// interval, and the injected path leaves the coin draws off `rng`.
+    #[test]
+    fn injected_coins_match_extreme_mu() {
+        let eps = 1e-12;
+        for (hi_up, lo_up) in [(true, true), (true, false), (false, true), (false, false)] {
+            let mu = [
+                if hi_up { 1.0 - eps } else { eps },
+                if lo_up { 1.0 - eps } else { eps },
+                0.5,
+                0.5,
+            ];
+            let mut a = engine(4);
+            let mut b = engine(4);
+            let (mut ch_a, mut ch_b) = (Bernoulli::reliable(4), Bernoulli::reliable(4));
+            let mut rng_a = SeedStream::new(5).rng(0);
+            let mut rng_b = SeedStream::new(5).rng(0);
+            let from_mu = a
+                .step_with_candidates(&[1, 0, 2, 1], &mu, &[1], &mut ch_a, &mut rng_a)
+                .clone();
+            let coins = [PairCoins { hi_up, lo_up }];
+            let injected = b.step_with_coins(&[1, 0, 2, 1], &[1], &coins, &mut ch_b, &mut rng_b);
+            assert_eq!(&from_mu, injected);
+            assert_eq!(a.sigma(), b.sigma());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one PairCoins per candidate pair")]
+    fn coins_must_match_candidates() {
+        let mut e = engine(4);
+        let mut ch = Bernoulli::reliable(4);
+        let mut rng = SeedStream::new(1).rng(0);
+        let _ = e.step_with_coins(&[1; 4], &[1], &[], &mut ch, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "must lie in (0, 1)")]
+    fn candidate_mu_out_of_range_panics() {
+        let mut e = DpEngine::new(DpConfig::new(timing_ms(2, 100)), 2);
+        let mut ch = Bernoulli::reliable(2);
+        let mut rng = SeedStream::new(5).rng(0);
+        e.step_with_candidates(&[1, 1], &[1.5, 0.5], &[1], &mut ch, &mut rng);
     }
 
     proptest! {

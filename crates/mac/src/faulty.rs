@@ -251,9 +251,9 @@ pub struct ChurnEvent {
 }
 
 /// Per-interval state for one link that believes it is a side of a drawn
-/// pair. Mirrors the pristine engine's `PairState`, but split per link:
-/// under corrupted beliefs several links can claim the same side of the
-/// same pair.
+/// pair. Mirrors the pristine engine's per-pair handshake state, but split
+/// per link: under corrupted beliefs several links can claim the same side
+/// of the same pair.
 #[derive(Debug, Clone)]
 struct Believer {
     link: usize,
@@ -271,7 +271,7 @@ struct Believer {
     concede: bool,
 }
 
-/// Per-interval working buffers, engine-owned like the pristine `Scratch`.
+/// Per-interval working buffers, engine-owned like the pristine engine's.
 #[derive(Debug, Clone, Default)]
 struct FaultyScratch {
     believers: Vec<Believer>,

@@ -12,11 +12,9 @@
 //!   protocol (Algorithm 2). Collision-free deterministic backoff derived
 //!   from per-link priority indices, randomized adjacent-pair reordering
 //!   driven purely by coin flips and carrier sensing, empty priority-claim
-//!   packets, and the multi-pair generalization of Remark 6.
-//! * [`BatchedDpEngine`] — the massive-N interval kernel: bit-identical to
-//!   [`DpEngine`] but `O(min(N, deadline/slot))` per interval, walking
-//!   links in counter order over a flat struct-of-arrays state and
-//!   resolving carrier-sense checks against a bitset claim board.
+//!   packets, and the multi-pair generalization of Remark 6. One interval
+//!   costs `O(min(N, deadline/slot))`: the engine walks links in counter
+//!   order and resolves carrier-sense checks against a bitset claim board.
 //! * [`FaultyDpEngine`] — the degraded-mode DP path: the same protocol
 //!   executed over per-link priority *beliefs* with injected carrier-sensing
 //!   faults and link churn, modeled collisions instead of asserted
@@ -51,7 +49,6 @@
 //! assert_eq!(outcome.deliveries, [3, 2]); // both buffers fit in 16 slots
 //! ```
 
-mod batched;
 mod centralized;
 mod dcf;
 mod dp;
@@ -63,12 +60,11 @@ pub mod reference;
 pub mod timeline;
 mod timing;
 
-pub use batched::BatchedDpEngine;
 pub use centralized::CentralizedEngine;
 pub use dcf::{DcfConfig, DcfEngine};
 pub use dp::{
-    draw_nonadjacent_candidates, draw_nonadjacent_candidates_into, DpConfig, DpEngine,
-    DpIntervalReport, FrameKind, PairCoins, TraceEvent,
+    draw_nonadjacent_candidates, draw_nonadjacent_candidates_into, BatchedDpEngine, DpConfig,
+    DpEngine, DpIntervalReport, FrameKind, PairCoins, TraceEvent,
 };
 pub use faulty::{ChurnEvent, FaultStats, FaultyDpEngine, MissLimit, RecoveryConfig};
 pub use fcsma::{FcsmaEngine, FcsmaQuantizer};

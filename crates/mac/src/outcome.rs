@@ -68,11 +68,11 @@ impl IntervalOutcome {
     #[must_use]
     pub fn empty(n: usize) -> Self {
         IntervalOutcome {
-            // lint: allow(hot-path-alloc) — caller-owned outcome storage; the batched engine reuses its report buffers
+            // lint: allow(hot-path-alloc) — caller-owned outcome storage; DpEngine sizes its reused report once, on the first step
             deliveries: vec![0; n],
-            // lint: allow(hot-path-alloc) — caller-owned outcome storage; the batched engine reuses its report buffers
+            // lint: allow(hot-path-alloc) — caller-owned outcome storage; DpEngine sizes its reused report once, on the first step
             attempts: vec![0; n],
-            // lint: allow(hot-path-alloc) — caller-owned outcome storage; the batched engine reuses its report buffers
+            // lint: allow(hot-path-alloc) — caller-owned outcome storage; DpEngine sizes its reused report once, on the first step
             latency_sum: vec![Nanos::ZERO; n],
             ..Default::default()
         }

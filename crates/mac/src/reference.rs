@@ -1,7 +1,7 @@
 //! A reference implementation of the DP protocol, written from the
 //! *device's* point of view.
 //!
-//! [`crate::DpEngine`] is written like a simulator: one loop with global
+//! [`crate::DpEngine`] is written like a simulator: one walk with global
 //! visibility of every counter. This module re-implements Algorithm 2 the
 //! way a real radio would run it — each device is an isolated state
 //! machine that sees only
@@ -67,7 +67,7 @@ struct Device {
     heard_busy_at_1: bool,
     heard_idle_at_1: bool,
     transmitted: bool,
-    // Failed-claim concede (see `PairState` in dp.rs).
+    // Failed-claim concede (see `Pair::concede_at` in dp.rs).
     concede_armed: bool,
     concede_arm_next: bool,
     concedes: bool,
@@ -481,7 +481,7 @@ impl ReferenceNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DpConfig, DpEngine};
+    use crate::{DpConfig, DpEngine, PairCoins};
     use proptest::prelude::*;
     use rand::Rng;
     use rtmac_phy::channel::Scripted;
@@ -520,11 +520,13 @@ mod tests {
                 None
             };
             let xi_up: Vec<bool> = (0..n).map(|_| meta_rng.random_bool(0.5)).collect();
-            // Extreme μ pins the engine's internal coin flips to xi_up.
-            let eps = 1e-12;
-            let mu: Vec<f64> = xi_up
+            // The engine gets the candidate pair's coins injected verbatim.
+            let coins: Vec<PairCoins> = candidate
                 .iter()
-                .map(|&up| if up { 1.0 - eps } else { eps })
+                .map(|&c| PairCoins {
+                    hi_up: xi_up[engine.sigma().link_with_priority(c).index()],
+                    lo_up: xi_up[engine.sigma().link_with_priority(c + 1).index()],
+                })
                 .collect();
             // One shared scripted channel realization per interval.
             let script: Vec<Vec<bool>> = (0..n)
@@ -533,13 +535,15 @@ mod tests {
             let mut ch_a = Scripted::new(script.clone()).unwrap();
             let mut ch_b = Scripted::new(script).unwrap();
 
-            let fast = engine.run_interval_with_candidates(
-                &arrivals,
-                &mu,
-                candidate.as_slice(),
-                &mut ch_a,
-                &mut dummy_rng,
-            );
+            let fast = engine
+                .step_with_coins(
+                    &arrivals,
+                    candidate.as_slice(),
+                    &coins,
+                    &mut ch_a,
+                    &mut dummy_rng,
+                )
+                .clone();
             let slow =
                 reference.run_interval(&arrivals, candidate, &xi_up, &mut ch_b, &mut dummy_rng);
 

@@ -175,13 +175,16 @@ mod tests {
     }
 
     #[test]
-    fn engine_choice_does_not_move_the_fingerprint() {
-        // The batched kernel is bit-identical to the timeline engine, so
-        // the decision trace — built from engine outputs — must agree.
+    fn engine_field_does_not_move_the_fingerprint() {
+        // `engine = batched` in a scenario file is inert data: the
+        // decision trace must not depend on it.
         let sc = scenario::by_name("control10").unwrap();
         let timeline = sim_trace(&sc, 50).unwrap();
         let batched = sim_trace(
-            &sc.clone().with_engine(rtmac::scenario::EngineSpec::Batched),
+            &rtmac::Scenario {
+                engine: rtmac::scenario::EngineSpec::Batched,
+                ..sc
+            },
             50,
         )
         .unwrap();

@@ -1,8 +1,8 @@
 //! A bitset claim board for batched carrier-sense resolution.
 //!
-//! The timeline DP engine answers "was the medium busy at slot boundary
-//! `k`?" by replaying every link's backoff counter through every boundary.
-//! The batched interval kernel instead records one bit per boundary at
+//! A slot-by-slot replay answers "was the medium busy at slot boundary
+//! `k`?" by running every link's backoff counter through every boundary.
+//! The DP interval engine instead records one bit per boundary at
 //! which a transmission *starts* and resolves every sense question — the
 //! Eq. 7/8 busy/idle checks one slot before a candidate acts, and the
 //! Remark-4 concede check one slot after a claim that did not fit — as O(1)
@@ -10,8 +10,8 @@
 //!
 //! The board's horizon is fixed at construction (no allocation while
 //! stepping) and bounded by the interval itself: a DP interval can process
-//! at most `deadline / slot + 2` slot boundaries before the timeline loop
-//! stops, and at most `max backoff counter + 2` before every link is done.
+//! at most `deadline / slot + 2` slot boundaries before the deadline
+//! stops it, and at most `max backoff counter + 2` before every link is done.
 //!
 //! # Example
 //!
@@ -61,7 +61,7 @@ impl SenseBoard {
 
     /// Whether a transmission started at slot boundary `boundary`.
     ///
-    /// In the timeline engine a carrier-sense check at boundary `k` reads
+    /// In a slot-by-slot replay a carrier-sense check at boundary `k` reads
     /// "transmitters non-empty at `k`", which is exactly "a transmission
     /// started at `k`": back-to-back frames never span a later boundary
     /// because the next boundary is scheduled one slot after the last frame
@@ -70,7 +70,7 @@ impl SenseBoard {
     /// # Panics
     ///
     /// Panics if `boundary >= horizon`. Callers guard with the processed
-    /// bound `B` (`boundary < B <= horizon`); a boundary the timeline never
+    /// bound `B` (`boundary < B <= horizon`); a boundary the interval never
     /// processed has no sense answer and must be treated as "check never
     /// ran", not looked up.
     #[must_use]

@@ -34,6 +34,7 @@ impl BitSet {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         BitSet {
+            // lint: allow(hot-path-alloc) — construction only; DpEngine builds its claim board once, on the first step
             words: vec![0; capacity.div_ceil(64)],
             capacity,
         }

@@ -12,7 +12,7 @@
 //! * every arrival pattern with up to `A_max` packets per link,
 //! * every drawn swap-candidate pair `C(k)`,
 //! * every coin-flip vector ξ (via
-//!   [`rtmac_mac::DpEngine::run_interval_with_coins`]),
+//!   [`rtmac_mac::DpEngine::step_with_coins`]),
 //! * every per-attempt channel outcome (via [`BitScript`], a scripted
 //!   [`rtmac_phy::channel::LossModel`] that branches each success bit).
 //!

@@ -84,7 +84,8 @@ impl Subject for EngineSubject {
         rng: &mut SimRng,
     ) -> DpIntervalReport {
         self.engine
-            .run_interval_with_coins(arrivals, candidates, coins, channel, rng)
+            .step_with_coins(arrivals, candidates, coins, channel, rng)
+            .clone()
     }
 }
 

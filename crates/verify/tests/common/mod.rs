@@ -92,7 +92,8 @@ impl Subject for FaultySubject {
     ) -> DpIntervalReport {
         let mut report = self
             .engine
-            .run_interval_with_coins(arrivals, candidates, coins, channel, rng);
+            .step_with_coins(arrivals, candidates, coins, channel, rng)
+            .clone();
         match self.fault {
             Fault::PhantomCollision => report.outcome.collisions += 1,
             Fault::DoubleCount => report.outcome.deliveries[0] += 1,
@@ -172,7 +173,8 @@ impl Subject for FrozenSigmaSubject {
         let before = self.engine.sigma().clone();
         let mut report = self
             .engine
-            .run_interval_with_coins(arrivals, candidates, coins, channel, rng);
+            .step_with_coins(arrivals, candidates, coins, channel, rng)
+            .clone();
         report.swaps.clear();
         self.engine.set_sigma(before);
         report

@@ -13,7 +13,7 @@
 //! digest). Received frames are cross-checked against the local replica —
 //! any divergence is detected as a [`NetError::Desync`] — and the ordered
 //! stream of decoded frames forms the **decision trace**, fingerprinted
-//! with the same FNV-1a scheme as the batched-kernel equivalence suite.
+//! with the same FNV-1a scheme as the DP engine's fingerprint suite.
 //!
 //! ## The replay contract
 //!

@@ -9,9 +9,8 @@
 //! a silent wire-format change shifts every fingerprint and fails the
 //! replay contract immediately.
 //!
-//! The hash is the same FNV-1a fold the batched-kernel equivalence suite
-//! pins its goldens with, so one fingerprint vocabulary covers both
-//! equivalence layers.
+//! The hash is the same FNV-1a fold the DP engine's fingerprint suite pins
+//! its goldens with, so one fingerprint vocabulary covers both layers.
 
 use rtmac_model::Permutation;
 

@@ -26,7 +26,7 @@
 //!   crash/revive processes and flash-crowd join ramps
 //!   ([`fault::ChurnProcess`]) for the degraded-mode DP experiments.
 //! * [`SenseBoard`] — a bit-per-slot-boundary claim board that lets the
-//!   batched interval kernel resolve carrier-sense checks as O(1) lookups
+//!   DP interval kernel resolve carrier-sense checks as O(1) lookups
 //!   instead of per-link timeline walks.
 //!
 //! # Example

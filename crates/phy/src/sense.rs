@@ -1,4 +1,4 @@
-//! A bitset claim board for batched carrier-sense resolution.
+//! A bitset claim board for carrier-sense resolution after the DP walk.
 //!
 //! A slot-by-slot replay answers "was the medium busy at slot boundary
 //! `k`?" by running every link's backoff counter through every boundary.

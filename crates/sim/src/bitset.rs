@@ -1,6 +1,6 @@
 //! A fixed-capacity bitset over dense `usize` indices.
 //!
-//! The batched DP interval kernel resolves carrier-sense questions ("was the
+//! The DP interval kernel resolves carrier-sense questions ("was the
 //! medium busy at slot boundary `k`?") against a shared bit-per-boundary
 //! claim board instead of replaying a per-link timeline. [`BitSet`] is the
 //! storage primitive: capacity is fixed at construction so the hot loop

@@ -17,7 +17,7 @@
 //!   stochastic components (channels, arrivals, coin flips, ...) each get
 //!   their own reproducible stream.
 //! * [`BitSet`] — a fixed-capacity, allocation-free-after-construction
-//!   bitset used by the batched interval kernel's slot-boundary claim board.
+//!   bitset used by the DP interval kernel's slot-boundary claim board.
 //!
 //! # Example
 //!

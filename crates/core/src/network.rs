@@ -292,7 +292,10 @@ impl Network {
 /// reliable channel, seed 0).
 pub struct NetworkBuilder {
     n_links: usize,
-    deadline: Nanos,
+    /// The per-packet deadline, or the overflow error an out-of-range
+    /// [`deadline_ms`](Self::deadline_ms) / [`deadline_us`](Self::deadline_us)
+    /// left for [`build`](Self::build) to report.
+    deadline: Result<Nanos, ConfigError>,
     payload_bytes: u32,
     link_payloads: Option<Vec<u32>>,
     phy: PhyProfile,
@@ -312,7 +315,7 @@ impl Default for NetworkBuilder {
     fn default() -> Self {
         NetworkBuilder {
             n_links: 0,
-            deadline: Nanos::from_millis(20),
+            deadline: Ok(Nanos::from_millis(20)),
             payload_bytes: 1500,
             link_payloads: None,
             phy: PhyProfile::ieee80211a(),
@@ -338,17 +341,35 @@ impl NetworkBuilder {
         self
     }
 
-    /// Sets the per-packet deadline in milliseconds (default 20).
+    /// Sets the per-packet deadline in milliseconds (default 20). A
+    /// deadline whose nanoseconds overflow `u64` makes
+    /// [`build`](Self::build) return [`ConfigError::Overflow`].
     #[must_use]
     pub fn deadline_ms(mut self, ms: u64) -> Self {
-        self.deadline = Nanos::from_millis(ms);
+        self.deadline = Nanos::checked_from_millis(ms).ok_or(ConfigError::Overflow {
+            name: "deadline_ms",
+            value: ms,
+        });
+        self
+    }
+
+    /// Sets the per-packet deadline in microseconds, the unit of
+    /// [`Scenario::deadline_us`](crate::Scenario::deadline_us) and
+    /// scenario files. Overflow is reported by [`build`](Self::build) as
+    /// for [`deadline_ms`](Self::deadline_ms).
+    #[must_use]
+    pub fn deadline_us(mut self, us: u64) -> Self {
+        self.deadline = Nanos::checked_from_micros(us).ok_or(ConfigError::Overflow {
+            name: "deadline_us",
+            value: us,
+        });
         self
     }
 
     /// Sets the per-packet deadline exactly.
     #[must_use]
     pub fn deadline(mut self, t: Nanos) -> Self {
-        self.deadline = t;
+        self.deadline = Ok(t);
         self
     }
 
@@ -511,11 +532,13 @@ impl NetworkBuilder {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if the topology, probabilities, traffic,
-    /// requirements, or policy are missing or inconsistent.
+    /// requirements, or policy are missing or inconsistent, or
+    /// [`ConfigError::Overflow`] for a deadline or payload too large for
+    /// the simulated time arithmetic.
     pub fn build(self) -> Result<Network, ConfigError> {
         let success = self.success.unwrap_or_else(|| vec![1.0; self.n_links]);
         let config = NetworkConfig::builder(self.n_links)
-            .deadline(self.deadline)
+            .deadline(self.deadline?)
             .success_probabilities(success)
             .build()?;
 
@@ -572,6 +595,15 @@ impl NetworkBuilder {
             name: "policy (call .policy(PolicyKind::...))",
             value: f64::NAN,
         })?;
+        let mut payloads =
+            std::iter::once(self.payload_bytes).chain(self.link_payloads.iter().flatten().copied());
+        if let Some(bad) = payloads.find(|&b| self.phy.checked_packet_exchange_airtime(b).is_none())
+        {
+            return Err(ConfigError::Overflow {
+                name: "payload_bytes (frame airtime)",
+                value: u64::from(bad),
+            });
+        }
         let mut timing = MacTiming::new(self.phy, config.deadline(), self.payload_bytes);
         if let Some(payloads) = self.link_payloads {
             if payloads.len() != config.n_links() {
@@ -1252,6 +1284,48 @@ mod tests {
             max_ungated_debt > 4.0 * max_admitted_debt.max(1.0),
             "the ungated overload blows up: {max_ungated_debt} vs {max_admitted_debt}"
         );
+    }
+
+    /// Deadlines and payloads too large for the simulated time arithmetic
+    /// are a typed [`ConfigError::Overflow`] from `build`, never an
+    /// overflow panic (debug) or a silent wrap (release).
+    #[test]
+    fn overflowing_deadline_or_payload_is_a_config_error() {
+        let overflow = |b: NetworkBuilder| match b.policy(PolicyKind::db_dp()).build() {
+            Err(ConfigError::Overflow { name, .. }) => name,
+            Err(e) => panic!("unexpected error {e}"),
+            Ok(_) => panic!("built a network"),
+        };
+        assert_eq!(
+            overflow(base_builder().deadline_us(u64::MAX / 1_000 + 1)),
+            "deadline_us"
+        );
+        assert_eq!(
+            overflow(base_builder().deadline_ms(u64::MAX / 1_000_000 + 1)),
+            "deadline_ms"
+        );
+        assert_eq!(
+            overflow(base_builder().payload_bytes(u32::MAX)),
+            "payload_bytes (frame airtime)"
+        );
+        assert_eq!(
+            overflow(base_builder().link_payloads(vec![100, 100, u32::MAX, 100])),
+            "payload_bytes (frame airtime)"
+        );
+        // The last setter wins: a valid deadline clears an earlier overflow.
+        let net = base_builder()
+            .deadline_us(u64::MAX)
+            .deadline_ms(2)
+            .policy(PolicyKind::db_dp())
+            .build();
+        assert!(net.is_ok());
+        // The largest representable values still build.
+        for b in [
+            base_builder().deadline_us(u64::MAX / 1_000),
+            base_builder().payload_bytes(u32::MAX - 28),
+        ] {
+            assert!(b.policy(PolicyKind::db_dp()).build().is_ok());
+        }
     }
 
     #[test]

@@ -36,7 +36,6 @@
 
 use rtmac_model::influence::{DebtInfluence, Linear, Log1p, PaperLog, Power};
 use rtmac_model::{ConfigError, LinkId, Permutation};
-use rtmac_sim::Nanos;
 use rtmac_traffic::{ArrivalProcess, BernoulliArrivals, BurstUniform, ConstantArrivals};
 
 use crate::{Network, NetworkBuilder, PolicyKind, RunReport};
@@ -633,7 +632,7 @@ impl Scenario {
     pub fn to_builder(&self) -> NetworkBuilder {
         let mut b = Network::builder()
             .links(self.links)
-            .deadline(Nanos::from_micros(self.deadline_us))
+            .deadline_us(self.deadline_us)
             .payload_bytes(self.payload_bytes)
             .success_probabilities(self.success.expand(self.links))
             .delivery_ratios(self.ratio.expand(self.links))

@@ -56,6 +56,15 @@ pub enum ConfigError {
         /// The offending value.
         value: f64,
     },
+    /// An integer parameter whose derived time does not fit the
+    /// simulator's arithmetic: a deadline whose nanoseconds overflow
+    /// `u64`, or a payload whose frame airtime overflows.
+    Overflow {
+        /// Parameter name.
+        name: &'static str,
+        /// The offending value.
+        value: u64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -89,6 +98,9 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroDeadline => write!(f, "per-packet deadline must be positive"),
             ConfigError::InvalidParameter { name, value } => {
                 write!(f, "parameter {name} is out of range: {value}")
+            }
+            ConfigError::Overflow { name, value } => {
+                write!(f, "parameter {name} = {value} overflows the simulated time arithmetic")
             }
         }
     }

@@ -423,6 +423,46 @@ mod tests {
         assert!(matches!(render(&sc), Err(NetError::Unsupported(_))));
     }
 
+    /// Values that parse but overflow the simulated time arithmetic are
+    /// a typed error from `network()`, never a panic (debug) or a silent
+    /// wrap (release).
+    #[test]
+    fn out_of_range_file_is_a_config_error_not_a_panic() {
+        use rtmac::model::ConfigError;
+        let base = render(&scenario::by_name("tiny").unwrap()).unwrap();
+        let with = |key: &str, value: &str| {
+            let text: String = base
+                .lines()
+                .map(|l| {
+                    if l.starts_with(key) {
+                        format!("{key} = {value}\n")
+                    } else {
+                        format!("{l}\n")
+                    }
+                })
+                .collect();
+            parse(&text).expect("in-range integers parse")
+        };
+        for (key, value, name) in [
+            ("deadline_us", "18446744073709552", "deadline_us"),
+            ("deadline_us", "18446744073709551615", "deadline_us"),
+            (
+                "payload_bytes",
+                "4294967295",
+                "payload_bytes (frame airtime)",
+            ),
+        ] {
+            match with(key, value).network() {
+                Err(ConfigError::Overflow { name: got, .. }) => assert_eq!(got, name),
+                Err(e) => panic!("{key} = {value}: unexpected error {e}"),
+                Ok(_) => panic!("{key} = {value}: built a network"),
+            }
+        }
+        // The largest representable values still build.
+        assert!(with("deadline_us", "18446744073709551").network().is_ok());
+        assert!(with("payload_bytes", "4294967267").network().is_ok());
+    }
+
     #[test]
     fn load_prefers_the_registry() {
         assert_eq!(load("video20").unwrap().name, "video20");

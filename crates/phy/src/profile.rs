@@ -123,19 +123,24 @@ impl PhyProfile {
 
     /// Airtime of a single frame with `payload` data bytes at rate `mbps`:
     /// preamble plus a whole number of OFDM symbols covering SERVICE (16) +
-    /// tail (6) bits and the MAC-framed payload.
-    #[must_use]
-    fn frame_airtime(&self, payload: u32, mbps: u32) -> Nanos {
-        let bits_per_symbol = mbps as u64 * self.symbol.as_micros();
-        let bits = 16 + 6 + 8 * u64::from(self.mac_overhead_bytes + payload);
+    /// tail (6) bits and the MAC-framed payload. `None` when the framed
+    /// length overflows `u32` bytes or the airtime overflows `u64`
+    /// nanoseconds.
+    fn frame_airtime(&self, payload: u32, mbps: u32) -> Option<Nanos> {
+        let framed = self.mac_overhead_bytes.checked_add(payload)?;
+        let bits_per_symbol = u64::from(mbps) * self.symbol.as_micros();
+        let bits = 16 + 6 + 8 * u64::from(framed);
         let symbols = bits.div_ceil(bits_per_symbol);
-        self.preamble + self.symbol * symbols
+        self.preamble.checked_add(self.symbol.checked_mul(symbols)?)
     }
 
-    /// Airtime of one data frame (no ACK, no guard time).
+    /// Airtime of one data frame (no ACK, no guard time); [`Nanos::MAX`]
+    /// (a frame that never fits) when it is not representable, see
+    /// [`PhyProfile::checked_packet_exchange_airtime`].
     #[must_use]
     pub fn data_frame_airtime(&self, payload: u32) -> Nanos {
         self.frame_airtime(payload, self.data_rate_mbps)
+            .unwrap_or(Nanos::MAX)
     }
 
     /// Airtime of an ACK frame at the control rate.
@@ -149,10 +154,35 @@ impl PhyProfile {
 
     /// Total medium time consumed by one data packet exchange:
     /// `data + SIFS + ACK + DIFS`. This is the paper's per-packet airtime
-    /// (≈330 µs at 1500 B, ≈120 µs at 100 B).
+    /// (≈330 µs at 1500 B, ≈120 µs at 100 B). Saturates at [`Nanos::MAX`]
+    /// (a frame that never fits) where
+    /// [`PhyProfile::checked_packet_exchange_airtime`] is `None`.
     #[must_use]
     pub fn packet_exchange_airtime(&self, payload: u32) -> Nanos {
-        self.data_frame_airtime(payload) + self.sifs + self.ack_airtime() + self.difs
+        self.checked_packet_exchange_airtime(payload)
+            .unwrap_or(Nanos::MAX)
+    }
+
+    /// [`PhyProfile::packet_exchange_airtime`] with checked arithmetic:
+    /// `None` when the MAC-framed payload overflows `u32` bytes or the
+    /// airtime overflows `u64` nanoseconds — the form for validating
+    /// untrusted payload sizes.
+    ///
+    /// ```
+    /// # use rtmac_phy::PhyProfile;
+    /// let phy = PhyProfile::ieee80211a();
+    /// assert_eq!(
+    ///     phy.checked_packet_exchange_airtime(1500),
+    ///     Some(phy.packet_exchange_airtime(1500))
+    /// );
+    /// assert_eq!(phy.checked_packet_exchange_airtime(u32::MAX), None);
+    /// ```
+    #[must_use]
+    pub fn checked_packet_exchange_airtime(&self, payload: u32) -> Option<Nanos> {
+        self.frame_airtime(payload, self.data_rate_mbps)?
+            .checked_add(self.sifs)?
+            .checked_add(self.ack_airtime())?
+            .checked_add(self.difs)
     }
 
     /// Medium time consumed by an empty priority-claim packet: a zero-payload
@@ -160,7 +190,7 @@ impl PhyProfile {
     /// not decoded (paper: "about 70 µs").
     #[must_use]
     pub fn empty_packet_airtime(&self) -> Nanos {
-        self.data_frame_airtime(0) + self.difs
+        self.data_frame_airtime(0).saturating_add(self.difs)
     }
 
     /// How many whole packet exchanges fit into `deadline`.
@@ -282,6 +312,24 @@ mod tests {
                 },
             )
             .unwrap();
+    }
+
+    #[test]
+    fn unrepresentable_payload_saturates_instead_of_overflowing() {
+        let phy = PhyProfile::ieee80211a();
+        // 28 B of MAC framing overflow u32 for the largest payloads.
+        assert_eq!(phy.checked_packet_exchange_airtime(u32::MAX), None);
+        assert_eq!(phy.packet_exchange_airtime(u32::MAX), Nanos::MAX);
+        assert_eq!(phy.data_frame_airtime(u32::MAX), Nanos::MAX);
+        assert_eq!(
+            phy.transmissions_per_interval(Nanos::from_millis(20), u32::MAX),
+            0
+        );
+        // The largest framable payload is representable (about 640 s).
+        let largest = phy
+            .checked_packet_exchange_airtime(u32::MAX - 28)
+            .expect("framed length fits u32");
+        assert!(largest > Nanos::from_secs(600));
     }
 
     #[test]

@@ -54,6 +54,38 @@ impl Nanos {
         Nanos(us * 1_000)
     }
 
+    /// Creates a time from microseconds, or `None` if the nanosecond
+    /// count overflows `u64` — the form for untrusted input.
+    ///
+    /// ```
+    /// # use rtmac_sim::Nanos;
+    /// assert_eq!(Nanos::checked_from_micros(9), Some(Nanos::from_micros(9)));
+    /// assert_eq!(Nanos::checked_from_micros(u64::MAX / 1_000 + 1), None);
+    /// ```
+    #[must_use]
+    pub const fn checked_from_micros(us: u64) -> Option<Self> {
+        match us.checked_mul(1_000) {
+            Some(ns) => Some(Nanos(ns)),
+            None => None,
+        }
+    }
+
+    /// Creates a time from milliseconds, or `None` if the nanosecond
+    /// count overflows `u64`.
+    ///
+    /// ```
+    /// # use rtmac_sim::Nanos;
+    /// assert_eq!(Nanos::checked_from_millis(2), Some(Nanos::from_millis(2)));
+    /// assert_eq!(Nanos::checked_from_millis(u64::MAX / 1_000_000 + 1), None);
+    /// ```
+    #[must_use]
+    pub const fn checked_from_millis(ms: u64) -> Option<Self> {
+        match ms.checked_mul(1_000_000) {
+            Some(ns) => Some(Nanos(ns)),
+            None => None,
+        }
+    }
+
     /// Creates a time from milliseconds.
     ///
     /// ```
@@ -131,6 +163,12 @@ impl Nanos {
     #[must_use]
     pub fn checked_sub(self, rhs: Nanos) -> Option<Nanos> {
         self.0.checked_sub(rhs.0).map(Nanos)
+    }
+
+    /// Checked multiplication by a count; `None` on overflow.
+    #[must_use]
+    pub fn checked_mul(self, rhs: u64) -> Option<Nanos> {
+        self.0.checked_mul(rhs).map(Nanos)
     }
 
     /// Subtraction clamped at zero.

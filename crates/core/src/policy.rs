@@ -296,13 +296,16 @@ pub fn eq14_mu(influence: &dyn DebtInfluence, r: f64, d_plus: f64, p_n: f64) -> 
 
 /// The debt-based decentralized priority algorithm (DB-DP, Section V).
 ///
-/// Every interval it computes the Glauber coin parameters of Eq. 14,
+/// It drives the DP protocol engine with the Glauber coin parameters of
+/// Eq. 14,
 ///
 /// ```text
-/// μ_n(k) = exp(f(d_n⁺(k)) · p_n) / (R + exp(f(d_n⁺(k)) · p_n)),
+/// μ_n(k) = exp(f(d_n⁺(k)) · p_n) / (R + exp(f(d_n⁺(k)) · p_n)).
 /// ```
 ///
-/// and hands them to the DP protocol engine. Large debts push `μ_n → 1`,
+/// Only the links of the drawn swap pairs flip coins, so the pristine
+/// engine asks for `μ_n` lazily: Eq. 14 is evaluated for those `2·|C(k)|`
+/// links per interval, not all `N`. Large debts push `μ_n → 1`,
 /// so indebted links win upward swaps with high probability — the
 /// stationary distribution of the priority chain then concentrates on
 /// ELDF-like orderings (Proposition 3), which is what makes DB-DP
@@ -313,7 +316,6 @@ pub struct DbDp {
     influence: Box<dyn DebtInfluence>,
     r: f64,
     p: Vec<f64>,
-    mu_buf: Vec<f64>,
     name: String,
 }
 
@@ -323,14 +325,17 @@ pub struct DbDp {
 #[derive(Debug)]
 enum DpDriver {
     Pristine(Box<DpEngine>),
-    Faulty(Box<FaultyDpEngine>),
+    /// The degraded engine and its dense `μ` buffer: degraded beliefs
+    /// may make any link a candidate, so every link's Eq. 14 value is
+    /// filled in each interval.
+    Faulty(Box<FaultyDpEngine>, Vec<f64>),
 }
 
 impl DpDriver {
     fn n_links(&self) -> usize {
         match self {
             DpDriver::Pristine(e) => e.n_links(),
-            DpDriver::Faulty(e) => e.n_links(),
+            DpDriver::Faulty(e, _) => e.n_links(),
         }
     }
 }
@@ -357,7 +362,8 @@ impl DbDp {
         r: f64,
         p: Vec<f64>,
     ) -> Self {
-        Self::with_driver(DpDriver::Faulty(Box::new(engine)), influence, r, p)
+        let mu = vec![0.0; engine.n_links()];
+        Self::with_driver(DpDriver::Faulty(Box::new(engine), mu), influence, r, p)
     }
 
     fn with_driver(
@@ -368,10 +374,9 @@ impl DbDp {
     ) -> Self {
         assert!(r.is_finite() && r > 0.0, "R must be positive and finite");
         assert_eq!(p.len(), driver.n_links(), "one p_n per link");
-        let n = p.len();
         let degraded = match driver {
             DpDriver::Pristine(_) => "",
-            DpDriver::Faulty(_) => ", degraded",
+            DpDriver::Faulty(..) => ", degraded",
         };
         let name = format!("DB-DP(f={}, R={r}{degraded})", influence.name());
         DbDp {
@@ -379,7 +384,6 @@ impl DbDp {
             influence,
             r,
             p,
-            mu_buf: vec![0.0; n],
             name,
         }
     }
@@ -397,7 +401,7 @@ impl DbDp {
     pub fn engine(&self) -> Option<&DpEngine> {
         match &self.driver {
             DpDriver::Pristine(e) => Some(e),
-            DpDriver::Faulty(_) => None,
+            DpDriver::Faulty(..) => None,
         }
     }
 
@@ -406,7 +410,7 @@ impl DbDp {
     pub fn faulty_engine(&self) -> Option<&FaultyDpEngine> {
         match &self.driver {
             DpDriver::Pristine(_) => None,
-            DpDriver::Faulty(e) => Some(e),
+            DpDriver::Faulty(e, _) => Some(e),
         }
     }
 }
@@ -423,23 +427,18 @@ impl TransmissionPolicy for DbDp {
         channel: &mut dyn LossModel,
         rng: &mut SimRng,
     ) -> IntervalOutcome {
-        for n in 0..self.p.len() {
-            self.mu_buf[n] = eq14_mu(
-                self.influence.as_ref(),
-                self.r,
-                debts.positive(LinkId::new(n)),
-                self.p[n],
-            );
-        }
+        let (influence, r, p) = (self.influence.as_ref(), self.r, &self.p);
+        let mu = |n: usize| eq14_mu(influence, r, debts.positive(LinkId::new(n)), p[n]);
         match &mut self.driver {
             DpDriver::Pristine(engine) => engine
-                .step(arrivals, &self.mu_buf, channel, rng)
+                .step_with_mu(arrivals, &mu, channel, rng)
                 .outcome
                 .clone(),
-            DpDriver::Faulty(engine) => {
-                engine
-                    .run_interval(arrivals, &self.mu_buf, channel, rng)
-                    .outcome
+            DpDriver::Faulty(engine, dense) => {
+                for (n, m) in dense.iter_mut().enumerate() {
+                    *m = mu(n);
+                }
+                engine.run_interval(arrivals, dense, channel, rng).outcome
             }
         }
     }
@@ -448,25 +447,25 @@ impl TransmissionPolicy for DbDp {
         match &self.driver {
             DpDriver::Pristine(engine) => Some(engine.sigma()),
             // Degraded mode: the belief multiset need not be a permutation.
-            DpDriver::Faulty(_) => None,
+            DpDriver::Faulty(..) => None,
         }
     }
 
     fn fault_stats(&self) -> Option<FaultStats> {
         match &self.driver {
             DpDriver::Pristine(_) => None,
-            DpDriver::Faulty(engine) => Some(engine.stats()),
+            DpDriver::Faulty(engine, _) => Some(engine.stats()),
         }
     }
 
     fn drain_churn_events(&mut self, out: &mut Vec<ChurnEvent>) {
-        if let DpDriver::Faulty(engine) = &mut self.driver {
+        if let DpDriver::Faulty(engine, _) = &mut self.driver {
             engine.drain_churn_events(out);
         }
     }
 
     fn set_blocked(&mut self, link: usize, blocked: bool) {
-        if let DpDriver::Faulty(engine) = &mut self.driver {
+        if let DpDriver::Faulty(engine, _) = &mut self.driver {
             engine.set_blocked(link, blocked);
         }
     }
@@ -607,7 +606,6 @@ impl TransmissionPolicy for DcfPolicy {
 #[derive(Debug)]
 pub struct FixedPriority {
     engine: DpEngine,
-    mu: Vec<f64>,
 }
 
 impl FixedPriority {
@@ -623,11 +621,7 @@ impl FixedPriority {
             0,
             "fixed-priority policy requires swap_pairs = 0"
         );
-        let n = engine.n_links();
-        FixedPriority {
-            engine,
-            mu: vec![0.5; n],
-        }
+        FixedPriority { engine }
     }
 }
 
@@ -643,10 +637,10 @@ impl TransmissionPolicy for FixedPriority {
         channel: &mut dyn LossModel,
         rng: &mut SimRng,
     ) -> IntervalOutcome {
-        // μ is irrelevant with no swap pairs; 0.5 keeps the engine's
-        // validation satisfied.
+        // With no swap pairs no link is a candidate, so the engine never
+        // evaluates the μ lookup.
         self.engine
-            .step(arrivals, &self.mu, channel, rng)
+            .step_with_mu(arrivals, &|_| 0.5, channel, rng)
             .outcome
             .clone()
     }

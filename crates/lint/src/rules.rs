@@ -77,6 +77,7 @@ pub enum RuleKind {
 /// `step`, not a root.
 pub const HOT_PATH_DEFAULT_ROOTS: &[&str] = &[
     "DpEngine::step",
+    "DpEngine::step_with_mu",
     "DpEngine::step_with_candidates",
     "DpEngine::step_with_coins",
     "FaultyDpEngine::run_interval",
@@ -423,7 +424,9 @@ pub const RULES: &[Rule] = &[
                   sweep into an allocator benchmark. This rule builds the \
                   workspace call graph (DESIGN.md §13), walks forward from the \
                   configured `roots` (default: the DP engines' interval entry \
-                  points), and convicts every allocating construct — constructor \
+                  points — DpEngine::step, step_with_mu, step_with_candidates \
+                  and step_with_coins, and FaultyDpEngine::run_interval and \
+                  run_interval_with_candidates), and convicts every allocating construct — constructor \
                   paths like `Vec::new`, allocating methods like `.clone()`/\
                   `.collect()`, and macros like `vec!`/`format!` — in any reachable \
                   function, with the witness call path in the message. Deliberately \

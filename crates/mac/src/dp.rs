@@ -55,9 +55,17 @@
 //! allocator). Trace mode is the documented exception: it buffers and
 //! sorts events and is meant for debugging, not the hot path.
 //!
-//! `mu` values of non-candidate links are range-checked only in debug
-//! builds (checking all `N` per interval would be the dominant cost at
-//! `N = 10 000`); the candidate links' values are asserted in all builds.
+//! # Lazy coin parameters
+//!
+//! Eq. 5's coins are flipped only by the links of the drawn pairs `C(k)`,
+//! so [`DpEngine::step_with_mu`] takes `μ` as a per-link lookup and calls
+//! it once per candidate link, after the shared draw, hi before lo: an
+//! interval computes `2·|C(k)|` coin parameters, never `N`. Every value
+//! it computes is asserted to lie in `(0, 1)` in all builds. The dense
+//! `&[f64]` entry points ([`DpEngine::step`],
+//! [`DpEngine::step_with_candidates`]) are thin adapters over the same
+//! body; they additionally range-check all `N` entries, in debug builds
+//! only.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -142,7 +150,7 @@ pub struct PairCoins {
 /// injected verbatim, one [`PairCoins`] per drawn candidate pair.
 #[derive(Clone, Copy)]
 enum CoinSource<'a> {
-    Mu(&'a [f64]),
+    Mu(&'a dyn Fn(usize) -> f64),
     Fixed(&'a [PairCoins]),
 }
 
@@ -547,6 +555,14 @@ impl DpEngine {
         &self.config
     }
 
+    /// The report of the most recent step (empty before the first) — the
+    /// same engine-owned buffer the stepping methods return, for callers
+    /// that step through a wrapper such as a policy.
+    #[must_use]
+    pub fn last_report(&self) -> &DpIntervalReport {
+        &self.report
+    }
+
     /// Runs one interval of the DP protocol (Steps 1–7 of Algorithm 2),
     /// drawing the shared candidate set internally. The returned report is
     /// an engine-owned buffer, valid until the next step; clone it to keep
@@ -566,6 +582,30 @@ impl DpEngine {
         &mut self,
         arrivals: &[u32],
         mu: &[f64],
+        channel: &mut dyn LossModel,
+        rng: &mut SimRng,
+    ) -> &DpIntervalReport {
+        check_dense_mu(mu, self.n_links());
+        self.run(arrivals, CoinSource::Mu(&|l| mu[l]), None, channel, rng)
+    }
+
+    /// [`DpEngine::step`] with the coin parameters given as a per-link
+    /// lookup: `mu(n)` is `μ_n`, and the engine calls it only for the
+    /// links of the drawn candidate pairs, once each, hi before lo. A
+    /// caller whose `μ` is costly (DB-DP evaluates Eq. 14 per link) pays
+    /// for `2·|C(k)|` links per interval instead of `N`. RNG consumption
+    /// and every decision equal [`DpEngine::step`] with the dense vector
+    /// `(mu(0), …, mu(N−1))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrivals` or the channel's link count disagree with the
+    /// engine's, or if `mu` returns a value outside `(0, 1)` for a
+    /// candidate link.
+    pub fn step_with_mu(
+        &mut self,
+        arrivals: &[u32],
+        mu: &dyn Fn(usize) -> f64,
         channel: &mut dyn LossModel,
         rng: &mut SimRng,
     ) -> &DpIntervalReport {
@@ -589,7 +629,14 @@ impl DpEngine {
         channel: &mut dyn LossModel,
         rng: &mut SimRng,
     ) -> &DpIntervalReport {
-        self.run(arrivals, CoinSource::Mu(mu), Some(candidates), channel, rng)
+        check_dense_mu(mu, self.n_links());
+        self.run(
+            arrivals,
+            CoinSource::Mu(&|l| mu[l]),
+            Some(candidates),
+            channel,
+            rng,
+        )
     }
 
     /// Runs one interval with both the candidate draw *and* the private
@@ -682,13 +729,6 @@ impl DpEngine {
         let n = self.sigma.len();
         assert_eq!(arrivals.len(), n, "arrivals must have one entry per link");
         assert_eq!(channel.n_links(), n, "channel link count mismatch");
-        if let CoinSource::Mu(mu) = coins {
-            assert_eq!(mu.len(), n, "mu must have one entry per link");
-            #[cfg(debug_assertions)]
-            for (i, &m) in mu.iter().enumerate() {
-                debug_assert!(m > 0.0 && m < 1.0, "mu[{i}] = {m} must lie in (0, 1)");
-            }
-        }
         if self.state.board.horizon() == 0 {
             self.size_buffers();
         }
@@ -759,13 +799,14 @@ impl DpEngine {
             let hi = sigma.link_with_priority(c).index();
             let lo = sigma.link_with_priority(c + 1).index();
             // ξ = +1 with probability μ (Eq. 5), unless injected verbatim.
+            // μ is looked up here and only here: once per candidate link.
             let (xi_hi_up, xi_lo_up) = match coins {
                 CoinSource::Mu(mu) => {
-                    for link in [hi, lo] {
-                        let m = mu[link];
+                    let (mu_hi, mu_lo) = (mu(hi), mu(lo));
+                    for (link, m) in [(hi, mu_hi), (lo, mu_lo)] {
                         assert!(m > 0.0 && m < 1.0, "mu[{link}] = {m} must lie in (0, 1)");
                     }
-                    (rng.random_bool(mu[hi]), rng.random_bool(mu[lo]))
+                    (rng.random_bool(mu_hi), rng.random_bool(mu_lo))
                 }
                 CoinSource::Fixed(flips) => (flips[j].hi_up, flips[j].lo_up),
             };
@@ -1027,6 +1068,18 @@ impl DpEngine {
         let _ = seen;
 
         report
+    }
+}
+
+/// The dense-`μ` adapters' input check: one entry per link, and (debug
+/// builds only; all `N` would dominate a step at `N = 10 000`) every entry
+/// inside `(0, 1)`. The candidates' entries are asserted in all builds by
+/// the interval body.
+fn check_dense_mu(mu: &[f64], n: usize) {
+    assert_eq!(mu.len(), n, "mu must have one entry per link");
+    #[cfg(debug_assertions)]
+    for (i, &m) in mu.iter().enumerate() {
+        debug_assert!(m > 0.0 && m < 1.0, "mu[{i}] = {m} must lie in (0, 1)");
     }
 }
 

@@ -4,9 +4,9 @@
 //! the first step has sized its buffers (per-pair state, sense board,
 //! candidate pools, the reusable report). This test installs a counting
 //! global allocator, warms the engine, then asserts that further
-//! intervals — through both the μ-driven [`DpEngine::step`] and the
-//! coin-injected [`DpEngine::step_with_coins`] — perform exactly zero heap
-//! allocations.
+//! intervals — through the dense-μ [`DpEngine::step`], the lazy-μ
+//! [`DpEngine::step_with_mu`] and the coin-injected
+//! [`DpEngine::step_with_coins`] — perform exactly zero heap allocations.
 //!
 //! Trace mode is exempt from the contract (trace buffers legitimately grow
 //! on the first traced intervals), so the engine under test runs untraced —
@@ -37,6 +37,8 @@ fn dp_step_performs_zero_heap_allocations() {
 
     let mut arrivals = vec![0u32; N];
     let mu = vec![0.5f64; N];
+    // The lazy path's lookup: a per-link value computed on demand.
+    let mu_of = |l: usize| 0.25 + 0.5 * (l as f64) / (N as f64);
     // Caller-side buffers for the injected path, sized before counting.
     let mut candidates = Vec::with_capacity(PAIRS);
     let mut pool = Vec::with_capacity(N);
@@ -58,8 +60,10 @@ fn dp_step_performs_zero_heap_allocations() {
         for a in arrivals.iter_mut() {
             *a = arrival_rng.random_range(0..=3);
         }
-        let report = if k % 2 == 0 {
+        let report = if k % 3 == 0 {
             engine.step(&arrivals, &mu, &mut channel, &mut rng)
+        } else if k % 3 == 1 {
+            engine.step_with_mu(&arrivals, &mu_of, &mut channel, &mut rng)
         } else {
             draw_nonadjacent_candidates_into(N, PAIRS, &mut rng, &mut candidates, &mut pool);
             for c in coins.iter_mut() {

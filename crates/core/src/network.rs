@@ -595,9 +595,10 @@ impl NetworkBuilder {
             name: "policy (call .policy(PolicyKind::...))",
             value: f64::NAN,
         })?;
-        let mut payloads =
+        let mut every_payload =
             std::iter::once(self.payload_bytes).chain(self.link_payloads.iter().flatten().copied());
-        if let Some(bad) = payloads.find(|&b| self.phy.checked_packet_exchange_airtime(b).is_none())
+        if let Some(bad) =
+            every_payload.find(|&b| self.phy.checked_packet_exchange_airtime(b).is_none())
         {
             return Err(ConfigError::Overflow {
                 name: "payload_bytes (frame airtime)",

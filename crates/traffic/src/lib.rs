@@ -6,7 +6,7 @@
 //! every link receives its packets at the beginning of interval `k`, counts
 //! are bounded by `A_max`, and counts of different links may be correlated
 //! within an interval. This crate provides the two processes the evaluation
-//! uses, plus several more for tests and extensions:
+//! uses, plus two more for tests and extensions:
 //!
 //! * [`BurstUniform`] — the Fig. 3–8 video model: `U{1..6}` with
 //!   probability `α_n`, else 0 (mean `3.5·α_n`).
@@ -14,10 +14,8 @@
 //!   probability `λ_n`.
 //! * [`ConstantArrivals`] — deterministic arrivals (the classic one packet
 //!   per interval setting where timely-throughput equals delivery ratio).
-//! * [`TruncatedPoisson`] — Poisson counts clipped at `A_max`.
-//! * [`CorrelatedShock`] — a common-shock mixture demonstrating the
-//!   paper's "arrivals of different links might still be correlated".
-//! * [`TraceReplay`] — replays a recorded arrival matrix.
+//! * [`MarkovModulated`] — per-link Calm/Busy phases, for temporally
+//!   correlated (scene-change) bursts.
 //!
 //! # Example
 //!
@@ -252,160 +250,6 @@ impl ArrivalProcess for ConstantArrivals {
     }
 }
 
-/// Poisson(λ_n) counts truncated at `a_max` (keeping the paper's bounded-
-/// arrivals assumption).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TruncatedPoisson {
-    lambda: Vec<f64>,
-    a_max: u32,
-}
-
-impl TruncatedPoisson {
-    /// Per-link rates with a common truncation bound.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::InvalidArrivalRate`] for negative or
-    /// non-finite rates, [`ConfigError::NoLinks`] if empty, or
-    /// [`ConfigError::InvalidParameter`] if `a_max == 0`.
-    pub fn new(lambda: Vec<f64>, a_max: u32) -> Result<Self, ConfigError> {
-        if lambda.is_empty() {
-            return Err(ConfigError::NoLinks);
-        }
-        for (link, &l) in lambda.iter().enumerate() {
-            if !l.is_finite() || l < 0.0 {
-                return Err(ConfigError::InvalidArrivalRate { link, value: l });
-            }
-        }
-        if a_max == 0 {
-            return Err(ConfigError::InvalidParameter {
-                name: "a_max",
-                value: 0.0,
-            });
-        }
-        Ok(TruncatedPoisson { lambda, a_max })
-    }
-
-    /// Samples one (untruncated-then-clipped) Poisson count by inversion.
-    fn sample_one(lambda: f64, a_max: u32, rng: &mut SimRng) -> u32 {
-        if lambda == 0.0 {
-            return 0;
-        }
-        // Knuth's product method is fine for the small λ used here.
-        let l = (-lambda).exp();
-        let mut k = 0u32;
-        let mut p = 1.0;
-        loop {
-            p *= rng.random_range(0.0..1.0);
-            if p <= l || k >= a_max {
-                return k.min(a_max);
-            }
-            k += 1;
-        }
-    }
-}
-
-impl ArrivalProcess for TruncatedPoisson {
-    fn n_links(&self) -> usize {
-        self.lambda.len()
-    }
-
-    fn sample(&mut self, rng: &mut SimRng, out: &mut Vec<u32>) {
-        out.clear();
-        for &l in &self.lambda {
-            out.push(Self::sample_one(l, self.a_max, rng));
-        }
-    }
-
-    fn mean(&self, link: LinkId) -> f64 {
-        // Mean of the truncated distribution; for λ ≪ a_max it is ≈ λ.
-        let lambda = self.lambda[link.index()];
-        if lambda == 0.0 {
-            return 0.0;
-        }
-        let mut mean = 0.0;
-        let mut p = (-lambda).exp();
-        let mut tail = 1.0 - p;
-        for k in 1..=self.a_max {
-            p *= lambda / f64::from(k);
-            if k < self.a_max {
-                mean += f64::from(k) * p;
-                tail -= p;
-            } else {
-                // all remaining mass collapses onto a_max
-                mean += f64::from(k) * tail;
-            }
-        }
-        mean
-    }
-
-    fn max_arrivals(&self) -> u32 {
-        self.a_max
-    }
-}
-
-/// A common-shock mixture: with probability `shock`, *every* link receives
-/// `shock_count` packets; otherwise links draw independently from a base
-/// process. Demonstrates the paper's allowance for correlated per-interval
-/// arrivals.
-#[derive(Debug)]
-pub struct CorrelatedShock<P> {
-    base: P,
-    shock: f64,
-    shock_count: u32,
-}
-
-impl<P: ArrivalProcess> CorrelatedShock<P> {
-    /// Wraps `base` with a synchronized shock.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::InvalidParameter`] if `shock ∉ [0, 1]` or
-    /// `shock_count == 0`.
-    pub fn new(base: P, shock: f64, shock_count: u32) -> Result<Self, ConfigError> {
-        if !shock.is_finite() || !(0.0..=1.0).contains(&shock) {
-            return Err(ConfigError::InvalidParameter {
-                name: "shock probability",
-                value: shock,
-            });
-        }
-        if shock_count == 0 {
-            return Err(ConfigError::InvalidParameter {
-                name: "shock count",
-                value: 0.0,
-            });
-        }
-        Ok(CorrelatedShock {
-            base,
-            shock,
-            shock_count,
-        })
-    }
-}
-
-impl<P: ArrivalProcess> ArrivalProcess for CorrelatedShock<P> {
-    fn n_links(&self) -> usize {
-        self.base.n_links()
-    }
-
-    fn sample(&mut self, rng: &mut SimRng, out: &mut Vec<u32>) {
-        if self.shock > 0.0 && (self.shock >= 1.0 || rng.random_bool(self.shock)) {
-            out.clear();
-            out.resize(self.base.n_links(), self.shock_count);
-        } else {
-            self.base.sample(rng, out);
-        }
-    }
-
-    fn mean(&self, link: LinkId) -> f64 {
-        self.shock * f64::from(self.shock_count) + (1.0 - self.shock) * self.base.mean(link)
-    }
-
-    fn max_arrivals(&self) -> u32 {
-        self.base.max_arrivals().max(self.shock_count)
-    }
-}
-
 /// A two-state Markov-modulated arrival process: each link independently
 /// alternates between a Calm and a Busy phase with per-interval switching
 /// probabilities, drawing its packet count from a phase-specific
@@ -520,65 +364,6 @@ impl ArrivalProcess for MarkovModulated {
     }
 }
 
-/// Replays a recorded arrival matrix, cycling when it reaches the end.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceReplay {
-    rows: Vec<Vec<u32>>,
-    cursor: usize,
-}
-
-impl TraceReplay {
-    /// Creates a replayer over `rows` (each row is one interval's arrival
-    /// vector).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::NoLinks`] if `rows` is empty or the first row
-    /// is empty, and [`ConfigError::LengthMismatch`] if rows disagree in
-    /// length.
-    pub fn new(rows: Vec<Vec<u32>>) -> Result<Self, ConfigError> {
-        let n = rows.first().map_or(0, Vec::len);
-        if n == 0 {
-            return Err(ConfigError::NoLinks);
-        }
-        for row in &rows {
-            if row.len() != n {
-                return Err(ConfigError::LengthMismatch {
-                    what: "trace rows",
-                    expected: n,
-                    actual: row.len(),
-                });
-            }
-        }
-        Ok(TraceReplay { rows, cursor: 0 })
-    }
-}
-
-impl ArrivalProcess for TraceReplay {
-    fn n_links(&self) -> usize {
-        self.rows[0].len()
-    }
-
-    fn sample(&mut self, _rng: &mut SimRng, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend_from_slice(&self.rows[self.cursor]);
-        self.cursor = (self.cursor + 1) % self.rows.len();
-    }
-
-    fn mean(&self, link: LinkId) -> f64 {
-        let total: u64 = self.rows.iter().map(|r| u64::from(r[link.index()])).sum();
-        total as f64 / self.rows.len() as f64
-    }
-
-    fn max_arrivals(&self) -> u32 {
-        self.rows
-            .iter()
-            .flat_map(|r| r.iter().copied())
-            .max()
-            .unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -646,48 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn truncated_poisson_mean_and_bound() {
-        let mut p = TruncatedPoisson::new(vec![1.2], 10).unwrap();
-        let analytic = p.mean(0.into());
-        // With a_max = 10 and λ = 1.2 the truncation is negligible.
-        assert!((analytic - 1.2).abs() < 1e-3, "analytic mean {analytic}");
-        let m = empirical_mean(&mut p, 0, 100_000, 9);
-        assert!((m - analytic).abs() < 0.02, "empirical {m} vs {analytic}");
-
-        // Harsh truncation actually binds.
-        let mut hard = TruncatedPoisson::new(vec![5.0], 2).unwrap();
-        let mut rng = SeedStream::new(1).rng(0);
-        let mut buf = Vec::new();
-        for _ in 0..1000 {
-            hard.sample(&mut rng, &mut buf);
-            assert!(buf[0] <= 2);
-        }
-        assert!(hard.mean(0.into()) < 2.0);
-    }
-
-    #[test]
-    fn correlated_shock_correlates_links() {
-        let base = BernoulliArrivals::symmetric(2, 0.5).unwrap();
-        let mut p = CorrelatedShock::new(base, 0.5, 3).unwrap();
-        let mut rng = SeedStream::new(4).rng(0);
-        let mut buf = Vec::new();
-        let mut both_shocked = 0;
-        let trials = 20_000;
-        for _ in 0..trials {
-            p.sample(&mut rng, &mut buf);
-            if buf[0] == 3 {
-                assert_eq!(buf[1], 3, "shock must hit all links together");
-                both_shocked += 1;
-            }
-        }
-        let rate = f64::from(both_shocked) / trials as f64;
-        assert!((rate - 0.5).abs() < 0.02, "shock rate {rate}");
-        // mean = 0.5·3 + 0.5·0.5 = 1.75
-        assert!((p.mean(0.into()) - 1.75).abs() < 1e-12);
-        assert_eq!(p.max_arrivals(), 3);
-    }
-
-    #[test]
     fn markov_modulated_mean_matches_stationary_mix() {
         // Stationary busy = 0.1/(0.1+0.3) = 0.25; alpha = 0.25·0.9 + 0.75·0.2
         // = 0.375; mean = 0.375·3.5 = 1.3125.
@@ -738,22 +481,5 @@ mod tests {
         assert!(MarkovModulated::new(1, 0.2, 0.9, 0.0, 0.3, 6).is_err());
         assert!(MarkovModulated::new(1, 0.2, 0.9, 0.1, 1.0, 6).is_err());
         assert!(MarkovModulated::new(1, 0.2, 0.9, 0.1, 0.3, 0).is_err());
-    }
-
-    #[test]
-    fn trace_replay_cycles() {
-        let mut p = TraceReplay::new(vec![vec![1, 0], vec![2, 2]]).unwrap();
-        let mut rng = SeedStream::new(0).rng(0);
-        let mut buf = Vec::new();
-        p.sample(&mut rng, &mut buf);
-        assert_eq!(buf, [1, 0]);
-        p.sample(&mut rng, &mut buf);
-        assert_eq!(buf, [2, 2]);
-        p.sample(&mut rng, &mut buf);
-        assert_eq!(buf, [1, 0]); // wrapped
-        assert_eq!(p.mean(0.into()), 1.5);
-        assert_eq!(p.max_arrivals(), 2);
-        assert!(TraceReplay::new(vec![]).is_err());
-        assert!(TraceReplay::new(vec![vec![1], vec![1, 2]]).is_err());
     }
 }

@@ -470,7 +470,14 @@ fn parse_subcommand(command: &str, rest: &[String]) -> Result<Command, CliError>
             }
             "--deadline-ms" => {
                 shape(flag);
-                opts.deadline_us = parse_num::<u64>(flag, value_for()?, "a duration in ms")? * 1000;
+                let raw = value_for()?;
+                opts.deadline_us = parse_num::<u64>(flag, raw, "a duration in ms")?
+                    .checked_mul(1000)
+                    .ok_or_else(|| CliError::BadValue {
+                        flag: flag.clone(),
+                        value: raw.clone(),
+                        expected: "a duration in ms that fits the time arithmetic",
+                    })?;
             }
             "--deadline-us" => {
                 shape(flag);

@@ -274,14 +274,21 @@ fn render_sweep(
 
 fn render_timeline(opts: &NetworkOpts) -> Result<String, CliError> {
     use rtmac::mac::{timeline, DpConfig, DpEngine, MacTiming};
+    use rtmac::model::ConfigError;
     use rtmac::phy::{channel::Bernoulli, PhyProfile};
     use rtmac::sim::SeedStream;
 
-    let timing = MacTiming::new(
-        PhyProfile::ieee80211a(),
-        Nanos::from_micros(opts.deadline_us),
-        opts.payload,
-    );
+    let invalid = |e: ConfigError| CliError::Invalid(e.to_string());
+    if opts.links == 0 {
+        return Err(invalid(ConfigError::NoLinks));
+    }
+    let deadline =
+        Nanos::checked_from_micros(opts.deadline_us).ok_or(invalid(ConfigError::Overflow {
+            name: "deadline_us",
+            value: opts.deadline_us,
+        }))?;
+    let timing =
+        MacTiming::try_new(PhyProfile::ieee80211a(), deadline, opts.payload).map_err(invalid)?;
     let mut engine = DpEngine::new(DpConfig::new(timing.clone()).with_trace(true), opts.links);
     let mut channel =
         Bernoulli::new(vec![opts.p; opts.links]).map_err(|e| CliError::Invalid(e.to_string()))?;

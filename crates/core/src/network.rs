@@ -532,9 +532,10 @@ impl NetworkBuilder {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if the topology, probabilities, traffic,
-    /// requirements, or policy are missing or inconsistent, or
-    /// [`ConfigError::Overflow`] for a deadline or payload too large for
-    /// the simulated time arithmetic.
+    /// requirements, or policy are missing or inconsistent,
+    /// [`ConfigError::InvalidParameter`] for a deadline shorter than one
+    /// backoff slot, or [`ConfigError::Overflow`] for a deadline or
+    /// payload too large for the simulated time arithmetic.
     pub fn build(self) -> Result<Network, ConfigError> {
         let success = self.success.unwrap_or_else(|| vec![1.0; self.n_links]);
         let config = NetworkConfig::builder(self.n_links)
@@ -595,17 +596,19 @@ impl NetworkBuilder {
             name: "policy (call .policy(PolicyKind::...))",
             value: f64::NAN,
         })?;
-        let mut every_payload =
-            std::iter::once(self.payload_bytes).chain(self.link_payloads.iter().flatten().copied());
-        if let Some(bad) =
-            every_payload.find(|&b| self.phy.checked_packet_exchange_airtime(b).is_none())
+        let mut timing =
+            MacTiming::try_new(self.phy.clone(), config.deadline(), self.payload_bytes)?;
+        if let Some(bad) = self
+            .link_payloads
+            .iter()
+            .flatten()
+            .find(|&&b| self.phy.checked_packet_exchange_airtime(b).is_none())
         {
             return Err(ConfigError::Overflow {
                 name: "payload_bytes (frame airtime)",
-                value: u64::from(bad),
+                value: u64::from(*bad),
             });
         }
-        let mut timing = MacTiming::new(self.phy, config.deadline(), self.payload_bytes);
         if let Some(payloads) = self.link_payloads {
             if payloads.len() != config.n_links() {
                 return Err(ConfigError::LengthMismatch {
@@ -1327,6 +1330,29 @@ mod tests {
         ] {
             assert!(b.policy(PolicyKind::db_dp()).build().is_ok());
         }
+    }
+
+    /// A deadline shorter than one backoff slot is a typed error from
+    /// `build`, not the timing constructor's assertion.
+    #[test]
+    fn sub_slot_deadline_is_a_config_error() {
+        for us in [1, 8] {
+            match base_builder()
+                .deadline_us(us)
+                .policy(PolicyKind::db_dp())
+                .build()
+            {
+                Err(ConfigError::InvalidParameter { value, .. }) => assert_eq!(value, us as f64),
+                Err(e) => panic!("unexpected error {e}"),
+                Ok(_) => panic!("built a network with a {us} us deadline"),
+            }
+        }
+        let slot = PhyProfile::ieee80211a().slot().as_micros();
+        assert!(base_builder()
+            .deadline_us(slot)
+            .policy(PolicyKind::db_dp())
+            .build()
+            .is_ok());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Shared per-interval timing parameters.
 
+use rtmac_model::ConfigError;
 use rtmac_phy::PhyProfile;
 use rtmac_sim::Nanos;
 
@@ -34,6 +35,34 @@ pub struct MacTiming {
 }
 
 impl MacTiming {
+    /// [`MacTiming::new`] for values that come from outside the program:
+    /// the checks `new` asserts become typed errors.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::InvalidParameter`] for a deadline shorter
+    /// than one backoff slot (zero included) and [`ConfigError::Overflow`]
+    /// for a payload whose frame airtime overflows the time arithmetic.
+    pub fn try_new(
+        phy: PhyProfile,
+        deadline: Nanos,
+        payload_bytes: u32,
+    ) -> Result<Self, ConfigError> {
+        if deadline < phy.slot() {
+            return Err(ConfigError::InvalidParameter {
+                name: "deadline (must be at least one backoff slot)",
+                value: deadline.as_micros_f64(),
+            });
+        }
+        if phy.checked_packet_exchange_airtime(payload_bytes).is_none() {
+            return Err(ConfigError::Overflow {
+                name: "payload_bytes (frame airtime)",
+                value: u64::from(payload_bytes),
+            });
+        }
+        Ok(Self::new(phy, deadline, payload_bytes))
+    }
+
     /// Bundles a PHY profile with a deadline and payload size.
     ///
     /// # Panics

@@ -458,6 +458,11 @@ mod tests {
                 Ok(_) => panic!("{key} = {value}: built a network"),
             }
         }
+        // A deadline shorter than one backoff slot parses but cannot run.
+        assert!(matches!(
+            with("deadline_us", "8").network(),
+            Err(ConfigError::InvalidParameter { .. })
+        ));
         // The largest representable values still build.
         assert!(with("deadline_us", "18446744073709551").network().is_ok());
         assert!(with("payload_bytes", "4294967267").network().is_ok());

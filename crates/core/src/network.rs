@@ -1,6 +1,6 @@
 //! The end-to-end network simulator: arrivals → policy → debts → metrics.
 
-use rtmac_mac::{ChurnEvent, DpConfig, FaultyDpEngine, IntervalOutcome, MacTiming, RecoveryConfig};
+use rtmac_mac::{ChurnEvent, DpConfig, DpEngine, IntervalOutcome, MacTiming, RecoveryConfig};
 use rtmac_model::metrics::{ConvergenceTracker, DeficiencySeries};
 use rtmac_model::{ConfigError, DebtLedger, LinkId, NetworkConfig, Requirements};
 use rtmac_phy::channel::{Bernoulli, LossModel};
@@ -505,9 +505,9 @@ impl NetworkBuilder {
     }
 
     /// Injects carrier-sensing faults and link churn into the run. Only the
-    /// DB-DP policy supports fault injection (it switches to the degraded
-    /// [`FaultyDpEngine`] path); [`build`](Self::build) rejects the
-    /// combination with any other policy.
+    /// DB-DP policy supports fault injection (its engine gets a fault layer
+    /// and runs the degraded semantics); [`build`](Self::build) rejects
+    /// the combination with any other policy.
     #[must_use]
     pub fn fault(mut self, fault: FaultSpec) -> Self {
         self.fault = Some(fault);
@@ -722,7 +722,7 @@ impl NetworkBuilder {
                         seeds.rng(5),
                     );
                 }
-                let mut engine = FaultyDpEngine::new(
+                let mut engine = DpEngine::new(
                     DpConfig::new(timing).with_swap_pairs(swap_pairs),
                     config.n_links(),
                 )
@@ -803,7 +803,7 @@ impl NetworkBuilder {
                     }
                     engine = engine.with_churn_process(churn_process);
                 }
-                Box::new(DbDp::with_faults(
+                Box::new(DbDp::new(
                     engine,
                     influence,
                     r,

@@ -3,7 +3,7 @@
 
 use rtmac_mac::{
     CentralizedEngine, ChurnEvent, DcfConfig, DcfEngine, DpConfig, DpEngine, FaultStats,
-    FaultyDpEngine, FcsmaEngine, FcsmaQuantizer, FrameCsmaEngine, IntervalOutcome, MacTiming,
+    FcsmaEngine, FcsmaQuantizer, FrameCsmaEngine, IntervalOutcome, MacTiming,
 };
 use rtmac_model::influence::{DebtInfluence, Linear, PaperLog};
 use rtmac_model::{DebtLedger, LinkId, Permutation};
@@ -303,45 +303,26 @@ pub fn eq14_mu(influence: &dyn DebtInfluence, r: f64, d_plus: f64, p_n: f64) -> 
 /// μ_n(k) = exp(f(d_n⁺(k)) · p_n) / (R + exp(f(d_n⁺(k)) · p_n)).
 /// ```
 ///
-/// Only the links of the drawn swap pairs flip coins, so the pristine
-/// engine asks for `μ_n` lazily: Eq. 14 is evaluated for those `2·|C(k)|`
-/// links per interval, not all `N`. Large debts push `μ_n → 1`,
+/// Only the links of the drawn swap pairs flip coins, so the engine asks
+/// for `μ_n` lazily: Eq. 14 is evaluated once per candidate link (the
+/// `2·|C(k)|` pair members, or under a fault layer every live link that
+/// believes a pair side), not for all `N`. Large debts push `μ_n → 1`,
 /// so indebted links win upward swaps with high probability — the
 /// stationary distribution of the priority chain then concentrates on
 /// ELDF-like orderings (Proposition 3), which is what makes DB-DP
 /// feasibility-optimal (Theorem 1).
 #[derive(Debug)]
 pub struct DbDp {
-    driver: DpDriver,
+    engine: DpEngine,
     influence: Box<dyn DebtInfluence>,
     r: f64,
     p: Vec<f64>,
     name: String,
 }
 
-/// Which DP engine a [`DbDp`] policy drives: the pristine collision-free
-/// engine (every fault-free run) or the degraded-mode engine of the
-/// fault-injection experiments.
-#[derive(Debug)]
-enum DpDriver {
-    Pristine(Box<DpEngine>),
-    /// The degraded engine and its dense `μ` buffer: degraded beliefs
-    /// may make any link a candidate, so every link's Eq. 14 value is
-    /// filled in each interval.
-    Faulty(Box<FaultyDpEngine>, Vec<f64>),
-}
-
-impl DpDriver {
-    fn n_links(&self) -> usize {
-        match self {
-            DpDriver::Pristine(e) => e.n_links(),
-            DpDriver::Faulty(e, _) => e.n_links(),
-        }
-    }
-}
-
 impl DbDp {
-    /// Wires a DP engine to debt-driven coin parameters.
+    /// Wires a DP engine — with or without a fault layer (sensing faults,
+    /// churn, recovery) — to debt-driven coin parameters.
     ///
     /// # Panics
     ///
@@ -349,38 +330,16 @@ impl DbDp {
     /// engine's link count.
     #[must_use]
     pub fn new(engine: DpEngine, influence: Box<dyn DebtInfluence>, r: f64, p: Vec<f64>) -> Self {
-        Self::with_driver(DpDriver::Pristine(Box::new(engine)), influence, r, p)
-    }
-
-    /// Wires the *degraded-mode* DP engine (sensing faults, churn,
-    /// recovery) to the same debt-driven coin parameters. Panics as
-    /// [`DbDp::new`].
-    #[must_use]
-    pub fn with_faults(
-        engine: FaultyDpEngine,
-        influence: Box<dyn DebtInfluence>,
-        r: f64,
-        p: Vec<f64>,
-    ) -> Self {
-        let mu = vec![0.0; engine.n_links()];
-        Self::with_driver(DpDriver::Faulty(Box::new(engine), mu), influence, r, p)
-    }
-
-    fn with_driver(
-        driver: DpDriver,
-        influence: Box<dyn DebtInfluence>,
-        r: f64,
-        p: Vec<f64>,
-    ) -> Self {
         assert!(r.is_finite() && r > 0.0, "R must be positive and finite");
-        assert_eq!(p.len(), driver.n_links(), "one p_n per link");
-        let degraded = match driver {
-            DpDriver::Pristine(_) => "",
-            DpDriver::Faulty(..) => ", degraded",
+        assert_eq!(p.len(), engine.n_links(), "one p_n per link");
+        let degraded = if engine.has_fault_layer() {
+            ", degraded"
+        } else {
+            ""
         };
         let name = format!("DB-DP(f={}, R={r}{degraded})", influence.name());
         DbDp {
-            driver,
+            engine,
             influence,
             r,
             p,
@@ -395,23 +354,10 @@ impl DbDp {
         eq14_mu(self.influence.as_ref(), self.r, d_plus, p_n)
     }
 
-    /// The underlying pristine DP engine (e.g. to inspect `σ`); `None`
-    /// when the policy runs the degraded-mode engine.
+    /// The underlying DP engine (e.g. to inspect `σ` or the beliefs).
     #[must_use]
-    pub fn engine(&self) -> Option<&DpEngine> {
-        match &self.driver {
-            DpDriver::Pristine(e) => Some(e),
-            DpDriver::Faulty(..) => None,
-        }
-    }
-
-    /// The underlying degraded-mode engine, when faults are injected.
-    #[must_use]
-    pub fn faulty_engine(&self) -> Option<&FaultyDpEngine> {
-        match &self.driver {
-            DpDriver::Pristine(_) => None,
-            DpDriver::Faulty(e, _) => Some(e),
-        }
+    pub fn engine(&self) -> &DpEngine {
+        &self.engine
     }
 }
 
@@ -429,44 +375,28 @@ impl TransmissionPolicy for DbDp {
     ) -> IntervalOutcome {
         let (influence, r, p) = (self.influence.as_ref(), self.r, &self.p);
         let mu = |n: usize| eq14_mu(influence, r, debts.positive(LinkId::new(n)), p[n]);
-        match &mut self.driver {
-            DpDriver::Pristine(engine) => engine
-                .step_with_mu(arrivals, &mu, channel, rng)
-                .outcome
-                .clone(),
-            DpDriver::Faulty(engine, dense) => {
-                for (n, m) in dense.iter_mut().enumerate() {
-                    *m = mu(n);
-                }
-                engine.run_interval(arrivals, dense, channel, rng).outcome
-            }
-        }
+        self.engine
+            .step_with_mu(arrivals, &mu, channel, rng)
+            .outcome
+            .clone()
     }
 
     fn sigma(&self) -> Option<&Permutation> {
-        match &self.driver {
-            DpDriver::Pristine(engine) => Some(engine.sigma()),
-            // Degraded mode: the belief multiset need not be a permutation.
-            DpDriver::Faulty(..) => None,
-        }
+        // Degraded mode: the belief multiset need not be a permutation.
+        (!self.engine.has_fault_layer()).then(|| self.engine.sigma())
     }
 
     fn fault_stats(&self) -> Option<FaultStats> {
-        match &self.driver {
-            DpDriver::Pristine(_) => None,
-            DpDriver::Faulty(engine, _) => Some(engine.stats()),
-        }
+        self.engine.has_fault_layer().then(|| self.engine.stats())
     }
 
     fn drain_churn_events(&mut self, out: &mut Vec<ChurnEvent>) {
-        if let DpDriver::Faulty(engine, _) = &mut self.driver {
-            engine.drain_churn_events(out);
-        }
+        self.engine.drain_churn_events(out);
     }
 
     fn set_blocked(&mut self, link: usize, blocked: bool) {
-        if let DpDriver::Faulty(engine, _) = &mut self.driver {
-            engine.set_blocked(link, blocked);
+        if self.engine.has_fault_layer() {
+            self.engine.set_blocked(link, blocked);
         }
     }
 }
@@ -767,7 +697,7 @@ mod tests {
         let mut link1_first = 0;
         for _ in 0..400 {
             let _ = policy.run_interval(&[1, 1], &debts, &mut ch, &mut rng);
-            let sigma = policy.engine().expect("pristine driver").sigma();
+            let sigma = policy.engine().sigma();
             if sigma.priority_of(LinkId::new(1)) == 1 {
                 link1_first += 1;
             }

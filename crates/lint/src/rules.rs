@@ -71,17 +71,15 @@ pub enum RuleKind {
 }
 
 /// Default hot-path roots for `hot-path-alloc`: the per-interval decision
-/// paths of the pristine and faulty DP engines (Algorithm 2 runs on every
-/// link in every interval, so these must stay allocation-free). The
-/// pristine engine's owned-report `run_interval` is a convenience clone of
-/// `step`, not a root.
+/// paths of the DP engine, fault-free and degraded alike (Algorithm 2 runs
+/// on every link in every interval, so these must stay allocation-free).
+/// The owned-report `run_interval` is a convenience clone of `step`, not a
+/// root.
 pub const HOT_PATH_DEFAULT_ROOTS: &[&str] = &[
     "DpEngine::step",
     "DpEngine::step_with_mu",
     "DpEngine::step_with_candidates",
     "DpEngine::step_with_coins",
-    "FaultyDpEngine::run_interval",
-    "FaultyDpEngine::run_interval_with_candidates",
 ];
 
 /// A static rule definition. `lint.toml` can override severity, scope
@@ -423,10 +421,10 @@ pub const RULES: &[Rule] = &[
                   Vec::new in a transitively-called helper turns the massive-N \
                   sweep into an allocator benchmark. This rule builds the \
                   workspace call graph (DESIGN.md §13), walks forward from the \
-                  configured `roots` (default: the DP engines' interval entry \
+                  configured `roots` (default: the DP engine's interval entry \
                   points — DpEngine::step, step_with_mu, step_with_candidates \
-                  and step_with_coins, and FaultyDpEngine::run_interval and \
-                  run_interval_with_candidates), and convicts every allocating construct — constructor \
+                  and step_with_coins, which reach the fault layer's degraded \
+                  body too), and convicts every allocating construct — constructor \
                   paths like `Vec::new`, allocating methods like `.clone()`/\
                   `.collect()`, and macros like `vec!`/`format!` — in any reachable \
                   function, with the witness call path in the message. Deliberately \

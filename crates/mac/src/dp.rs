@@ -23,22 +23,24 @@
 //! `[C − 1 + 2j, C + 2 + 2j]` depending only on their coins. Three facts
 //! follow, giving `O(min(N, deadline/slot))` per interval:
 //!
-//! 1. **All counters are distinct** and a link with initial counter `c`
-//!    acts at slot boundary `k = c` (counters decrement once per processed
-//!    boundary after the first). Walking links in priority order — with a
-//!    local two-element sort inside each pair block — visits them in
-//!    strictly increasing counter order.
+//! 1. **Counters are distinct per (priority, coin)** and a link with
+//!    initial counter `c` acts at slot boundary `k = c` (counters
+//!    decrement once per processed boundary after the first). Walking
+//!    priorities 1..=N — each pair block as its four claim slots: hi
+//!    staying, lo moving up, hi moving down, lo staying — visits claimants
+//!    in strictly increasing counter order.
 //! 2. **Idle gaps collapse**: between two consecutive actors the interval
 //!    advances by whole idle slots, so the walk jumps `gap` boundaries in
 //!    O(1) arithmetic (bounded by `⌈(deadline − t)/slot⌉` so the
 //!    deadline-stop boundary is exact).
-//! 3. **Carrier-sense checks become bitset lookups**: "busy at boundary
-//!    `k`" means "a transmission starts at `k`", so the walk records each
-//!    transmission boundary in a [`SenseBoard`] and the Eq. 7/8 checks
-//!    (counter at 1, i.e. boundary `initial − 1`) and the Remark-4 concede
-//!    check (boundary after a claim that did not fit) are resolved *after*
-//!    the walk as O(1) queries, guarded by the processed bound `B` (a
-//!    boundary never processed means "check never ran").
+//! 3. **Carrier-sense checks only hear the pair's own claims**: "busy at
+//!    boundary `k`" means "a transmission starts at `k`". The Eq. 7/8
+//!    checks fall at counter 1 — lo's at `C − 1 + 2j`, where only a
+//!    staying hi claims, and hi's at `C + 2j`, where only an upward lo
+//!    claims — and so does the Remark-4 concede check one boundary after a
+//!    staying hi's claim that did not fit. They are resolved *after* the
+//!    walk from the pair's claim flags, guarded by the processed bound
+//!    `B` (a boundary never processed means "check never ran").
 //!
 //! The RNG is consumed in protocol order — shared candidate draw, per-pair
 //! coins in candidate order (hi before lo), channel attempts in counter
@@ -46,35 +48,70 @@
 //! `tests/dp_fingerprints.rs`. The device-view [`crate::reference`]
 //! network is the independent slot-by-slot oracle.
 //!
+//! # The fault layer
+//!
+//! Installing any fault component — a [`FaultModel`], a [`ChurnProcess`],
+//! a [`HiddenMatrix`], a [`RecoveryConfig`], corrupted beliefs
+//! ([`DpEngine::set_beliefs`]) or a blocked link ([`DpEngine::set_blocked`])
+//! — gives the engine a fault layer, and its presence (never its rates)
+//! selects the degraded semantics:
+//!
+//! * σ is replaced by per-link priority **beliefs**, an arbitrary multiset
+//!   over `1..=N`, with a priority → live-links index. The same walk
+//!   visits, for each priority, the group of live links that believe it. A
+//!   group of one is the fault-free claim; two or more senders at one
+//!   boundary are the modeled collision: every frame is destroyed and the
+//!   medium stays busy for the longest airtime.
+//! * Every live link that believes a drawn pair's side flips a coin (hi
+//!   side's links in link order, then lo side's); down and blocked links
+//!   draw none, and a colliding group draws no channel attempt.
+//! * Each sense check is filtered through the hidden-terminal matrix and
+//!   then the [`FaultModel`] (one `sense` draw per check and armed
+//!   concede, in boundary order and then believer order). The two sides
+//!   can then commit inconsistent moves: a [`TraceEvent::Divergence`].
+//! * The R1/R2 recovery rule and [`FaultStats`] keep the bookkeeping
+//!   incremental: an interval touches believers, transmitters and
+//!   changed beliefs, not all `N` links (churn and bursty sensing advance
+//!   their per-link chains once per interval by design).
+//!
+//! An empty layer is not the fault-free engine, because R2 still runs. It
+//! replays the fault-free engine interval for interval from a bijection
+//! exactly while every drawn upper candidate's claim fits before the
+//! deadline; in a saturated interval a lo candidate can miss that claim
+//! for the miss limit, fall back, and part the trajectories.
+//!
 //! # Allocation discipline
 //!
-//! The constructor allocates only σ. The first step sizes the working
-//! storage — the per-pair state, the claim board, the reused
-//! [`DpIntervalReport`] — and from then on stepping performs **zero heap
-//! allocations** (pinned by `tests/alloc_regression.rs` with a counting
-//! allocator). Trace mode is the documented exception: it buffers and
-//! sorts events and is meant for debugging, not the hot path.
+//! The constructor allocates only σ, and a fault layer allocates its
+//! per-link state when installed. The first step sizes the working
+//! storage — the per-pair state, the reused [`DpIntervalReport`], and
+//! under a layer the `N`-sized group scratch — and from then on stepping
+//! performs **zero heap allocations**, with or without a layer (pinned by
+//! `tests/alloc_regression.rs` with a counting allocator). Trace mode is
+//! the documented exception: it buffers and sorts events and is meant for
+//! debugging, not the hot path.
 //!
 //! # Lazy coin parameters
 //!
 //! Eq. 5's coins are flipped only by the links of the drawn pairs `C(k)`,
 //! so [`DpEngine::step_with_mu`] takes `μ` as a per-link lookup and calls
 //! it once per candidate link, after the shared draw, hi before lo: an
-//! interval computes `2·|C(k)|` coin parameters, never `N`. Every value
-//! it computes is asserted to lie in `(0, 1)` in all builds. The dense
-//! `&[f64]` entry points ([`DpEngine::step`],
-//! [`DpEngine::step_with_candidates`]) are thin adapters over the same
-//! body; they additionally range-check all `N` entries, in debug builds
-//! only.
+//! interval computes `2·|C(k)|` coin parameters (under a fault layer, one
+//! per believer), never `N`. Every value it computes is asserted to lie in
+//! `(0, 1)` in all builds. The dense `&[f64]` entry points
+//! ([`DpEngine::step`], [`DpEngine::step_with_candidates`]) are thin
+//! adapters over the same body; they additionally range-check all `N`
+//! entries, in debug builds only.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rtmac_model::{AdjacentTransposition, LinkId, Permutation};
 use rtmac_phy::channel::LossModel;
-use rtmac_phy::{Medium, SenseBoard};
+use rtmac_phy::fault::{ChurnProcess, FaultModel, HiddenMatrix};
+use rtmac_phy::Medium;
 use rtmac_sim::{Nanos, SimRng};
 
-use crate::{IntervalOutcome, MacTiming};
+use crate::{ChurnEvent, FaultStats, IntervalOutcome, MacTiming, MissLimit, RecoveryConfig};
 
 /// Configuration of a [`DpEngine`].
 #[derive(Debug, Clone)]
@@ -209,9 +246,9 @@ pub enum TraceEvent {
         /// The upper priority `C` of the exchanged pair.
         upper: usize,
     },
-    /// Degraded mode only ([`crate::FaultyDpEngine`]): the two sides of a
-    /// drawn pair committed inconsistent priority moves, so the local σ
-    /// views diverged. The pristine [`DpEngine`] never emits this.
+    /// Fault layer only: the two sides of a drawn pair committed
+    /// inconsistent priority moves, so the local σ views diverged. A
+    /// [`DpEngine`] without a fault layer never emits this.
     Divergence {
         /// The upper priority `C` of the diverging pair.
         upper: usize,
@@ -233,40 +270,69 @@ pub struct DpIntervalReport {
     pub trace: Vec<TraceEvent>,
 }
 
-/// Sentinel for "no concede check armed" in [`Pair::concede_at`].
-const UNARMED: u64 = u64::MAX;
+/// The four claim slots of a pair block in counter order, as (hi side,
+/// wants to move): hi staying, lo moving up, hi moving down, lo staying.
+/// Pair `j` with upper priority `C` puts them at counters `C − 1 + 2j`
+/// through `C + 2 + 2j`.
+const BLOCK: [(bool, bool); 4] = [(true, false), (false, true), (true, true), (false, false)];
 
-/// One drawn swap pair's handshake state for the current interval.
+/// One link playing a side of a drawn pair this interval. Without a fault
+/// layer every pair has exactly two: hi holds `C`, lo holds `C + 1`. Under
+/// a layer, every live link that believes `C` or `C + 1` plays that side.
+#[derive(Debug, Clone, Copy)]
+struct Believer {
+    link: usize,
+    is_hi: bool,
+    /// hi: `ξ = −1`, it wants to move down; lo: `ξ = +1`, it wants up.
+    wants: bool,
+    /// It began a frame at its boundary: a clean claim or a collision.
+    /// Eq. 9's `R_i + R_j ≥ 1` needs lo's.
+    sent: bool,
+    /// Its frame collided (the R1 trigger).
+    collided: bool,
+    /// Its frame no longer fit before the deadline (Remark 4).
+    no_fit: bool,
+    /// Its Eq. 7/8 check heard what its move needs: busy for hi, idle
+    /// for lo.
+    observed: bool,
+    /// The deadline corner the paper leaves unspecified (it idealizes
+    /// claim frames to zero width, Definition 10). hi chose to *stay*, but
+    /// its claim no longer fit; at that boundary lo's counter stands at 1
+    /// and senses idle, so lo infers "hi wants down". To keep the
+    /// permutation consistent with sensing alone, hi concedes iff a
+    /// transmission starts at exactly the next boundary, which only lo's
+    /// claim can occupy.
+    concede: bool,
+    /// It committed its move at interval end.
+    moved: bool,
+}
+
+impl Believer {
+    /// The initial backoff counter (Eq. 6) of this believer of pair `j`
+    /// with upper priority `c`: its slot of the pair block.
+    fn counter(&self, c: usize, j: usize) -> u64 {
+        let slot = match (self.is_hi, self.wants) {
+            (true, false) => 0,
+            (false, true) => 1,
+            (true, true) => 2,
+            (false, false) => 3,
+        };
+        (c - 1 + 2 * j) as u64 + slot
+    }
+}
+
+/// One drawn swap pair: its upper priority and its believers.
 #[derive(Debug, Clone, Copy)]
 struct Pair {
     /// Upper priority `C` (pairs are sorted and pairwise non-adjacent).
     c: usize,
-    /// Link index holding priority `C`.
-    hi: usize,
-    /// Link index holding priority `C + 1`.
-    lo: usize,
-    /// Initial backoff counter of the hi member (Eq. 6).
-    hi_counter: u64,
-    /// Initial backoff counter of the lo member (Eq. 6).
-    lo_counter: u64,
-    /// `ξ_hi = −1`: hi wants to move down.
-    hi_wants_down: bool,
-    /// `ξ_lo = +1`: lo wants to move up.
-    lo_wants_up: bool,
-    /// lo actually began a transmission (Eq. 9's `R_i + R_j ≥ 1`; without
-    /// it the handshake cannot complete).
-    lo_transmitted: bool,
-    /// Deadline corner case the paper leaves unspecified (it idealizes
-    /// claim frames to zero width, Definition 10): hi chose to *stay*
-    /// (`ξ_hi = +1`, backoff `C−1`) but its claim frame no longer fit
-    /// before the deadline — at that same boundary lo's counter stands at
-    /// 1 and senses *idle*, so lo will infer "hi wants down". To keep the
-    /// permutation consistent with sensing alone, hi then concedes iff a
-    /// transmission starts at exactly the next slot boundary (only lo can
-    /// occupy that backoff slot, so the observation is unambiguous). This
-    /// is that boundary, or [`UNARMED`] when hi's claim fitted or hi
-    /// wanted down anyway.
-    concede_at: u64,
+    /// `believers[start..end]`: hi-side links, then lo-side links, each in
+    /// link order.
+    start: usize,
+    end: usize,
+    /// The last hi believer whose claim went out clean, in boundary order:
+    /// the claim the lo side's R2 rule listens for.
+    heard: Option<usize>,
 }
 
 /// Per-interval working storage, owned by the engine and sized on the
@@ -275,9 +341,8 @@ struct Pair {
 struct DpState {
     /// The drawn pairs, in candidate order.
     pairs: Vec<Pair>,
-    /// Bit-per-boundary transmission-start record (horizon 0 until the
-    /// first step sizes it).
-    board: SenseBoard,
+    /// Every pair's believers, pair by pair.
+    believers: Vec<Believer>,
     /// The drawn candidate set (reused buffer).
     candidates: Vec<usize>,
     /// Shuffle scratch for the stars-and-bars candidate draw.
@@ -285,25 +350,40 @@ struct DpState {
     /// Links whose per-link outcome entries were written this interval;
     /// clearing only these keeps the reset O(transmitters), not O(N).
     touched: Vec<usize>,
-    /// Trace mode only: events keyed by (boundary, within-boundary seq)
-    /// for the post-walk merge into protocol order.
-    trace_tmp: Vec<(u64, u32, TraceEvent)>,
+    /// Fault layer only: links whose frames collided this interval.
+    collided: Vec<usize>,
+    /// Fault layer only: one group's members as (id, link, fate).
+    fates: Vec<(usize, usize, Claim)>,
+    /// Fault layer only: one group's airtimes, for the medium.
+    airtimes: Vec<Nanos>,
+    /// Trace mode only: events keyed by (boundary, phase, seq) for the
+    /// post-walk merge into protocol order. Phase 0 is a sense check,
+    /// phase 1 a frame.
+    trace_tmp: Vec<((u64, u32, u32), TraceEvent)>,
     /// Trace mode only: start time of every processed boundary.
     boundary_times: Vec<Nanos>,
-    /// Debug-postcondition scratch (σ bijection check without `vec!`).
-    seen: Vec<bool>,
 }
 
-/// What happened at a claimant's action boundary.
+/// What happened to a claimant at its action boundary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Claim {
     /// The deadline was reached before the claimant acted.
     Stopped,
-    /// Nothing to send (no data, no pending empty claim); idle boundary.
+    /// Nothing to send (no data, no pending empty claim).
     Idle,
     /// The frame no longer fit before the deadline (Remark 4).
     NoFit,
-    /// A transmission started at the claimant's boundary.
+    /// The claimant transmitted alone: a clean claim.
     Transmitted,
+    /// The claimant's frame started together with others' and was lost.
+    Collided,
+}
+
+/// What a claimant offers at the boundary the walk just reached.
+enum Offer {
+    Idle,
+    NoFit,
+    Send(Nanos),
 }
 
 /// The walking state of one interval: current time, next unprocessed
@@ -315,19 +395,19 @@ struct Walk<'a> {
     arrivals: &'a [u32],
     channel: &'a mut dyn LossModel,
     rng: &'a mut SimRng,
-    board: &'a mut SenseBoard,
     outcome: &'a mut IntervalOutcome,
     touched: &'a mut Vec<usize>,
+    fates: &'a mut Vec<(usize, usize, Claim)>,
+    airtimes: &'a mut Vec<Nanos>,
     trace: Option<TraceRec<'a>>,
     medium: Medium,
     t: Nanos,
     next_boundary: u64,
-    stopped: bool,
 }
 
 /// Trace-mode sinks (separate struct so the hot path carries one `Option`).
 struct TraceRec<'a> {
-    events: &'a mut Vec<(u64, u32, TraceEvent)>,
+    events: &'a mut Vec<((u64, u32, u32), TraceEvent)>,
     times: &'a mut Vec<Nanos>,
 }
 
@@ -344,20 +424,16 @@ impl Walk<'_> {
         self.next_boundary += count;
     }
 
-    /// Advances to boundary `counter` and lets `link` act there.
-    ///
-    /// `pending_empty` is Step 2's flag: the link is a swap candidate with
-    /// no arrivals, so it claims its backoff slot with an empty frame.
-    fn claim(&mut self, link: usize, counter: u64, pending_empty: bool) -> Claim {
-        debug_assert!(!self.stopped, "claim after deadline stop");
+    /// Advances through the idle gap to boundary `counter`; `false` when
+    /// the deadline stops the walk first.
+    fn reach(&mut self, counter: u64) -> bool {
         debug_assert!(
             counter >= self.next_boundary,
             "claimants must arrive in counter order"
         );
         // A boundary where t >= deadline is never processed.
         if self.t >= self.deadline {
-            self.stopped = true;
-            return Claim::Stopped;
+            return false;
         }
         // Idle gap: every boundary strictly before `counter` belongs to no
         // remaining claimant, so each processed one adds exactly one idle
@@ -369,43 +445,147 @@ impl Walk<'_> {
         let m = remaining / self.slot + u64::from(!(remaining % self.slot).is_zero());
         if gap >= m {
             self.advance_idle(m);
-            self.stopped = true;
-            return Claim::Stopped;
+            return false;
         }
-        self.advance_idle(gap);
         // Boundary `counter` is processed (t < deadline holds because
         // gap ≤ m − 1).
+        self.advance_idle(gap);
+        true
+    }
+
+    /// What `link` offers at the boundary just reached. `pending_empty`
+    /// is Step 2's flag: the link is a swap candidate with no arrivals, so
+    /// it claims its backoff slot with an empty frame.
+    fn offer(&self, link: usize, pending_empty: bool) -> Offer {
         let has_data = self.arrivals[link] > 0;
         if !has_data && !pending_empty {
-            self.advance_idle(1);
-            return Claim::Idle;
+            return Offer::Idle;
         }
         let airtime = if has_data {
             self.timing.data_airtime_for(link)
         } else {
             self.timing.empty_airtime()
         };
-        if !self.timing.fits(self.t, airtime) {
-            // Remark 4: not enough time left — idle out the interval.
-            self.advance_idle(1);
-            return Claim::NoFit;
+        if self.timing.fits(self.t, airtime) {
+            Offer::Send(airtime)
+        } else {
+            Offer::NoFit
         }
+    }
 
-        // Transmission boundary (Step 6): record the claim bit, then hold
-        // the medium back-to-back until the buffer drains or time runs out.
-        debug_assert!(
-            !self.board.busy_at(counter as usize),
-            "two claimants at boundary {counter}: DP counters must be distinct"
-        );
-        self.board.record_start(counter as usize);
+    /// Advances to boundary `counter` and lets `link`, its only claimant,
+    /// act there.
+    fn claim(&mut self, link: usize, counter: u64, pending_empty: bool) -> Claim {
+        if !self.reach(counter) {
+            return Claim::Stopped;
+        }
+        match self.offer(link, pending_empty) {
+            Offer::Idle => {
+                self.advance_idle(1);
+                Claim::Idle
+            }
+            Offer::NoFit => {
+                // Remark 4: not enough time left — idle out the interval.
+                self.advance_idle(1);
+                Claim::NoFit
+            }
+            Offer::Send(airtime) => {
+                self.transmit(link, counter, airtime);
+                Claim::Transmitted
+            }
+        }
+    }
+
+    /// Advances to boundary `counter` and lets a group of claimants act
+    /// there together: corrupted beliefs can put several links on one
+    /// boundary. `members` yields `(id, link, pending_empty)`; afterwards
+    /// `fates` holds each member's `(id, link, fate)`. A lone sender's claim
+    /// is clean; two or more senders are the modeled collision. `false`
+    /// when the deadline stops the walk first.
+    fn claim_group(
+        &mut self,
+        counter: u64,
+        members: impl Iterator<Item = (usize, usize, bool)>,
+    ) -> bool {
+        if !self.reach(counter) {
+            return false;
+        }
+        self.fates.clear();
+        self.airtimes.clear();
+        let mut sender = 0;
+        for (id, link, pending_empty) in members {
+            let fate = match self.offer(link, pending_empty) {
+                Offer::Idle => Claim::Idle,
+                Offer::NoFit => Claim::NoFit,
+                Offer::Send(airtime) => {
+                    self.airtimes.push(airtime);
+                    sender = link;
+                    Claim::Transmitted
+                }
+            };
+            self.fates.push((id, link, fate));
+        }
+        match self.airtimes.len() {
+            0 => self.advance_idle(1),
+            1 => {
+                let airtime = self.airtimes[0];
+                self.transmit(sender, counter, airtime);
+            }
+            _ => {
+                // Every frame is destroyed and the medium stays busy for
+                // the longest airtime (one collision episode).
+                if let Some(tr) = &mut self.trace {
+                    tr.times.push(self.t);
+                }
+                let tx = self.medium.transmit(self.t, self.airtimes);
+                let mut seq: u32 = 1;
+                for (_, link, fate) in self.fates.iter_mut() {
+                    if *fate != Claim::Transmitted {
+                        continue;
+                    }
+                    *fate = Claim::Collided;
+                    let kind = if self.arrivals[*link] > 0 {
+                        self.outcome.attempts[*link] += 1;
+                        self.touched.push(*link);
+                        FrameKind::Data
+                    } else {
+                        self.outcome.empty_packets += 1;
+                        FrameKind::Empty
+                    };
+                    if let Some(tr) = &mut self.trace {
+                        let link = LinkId::new(*link);
+                        let (at, end) = (self.t, tx.ends_at);
+                        tr.events
+                            .push(((counter, 1, seq), TraceEvent::TxStart { link, at, kind }));
+                        tr.events.push((
+                            (counter, 1, seq + 1),
+                            TraceEvent::TxEnd {
+                                link,
+                                at: end,
+                                delivered: false,
+                            },
+                        ));
+                        seq += 2;
+                    }
+                }
+                self.t = tx.ends_at + self.slot;
+                self.next_boundary = counter + 1;
+            }
+        }
+        true
+    }
+
+    /// Step 6 for the lone sender at boundary `counter`: hold the medium
+    /// back-to-back until the buffer drains or time runs out, or send the
+    /// one empty claim frame.
+    fn transmit(&mut self, link: usize, counter: u64, airtime: Nanos) {
         if let Some(tr) = &mut self.trace {
             tr.times.push(self.t);
         }
         let mut now = self.t;
         let mut seq: u32 = 1;
-        if has_data {
-            debug_assert!(!pending_empty, "pending empty claims require zero arrivals");
-            let mut data = self.arrivals[link];
+        let mut data = self.arrivals[link];
+        if data > 0 {
             self.touched.push(link);
             while data > 0 && self.timing.fits(now, airtime) {
                 let tx = self.medium.transmit(now, &[airtime]);
@@ -418,8 +598,7 @@ impl Walk<'_> {
                 }
                 if let Some(tr) = &mut self.trace {
                     tr.events.push((
-                        counter,
-                        seq,
+                        (counter, 1, seq),
                         TraceEvent::TxStart {
                             link: LinkId::new(link),
                             at: now,
@@ -427,8 +606,7 @@ impl Walk<'_> {
                         },
                     ));
                     tr.events.push((
-                        counter,
-                        seq + 1,
+                        (counter, 1, seq + 1),
                         TraceEvent::TxEnd {
                             link: LinkId::new(link),
                             at: tx.ends_at,
@@ -444,8 +622,7 @@ impl Walk<'_> {
             self.outcome.empty_packets += 1;
             if let Some(tr) = &mut self.trace {
                 tr.events.push((
-                    counter,
-                    seq,
+                    (counter, 1, seq),
                     TraceEvent::TxStart {
                         link: LinkId::new(link),
                         at: now,
@@ -453,8 +630,7 @@ impl Walk<'_> {
                     },
                 ));
                 tr.events.push((
-                    counter,
-                    seq + 1,
+                    (counter, 1, seq + 1),
                     TraceEvent::TxEnd {
                         link: LinkId::new(link),
                         at: tx.ends_at,
@@ -466,13 +642,434 @@ impl Walk<'_> {
         }
         self.t = now + self.slot; // one idle slot before the next boundary
         self.next_boundary = counter + 1;
-        Claim::Transmitted
+    }
+}
+
+/// Records a claimant's fate on its believer (and its pair).
+fn settle(pair: &mut Pair, b: &mut Believer, fate: Claim, collided: &mut Vec<usize>) {
+    match fate {
+        Claim::Transmitted => {
+            b.sent = true;
+            if b.is_hi {
+                pair.heard = Some(b.link);
+            }
+        }
+        Claim::Collided => {
+            b.sent = true;
+            b.collided = true;
+            collided.push(b.link);
+        }
+        Claim::NoFit => b.no_fit = true,
+        Claim::Idle | Claim::Stopped => {}
+    }
+}
+
+/// The interval's rank source: which live links claim each priority, how
+/// they hear the medium, and how committed moves land. σ yields exactly
+/// one link per priority, hears exactly and commits whole transpositions,
+/// so the fault-free engine is the plain permutation walk. The fault layer
+/// yields every live link that believes a priority.
+trait Ranks {
+    /// The live links claiming one priority, in link order.
+    type At<'a>: Iterator<Item = usize>
+    where
+        Self: 'a;
+
+    /// The live links that hold (or believe they hold) priority `p`.
+    fn claimants(&self, p: usize) -> Self::At<'_>;
+
+    /// The priority `link` acts on this interval; `None` while it is down.
+    fn priority(&self, link: usize) -> Option<usize>;
+
+    /// Starts an interval.
+    fn begin(&mut self) {}
+
+    /// What `listener` hears at a boundary where `senders` began frames.
+    fn sense(&mut self, listener: usize, senders: impl Iterator<Item = usize>) -> bool;
+
+    /// Commits the moves of one pair's believers (`moved` is set), given
+    /// how many moved on each side.
+    fn commit(&mut self, c: usize, block: &[Believer], hi_moves: usize, lo_moves: usize);
+
+    /// Ends the interval once every pair has committed.
+    fn finish(&mut self, _pairs: &[Pair], _believers: &[Believer], _collided: &[usize]) {}
+}
+
+impl Ranks for Permutation {
+    type At<'a> = std::iter::Once<usize>;
+
+    fn claimants(&self, p: usize) -> Self::At<'_> {
+        std::iter::once(self.link_with_priority(p).index())
+    }
+
+    fn priority(&self, link: usize) -> Option<usize> {
+        Some(self.priority_of(LinkId::new(link)))
+    }
+
+    fn sense(&mut self, _listener: usize, mut senders: impl Iterator<Item = usize>) -> bool {
+        senders.next().is_some()
+    }
+
+    fn commit(&mut self, c: usize, _block: &[Believer], hi_moves: usize, lo_moves: usize) {
+        debug_assert_eq!(
+            hi_moves, lo_moves,
+            "swap handshake diverged for pair C = {c} (σ = {self})"
+        );
+        if hi_moves == 1 && lo_moves == 1 {
+            self.apply(AdjacentTransposition::new(c));
+        }
+    }
+}
+
+/// Sentinel for "no link" in the fault layer's belief index.
+const NONE: usize = usize::MAX;
+
+/// The degraded-mode state of a [`DpEngine`] (see the module docs): the
+/// per-link belief vector with its priority → live-links index, the
+/// sensing-fault model, churn, hidden terminals, administrative blocking,
+/// the R1/R2 recovery state, and [`FaultStats`].
+#[derive(Debug, Clone)]
+struct FaultLayer {
+    fault: FaultModel,
+    /// Flips folded in from fault models replaced via
+    /// [`DpEngine::set_fault_model`].
+    flips_base: u64,
+    churn: Option<ChurnProcess>,
+    hidden: Option<HiddenMatrix>,
+    recovery: RecoveryConfig,
+    /// Intervals run since the layer was installed.
+    interval: u64,
+    /// `beliefs[n]`: the priority link `n` believes it holds.
+    beliefs: Vec<usize>,
+    /// `head[p]`: the lowest live link believing `p`, or [`NONE`].
+    head: Vec<usize>,
+    /// `next[n]`: the next live link with `n`'s belief, in link order.
+    next: Vec<usize>,
+    /// `holders[p − 1]`: how many links (live or down) believe `p`.
+    holders: Vec<u32>,
+    /// `Σ_p max(0, holders − 1)`: zero iff the beliefs are a bijection.
+    excess: usize,
+    missed: Vec<u32>,
+    /// Per-link R2 miss limit currently in force (constant under
+    /// [`MissLimit::Fixed`], backed off per link under
+    /// [`MissLimit::Adaptive`]).
+    r2_limit: Vec<u32>,
+    desync_since: Option<u64>,
+    stats: FaultStats,
+    /// Churn down-state per link, as of the current interval.
+    down: Vec<bool>,
+    /// Links administratively blocked (admission-rejected/shed): treated
+    /// exactly like crashed links, but controlled by the caller.
+    blocked: Vec<bool>,
+    /// Crash/revive transitions not yet drained by the admission layer.
+    churn_events: Vec<ChurnEvent>,
+}
+
+/// The live links believing one priority, in link order.
+#[derive(Debug, Clone)]
+struct Believing<'a> {
+    next: &'a [usize],
+    link: usize,
+}
+
+impl Iterator for Believing<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let link = self.link;
+        if link == NONE {
+            return None;
+        }
+        self.link = self.next[link];
+        Some(link)
+    }
+}
+
+impl FaultLayer {
+    /// An empty layer over `beliefs`: perfect sensing, no churn, nothing
+    /// hidden or blocked, the default [`RecoveryConfig`].
+    fn new(beliefs: Vec<usize>) -> Self {
+        let n = beliefs.len();
+        let recovery = RecoveryConfig::new();
+        let mut layer = FaultLayer {
+            fault: FaultModel::none(),
+            flips_base: 0,
+            churn: None,
+            hidden: None,
+            interval: 0,
+            beliefs: Vec::new(),
+            head: vec![NONE; n + 1],
+            next: vec![NONE; n],
+            holders: vec![0; n],
+            excess: 0,
+            missed: vec![0; n],
+            r2_limit: vec![recovery.initial_miss_limit(n); n],
+            recovery,
+            desync_since: None,
+            stats: FaultStats::default(),
+            down: vec![false; n],
+            blocked: vec![false; n],
+            // At most one transition per link and interval.
+            churn_events: Vec::with_capacity(n),
+        };
+        layer.reset_beliefs(beliefs);
+        layer
+    }
+
+    /// Replaces the belief vector and rebuilds the index and counts.
+    fn reset_beliefs(&mut self, beliefs: Vec<usize>) {
+        self.beliefs = beliefs;
+        self.holders.fill(0);
+        self.excess = 0;
+        self.head.fill(NONE);
+        for link in (0..self.beliefs.len()).rev() {
+            let p = self.beliefs[link];
+            self.hold(p);
+            if self.live(link) {
+                self.next[link] = self.head[p];
+                self.head[p] = link;
+            }
+        }
+        self.missed.fill(0);
+    }
+
+    fn live(&self, link: usize) -> bool {
+        !self.down[link] && !self.blocked[link]
+    }
+
+    fn hold(&mut self, p: usize) {
+        self.holders[p - 1] += 1;
+        if self.holders[p - 1] > 1 {
+            self.excess += 1;
+        }
+    }
+
+    fn release(&mut self, p: usize) {
+        if self.holders[p - 1] > 1 {
+            self.excess -= 1;
+        }
+        self.holders[p - 1] -= 1;
+    }
+
+    /// Inserts live `link` into its belief's list, keeping link order.
+    fn link(&mut self, link: usize) {
+        let p = self.beliefs[link];
+        let mut prev = NONE;
+        let mut cur = self.head[p];
+        while cur != NONE && cur < link {
+            prev = cur;
+            cur = self.next[cur];
+        }
+        self.next[link] = cur;
+        if prev == NONE {
+            self.head[p] = link;
+        } else {
+            self.next[prev] = link;
+        }
+    }
+
+    /// Removes `link` from its belief's list.
+    fn unlink(&mut self, link: usize) {
+        let p = self.beliefs[link];
+        let mut prev = NONE;
+        let mut cur = self.head[p];
+        while cur != link {
+            prev = cur;
+            cur = self.next[cur];
+        }
+        if prev == NONE {
+            self.head[p] = self.next[link];
+        } else {
+            self.next[prev] = self.next[link];
+        }
+    }
+
+    /// Moves `link`'s belief to `p`.
+    fn set_belief(&mut self, link: usize, p: usize) {
+        debug_assert!(
+            (1..=self.beliefs.len()).contains(&p),
+            "belief {p} of link {link} escaped 1..=N"
+        );
+        let live = self.live(link);
+        if live {
+            self.unlink(link);
+        }
+        self.release(self.beliefs[link]);
+        self.beliefs[link] = p;
+        self.hold(p);
+        if live {
+            self.link(link);
+        }
+    }
+
+    /// Re-indexes `link` after its down or blocked flag changed.
+    fn relink(&mut self, link: usize, was_live: bool) {
+        match (was_live, self.live(link)) {
+            (true, false) => self.unlink(link),
+            (false, true) => self.link(link),
+            _ => {}
+        }
+    }
+
+    /// Drops `link` to the lowest priority `N` (R1/R2).
+    fn fall_back(&mut self, link: usize) {
+        let n = self.beliefs.len();
+        if self.beliefs[link] != n {
+            self.set_belief(link, n);
+            self.stats.fallbacks += 1;
+        }
+    }
+}
+
+impl Ranks for FaultLayer {
+    type At<'a> = Believing<'a>;
+
+    fn claimants(&self, p: usize) -> Believing<'_> {
+        Believing {
+            next: &self.next,
+            link: self.head[p],
+        }
+    }
+
+    fn priority(&self, link: usize) -> Option<usize> {
+        self.live(link).then_some(self.beliefs[link])
+    }
+
+    /// Advances the fault processes exactly once per interval and edge-
+    /// detects churn transitions. Both advances are zero-draw no-ops for
+    /// i.i.d./none sensing and scripted-only churn.
+    fn begin(&mut self) {
+        self.fault.begin_interval();
+        let interval = self.interval;
+        let Some(churn) = self.churn.as_mut() else {
+            return;
+        };
+        churn.advance_to(interval);
+        for link in 0..self.down.len() {
+            let down = self
+                .churn
+                .as_ref()
+                .is_some_and(|c| c.is_down(link, interval));
+            if down != self.down[link] {
+                let was_live = self.live(link);
+                self.down[link] = down;
+                self.relink(link, was_live);
+                self.churn_events.push(ChurnEvent {
+                    link,
+                    up: !down,
+                    interval,
+                });
+            }
+        }
+    }
+
+    /// The ground-truth busy signal is listener-specific under a hidden-
+    /// terminal matrix (deafness is topology, not noise); the fault
+    /// model's flip applies on top and draws once per call either way.
+    fn sense(&mut self, listener: usize, mut senders: impl Iterator<Item = usize>) -> bool {
+        let busy = match &self.hidden {
+            Some(h) => senders.any(|tx| !h.is_hidden(listener, tx)),
+            None => senders.next().is_some(),
+        };
+        self.fault.sense(LinkId::new(listener), busy)
+    }
+
+    /// Each believer commits the move it *thinks* it completed. When the
+    /// two sides disagree that is a divergence, and it is exactly how the
+    /// belief multiset loses bijectivity.
+    fn commit(&mut self, _c: usize, block: &[Believer], hi_moves: usize, lo_moves: usize) {
+        for b in block.iter().filter(|b| b.moved) {
+            let p = if b.is_hi {
+                self.beliefs[b.link] + 1
+            } else {
+                self.missed[b.link] = 0;
+                self.beliefs[b.link] - 1
+            };
+            self.set_belief(b.link, p);
+        }
+        if hi_moves != lo_moves {
+            self.stats.divergences += 1;
+        }
+    }
+
+    /// Recovery — R1 (a collision in an owned slot) and R2 (the miss
+    /// limit on the adjacent upper claim) both fall back to the lowest
+    /// priority; re-entry happens through the empty-claim mechanism — then
+    /// the desync-epoch accounting.
+    fn finish(&mut self, pairs: &[Pair], believers: &[Believer], collided: &[usize]) {
+        let recovery = self.recovery;
+        if recovery.collision_fallback() {
+            for &link in collided {
+                self.missed[link] = 0;
+                self.fall_back(link);
+            }
+        }
+        if recovery.miss_fallback() {
+            for pair in pairs {
+                for b in &believers[pair.start..pair.end] {
+                    // Eligible: a lo believer that did not move up and was
+                    // not already handled by R1.
+                    if b.is_hi || b.moved || (b.collided && recovery.collision_fallback()) {
+                        continue;
+                    }
+                    let link = b.link;
+                    // A claim only counts if this listener can physically
+                    // hear the claimant.
+                    let heard = pair.heard.is_some_and(|tx| {
+                        !self.hidden.as_ref().is_some_and(|h| h.is_hidden(link, tx))
+                    });
+                    if heard {
+                        self.missed[link] = 0;
+                        // Adaptive R2: a heard claim is evidence the
+                        // neighborhood works again — halve the backed-off
+                        // limit toward its initial value.
+                        if let MissLimit::Adaptive { .. } = recovery.miss_limit() {
+                            let initial = recovery.initial_miss_limit(self.beliefs.len());
+                            self.r2_limit[link] = (self.r2_limit[link] / 2).max(initial);
+                        }
+                    } else {
+                        self.missed[link] = self.missed[link].saturating_add(1);
+                        if self.missed[link] >= self.r2_limit[link] {
+                            self.missed[link] = 0;
+                            // Adaptive R2: back off this link's limit so a
+                            // persistently deaf neighborhood stops thrashing
+                            // the priority floor.
+                            if let MissLimit::Adaptive { cap, .. } = recovery.miss_limit() {
+                                self.r2_limit[link] =
+                                    self.r2_limit[link].saturating_mul(2).min(cap);
+                            }
+                            self.fall_back(link);
+                        }
+                    }
+                }
+            }
+        }
+
+        // A desync epoch opens at the end of the first interval whose
+        // belief multiset is not a bijection and closes when bijectivity
+        // returns.
+        let interval = self.interval;
+        if self.excess == 0 {
+            if let Some(since) = self.desync_since.take() {
+                let burst = interval.saturating_sub(since).max(1);
+                let s = &mut self.stats;
+                s.reconvergences += 1;
+                s.reconverge_interval_sum = s.reconverge_interval_sum.saturating_add(burst);
+                s.reconverge_hist[FaultStats::reconverge_bucket(burst)] += 1;
+            }
+        } else {
+            self.stats.desync_intervals += 1;
+            self.desync_since.get_or_insert(interval);
+        }
+        self.interval = interval + 1;
     }
 }
 
 /// The DP protocol engine. Persists the priority permutation `σ` across
 /// intervals; everything else is per-interval state, stepped in
-/// `O(min(N, deadline/slot))` (see the module docs).
+/// `O(min(N, deadline/slot))` (see the module docs). Installing any fault
+/// component gives it a fault layer, and from then on it runs the
+/// degraded semantics over per-link priority beliefs (see the module docs).
 ///
 /// # Example
 ///
@@ -492,22 +1089,50 @@ impl Walk<'_> {
 /// assert_eq!(report.outcome.total_deliveries(), 4);
 /// assert_eq!(report.outcome.collisions, 0);
 /// ```
+///
+/// With sensing faults:
+///
+/// ```
+/// use rtmac_mac::{DpConfig, DpEngine, MacTiming};
+/// use rtmac_phy::channel::Bernoulli;
+/// use rtmac_phy::fault::FaultModel;
+/// use rtmac_phy::PhyProfile;
+/// use rtmac_sim::{Nanos, SeedStream};
+///
+/// let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(2), 100);
+/// let mut engine = DpEngine::new(DpConfig::new(timing), 4)
+///     .with_fault_model(FaultModel::symmetric(0.2, SeedStream::new(7).rng(3)));
+/// let mut channel = Bernoulli::reliable(4);
+/// let mut rng = SeedStream::new(7).rng(2);
+/// for _ in 0..50 {
+///     let _ = engine.step(&[1, 1, 1, 1], &[0.5; 4], &mut channel, &mut rng);
+/// }
+/// // Sensing errors desynchronize the views, and recovery heals them:
+/// // whatever happened, beliefs stay inside 1..=N.
+/// assert!(engine.beliefs().iter().all(|&b| (1..=4).contains(&b)));
+/// ```
 #[derive(Debug, Clone)]
 pub struct DpEngine {
     config: DpConfig,
     sigma: Permutation,
     state: DpState,
     report: DpIntervalReport,
+    faults: Option<Box<FaultLayer>>,
 }
 
 /// The name the standalone benchmark package (`benchmark/`) imports for
 /// the interval kernel; it is [`DpEngine`] itself.
 pub type BatchedDpEngine = DpEngine;
 
+/// The name the standalone benchmark package (`benchmark/`) imports for
+/// the degraded engine; it is [`DpEngine`] itself, with a fault layer
+/// installed by its `with_*` builders.
+pub type FaultyDpEngine = DpEngine;
+
 impl DpEngine {
     /// Creates an engine for `n_links` links with the identity priority
-    /// ordering (`σ_n(0) = n + 1`). Only σ is allocated here; the working
-    /// buffers are sized on the first step.
+    /// ordering (`σ_n(0) = n + 1`) and no fault layer. Only σ is allocated
+    /// here; the working buffers are sized on the first step.
     ///
     /// # Panics
     ///
@@ -519,17 +1144,21 @@ impl DpEngine {
             sigma: Permutation::identity(n_links),
             state: DpState::default(),
             report: DpIntervalReport::default(),
+            faults: None,
         }
     }
 
-    /// The current priority permutation `σ(k−1)`.
+    /// The current priority permutation `σ(k−1)`. With a fault layer
+    /// installed the priorities live in [`DpEngine::beliefs`], and σ keeps
+    /// the order the beliefs started from.
     #[must_use]
     pub fn sigma(&self) -> &Permutation {
         &self.sigma
     }
 
     /// Overrides the priority permutation (e.g. to start a fixed-priority
-    /// experiment from a chosen ordering).
+    /// experiment from a chosen ordering); under a fault layer it also
+    /// resets the beliefs to it.
     ///
     /// # Panics
     ///
@@ -540,6 +1169,9 @@ impl DpEngine {
             self.sigma.len(),
             "permutation size must match link count"
         );
+        if let Some(layer) = &mut self.faults {
+            layer.reset_beliefs(sigma.priorities().to_vec());
+        }
         self.sigma = sigma;
     }
 
@@ -561,6 +1193,166 @@ impl DpEngine {
     #[must_use]
     pub fn last_report(&self) -> &DpIntervalReport {
         &self.report
+    }
+
+    /// The fault layer, installed empty on first use.
+    fn layer(&mut self) -> &mut FaultLayer {
+        let sigma = &self.sigma;
+        self.faults
+            .get_or_insert_with(|| Box::new(FaultLayer::new(sigma.priorities().to_vec())))
+    }
+
+    /// Installs a sensing-fault model (and with it the fault layer).
+    #[must_use]
+    pub fn with_fault_model(mut self, fault: FaultModel) -> Self {
+        self.set_fault_model(fault);
+        self
+    }
+
+    /// Replaces the sensing-fault model mid-run (test hook: e.g. stop
+    /// injecting errors and watch recovery heal the views). Flip counts of
+    /// the outgoing model are preserved in [`DpEngine::stats`].
+    pub fn set_fault_model(&mut self, fault: FaultModel) {
+        let layer = self.layer();
+        layer.flips_base = layer.flips_base.saturating_add(layer.fault.injected());
+        layer.fault = fault;
+    }
+
+    /// Installs a churn process (scripted events, flash crowds, Poisson
+    /// crash/revive).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the process link count differs from the engine's.
+    #[must_use]
+    pub fn with_churn_process(mut self, churn: ChurnProcess) -> Self {
+        assert_eq!(
+            churn.n_links(),
+            self.n_links(),
+            "churn process link count mismatch"
+        );
+        self.layer().churn = Some(churn);
+        self
+    }
+
+    /// Installs an asymmetric hidden-terminal matrix: each listener's
+    /// carrier-sense observations (and R2 claim hearing) ignore
+    /// transmitters hidden from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix link count differs from the engine's.
+    #[must_use]
+    pub fn with_hidden(mut self, hidden: HiddenMatrix) -> Self {
+        assert_eq!(
+            hidden.n_links(),
+            self.n_links(),
+            "hidden matrix link count mismatch"
+        );
+        self.layer().hidden = Some(hidden);
+        self
+    }
+
+    /// Installs the recovery rule (default [`RecoveryConfig::new`]).
+    #[must_use]
+    pub fn with_recovery(mut self, recovery: RecoveryConfig) -> Self {
+        let n = self.n_links();
+        let layer = self.layer();
+        layer.recovery = recovery;
+        layer.r2_limit.fill(recovery.initial_miss_limit(n));
+        self
+    }
+
+    /// Administratively blocks or unblocks a link. A blocked link behaves
+    /// exactly like a crashed one — it neither transmits, senses, nor
+    /// updates its belief — until unblocked. This is the admission
+    /// controller's shedding hook.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `link` is out of range.
+    pub fn set_blocked(&mut self, link: usize, blocked: bool) {
+        assert!(link < self.n_links(), "blocked link out of range");
+        let layer = self.layer();
+        let was_live = layer.live(link);
+        layer.blocked[link] = blocked;
+        layer.relink(link, was_live);
+    }
+
+    /// Overrides the belief vector — the test hook for starting from a
+    /// corrupted multiset (duplicates and holes allowed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the length differs from the link count or any value falls
+    /// outside `1..=N`.
+    pub fn set_beliefs(&mut self, beliefs: Vec<usize>) {
+        let n = self.n_links();
+        assert_eq!(beliefs.len(), n, "belief vector size must match link count");
+        for (link, &b) in beliefs.iter().enumerate() {
+            assert!(
+                (1..=n).contains(&b),
+                "belief {b} of link {link} outside 1..={n}"
+            );
+        }
+        self.layer().reset_beliefs(beliefs);
+    }
+
+    /// Whether a fault layer is installed: the engine then runs the
+    /// degraded semantics, even with every rate at zero.
+    #[must_use]
+    pub fn has_fault_layer(&self) -> bool {
+        self.faults.is_some()
+    }
+
+    /// The per-link priority beliefs (`beliefs()[n]` is what link `n`
+    /// thinks its own priority is): σ's priorities without a fault layer.
+    #[must_use]
+    pub fn beliefs(&self) -> &[usize] {
+        self.faults
+            .as_ref()
+            .map_or(self.sigma.priorities(), |l| &l.beliefs)
+    }
+
+    /// Whether the belief multiset currently forms a bijection of `1..=N`
+    /// (always, without a fault layer).
+    #[must_use]
+    pub fn is_bijective(&self) -> bool {
+        self.faults.as_ref().is_none_or(|l| l.excess == 0)
+    }
+
+    /// The per-link R2 miss limits currently in force (empty without a
+    /// fault layer).
+    #[must_use]
+    pub fn r2_limits(&self) -> &[u32] {
+        self.faults.as_ref().map_or(&[], |l| &l.r2_limit)
+    }
+
+    /// The churn process, if any.
+    #[must_use]
+    pub fn churn_process(&self) -> Option<&ChurnProcess> {
+        self.faults.as_ref().and_then(|l| l.churn.as_ref())
+    }
+
+    /// Cumulative fault/recovery counters (all zero without a fault
+    /// layer).
+    #[must_use]
+    pub fn stats(&self) -> FaultStats {
+        self.faults
+            .as_ref()
+            .map_or_else(FaultStats::default, |l| FaultStats {
+                sensing_flips: l.flips_base.saturating_add(l.fault.injected()),
+                ..l.stats
+            })
+    }
+
+    /// Moves all churn transitions (crashes and revivals) recorded since
+    /// the last drain into `out`, oldest first. The admission layer calls
+    /// this after each interval to learn about joiners and leavers.
+    pub fn drain_churn_events(&mut self, out: &mut Vec<ChurnEvent>) {
+        if let Some(layer) = &mut self.faults {
+            out.append(&mut layer.churn_events);
+        }
     }
 
     /// Runs one interval of the DP protocol (Steps 1–7 of Algorithm 2),
@@ -688,36 +1480,30 @@ impl DpEngine {
         self.step(arrivals, mu, channel, rng).clone()
     }
 
-    /// Sizes the working storage on the first step: the claim board covers
-    /// every boundary an interval can process — it stops at the deadline
-    /// after at most `deadline/slot + 1` boundaries (each advances t by ≥
-    /// one slot) and runs out of claimants after `max counter + 1 ≤
-    /// n + 2·pairs` boundaries. Injected candidate sets may hold more pairs
-    /// than the configured draw, up to `n/2`.
+    /// Sizes the working storage on the first step. Injected candidate
+    /// sets may hold more pairs than the configured draw, up to `n/2`;
+    /// data transmitters are bounded by the links and by the boundaries
+    /// an interval can process before the deadline stops it.
     fn size_buffers(&mut self) {
         let n = self.sigma.len();
         let want = self.config.swap_pairs.min(n / 2);
         let timing = &self.config.timing;
         let by_deadline = (timing.deadline() / timing.slot()) as usize + 2;
-        let by_counters = n + 2 * (n / 2) + 2;
-        let horizon = by_deadline.min(by_counters);
         let state = &mut self.state;
-        state.board = SenseBoard::new(horizon);
         state.pairs.reserve(want);
+        state.believers.reserve(2 * want);
         state.candidates.reserve(want);
         if want > 1 {
             state.draw_pool.reserve(n);
         }
-        state.touched.reserve(n.min(horizon));
-        state.seen.resize(n, false);
+        state.touched.reserve(n.min(by_deadline));
         self.report.outcome = IntervalOutcome::empty(n);
         self.report.candidates.reserve(want);
         self.report.swaps.reserve(want);
     }
 
-    /// The shared interval body.
-    #[allow(clippy::too_many_lines)] // one interval, one function: the walk,
-                                     // the sense resolution, and the commit are a single documented unit.
+    /// The shared interval body over σ, or over the fault layer's beliefs
+    /// when one is installed.
     fn run(
         &mut self,
         arrivals: &[u32],
@@ -729,27 +1515,69 @@ impl DpEngine {
         let n = self.sigma.len();
         assert_eq!(arrivals.len(), n, "arrivals must have one entry per link");
         assert_eq!(channel.n_links(), n, "channel link count mismatch");
-        if self.state.board.horizon() == 0 {
+        if self.report.outcome.deliveries.len() != n {
             self.size_buffers();
         }
-
         let Self {
             config,
             sigma,
             state,
             report,
+            faults,
         } = self;
+        match faults.as_deref_mut() {
+            None => Self::walk_interval(
+                sigma, config, state, report, arrivals, coins, inject, channel, rng,
+            ),
+            Some(layer) => {
+                // Under a layer any link can believe a pair side or share
+                // a boundary: size the group scratch for all N once.
+                if state.fates.capacity() < n {
+                    for v in [&mut state.touched, &mut state.collided] {
+                        v.reserve(n);
+                    }
+                    state.believers.reserve(n);
+                    state.fates.reserve(n);
+                    state.airtimes.reserve(n);
+                }
+                Self::walk_interval(
+                    layer, config, state, report, arrivals, coins, inject, channel, rng,
+                );
+            }
+        }
+        &self.report
+    }
+
+    /// The shared interval body (Steps 1–7 of Algorithm 2) over any rank
+    /// source.
+    #[allow(clippy::too_many_lines, clippy::too_many_arguments)] // one interval,
+                                                                 // one function: the draw, the walk, the sense resolution and the commit are
+                                                                 // a single documented unit over the engine's split-borrowed parts.
+    fn walk_interval<R: Ranks>(
+        ranks: &mut R,
+        config: &DpConfig,
+        state: &mut DpState,
+        report: &mut DpIntervalReport,
+        arrivals: &[u32],
+        coins: CoinSource<'_>,
+        inject: Option<&[usize]>,
+        channel: &mut dyn LossModel,
+        rng: &mut SimRng,
+    ) {
+        let n = arrivals.len();
         let timing = config.timing();
         let tracing = config.trace();
         let DpState {
             pairs,
-            board,
+            believers,
             candidates,
             draw_pool,
             touched,
+            collided,
+            fates,
+            airtimes,
             trace_tmp,
             boundary_times,
-            seen,
         } = state;
 
         // ------------------------------------------------------ reset
@@ -759,6 +1587,7 @@ impl DpEngine {
             report.outcome.latency_sum[l] = Nanos::ZERO;
         }
         touched.clear();
+        collided.clear();
         report.outcome.empty_packets = 0;
         report.outcome.collisions = 0;
         report.outcome.busy_time = Nanos::ZERO;
@@ -767,9 +1596,9 @@ impl DpEngine {
         report.candidates.clear();
         report.swaps.clear();
         report.trace.clear();
-        board.reset();
         trace_tmp.clear();
         boundary_times.clear();
+        ranks.begin();
 
         // ------------------------------------- Step 1: candidate draw
         match inject {
@@ -792,68 +1621,65 @@ impl DpEngine {
         }
         report.candidates.extend_from_slice(candidates);
 
-        // ------------------ Steps 2–4: coins and counters, per pair.
-        // Coins are drawn in candidate order, hi before lo.
+        // ------------------ Steps 2–3: coins, per pair and side.
+        // Coins are drawn in candidate order, hi side before lo side, each
+        // side's links in link order.
         pairs.clear();
+        believers.clear();
         for (j, &c) in candidates.iter().enumerate() {
-            let hi = sigma.link_with_priority(c).index();
-            let lo = sigma.link_with_priority(c + 1).index();
-            // ξ = +1 with probability μ (Eq. 5), unless injected verbatim.
-            // μ is looked up here and only here: once per candidate link.
-            let (xi_hi_up, xi_lo_up) = match coins {
-                CoinSource::Mu(mu) => {
-                    let (mu_hi, mu_lo) = (mu(hi), mu(lo));
-                    for (link, m) in [(hi, mu_hi), (lo, mu_lo)] {
-                        assert!(m > 0.0 && m < 1.0, "mu[{link}] = {m} must lie in (0, 1)");
-                    }
-                    (rng.random_bool(mu_hi), rng.random_bool(mu_lo))
+            let start = believers.len();
+            for (is_hi, p) in [(true, c), (false, c + 1)] {
+                for link in ranks.claimants(p) {
+                    // ξ = +1 with probability μ (Eq. 5), unless injected
+                    // verbatim. μ is looked up here and only here: once per
+                    // candidate link.
+                    let up = match coins {
+                        CoinSource::Mu(mu) => {
+                            let m = mu(link);
+                            assert!(m > 0.0 && m < 1.0, "mu[{link}] = {m} must lie in (0, 1)");
+                            rng.random_bool(m)
+                        }
+                        CoinSource::Fixed(flips) if is_hi => flips[j].hi_up,
+                        CoinSource::Fixed(flips) => flips[j].lo_up,
+                    };
+                    believers.push(Believer {
+                        link,
+                        is_hi,
+                        wants: if is_hi { !up } else { up },
+                        sent: false,
+                        collided: false,
+                        no_fit: false,
+                        observed: false,
+                        concede: false,
+                        moved: false,
+                    });
                 }
-                CoinSource::Fixed(flips) => (flips[j].hi_up, flips[j].lo_up),
-            };
-            let hi_wants_down = !xi_hi_up;
-            let lo_wants_up = xi_lo_up;
-            let off = 2 * j as u64;
-            // Eq. 6: counter = σ_n − ξ (+ 2 per completed earlier pair).
-            let hi_counter = if hi_wants_down {
-                c as u64 + 1 + off
-            } else {
-                c as u64 - 1 + off
-            };
-            let lo_counter = if lo_wants_up {
-                c as u64 + off
-            } else {
-                c as u64 + 2 + off
-            };
+            }
             pairs.push(Pair {
                 c,
-                hi,
-                lo,
-                hi_counter,
-                lo_counter,
-                hi_wants_down,
-                lo_wants_up,
-                lo_transmitted: false,
-                concede_at: UNARMED,
+                start,
+                end: believers.len(),
+                heard: None,
             });
         }
 
-        // Trace mode: every link's BackoffSet in link order, before any
-        // transmission. O(N · pairs) here is fine — trace mode is
-        // explicitly off the hot path.
+        // Trace mode: every live link's BackoffSet (Step 4, Eq. 6) in link
+        // order, before any transmission. O(N · believers) here is fine —
+        // trace mode is explicitly off the hot path.
         if tracing {
             for link in 0..n {
-                let sigma_n = sigma.priority_of(LinkId::new(link));
-                let mut counter = None;
-                for pair in pairs.iter() {
-                    if pair.hi == link {
-                        counter = Some(pair.hi_counter);
-                    } else if pair.lo == link {
-                        counter = Some(pair.lo_counter);
-                    }
-                }
-                let counter = counter.unwrap_or_else(|| {
-                    let pairs_above = pairs.iter().filter(|p| p.c + 1 < sigma_n).count() as u64;
-                    (sigma_n as u64 - 1) + 2 * pairs_above
+                let Some(priority) = ranks.priority(link) else {
+                    continue;
+                };
+                let believer = pairs.iter().enumerate().find_map(|(j, pair)| {
+                    believers[pair.start..pair.end]
+                        .iter()
+                        .find(|b| b.link == link)
+                        .map(|b| b.counter(pair.c, j))
+                });
+                let counter = believer.unwrap_or_else(|| {
+                    let pairs_above = pairs.iter().filter(|p| p.c + 1 < priority).count() as u64;
+                    (priority as u64 - 1) + 2 * pairs_above
                 });
                 report.trace.push(TraceEvent::BackoffSet {
                     link: LinkId::new(link),
@@ -864,9 +1690,9 @@ impl DpEngine {
 
         // --------------------- Phase 1: the priority walk (Steps 4/6).
         // Claimants are visited in strictly increasing counter order: the
-        // priority sweep 1..=N, with the two members of each pair block
-        // locally ordered by counter (pair j's counters lie strictly
-        // between its neighbours' — see the module docs).
+        // priority sweep 1..=N, with each pair block's four claim slots in
+        // counter order (pair j's counters lie strictly between its
+        // neighbours' — see the module docs).
         let mut walk = Walk {
             timing,
             slot: timing.slot(),
@@ -874,9 +1700,10 @@ impl DpEngine {
             arrivals,
             channel,
             rng,
-            board,
             outcome: &mut report.outcome,
             touched,
+            fates,
+            airtimes,
             trace: if tracing {
                 Some(TraceRec {
                     events: trace_tmp,
@@ -888,49 +1715,68 @@ impl DpEngine {
             medium: Medium::new(),
             t: Nanos::ZERO,
             next_boundary: 0,
-            stopped: false,
         };
         let mut pair_idx = 0usize;
         let mut p = 1usize;
         'walk: while p <= n {
             if pair_idx < pairs.len() && pairs[pair_idx].c == p {
                 let pair = &mut pairs[pair_idx];
-                let hi_first = pair.hi_counter < pair.lo_counter;
-                for step in 0..2 {
-                    let is_hi = (step == 0) == hi_first;
-                    let (link, counter) = if is_hi {
-                        (pair.hi, pair.hi_counter)
-                    } else {
-                        (pair.lo, pair.lo_counter)
-                    };
-                    // Step 2: a candidate with no arrivals claims its
-                    // backoff slot with an empty frame.
-                    let pending_empty = arrivals[link] == 0;
-                    match walk.claim(link, counter, pending_empty) {
-                        Claim::Stopped => break 'walk,
-                        Claim::Transmitted => {
-                            if !is_hi {
-                                pair.lo_transmitted = true;
+                let block = &mut believers[pair.start..pair.end];
+                let first = (p - 1 + 2 * pair_idx) as u64;
+                for (offset, &(is_hi, wants)) in BLOCK.iter().enumerate() {
+                    let counter = first + offset as u64;
+                    let in_slot = |b: &Believer| b.is_hi == is_hi && b.wants == wants;
+                    let mut members = block.iter().enumerate().filter(|(_, b)| in_slot(b));
+                    match (members.next(), members.next()) {
+                        (None, _) => {}
+                        (Some((i, b)), None) => {
+                            // Step 2: a candidate with no arrivals claims its
+                            // backoff slot with an empty frame.
+                            let fate = walk.claim(b.link, counter, arrivals[b.link] == 0);
+                            if fate == Claim::Stopped {
+                                break 'walk;
+                            }
+                            settle(pair, &mut block[i], fate, collided);
+                        }
+                        _ => {
+                            let group = block
+                                .iter()
+                                .enumerate()
+                                .filter(|(_, b)| in_slot(b))
+                                .map(|(i, b)| (i, b.link, arrivals[b.link] == 0));
+                            if !walk.claim_group(counter, group) {
+                                break 'walk;
+                            }
+                            for &(i, _, fate) in walk.fates.iter() {
+                                settle(pair, &mut block[i], fate, collided);
                             }
                         }
-                        Claim::NoFit => {
-                            // Remark 4: a *staying* hi whose claim no
-                            // longer fits concedes iff a transmission
-                            // starts at exactly the next boundary.
-                            if is_hi && !pair.hi_wants_down {
-                                pair.concede_at = counter + 1;
-                            }
-                        }
-                        Claim::Idle => {}
                     }
                 }
                 p += 2;
                 pair_idx += 1;
             } else {
-                let link = sigma.link_with_priority(p).index();
                 let counter = (p as u64 - 1) + 2 * pair_idx as u64;
-                if let Claim::Stopped = walk.claim(link, counter, false) {
-                    break 'walk;
+                let mut group = ranks.claimants(p);
+                match (group.next(), group.next()) {
+                    (None, _) => {} // a hole: nobody believes p
+                    (Some(link), None) => {
+                        if walk.claim(link, counter, false) == Claim::Stopped {
+                            break 'walk;
+                        }
+                    }
+                    (Some(a), Some(b)) => {
+                        let members = [a, b].into_iter().chain(group).map(|l| (l, l, false));
+                        if !walk.claim_group(counter, members) {
+                            break 'walk;
+                        }
+                        collided.extend(
+                            walk.fates
+                                .iter()
+                                .filter(|f| f.2 == Claim::Collided)
+                                .map(|f| f.1),
+                        );
+                    }
                 }
                 p += 1;
             }
@@ -939,11 +1785,10 @@ impl DpEngine {
         // deadline-stop boundary or `max counter + 1` once every claimant
         // acted. Sense checks at boundaries ≥ b_end never ran.
         let b_end = walk.next_boundary;
-        let collisions = walk.medium.stats().collisions;
-        let busy_time = walk.medium.stats().busy_time;
+        let stats = *walk.medium.stats();
         let busy_until = walk.medium.busy_until();
-        report.outcome.collisions += collisions;
-        report.outcome.busy_time = busy_time;
+        report.outcome.collisions += stats.collisions;
+        report.outcome.busy_time = stats.busy_time;
         report.outcome.leftover = timing.deadline().saturating_sub(busy_until);
         if tracing {
             debug_assert_eq!(
@@ -953,121 +1798,107 @@ impl DpEngine {
             );
         }
 
-        // ------- Phase 2: bitset sense resolution + commit (Steps 5/7).
+        // ------------- Phase 2: sense resolution (Step 5, Eqs. 7–8).
+        // Pair j's checks fall on its own block: lo (wanting up) senses at
+        // counter 1, boundary C − 1 + 2j, where only the staying hi claims;
+        // hi (wanting down) senses at C + 2j, where only the upward lo claims,
+        // and so does a staying hi whose claim did not fit (the concede).
+        // Checks run in boundary order, then believer order.
         for (j, pair) in pairs.iter().enumerate() {
-            let mut hi_busy_at_1 = false;
-            let mut lo_idle_at_1 = false;
-            if pair.hi_wants_down {
-                // Eq. 7: hi senses at the boundary where its counter
-                // stands at 1, i.e. boundary `initial − 1`.
-                let s = pair.hi_counter - 1;
-                if s < b_end {
-                    let busy = board.busy_at(s as usize);
-                    hi_busy_at_1 = busy;
+            let block = &mut believers[pair.start..pair.end];
+            let lo_check = (pair.c - 1 + 2 * j) as u64;
+            for (listen_hi, s) in [(false, lo_check), (true, lo_check + 1)] {
+                if s >= b_end {
+                    continue;
+                }
+                for i in 0..block.len() {
+                    let b = block[i];
+                    let checks = b.wants || (b.is_hi && b.no_fit);
+                    if b.is_hi != listen_hi || !checks {
+                        continue;
+                    }
+                    // The claim this side listens for: the other side's
+                    // opposite intention (hi staying for lo, lo moving up for
+                    // hi).
+                    let senders = block
+                        .iter()
+                        .filter(|o| o.is_hi != listen_hi && o.wants == listen_hi && o.sent)
+                        .map(|o| o.link);
+                    let busy = ranks.sense(b.link, senders);
+                    if !b.wants {
+                        block[i].concede = busy;
+                        continue;
+                    }
+                    block[i].observed = busy == listen_hi;
                     if tracing {
                         trace_tmp.push((
-                            s,
-                            0,
+                            (s, 0, (pair.start + i) as u32),
                             TraceEvent::SenseCheck {
-                                link: LinkId::new(pair.hi),
+                                link: LinkId::new(b.link),
                                 at: boundary_times[s as usize],
                                 busy,
                             },
                         ));
                     }
-                }
-            }
-            if pair.lo_wants_up {
-                // Eq. 8: same construction for lo.
-                let s = pair.lo_counter - 1;
-                if s < b_end {
-                    let busy = board.busy_at(s as usize);
-                    lo_idle_at_1 = !busy;
-                    if tracing {
-                        trace_tmp.push((
-                            s,
-                            0,
-                            TraceEvent::SenseCheck {
-                                link: LinkId::new(pair.lo),
-                                at: boundary_times[s as usize],
-                                busy,
-                            },
-                        ));
-                    }
-                }
-            }
-            let ca = pair.concede_at;
-            let hi_concede = ca != UNARMED && ca < b_end && board.busy_at(ca as usize);
-            let hi_swaps = (pair.hi_wants_down && hi_busy_at_1) || hi_concede;
-            let lo_swaps = lo_idle_at_1 && pair.lo_wants_up && pair.lo_transmitted;
-            debug_assert_eq!(
-                hi_swaps, lo_swaps,
-                "swap handshake diverged for pair C = {} (σ = {})",
-                pair.c, sigma
-            );
-            if hi_swaps && lo_swaps {
-                let t = AdjacentTransposition::new(pair.c);
-                sigma.apply(t);
-                report.swaps.push(t);
-                if tracing {
-                    trace_tmp.push((
-                        u64::MAX,
-                        j as u32,
-                        TraceEvent::SwapCommitted { upper: pair.c },
-                    ));
                 }
             }
         }
+
+        // ---------------------------------------- Step 7: the commit.
+        for (j, pair) in pairs.iter().enumerate() {
+            let block = &mut believers[pair.start..pair.end];
+            let (mut hi_moves, mut lo_moves) = (0, 0);
+            for b in block.iter_mut() {
+                b.moved = if b.is_hi {
+                    (b.wants && b.observed) || b.concede
+                } else {
+                    b.wants && b.observed && b.sent
+                };
+                if b.moved && b.is_hi {
+                    hi_moves += 1;
+                } else if b.moved {
+                    lo_moves += 1;
+                }
+            }
+            let event = if hi_moves == 1 && lo_moves == 1 {
+                report.swaps.push(AdjacentTransposition::new(pair.c));
+                Some(TraceEvent::SwapCommitted { upper: pair.c })
+            } else {
+                (hi_moves != lo_moves).then_some(TraceEvent::Divergence { upper: pair.c })
+            };
+            if let (true, Some(e)) = (tracing, event) {
+                trace_tmp.push(((u64::MAX, 0, j as u32), e));
+            }
+            ranks.commit(pair.c, block, hi_moves, lo_moves);
+        }
+        ranks.finish(pairs, believers, collided);
 
         // Trace mode: merge the out-of-order sense checks back into
-        // per-boundary emission order. Keys are unique (sense boundaries
-        // are pairwise distinct; tx events use seq ≥ 1).
+        // per-boundary emission order. Keys are unique: a sense check is keyed
+        // by its believer, a frame by its sequence at the boundary.
         if tracing {
-            trace_tmp.sort_unstable_by_key(|&(b, s, _)| (b, s));
-            report.trace.extend(trace_tmp.iter().map(|&(_, _, e)| e));
+            trace_tmp.sort_unstable_by_key(|&(k, _)| k);
+            report.trace.extend(trace_tmp.iter().map(|&(_, e)| e));
         }
 
-        // Interval postconditions (debug only, using engine-owned scratch
-        // instead of a fresh `vec!`): σ(k+1) must still be a bijection of
-        // 1..=N, and each drawn pair commits at most one transposition, so
-        // the committed swaps are a strictly-increasing subset of the
-        // drawn candidates.
+        // Interval postconditions (debug only): each drawn pair commits at
+        // most one transposition, so the committed swaps are a
+        // strictly-increasing subset of the drawn candidates.
+        debug_assert!(
+            report.swaps.len() <= report.candidates.len(),
+            "more swaps committed ({}) than pairs drawn ({})",
+            report.swaps.len(),
+            report.candidates.len()
+        );
         #[cfg(debug_assertions)]
-        {
-            seen.fill(false);
-            for &p in sigma.priorities() {
-                debug_assert!(
-                    p >= 1 && p <= n && !seen[p - 1],
-                    "σ is no longer a permutation after interval commit: {sigma}"
-                );
-                seen[p - 1] = true;
-            }
+        for w in report.swaps.windows(2) {
             debug_assert!(
-                report.swaps.len() <= report.candidates.len(),
-                "more swaps committed ({}) than pairs drawn ({})",
-                report.swaps.len(),
-                report.candidates.len()
+                w[0].upper() < w[1].upper(),
+                "a drawn pair committed two swaps (uppers {} and {})",
+                w[0].upper(),
+                w[1].upper()
             );
-            for w in report.swaps.windows(2) {
-                debug_assert!(
-                    w[0].upper() < w[1].upper(),
-                    "a drawn pair committed two swaps (uppers {} and {})",
-                    w[0].upper(),
-                    w[1].upper()
-                );
-            }
-            for t in report.swaps.iter() {
-                debug_assert!(
-                    report.candidates.contains(&t.upper()),
-                    "committed swap at priority {} was never drawn as a candidate",
-                    t.upper()
-                );
-            }
         }
-        #[cfg(not(debug_assertions))]
-        let _ = seen;
-
-        report
     }
 }
 

@@ -14,12 +14,12 @@
 //!   driven purely by coin flips and carrier sensing, empty priority-claim
 //!   packets, and the multi-pair generalization of Remark 6. One interval
 //!   costs `O(min(N, deadline/slot))`: the engine walks links in counter
-//!   order and resolves carrier-sense checks against a bitset claim board.
-//! * [`FaultyDpEngine`] — the degraded-mode DP path: the same protocol
-//!   executed over per-link priority *beliefs* with injected carrier-sensing
-//!   faults and link churn, modeled collisions instead of asserted
+//!   order and resolves carrier-sense checks against the drawn pairs' own
+//!   claims. An optional fault layer runs the same walk over per-link
+//!   priority *beliefs*, with injected carrier-sensing faults, hidden
+//!   terminals and link churn, modeled collisions instead of asserted
 //!   collision-freedom, and a self-stabilizing recovery rule that restores
-//!   the priority bijection.
+//!   the priority bijection ([`RecoveryConfig`], [`FaultStats`]).
 //! * [`FcsmaEngine`] — the discretized Fast-CSMA baseline of Li & Eryilmaz
 //!   as used in the paper's comparison: slotted random access whose
 //!   per-slot attempt probability is a quantized function of delivery debt,
@@ -64,9 +64,9 @@ pub use centralized::CentralizedEngine;
 pub use dcf::{DcfConfig, DcfEngine};
 pub use dp::{
     draw_nonadjacent_candidates, draw_nonadjacent_candidates_into, BatchedDpEngine, DpConfig,
-    DpEngine, DpIntervalReport, FrameKind, PairCoins, TraceEvent,
+    DpEngine, DpIntervalReport, FaultyDpEngine, FrameKind, PairCoins, TraceEvent,
 };
-pub use faulty::{ChurnEvent, FaultStats, FaultyDpEngine, MissLimit, RecoveryConfig};
+pub use faulty::{ChurnEvent, FaultStats, MissLimit, RecoveryConfig};
 pub use fcsma::{FcsmaEngine, FcsmaQuantizer};
 pub use frame_csma::FrameCsmaEngine;
 pub use outcome::{IntervalOutcome, LinkActivity};

@@ -25,9 +25,6 @@
 //!   scripted event ([`fault::ChurnSchedule`]) up to seeded Poisson
 //!   crash/revive processes and flash-crowd join ramps
 //!   ([`fault::ChurnProcess`]) for the degraded-mode DP experiments.
-//! * [`SenseBoard`] — a bit-per-slot-boundary claim board that lets the
-//!   DP interval kernel resolve carrier-sense checks as O(1) lookups
-//!   instead of per-link timeline walks.
 //!
 //! # Example
 //!
@@ -45,8 +42,6 @@ pub mod channel;
 pub mod fault;
 mod medium;
 mod profile;
-mod sense;
 
 pub use medium::{Medium, MediumStats, TransmitOutcome};
 pub use profile::PhyProfile;
-pub use sense::SenseBoard;

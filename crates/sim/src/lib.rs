@@ -16,8 +16,6 @@
 //! * [`SeedStream`] — a deterministic hierarchy of RNG seeds so independent
 //!   stochastic components (channels, arrivals, coin flips, ...) each get
 //!   their own reproducible stream.
-//! * [`BitSet`] — a fixed-capacity, allocation-free-after-construction
-//!   bitset used by the DP interval kernel's slot-boundary claim board.
 //!
 //! # Example
 //!
@@ -32,13 +30,11 @@
 //! assert_eq!(ev, "interval start");
 //! ```
 
-mod bitset;
 mod event;
 mod rng;
 mod simulator;
 mod time;
 
-pub use bitset::BitSet;
 pub use event::EventQueue;
 pub use rng::{rng_from_seed, SeedStream, SimRng};
 pub use simulator::{SimControl, SimHandle, Simulator};

@@ -79,7 +79,7 @@ fn differential(n: usize, pairs: usize, seed: u64) {
         }
         let outcome = lazy.run_interval(&arrivals, &debts, &mut ch_lazy, &mut rng_lazy);
         let reference = dense.step(&arrivals, &mu, &mut ch_dense, &mut rng_dense);
-        let engine = lazy.engine().expect("pristine driver");
+        let engine = lazy.engine();
         let got = engine.last_report();
         let ctx = format!("N = {n}, pairs = {pairs}, interval {k}");
         assert_eq!(outcome, reference.outcome, "outcome, {ctx}");

@@ -1,10 +1,12 @@
 //! Pinned microbenchmarks of the DP interval kernel across the N-grid,
-//! plus the work-stealing Runner. The tracked machine-readable numbers
+//! the kernel with and without a fault layer, plus the work-stealing
+//! Runner. The tracked machine-readable numbers
 //! come from the `bench_kernel` binary; this criterion suite is for quick
 //! interactive comparisons (`cargo bench -p rtmac-bench --bench kernel`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rtmac::mac::{DpConfig, DpEngine, MacTiming};
+use rtmac::phy::fault::FaultModel;
 use rtmac::phy::{channel::Bernoulli, PhyProfile};
 use rtmac::sim::{Nanos, SeedStream};
 use std::hint::black_box;
@@ -31,6 +33,33 @@ fn bench_kernel_grid(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fault layer's cost on the same walk: a fault-free engine against
+/// one with rare sensing errors (ε = 1e-4, no churn or bursts), both with
+/// one swap pair, video timing and 3 arrivals per link.
+fn bench_degraded(c: &mut Criterion) {
+    let mut group = c.benchmark_group("degraded_one_interval");
+    for n in [10usize, 1_000, 10_000] {
+        for (name, eps) in [("fault_free", None), ("eps_1e-4", Some(1e-4))] {
+            let mut engine = DpEngine::new(DpConfig::new(video_timing()), n);
+            if let Some(eps) = eps {
+                engine =
+                    engine.with_fault_model(FaultModel::symmetric(eps, SeedStream::new(1).rng(3)));
+            }
+            let mut channel = Bernoulli::new(vec![0.7; n]).unwrap();
+            let mut rng = SeedStream::new(1).rng(2);
+            let arrivals = vec![3u32; n];
+            let mu = vec![0.5f64; n];
+            group.bench_function(&format!("{name}/n{n}"), |b| {
+                b.iter(|| {
+                    let report = engine.step(&arrivals, &mu, &mut channel, &mut rng);
+                    black_box(report.outcome.deliveries.len())
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_runner_map(c: &mut Criterion) {
     let runner = rtmac::Runner::default();
     c.bench_function("runner_map_64_jobs", |b| {
@@ -42,5 +71,5 @@ fn bench_runner_map(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_kernel_grid, bench_runner_map);
+criterion_group!(benches, bench_kernel_grid, bench_degraded, bench_runner_map);
 criterion_main!(benches);

@@ -411,6 +411,31 @@ struct TraceRec<'a> {
     times: &'a mut Vec<Nanos>,
 }
 
+impl TraceRec<'_> {
+    /// One frame's start and end events, the `seq`-th and next at
+    /// boundary `counter`.
+    fn frame(
+        &mut self,
+        (counter, seq): (u64, u32),
+        link: usize,
+        (at, end): (Nanos, Nanos),
+        kind: FrameKind,
+        delivered: bool,
+    ) {
+        let link = LinkId::new(link);
+        self.events
+            .push(((counter, 1, seq), TraceEvent::TxStart { link, at, kind }));
+        self.events.push((
+            (counter, 1, seq + 1),
+            TraceEvent::TxEnd {
+                link,
+                at: end,
+                delivered,
+            },
+        ));
+    }
+}
+
 impl Walk<'_> {
     /// Processes `count` idle boundaries: one idle slot each.
     fn advance_idle(&mut self, count: u64) {
@@ -553,18 +578,7 @@ impl Walk<'_> {
                         FrameKind::Empty
                     };
                     if let Some(tr) = &mut self.trace {
-                        let link = LinkId::new(*link);
-                        let (at, end) = (self.t, tx.ends_at);
-                        tr.events
-                            .push(((counter, 1, seq), TraceEvent::TxStart { link, at, kind }));
-                        tr.events.push((
-                            (counter, 1, seq + 1),
-                            TraceEvent::TxEnd {
-                                link,
-                                at: end,
-                                delivered: false,
-                            },
-                        ));
+                        tr.frame((counter, seq), *link, (self.t, tx.ends_at), kind, false);
                         seq += 2;
                     }
                 }
@@ -597,22 +611,8 @@ impl Walk<'_> {
                     self.outcome.latency_sum[link] += tx.ends_at;
                 }
                 if let Some(tr) = &mut self.trace {
-                    tr.events.push((
-                        (counter, 1, seq),
-                        TraceEvent::TxStart {
-                            link: LinkId::new(link),
-                            at: now,
-                            kind: FrameKind::Data,
-                        },
-                    ));
-                    tr.events.push((
-                        (counter, 1, seq + 1),
-                        TraceEvent::TxEnd {
-                            link: LinkId::new(link),
-                            at: tx.ends_at,
-                            delivered,
-                        },
-                    ));
+                    let span = (now, tx.ends_at);
+                    tr.frame((counter, seq), link, span, FrameKind::Data, delivered);
                     seq += 2;
                 }
                 now = tx.ends_at;
@@ -621,22 +621,13 @@ impl Walk<'_> {
             let tx = self.medium.transmit(now, &[airtime]);
             self.outcome.empty_packets += 1;
             if let Some(tr) = &mut self.trace {
-                tr.events.push((
-                    (counter, 1, seq),
-                    TraceEvent::TxStart {
-                        link: LinkId::new(link),
-                        at: now,
-                        kind: FrameKind::Empty,
-                    },
-                ));
-                tr.events.push((
-                    (counter, 1, seq + 1),
-                    TraceEvent::TxEnd {
-                        link: LinkId::new(link),
-                        at: tx.ends_at,
-                        delivered: false,
-                    },
-                ));
+                tr.frame(
+                    (counter, seq),
+                    link,
+                    (now, tx.ends_at),
+                    FrameKind::Empty,
+                    false,
+                );
             }
             now = tx.ends_at;
         }
@@ -1533,9 +1524,8 @@ impl DpEngine {
                 // Under a layer any link can believe a pair side or share
                 // a boundary: size the group scratch for all N once.
                 if state.fates.capacity() < n {
-                    for v in [&mut state.touched, &mut state.collided] {
-                        v.reserve(n);
-                    }
+                    state.touched.reserve(n);
+                    state.collided.reserve(n);
                     state.believers.reserve(n);
                     state.fates.reserve(n);
                     state.airtimes.reserve(n);
@@ -1550,9 +1540,10 @@ impl DpEngine {
 
     /// The shared interval body (Steps 1–7 of Algorithm 2) over any rank
     /// source.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)] // one interval,
-                                                                 // one function: the draw, the walk, the sense resolution and the commit are
-                                                                 // a single documented unit over the engine's split-borrowed parts.
+    // One interval, one function: the draw, the walk, the sense resolution
+    // and the commit are a single documented unit over the engine's
+    // split-borrowed parts.
+    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
     fn walk_interval<R: Ranks>(
         ranks: &mut R,
         config: &DpConfig,

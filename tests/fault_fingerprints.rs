@@ -13,6 +13,8 @@
 //!
 //! * a fixed 216-case grid over N × swap pairs × fault setting ×
 //!   recovery rule, with timing and trace mode alternating;
+//! * 300 seeded random configurations with mid-run blocking, fault-model
+//!   withdrawal and churn-event drains;
 //! * the saturated zero-fault case in which an empty layer's R2
 //!   fallback leaves the fault-free trajectory;
 //! * four network-level robustness scenarios, pinned over their
@@ -198,6 +200,115 @@ fn fault_grid_fingerprint() {
     assert!(totals.divergences > 0 && totals.fallbacks > 0);
     assert!(totals.reconvergences > 0 && totals.sensing_flips > 0);
     assert_pinned("fault grid", hash, 0x8707_A838_8E82_2245);
+}
+
+/// 300 configurations drawn from a seeded stream: N up to 40, up to 5
+/// pairs, six deadlines, per-link payloads, random noise, bursts,
+/// hidden pairs, churn, corrupted beliefs and recovery rules, with links
+/// blocked and unblocked, the fault model withdrawn and churn events
+/// drained mid-run. Every configuration's fingerprint folds into one
+/// constant.
+#[test]
+fn random_configurations_fingerprint() {
+    let mut hash = FNV_OFFSET;
+    for case in 0..300u64 {
+        let seeds = SeedStream::new(77_000 + case);
+        let mut pick = seeds.rng(9);
+        let n = pick.random_range(2..=40usize);
+        let deadline = [200u64, 500, 1_000, 2_000, 5_000, 20_000][pick.random_range(0..6usize)];
+        let payload = [100u32, 500, 1500][pick.random_range(0..3usize)];
+        let mut timing = MacTiming::new(
+            PhyProfile::ieee80211a(),
+            Nanos::from_micros(deadline),
+            payload,
+        );
+        if pick.random_bool(0.2) {
+            let payloads: Vec<u32> = (0..n).map(|l| [1500, 100, 500][l % 3]).collect();
+            timing = timing.with_link_payloads(&payloads);
+        }
+        let config = DpConfig::new(timing)
+            .with_swap_pairs(pick.random_range(0..=5usize))
+            .with_trace(pick.random_bool(0.5));
+        let eps = [0.0, 0.0, 1e-3, 0.02, 0.1, 0.3][pick.random_range(0..6usize)];
+        let mut model = if eps == 0.0 {
+            FaultModel::none()
+        } else {
+            FaultModel::symmetric(eps, seeds.rng(3))
+        };
+        if pick.random_bool(0.2) {
+            model = FaultModel::symmetric(f64::max(eps, 1e-3), seeds.rng(3)).with_burst(
+                n,
+                BurstSensing::new(0.1, 0.3, 0.3, 0.2),
+                seeds.rng(5),
+            );
+        }
+        let recovery = match pick.random_range(0..4u32) {
+            0 => RecoveryConfig::new(),
+            1 => RecoveryConfig::new().with_miss_limit(1 + pick.random_range(0..4u32)),
+            2 => RecoveryConfig::new().with_adaptive_miss_limit(1 + pick.random_range(0..3u32), 16),
+            _ => RecoveryConfig::disabled().with_collision_fallback(pick.random_bool(0.5)),
+        };
+        let mut engine = FaultyDpEngine::new(config, n)
+            .with_fault_model(model)
+            .with_recovery(recovery);
+        if pick.random_bool(0.3) {
+            let mut hidden = HiddenMatrix::new(n);
+            for _ in 0..pick.random_range(1..=4usize) {
+                let (a, b) = (pick.random_range(0..n), pick.random_range(0..n));
+                if a != b {
+                    hidden.hide(a, b);
+                }
+            }
+            engine = engine.with_hidden(hidden);
+        }
+        if pick.random_bool(0.4) {
+            let mut churn = ChurnProcess::new(n);
+            if pick.random_bool(0.5) {
+                let link = LinkId::new(pick.random_range(0..n));
+                let (at, len) = (pick.random_range(0..20u64), 1 + pick.random_range(0..10u64));
+                churn = churn.with_event(ChurnSchedule::new(link, at, len));
+            }
+            if pick.random_bool(0.3) && n >= 3 {
+                let first = pick.random_range(0..n - 1);
+                let count = 1 + pick.random_range(0..n - first);
+                churn = churn.with_flash_crowd(first, count, 1 + pick.random_range(0..20u64));
+            }
+            if pick.random_bool(0.5) {
+                churn = churn.with_poisson(0.05, 3.0, seeds.rng(4));
+            }
+            engine = engine.with_churn_process(churn);
+        }
+        if pick.random_bool(0.3) {
+            engine.set_beliefs((0..n).map(|_| pick.random_range(1..=n)).collect());
+        }
+        let mut channel = Bernoulli::new(vec![0.3 + 0.7 * pick.random::<f64>(); n]).unwrap();
+        let mut rng = seeds.rng(2);
+        let mut input = seeds.rng(1);
+        let max_arrivals = pick.random_range(0..=4u32);
+        let mut events: Vec<ChurnEvent> = Vec::new();
+        for k in 0..60 {
+            if pick.random_bool(0.05) {
+                engine.set_blocked(pick.random_range(0..n), pick.random_bool(0.5));
+            }
+            if k == 30 && pick.random_bool(0.2) {
+                engine.set_fault_model(FaultModel::none());
+            }
+            let arrivals: Vec<u32> = (0..n)
+                .map(|_| input.random_range(0..=max_arrivals))
+                .collect();
+            let mu: Vec<f64> = (0..n).map(|_| input.random_range(0.02..0.98)).collect();
+            let report = engine.run_interval(&arrivals, &mu, &mut channel, &mut rng);
+            hash = fnv1a(hash, format!("{report:?}").as_bytes());
+            hash = fnv1a(hash, format!("{:?}", engine.beliefs()).as_bytes());
+            hash = fnv1a(hash, format!("{:?}", engine.r2_limits()).as_bytes());
+            if k % 7 == 0 {
+                engine.drain_churn_events(&mut events);
+            }
+        }
+        engine.drain_churn_events(&mut events);
+        hash = fnv1a(hash, format!("{:?}{events:?}", engine.stats()).as_bytes());
+    }
+    assert_pinned("random configurations", hash, 0x325A_D936_0101_3BD4);
 }
 
 /// An empty layer is not the fault-free engine: R2 still runs. In a

@@ -959,7 +959,7 @@ impl Ranks for FaultLayer {
     /// model's flip applies on top and draws once per call either way.
     fn sense(&mut self, listener: usize, mut senders: impl Iterator<Item = usize>) -> bool {
         let busy = match &self.hidden {
-            Some(h) => senders.any(|tx| !h.is_hidden(listener, tx)),
+            Some(h) => h.hears_any(listener, senders),
             None => senders.next().is_some(),
         };
         self.fault.sense(LinkId::new(listener), busy)

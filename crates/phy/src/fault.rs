@@ -350,7 +350,7 @@ impl FaultModel {
 /// use rtmac_phy::fault::HiddenMatrix;
 ///
 /// let mut m = HiddenMatrix::new(3);
-/// assert!(m.is_trivial());
+/// assert_eq!(m.pairs(), 0);
 /// m.hide(0, 2); // link 0 cannot hear link 2
 /// assert!(m.is_hidden(0, 2));
 /// assert!(!m.is_hidden(2, 0), "hiddenness is asymmetric");
@@ -432,17 +432,17 @@ impl HiddenMatrix {
         self.pairs
     }
 
-    /// Whether the matrix hides nothing (and is therefore transparent).
-    #[must_use]
-    pub fn is_trivial(&self) -> bool {
-        self.pairs == 0
-    }
-
     /// Whether `listener` hears at least one of `transmitters` — the
     /// listener's effective busy signal for a slot boundary.
     #[must_use]
-    pub fn hears_any(&self, listener: usize, transmitters: &[usize]) -> bool {
-        transmitters.iter().any(|&t| !self.is_hidden(listener, t))
+    pub fn hears_any(
+        &self,
+        listener: usize,
+        transmitters: impl IntoIterator<Item = usize>,
+    ) -> bool {
+        transmitters
+            .into_iter()
+            .any(|t| !self.is_hidden(listener, t))
     }
 }
 
@@ -929,16 +929,16 @@ mod tests {
     #[test]
     fn hidden_matrix_is_asymmetric_and_counts_pairs() {
         let mut m = HiddenMatrix::new(4);
-        assert!(m.is_trivial());
+        assert_eq!(m.pairs(), 0);
         m.hide(0, 3);
         m.hide(0, 3); // idempotent
         m.hide(3, 1);
         assert_eq!(m.pairs(), 2);
         assert!(m.is_hidden(0, 3) && !m.is_hidden(3, 0));
-        assert!(m.hears_any(0, &[1, 2]));
-        assert!(!m.hears_any(0, &[3]));
-        assert!(m.hears_any(1, &[3]));
-        assert!(!m.hears_any(0, &[]), "an empty boundary is silent");
+        assert!(m.hears_any(0, [1, 2]));
+        assert!(!m.hears_any(0, [3]));
+        assert!(m.hears_any(1, [3]));
+        assert!(!m.hears_any(0, []), "an empty boundary is silent");
     }
 
     #[test]

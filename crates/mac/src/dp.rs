@@ -740,6 +740,8 @@ struct FaultLayer {
     holders: Vec<u32>,
     /// `Σ_p max(0, holders − 1)`: zero iff the beliefs are a bijection.
     excess: usize,
+    /// Consecutive R2-eligible intervals in which each link missed the
+    /// adjacent upper claim.
     missed: Vec<u32>,
     /// Per-link R2 miss limit currently in force (constant under
     /// [`MissLimit::Fixed`], backed off per link under

@@ -280,7 +280,7 @@ const BLOCK: [(bool, bool); 4] = [(true, false), (false, true), (true, true), (f
 /// layer every pair has exactly two: hi holds `C`, lo holds `C + 1`. Under
 /// a layer, every live link that believes `C` or `C + 1` plays that side.
 #[derive(Debug, Clone, Copy)]
-struct Believer {
+struct Member {
     link: usize,
     is_hi: bool,
     /// hi: `ξ = −1`, it wants to move down; lo: `ξ = +1`, it wants up.
@@ -307,7 +307,7 @@ struct Believer {
     moved: bool,
 }
 
-impl Believer {
+impl Member {
     /// The initial backoff counter (Eq. 6) of this believer of pair `j`
     /// with upper priority `c`: its slot of the pair block.
     fn counter(&self, c: usize, j: usize) -> u64 {
@@ -342,7 +342,7 @@ struct DpState {
     /// The drawn pairs, in candidate order.
     pairs: Vec<Pair>,
     /// Every pair's believers, pair by pair.
-    believers: Vec<Believer>,
+    believers: Vec<Member>,
     /// The drawn candidate set (reused buffer).
     candidates: Vec<usize>,
     /// Shuffle scratch for the stars-and-bars candidate draw.
@@ -637,7 +637,7 @@ impl Walk<'_> {
 }
 
 /// Records a claimant's fate on its believer (and its pair).
-fn settle(pair: &mut Pair, b: &mut Believer, fate: Claim, collided: &mut Vec<usize>) {
+fn settle(pair: &mut Pair, b: &mut Member, fate: Claim, collided: &mut Vec<usize>) {
     match fate {
         Claim::Transmitted => {
             b.sent = true;
@@ -680,10 +680,10 @@ trait Ranks {
 
     /// Commits the moves of one pair's believers (`moved` is set), given
     /// how many moved on each side.
-    fn commit(&mut self, c: usize, block: &[Believer], hi_moves: usize, lo_moves: usize);
+    fn commit(&mut self, c: usize, block: &[Member], hi_moves: usize, lo_moves: usize);
 
     /// Ends the interval once every pair has committed.
-    fn finish(&mut self, _pairs: &[Pair], _believers: &[Believer], _collided: &[usize]) {}
+    fn finish(&mut self, _pairs: &[Pair], _believers: &[Member], _collided: &[usize]) {}
 }
 
 impl Ranks for Permutation {
@@ -701,7 +701,7 @@ impl Ranks for Permutation {
         senders.next().is_some()
     }
 
-    fn commit(&mut self, c: usize, _block: &[Believer], hi_moves: usize, lo_moves: usize) {
+    fn commit(&mut self, c: usize, _block: &[Member], hi_moves: usize, lo_moves: usize) {
         debug_assert_eq!(
             hi_moves, lo_moves,
             "swap handshake diverged for pair C = {c} (σ = {self})"
@@ -970,7 +970,7 @@ impl Ranks for FaultLayer {
     /// Each believer commits the move it *thinks* it completed. When the
     /// two sides disagree that is a divergence, and it is exactly how the
     /// belief multiset loses bijectivity.
-    fn commit(&mut self, _c: usize, block: &[Believer], hi_moves: usize, lo_moves: usize) {
+    fn commit(&mut self, _c: usize, block: &[Member], hi_moves: usize, lo_moves: usize) {
         for b in block.iter().filter(|b| b.moved) {
             let p = if b.is_hi {
                 self.beliefs[b.link] + 1
@@ -989,7 +989,7 @@ impl Ranks for FaultLayer {
     /// limit on the adjacent upper claim) both fall back to the lowest
     /// priority; re-entry happens through the empty-claim mechanism — then
     /// the desync-epoch accounting.
-    fn finish(&mut self, pairs: &[Pair], believers: &[Believer], collided: &[usize]) {
+    fn finish(&mut self, pairs: &[Pair], believers: &[Member], collided: &[usize]) {
         let recovery = self.recovery;
         if recovery.collision_fallback() {
             for &link in collided {
@@ -1635,7 +1635,7 @@ impl DpEngine {
                         CoinSource::Fixed(flips) if is_hi => flips[j].hi_up,
                         CoinSource::Fixed(flips) => flips[j].lo_up,
                     };
-                    believers.push(Believer {
+                    believers.push(Member {
                         link,
                         is_hi,
                         wants: if is_hi { !up } else { up },
@@ -1718,7 +1718,7 @@ impl DpEngine {
                 let first = (p - 1 + 2 * pair_idx) as u64;
                 for (offset, &(is_hi, wants)) in BLOCK.iter().enumerate() {
                     let counter = first + offset as u64;
-                    let in_slot = |b: &Believer| b.is_hi == is_hi && b.wants == wants;
+                    let in_slot = |b: &Member| b.is_hi == is_hi && b.wants == wants;
                     let mut members = block.iter().enumerate().filter(|(_, b)| in_slot(b));
                     match (members.next(), members.next()) {
                         (None, _) => {}

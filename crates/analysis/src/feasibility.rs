@@ -285,6 +285,17 @@ mod tests {
     }
 
     #[test]
+    fn matches_the_admission_gate_when_everyone_is_admitted() {
+        // The runtime admission gate thresholds this same Lemma-2 statistic
+        // over the admitted subset.
+        let q = [1.0, 2.0, 0.5];
+        let p = [0.5, 0.8, 1.0];
+        let all = rtmac::admission::admitted_utilization(&q, &p, &[true; 3], 7);
+        let reference = workload_utilization(&q, &p, 7).unwrap();
+        assert!((all - reference).abs() < 1e-12);
+    }
+
+    #[test]
     fn utilization_validates() {
         assert!(workload_utilization(&[1.0], &[0.5, 0.5], 8).is_err());
         assert!(workload_utilization(&[1.0], &[0.0], 8).is_err());

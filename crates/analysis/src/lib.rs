@@ -13,17 +13,11 @@
 //!   `Σ q_n / p_n ≤ T/airtime`, and an LDF-based bisection search for the
 //!   boundary of the feasible region (the "maximum admissible α*" the
 //!   paper reads off Fig. 3).
-//! * [`admission`] — the online admission gate over that machinery: accept
-//!   or reject links arriving at churn events against a utilization
-//!   threshold, and shed load lowest-debt-first when the admitted set is
-//!   overloaded anyway (Singh–Hou–Kumar pathwise debt boundedness inside
-//!   the feasibility region; Jaramillo–Srikant admission motivation).
 //! * [`optimal`] — an exact finite-horizon dynamic program over *all*
 //!   scheduling policies for small instances, used to verify Lemma 3: the
 //!   ELDF priority ordering maximizes the expected debt-weighted deliveries
 //!   `E[Σ f(d⁺)·S]` in every interval.
 
-pub mod admission;
 pub mod drift;
 pub mod feasibility;
 pub mod markov;

@@ -1,5 +1,5 @@
 //! Pinned microbenchmarks of the DP interval kernel across the N-grid,
-//! the kernel with and without a fault layer, plus the work-stealing
+//! the kernel with and without a fault layer, plus the job-queue
 //! Runner. The tracked machine-readable numbers
 //! come from the `bench_kernel` binary; this criterion suite is for quick
 //! interactive comparisons (`cargo bench -p rtmac-bench --bench kernel`).

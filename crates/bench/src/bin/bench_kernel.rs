@@ -10,13 +10,10 @@
 //! cargo run --release -p rtmac-bench --bin bench_kernel -- --quick
 //! # whole-history schema check (exit 1 on any malformed entry)
 //! cargo run --release -p rtmac-bench --bin bench_kernel -- --check bench_results/BENCH_kernel.json
-//! # one-shot migration of a legacy v1 single-run file into history[0]
-//! cargo run --release -p rtmac-bench --bin bench_kernel -- --migrate bench_results/BENCH_kernel.json
 //! ```
 
 use rtmac_bench::kernel::{
-    append_history, measure_kernel, measure_runner, migrate_history, render_entry,
-    validate_bench_json, KernelPoint,
+    append_history, measure_kernel, measure_runner, render_entry, validate_bench_json, KernelPoint,
 };
 
 const SEED: u64 = 2018;
@@ -46,34 +43,12 @@ fn main() {
             }
         }
     }
-    if let Some(pos) = args.iter().position(|a| a == "--migrate") {
-        let Some(path) = args.get(pos + 1) else {
-            eprintln!("--migrate requires a file path");
-            std::process::exit(2);
-        };
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        match migrate_history(&text) {
-            Ok(doc) => {
-                if let Err(e) = std::fs::write(path, &doc) {
-                    eprintln!("cannot write {path}: {e}");
-                    std::process::exit(1);
-                }
-                println!("{path}: rewritten as rtmac-bench-kernel/2 history");
-                return;
-            }
-            Err(e) => {
-                eprintln!("{path}: cannot migrate — {e}");
-                std::process::exit(1);
-            }
-        }
+    // An unknown flag must not fall through to a full run that appends
+    // to the tracked history.
+    if let Some(other) = args.iter().find(|a| *a != "--quick") {
+        eprintln!("unknown argument {other:?} — valid: --quick, --check <file>");
+        std::process::exit(2);
     }
-
     let quick = args.iter().any(|a| a == "--quick");
     let mode = if quick { "quick" } else { "full" };
 

@@ -1,5 +1,5 @@
 //! Kernel throughput benchmark: the DP interval kernel over an N-grid,
-//! plus the work-stealing [`rtmac::Runner`]'s job throughput.
+//! plus the job-queue [`rtmac::Runner`]'s job throughput.
 //!
 //! The `bench_kernel` binary drives [`measure_kernel`] and
 //! [`measure_runner`] over an N-grid and *appends* the run to the
@@ -7,11 +7,10 @@
 //! `bench_results/README.md`: a `rtmac-bench-kernel/2` document whose
 //! `history` array holds one entry per recorded run, oldest first, so the
 //! tracked file accumulates a per-PR performance trail instead of
-//! overwriting it. [`append_history`] performs the append (migrating a v1
-//! single-run document into `history[0]` on the way); [`validate_bench_json`]
-//! re-parses an emitted file and checks every history entry — CI runs it
-//! against the appended output so a malformed emitter fails the build rather
-//! than silently archiving garbage.
+//! overwriting it. [`append_history`] performs the append;
+//! [`validate_bench_json`] re-parses an emitted file and checks every
+//! history entry — CI runs it against the appended output so a malformed
+//! emitter fails the build rather than silently archiving garbage.
 //!
 //! Timing here is wall-clock by necessity (it *is* the measurement); every
 //! `Instant` use carries a lint waiver. Nothing measured feeds back into
@@ -84,7 +83,7 @@ pub fn measure_kernel(n_links: usize, intervals: usize, seed: u64) -> KernelPoin
 }
 
 /// Maps `jobs` small DB-DP simulations (`work_intervals` kernel intervals
-/// at 10 links each) through the default work-stealing [`rtmac::Runner`]
+/// at 10 links each) through the default [`rtmac::Runner`]
 /// and returns the pool's job throughput.
 #[must_use]
 pub fn measure_runner(jobs: usize, work_intervals: usize) -> RunnerPoint {
@@ -265,9 +264,7 @@ impl Json {
 // ------------------------------------------------------------------- history
 
 /// Parses a tracked `BENCH_kernel.json` into its run entries, oldest
-/// first. A `rtmac-bench-kernel/2` document yields its `history` array; a
-/// legacy single-run `rtmac-bench-kernel/1` document is migrated into a
-/// one-entry history (its `schema`/`label` framing keys dropped); `None`
+/// first: the `history` array of a `rtmac-bench-kernel/2` document. `None`
 /// or blank text yields an empty history.
 fn parse_history(existing: Option<&str>) -> Result<Vec<Json>, String> {
     let text = match existing {
@@ -279,32 +276,16 @@ fn parse_history(existing: Option<&str>) -> Result<Vec<Json>, String> {
         .get("schema")
         .and_then(Json::str_val)
         .ok_or("existing file: missing \"schema\"")?;
-    match schema {
-        "rtmac-bench-kernel/2" => match doc {
-            Json::Obj(fields) => {
-                for (k, v) in fields {
-                    if k == "history" {
-                        let Json::Arr(entries) = v else {
-                            return Err("existing file: \"history\" is not an array".into());
-                        };
-                        return Ok(entries);
-                    }
-                }
-                Err("existing file: missing \"history\" array".into())
-            }
-            _ => Err("existing file: not an object".into()),
-        },
-        "rtmac-bench-kernel/1" => match doc {
-            Json::Obj(fields) => {
-                let body: Vec<(String, Json)> = fields
-                    .into_iter()
-                    .filter(|(k, _)| k != "schema" && k != "label")
-                    .collect();
-                Ok(vec![Json::Obj(body)])
-            }
-            _ => Err("existing file: not an object".into()),
-        },
-        other => Err(format!("existing file: unknown schema \"{other}\"")),
+    if schema != "rtmac-bench-kernel/2" {
+        return Err(format!("existing file: unknown schema \"{schema}\""));
+    }
+    let Json::Obj(fields) = doc else {
+        return Err("existing file: not an object".into());
+    };
+    match fields.into_iter().find(|(k, _)| k == "history") {
+        Some((_, Json::Arr(entries))) => Ok(entries),
+        Some(_) => Err("existing file: \"history\" is not an array".into()),
+        None => Err("existing file: missing \"history\" array".into()),
     }
 }
 
@@ -321,9 +302,8 @@ fn render_history(entries: Vec<Json>) -> String {
 /// Appends one run entry (the output of [`render_entry`]) to the tracked
 /// history document and returns `(document, entry_count)`.
 ///
-/// `existing` is the current `BENCH_kernel.json` text, if any: a v2
-/// document grows by one entry, a legacy v1 single-run document is
-/// migrated into `history[0]` first, and `None` starts a fresh history.
+/// `existing` is the current `BENCH_kernel.json` text, if any: the
+/// document grows by one entry, and `None` starts a fresh history.
 /// Prior entries are never modified — only re-rendered through the
 /// canonical printer — so the history is append-only by construction.
 ///
@@ -339,22 +319,6 @@ pub fn append_history(existing: Option<&str>, entry: &str) -> Result<(String, us
     entries.push(parsed);
     let count = entries.len();
     Ok((render_history(entries), count))
-}
-
-/// Rewrites a tracked document in canonical v2 form without appending:
-/// the one-shot migration path for a legacy v1 file (`bench_kernel
-/// --migrate`).
-///
-/// # Errors
-///
-/// Returns a description of the parse or schema problem, or an error for
-/// an empty input (nothing to migrate).
-pub fn migrate_history(existing: &str) -> Result<String, String> {
-    let entries = parse_history(Some(existing))?;
-    if entries.is_empty() {
-        return Err("nothing to migrate: empty document".into());
-    }
-    Ok(render_history(entries))
 }
 
 struct Parser<'a> {
@@ -594,19 +558,12 @@ fn check_entry(doc: &Json, ctx: &str) -> Result<(), String> {
 /// # Errors
 ///
 /// Returns a human-readable description of the first schema violation.
-/// Legacy `rtmac-bench-kernel/1` documents are rejected with a pointer at
-/// the `--migrate` path.
 pub fn validate_bench_json(text: &str) -> Result<(), String> {
     let doc = Parser::new(text).parse()?;
     let schema = doc
         .get("schema")
         .and_then(Json::str_val)
         .ok_or("missing \"schema\"")?;
-    if schema == "rtmac-bench-kernel/1" {
-        return Err("legacy single-run schema rtmac-bench-kernel/1 — run \
-                    `bench_kernel --migrate <path>` to wrap it as history[0]"
-            .into());
-    }
     if schema != "rtmac-bench-kernel/2" {
         return Err(format!("unknown schema \"{schema}\""));
     }
@@ -655,24 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_documents_migrate_into_history_zero() {
-        let entry = sample_entry();
-        // A legacy v1 document is the entry body plus schema/label framing.
-        let v1 = format!(
-            "{{\n  \"schema\": \"rtmac-bench-kernel/1\",\n  \"label\": \"kernel\",\n{}",
-            &entry[2..]
-        );
-        // Rejected by the validator, with a pointer at the migration path.
-        assert!(validate_bench_json(&v1).is_err_and(|e| e.contains("--migrate")));
-        let migrated = migrate_history(&v1).expect("v1 migrates");
-        assert_eq!(validate_bench_json(&migrated), Ok(()), "{migrated}");
-        // Appending straight onto a v1 file migrates it on the way.
-        let (two, n) = append_history(Some(&v1), &entry).expect("append migrates");
-        assert_eq!(n, 2);
-        assert_eq!(validate_bench_json(&two), Ok(()), "{two}");
-    }
-
-    #[test]
     fn validator_rejects_malformed_documents() {
         let (doc, _) = append_history(None, &sample_entry()).expect("append");
         // Truncation, schema drift, and a missing runner field all fail.
@@ -685,7 +624,13 @@ mod tests {
         assert!(validate_bench_json(empty).is_err());
         assert!(validate_bench_json("{}").is_err());
         assert!(validate_bench_json("not json").is_err());
-        assert!(migrate_history("").is_err());
+        // The retired single-run v1 schema is an unknown schema to both
+        // the validator and the appender.
+        let v1 = doc.replace("rtmac-bench-kernel/2", "rtmac-bench-kernel/1");
+        assert!(validate_bench_json(&v1).is_err_and(|e| e.contains("unknown schema")));
+        assert!(
+            append_history(Some(&v1), &sample_entry()).is_err_and(|e| e.contains("unknown schema"))
+        );
     }
 
     #[test]

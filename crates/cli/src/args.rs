@@ -155,7 +155,6 @@ impl NetworkOpts {
                 policy,
                 intervals: self.intervals,
                 seed: self.seed,
-                replications: 1,
                 track: None,
                 fault: None,
                 admission: None,
@@ -345,7 +344,7 @@ pub fn policy_flag(spec: PolicySpec) -> Option<&'static str> {
 /// [`NetworkOpts::to_scenario`] reproduces the scenario, field for field.
 #[must_use]
 pub fn render_run_command(sc: &Scenario) -> Option<Vec<String>> {
-    if sc.track.is_some() || sc.fault.is_some() || sc.replications != 1 {
+    if sc.track.is_some() || sc.fault.is_some() {
         return None;
     }
     let arrivals = match &sc.traffic {

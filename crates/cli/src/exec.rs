@@ -217,21 +217,25 @@ fn render_sweep(
         SweepParam::Ratio => "ratio",
         SweepParam::SuccessProbability => "p",
     };
-    let values: Vec<f64> = (0..steps)
-        .map(|i| {
-            if steps == 1 {
-                from
-            } else {
-                from + (to - from) * i as f64 / (steps - 1) as f64
-            }
-        })
-        .collect();
+    let value_at = |i: usize| {
+        if steps == 1 {
+            from
+        } else {
+            from + (to - from) * i as f64 / (steps - 1) as f64
+        }
+    };
     // One scenario per (point, contender), fanned over the worker pool;
     // results come back in input order, so the table is deterministic.
-    let mut jobs = Vec::with_capacity(values.len() * contenders().len());
-    for &value in &values {
+    // The job list is reserved up front, so a point count too large to
+    // hold is an error here instead of an overflow or allocation abort.
+    let mut jobs = Vec::new();
+    steps
+        .checked_mul(contenders().len())
+        .and_then(|total| jobs.try_reserve_exact(total).ok())
+        .ok_or_else(|| CliError::Invalid(format!("--steps {steps} is too many sweep points")))?;
+    for i in 0..steps {
         for spec in contenders() {
-            jobs.push(apply_sweep(opts.to_scenario(spec)?, param, value));
+            jobs.push(apply_sweep(opts.to_scenario(spec)?, param, value_at(i)));
         }
     }
     let reports = if progress {
@@ -261,8 +265,8 @@ fn render_sweep(
         "DB-DP", "LDF", "FCSMA"
     );
     let mut reports = reports.into_iter();
-    for value in values {
-        let _ = write!(out, "{value:>12.4}");
+    for i in 0..steps {
+        let _ = write!(out, "{:>12.4}", value_at(i));
         for _ in contenders() {
             let report = reports.next().expect("one report per job")?;
             let _ = write!(out, " {:>12.4}", report.final_total_deficiency);

@@ -1,6 +1,7 @@
 //! External input never panics the CLI: deadlines below one backoff slot,
-//! deadlines whose time arithmetic overflows and empty networks end in a
-//! one-line `error:` and exit code 1, in debug and release builds alike.
+//! deadlines whose time arithmetic overflows, empty networks and sweeps
+//! with more points than memory can hold end in a one-line `error:` and
+//! exit code 1, in debug and release builds alike.
 
 use std::process::Command;
 
@@ -15,8 +16,25 @@ fn rtmac(args: &[&str]) -> (Option<i32>, String) {
     )
 }
 
+/// A `control10` λ sweep with `steps` points.
+fn sweep_steps(steps: &str) -> [&str; 11] {
+    [
+        "sweep",
+        "--scenario",
+        "control10",
+        "--param",
+        "lambda",
+        "--from",
+        "0.5",
+        "--to",
+        "0.9",
+        "--steps",
+        steps,
+    ]
+}
+
 #[test]
-fn out_of_range_deadlines_and_links_are_errors_not_panics() {
+fn out_of_range_inputs_are_errors_not_panics() {
     for (args, mentions) in [
         (&["run", "--deadline-us", "8"][..], "backoff slot"),
         (
@@ -33,6 +51,8 @@ fn out_of_range_deadlines_and_links_are_errors_not_panics() {
             "deadline_us",
         ),
         (&["timeline", "--links", "0"], "at least one link"),
+        (&sweep_steps("18446744073709551615")[..], "--steps"),
+        (&sweep_steps("6148914691236517206")[..], "--steps"),
     ] {
         let (code, stderr) = rtmac(args);
         assert_eq!(code, Some(1), "{args:?} must exit 1, stderr: {stderr}");

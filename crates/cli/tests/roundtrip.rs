@@ -55,7 +55,6 @@ proptest! {
             policy: policy_by_index(policy_i),
             intervals,
             seed,
-            replications: 1,
             track: None,
             fault: None,
             admission: None,

@@ -1,24 +1,29 @@
 //! The runtime admission gate: pure decision helpers and the report type.
 //!
-//! The canonical admission logic lives in `rtmac-analysis`
-//! (`rtmac_analysis::admission::AdmissionController`), which sits *above*
-//! this crate in the dependency graph — so the network's runtime gate
-//! cannot call it. Instead, the gate re-implements the same three
-//! deterministic decisions over plain slices, and a differential test in
-//! the analysis crate pins the two implementations together decision by
-//! decision:
+//! The DB-DP engine serves whatever link set it is given; nothing in the
+//! protocol stops an operator (or a flash crowd) from presenting an
+//! infeasible workload. Inside the feasibility region a maximal
+//! debt-clearing policy keeps every link's debt pathwise-bounded
+//! (Singh–Hou–Kumar); outside it *some* debt grows without bound. The
+//! remedy is classical (Jaramillo–Srikant): admit links against the
+//! feasibility region instead of assuming a feasible workload. The gate
+//! makes three deterministic decisions over plain slices, on the Lemma-2
+//! necessary condition (a link set whose `Σ q_n/p_n` exceeds the
+//! interval's transmission budget is certainly infeasible):
 //!
 //! * [`admitted_utilization`] — the Lemma-2 statistic `Σ_admitted q_n/p_n`
 //!   divided by the interval's transmission budget;
 //! * [`admit_decision`] — admit an arriving link iff the admitted set
 //!   *with the candidate included* stays at or under the threshold;
-//! * [`shed_order`] — when the admitted set is overloaded anyway, drop the
-//!   lowest-debt link first (ties: lowest index) until the survivors fit,
-//!   never shedding the last survivor.
+//! * [`shed_order`] — when the admitted set is overloaded anyway (after
+//!   `p_n` degrades, or a revival burst), drop the lowest-debt link first
+//!   (ties: lowest index) until the survivors fit, never shedding the last
+//!   survivor. Low debt means the protocol has been serving the link
+//!   nearly on target, so dropping it forfeits the least accumulated
+//!   service obligation; the highest-debt links keep their capacity.
 //!
-//! Unlike the analysis controller these helpers are infallible: the
-//! network validated `q`, `p`, and the budget at build time, so the gate
-//! runs panic-free on the hot path.
+//! The helpers are infallible: the network validated `q`, `p`, and the
+//! budget at build time, so the gate runs panic-free on the hot path.
 
 /// One run's admission-control outcome, reported on
 /// [`RunReport::admission`](crate::RunReport::admission).
@@ -46,9 +51,8 @@ impl AdmissionReport {
 }
 
 /// Lemma-2 utilization of the admitted subset: `Σ_admitted q_n/p_n /
-/// budget`. Mirrors `rtmac_analysis::admission::admitted_utilization`,
-/// minus the validation (the builder already checked `q`, `p`, and the
-/// budget).
+/// budget`. Links outside the admitted set are never read, so a crashed
+/// link may carry degenerate parameters.
 #[must_use]
 pub fn admitted_utilization(q: &[f64], p: &[f64], admitted: &[bool], budget: u64) -> f64 {
     let total: f64 = q
@@ -62,8 +66,8 @@ pub fn admitted_utilization(q: &[f64], p: &[f64], admitted: &[bool], budget: u64
 }
 
 /// Whether arriving link `candidate` may join: `true` iff the admitted set
-/// with the candidate included stays at or under `threshold`. Mirrors
-/// `rtmac_analysis::admission::AdmissionController::admit`.
+/// with the candidate included stays at or under `threshold`. An
+/// already-admitted candidate is re-evaluated the same way.
 #[must_use]
 pub fn admit_decision(
     q: &[f64],
@@ -83,8 +87,7 @@ pub fn admit_decision(
 /// The deterministic shedding order for an overloaded admitted set:
 /// lowest debt first, ties broken by lowest link index, until the
 /// survivors' utilization is at or under `threshold`; the last survivor is
-/// never shed. Mirrors
-/// `rtmac_analysis::admission::AdmissionController::shed_plan`.
+/// never shed. Empty when the set already fits.
 #[must_use]
 pub fn shed_order(
     q: &[f64],
@@ -129,6 +132,15 @@ mod tests {
         let p = [0.7, 0.7, 0.7];
         let u = admitted_utilization(&q, &p, &[true, false, true], 10);
         assert!((u - 0.6).abs() < 1e-12);
+        // A link outside the admitted set is ignored even with a NaN
+        // requirement and a zero success probability.
+        let u = admitted_utilization(
+            &[2.1, 2.1, 2.1, f64::NAN],
+            &[0.7, 0.7, 0.7, 0.0],
+            &[true, false, true, false],
+            10,
+        );
+        assert!((u - 0.6).abs() < 1e-12);
     }
 
     #[test]
@@ -148,6 +160,8 @@ mod tests {
         assert_eq!(shed_order(&q, &p, &[true; 4], &debts, 10, 1.0), [1, 3]);
         // A single overloaded link survives.
         assert!(shed_order(&[5.0], &[0.5], &[true], &[0.0], 10, 0.1).is_empty());
+        // A set that already fits sheds nothing.
+        assert!(shed_order(&[2.1; 3], &[0.7; 3], &[true; 3], &[0.0; 3], 10, 1.0).is_empty());
     }
 
     #[test]

@@ -22,13 +22,12 @@
 //!   decentralized.
 //!
 //! This crate ties the substrates together: build a [`Network`], pick a
-//! [`PolicyKind`], run intervals, and read a [`RunReport`].
+//! [`PolicySpec`], run intervals, and read a [`RunReport`].
 //!
 //! # Quickstart
 //!
 //! ```
-//! use rtmac::{Network, PolicyKind};
-//! use rtmac_model::influence::PaperLog;
+//! use rtmac::{Network, PolicySpec};
 //!
 //! // A small symmetric network: 4 links, p = 0.8, 2 ms deadline, 100 B
 //! // control packets, one arrival per interval, 95% delivery ratio.
@@ -39,7 +38,7 @@
 //!     .uniform_success_probability(0.8)
 //!     .bernoulli_arrivals(1.0)
 //!     .delivery_ratio(0.95)
-//!     .policy(PolicyKind::db_dp())
+//!     .policy(PolicySpec::db_dp())
 //!     .seed(42)
 //!     .build()?;
 //! let report = network.run(500);
@@ -59,8 +58,7 @@ pub mod sync;
 pub use admission::AdmissionReport;
 pub use network::{Network, NetworkBuilder};
 pub use policy::{
-    eq14_mu, DbDp, DcfPolicy, Eldf, FcsmaPolicy, FixedPriority, FrameCsmaPolicy, PolicyKind,
-    TransmissionPolicy,
+    eq14_mu, DbDp, DcfPolicy, Eldf, FcsmaPolicy, FixedPriority, FrameCsmaPolicy, TransmissionPolicy,
 };
 pub use report::RunReport;
 pub use runner::Runner;

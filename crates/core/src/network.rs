@@ -10,11 +10,11 @@ use rtmac_sim::{Nanos, SeedStream, SimRng};
 use rtmac_traffic::{ArrivalProcess, BernoulliArrivals, BurstUniform, ConstantArrivals};
 
 use crate::admission::{self, AdmissionReport};
-use crate::scenario::{AdmissionSpec, FaultSpec};
-use crate::{DbDp, PolicyKind, RunReport, TransmissionPolicy};
+use crate::scenario::{AdmissionSpec, FaultSpec, PolicySpec};
+use crate::{DbDp, RunReport, TransmissionPolicy};
 
 /// Runtime state of the feasibility-aware admission gate (see
-/// [`crate::admission`] for the decision helpers it replays).
+/// [`crate::admission`] for the decision helpers it runs).
 #[derive(Debug, Clone)]
 struct AdmissionState {
     threshold: f64,
@@ -303,7 +303,7 @@ pub struct NetworkBuilder {
     traffic: Option<Box<dyn ArrivalProcess>>,
     requirements: Option<Requirements>,
     delivery_ratio: Option<Vec<f64>>,
-    policy: Option<PolicyKind>,
+    policy: Option<PolicySpec>,
     channel: Option<Box<dyn LossModel>>,
     seed: u64,
     track: Option<(LinkId, f64)>,
@@ -475,8 +475,8 @@ impl NetworkBuilder {
 
     /// Selects the transmission policy (required).
     #[must_use]
-    pub fn policy(mut self, kind: PolicyKind) -> Self {
-        self.policy = Some(kind);
+    pub fn policy(mut self, spec: PolicySpec) -> Self {
+        self.policy = Some(spec);
         self
     }
 
@@ -592,8 +592,8 @@ impl NetworkBuilder {
             None => Box::new(Bernoulli::new(config.success_probabilities().to_vec())?),
         };
 
-        let kind = self.policy.ok_or(ConfigError::InvalidParameter {
-            name: "policy (call .policy(PolicyKind::...))",
+        let spec = self.policy.ok_or(ConfigError::InvalidParameter {
+            name: "policy (call .policy(PolicySpec::...))",
             value: f64::NAN,
         })?;
         let mut timing =
@@ -638,9 +638,9 @@ impl NetworkBuilder {
         });
         let budget = timing.max_transmissions();
         let seeds = SeedStream::new(self.seed);
-        let mut policy: Box<dyn TransmissionPolicy> = match (kind, self.fault) {
+        let mut policy: Box<dyn TransmissionPolicy> = match (spec, self.fault) {
             (
-                PolicyKind::DbDp {
+                PolicySpec::DbDp {
                     influence,
                     r,
                     swap_pairs,
@@ -805,7 +805,7 @@ impl NetworkBuilder {
                 }
                 Box::new(DbDp::new(
                     engine,
-                    influence,
+                    influence.boxed(),
                     r,
                     config.success_probabilities().to_vec(),
                 ))
@@ -816,8 +816,8 @@ impl NetworkBuilder {
                     value: spec.false_busy,
                 })
             }
-            (kind, None) => {
-                kind.instantiate(config.n_links(), config.success_probabilities(), timing)
+            (spec, None) => {
+                spec.instantiate(config.n_links(), config.success_probabilities(), timing)
             }
         };
         let tracked = match self.track {
@@ -940,7 +940,7 @@ mod tests {
 
     #[test]
     fn builds_and_runs_db_dp() {
-        let mut net = base_builder().policy(PolicyKind::db_dp()).build().unwrap();
+        let mut net = base_builder().policy(PolicySpec::db_dp()).build().unwrap();
         let report = net.run(200);
         assert_eq!(report.intervals, 200);
         assert_eq!(report.per_link_throughput.len(), 4);
@@ -951,7 +951,7 @@ mod tests {
     #[test]
     fn deterministic_under_equal_seeds() {
         let run = || {
-            let mut net = base_builder().policy(PolicyKind::db_dp()).build().unwrap();
+            let mut net = base_builder().policy(PolicySpec::db_dp()).build().unwrap();
             net.run(100).per_link_throughput
         };
         assert_eq!(run(), run());
@@ -962,7 +962,7 @@ mod tests {
         let run = |seed: u64| {
             let mut net = base_builder()
                 .seed(seed)
-                .policy(PolicyKind::db_dp())
+                .policy(PolicySpec::db_dp())
                 .build()
                 .unwrap();
             net.run(100).deficiency.as_slice().to_vec()
@@ -972,7 +972,7 @@ mod tests {
 
     #[test]
     fn ldf_baseline_fulfills_feasible_requirement() {
-        let mut net = base_builder().policy(PolicyKind::Ldf).build().unwrap();
+        let mut net = base_builder().policy(PolicySpec::Ldf).build().unwrap();
         let report = net.run(400);
         assert!(report.final_total_deficiency < 0.1);
     }
@@ -995,7 +995,7 @@ mod tests {
             .links(0)
             .bernoulli_arrivals(0.5)
             .delivery_ratio(0.9)
-            .policy(PolicyKind::Ldf)
+            .policy(PolicySpec::Ldf)
             .build()
             .is_err()); // no links
     }
@@ -1004,7 +1004,7 @@ mod tests {
     fn tracker_follows_link() {
         let mut net = base_builder()
             .track_link(LinkId::new(2), 0.05)
-            .policy(PolicyKind::Ldf)
+            .policy(PolicySpec::Ldf)
             .build()
             .unwrap();
         let report = net.run(300);
@@ -1016,7 +1016,7 @@ mod tests {
 
     #[test]
     fn step_exposes_interval_outcomes() {
-        let mut net = base_builder().policy(PolicyKind::Ldf).build().unwrap();
+        let mut net = base_builder().policy(PolicySpec::Ldf).build().unwrap();
         let out = net.step();
         assert_eq!(out.deliveries.len(), 4);
         assert_eq!(net.intervals(), 1);
@@ -1025,7 +1025,7 @@ mod tests {
 
     #[test]
     fn report_before_any_interval_shows_full_requirement() {
-        let net = base_builder().policy(PolicyKind::Ldf).build().unwrap();
+        let net = base_builder().policy(PolicySpec::Ldf).build().unwrap();
         let report = net.report();
         // q_n = 0.9 · 0.9 = 0.81 per link, 4 links.
         assert!((report.final_total_deficiency - 4.0 * 0.81).abs() < 1e-9);
@@ -1037,14 +1037,14 @@ mod tests {
         assert!(matches!(
             base_builder()
                 .link_payloads(vec![100, 1500])
-                .policy(PolicyKind::Ldf)
+                .policy(PolicySpec::Ldf)
                 .build(),
             Err(ConfigError::LengthMismatch { .. })
         ));
         // Correct length builds and runs.
         let mut net = base_builder()
             .link_payloads(vec![100, 1500, 100, 1500])
-            .policy(PolicyKind::Ldf)
+            .policy(PolicySpec::Ldf)
             .build()
             .unwrap();
         let report = net.run(100);
@@ -1053,7 +1053,7 @@ mod tests {
 
     #[test]
     fn mean_latency_reported_within_deadline() {
-        let mut net = base_builder().policy(PolicyKind::Ldf).build().unwrap();
+        let mut net = base_builder().policy(PolicySpec::Ldf).build().unwrap();
         let report = net.run(300);
         for latency in report.mean_latency.iter().flatten() {
             assert!(*latency <= Nanos::from_millis(2));
@@ -1065,7 +1065,7 @@ mod tests {
     fn fault_injection_runs_and_reports() {
         let mut net = base_builder()
             .fault(FaultSpec::sensing(0.05).with_churn(1, 20, 10))
-            .policy(PolicyKind::db_dp())
+            .policy(PolicySpec::db_dp())
             .build()
             .unwrap();
         let report = net.run(300);
@@ -1084,13 +1084,13 @@ mod tests {
     #[test]
     fn zero_rate_fault_matches_pristine_numbers() {
         let pristine = base_builder()
-            .policy(PolicyKind::db_dp())
+            .policy(PolicySpec::db_dp())
             .build()
             .unwrap()
             .run(150);
         let faulty = base_builder()
             .fault(FaultSpec::sensing(0.0))
-            .policy(PolicyKind::db_dp())
+            .policy(PolicySpec::db_dp())
             .build()
             .unwrap()
             .run(150);
@@ -1108,7 +1108,7 @@ mod tests {
         assert!(matches!(
             base_builder()
                 .fault(FaultSpec::sensing(0.01))
-                .policy(PolicyKind::Ldf)
+                .policy(PolicySpec::Ldf)
                 .build(),
             Err(ConfigError::InvalidParameter { .. })
         ));
@@ -1119,7 +1119,7 @@ mod tests {
         let fault_build = |spec: FaultSpec| {
             base_builder()
                 .fault(spec)
-                .policy(PolicyKind::db_dp())
+                .policy(PolicySpec::db_dp())
                 .build()
         };
         assert!(fault_build(FaultSpec::sensing(1.0)).is_err());
@@ -1138,7 +1138,7 @@ mod tests {
                     .with_burst(1.0 / 16.0, 0.25, 0.3, 0.3)
                     .with_adaptive_recovery(2, 16),
             )
-            .policy(PolicyKind::db_dp())
+            .policy(PolicySpec::db_dp())
             .build()
             .unwrap();
         let report = net.run(400);
@@ -1154,7 +1154,7 @@ mod tests {
         let fb = |spec: FaultSpec| {
             base_builder()
                 .fault(spec)
-                .policy(PolicyKind::db_dp())
+                .policy(PolicySpec::db_dp())
                 .build()
         };
         // Gilbert–Elliott chain parameters.
@@ -1186,7 +1186,7 @@ mod tests {
         assert!(matches!(
             base_builder()
                 .admission(AdmissionSpec::new(0.9))
-                .policy(PolicyKind::db_dp())
+                .policy(PolicySpec::db_dp())
                 .build(),
             Err(ConfigError::InvalidParameter { .. })
         ));
@@ -1196,14 +1196,14 @@ mod tests {
     fn permissive_admission_leaves_the_run_untouched() {
         let faulty = base_builder()
             .fault(FaultSpec::sensing(0.0))
-            .policy(PolicyKind::db_dp())
+            .policy(PolicySpec::db_dp())
             .build()
             .unwrap()
             .run(150);
         let gated = base_builder()
             .fault(FaultSpec::sensing(0.0))
             .admission(AdmissionSpec::new(100.0))
-            .policy(PolicyKind::db_dp())
+            .policy(PolicySpec::db_dp())
             .build()
             .unwrap()
             .run(150);
@@ -1226,7 +1226,7 @@ mod tests {
         let mut net = base_builder()
             .fault(FaultSpec::sensing(0.0))
             .admission(AdmissionSpec::new(0.15))
-            .policy(PolicyKind::db_dp())
+            .policy(PolicySpec::db_dp())
             .build()
             .unwrap();
         let report = net.run(50);
@@ -1241,7 +1241,7 @@ mod tests {
         let mut net = base_builder()
             .fault(FaultSpec::sensing(0.0))
             .admission(AdmissionSpec::new(0.15).without_shedding())
-            .policy(PolicyKind::db_dp())
+            .policy(PolicySpec::db_dp())
             .build()
             .unwrap();
         let report = net.run(50);
@@ -1295,7 +1295,7 @@ mod tests {
     /// overflow panic (debug) or a silent wrap (release).
     #[test]
     fn overflowing_deadline_or_payload_is_a_config_error() {
-        let overflow = |b: NetworkBuilder| match b.policy(PolicyKind::db_dp()).build() {
+        let overflow = |b: NetworkBuilder| match b.policy(PolicySpec::db_dp()).build() {
             Err(ConfigError::Overflow { name, .. }) => name,
             Err(e) => panic!("unexpected error {e}"),
             Ok(_) => panic!("built a network"),
@@ -1320,7 +1320,7 @@ mod tests {
         let net = base_builder()
             .deadline_us(u64::MAX)
             .deadline_ms(2)
-            .policy(PolicyKind::db_dp())
+            .policy(PolicySpec::db_dp())
             .build();
         assert!(net.is_ok());
         // The largest representable values still build.
@@ -1328,7 +1328,7 @@ mod tests {
             base_builder().deadline_us(u64::MAX / 1_000),
             base_builder().payload_bytes(u32::MAX - 28),
         ] {
-            assert!(b.policy(PolicyKind::db_dp()).build().is_ok());
+            assert!(b.policy(PolicySpec::db_dp()).build().is_ok());
         }
     }
 
@@ -1339,7 +1339,7 @@ mod tests {
         for us in [1, 8] {
             match base_builder()
                 .deadline_us(us)
-                .policy(PolicyKind::db_dp())
+                .policy(PolicySpec::db_dp())
                 .build()
             {
                 Err(ConfigError::InvalidParameter { value, .. }) => assert_eq!(value, us as f64),
@@ -1350,16 +1350,16 @@ mod tests {
         let slot = PhyProfile::ieee80211a().slot().as_micros();
         assert!(base_builder()
             .deadline_us(slot)
-            .policy(PolicyKind::db_dp())
+            .policy(PolicySpec::db_dp())
             .build()
             .is_ok());
     }
 
     #[test]
     fn sigma_accessor_for_dp_policies() {
-        let net = base_builder().policy(PolicyKind::db_dp()).build().unwrap();
+        let net = base_builder().policy(PolicySpec::db_dp()).build().unwrap();
         assert!(net.sigma().is_some());
-        let net = base_builder().policy(PolicyKind::Ldf).build().unwrap();
+        let net = base_builder().policy(PolicySpec::Ldf).build().unwrap();
         assert!(net.sigma().is_none());
     }
 }

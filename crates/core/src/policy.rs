@@ -2,10 +2,10 @@
 //! debt-driven wrappers around the `rtmac-mac` engines.
 
 use rtmac_mac::{
-    CentralizedEngine, ChurnEvent, DcfConfig, DcfEngine, DpConfig, DpEngine, FaultStats,
-    FcsmaEngine, FcsmaQuantizer, FrameCsmaEngine, IntervalOutcome, MacTiming,
+    CentralizedEngine, ChurnEvent, DcfEngine, DpEngine, FaultStats, FcsmaEngine, FcsmaQuantizer,
+    FrameCsmaEngine, IntervalOutcome,
 };
-use rtmac_model::influence::{DebtInfluence, Linear, PaperLog};
+use rtmac_model::influence::DebtInfluence;
 use rtmac_model::{DebtLedger, LinkId, Permutation};
 use rtmac_phy::channel::LossModel;
 use rtmac_sim::SimRng;
@@ -51,182 +51,6 @@ pub trait TransmissionPolicy {
     /// Administratively blocks or unblocks a link (the admission gate's
     /// reject/shed hook). No-op for policies without a blocking substrate.
     fn set_blocked(&mut self, _link: usize, _blocked: bool) {}
-}
-
-/// Declarative policy selection used by [`crate::NetworkBuilder::policy`].
-///
-/// Each variant carries only the protocol-specific knobs; the builder
-/// supplies network-wide context (timing, link count, success
-/// probabilities).
-#[derive(Debug)]
-pub enum PolicyKind {
-    /// The paper's decentralized algorithm (Algorithm 2 + Eq. 14).
-    DbDp {
-        /// Debt influence function `f` (paper: `log(max{1, 100(x+1)})`).
-        influence: Box<dyn DebtInfluence>,
-        /// The constant `R` of Eq. 14 (paper: 10).
-        r: f64,
-        /// Simultaneous swap pairs per interval (paper: 1; Remark 6 allows
-        /// more; 0 freezes the ordering).
-        swap_pairs: usize,
-    },
-    /// Centralized extended largest-debt-first (Algorithm 1).
-    Eldf {
-        /// Debt influence function `f`.
-        influence: Box<dyn DebtInfluence>,
-    },
-    /// Classic LDF — `Eldf` with `f(x) = x`.
-    Ldf,
-    /// The discretized FCSMA baseline.
-    Fcsma {
-        /// Debt-to-attempt-probability quantizer.
-        quantizer: FcsmaQuantizer,
-    },
-    /// IEEE 802.11 DCF (debt-unaware ablation baseline).
-    Dcf {
-        /// Backoff parameters.
-        config: DcfConfig,
-    },
-    /// The DP protocol with reordering disabled, pinned to a fixed
-    /// priority ordering (the Fig. 6 experiment).
-    FixedPriority {
-        /// The frozen priority permutation.
-        sigma: Permutation,
-    },
-    /// Frame-based CSMA (the paper's reference \[23\]): per-frame open-loop
-    /// schedules, feasibility-optimal only for reliable channels.
-    FrameCsma {
-        /// Debt influence function used for the per-frame slot allocation.
-        influence: Box<dyn DebtInfluence>,
-        /// Control-phase length in backoff slots.
-        control_slots: u32,
-    },
-}
-
-impl PolicyKind {
-    /// DB-DP with the paper's simulation parameters:
-    /// `f(x) = log(max{1, 100(x+1)})`, `R = 10`, one swap pair.
-    #[must_use]
-    pub fn db_dp() -> Self {
-        Self::db_dp_with(Box::new(PaperLog::default()), 10.0, 1)
-    }
-
-    /// DB-DP with an explicit influence function, `R`, and swap-pair
-    /// count — callers that loop over configurations construct the boxed
-    /// influence once and pass it here instead of re-boxing per iteration.
-    #[must_use]
-    pub fn db_dp_with(influence: Box<dyn DebtInfluence>, r: f64, swap_pairs: usize) -> Self {
-        PolicyKind::DbDp {
-            influence,
-            r,
-            swap_pairs,
-        }
-    }
-
-    /// ELDF with the paper's influence function.
-    #[must_use]
-    pub fn eldf() -> Self {
-        Self::eldf_with(Box::new(PaperLog::default()))
-    }
-
-    /// ELDF with an explicit influence function.
-    #[must_use]
-    pub fn eldf_with(influence: Box<dyn DebtInfluence>) -> Self {
-        PolicyKind::Eldf { influence }
-    }
-
-    /// FCSMA with the default quantizer.
-    #[must_use]
-    pub fn fcsma() -> Self {
-        PolicyKind::Fcsma {
-            quantizer: FcsmaQuantizer::paper_default(),
-        }
-    }
-
-    /// DCF with 802.11a defaults.
-    #[must_use]
-    pub fn dcf() -> Self {
-        PolicyKind::Dcf {
-            config: DcfConfig::default(),
-        }
-    }
-
-    /// Frame-based CSMA with linear debt weights and a 32-slot control
-    /// phase.
-    #[must_use]
-    pub fn frame_csma() -> Self {
-        Self::frame_csma_with(Box::new(Linear), 32)
-    }
-
-    /// Frame-based CSMA with an explicit influence function and
-    /// control-phase length.
-    #[must_use]
-    pub fn frame_csma_with(influence: Box<dyn DebtInfluence>, control_slots: u32) -> Self {
-        PolicyKind::FrameCsma {
-            influence,
-            control_slots,
-        }
-    }
-
-    /// Instantiates the policy for a network of `n_links` links with the
-    /// given success probabilities and timing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `success_probabilities.len() != n_links`, if a
-    /// `FixedPriority` permutation has the wrong size, or if `R ≤ 0`.
-    #[must_use]
-    pub fn instantiate(
-        self,
-        n_links: usize,
-        success_probabilities: &[f64],
-        timing: MacTiming,
-    ) -> Box<dyn TransmissionPolicy> {
-        assert_eq!(
-            success_probabilities.len(),
-            n_links,
-            "success probabilities must cover every link"
-        );
-        match self {
-            PolicyKind::DbDp {
-                influence,
-                r,
-                swap_pairs,
-            } => Box::new(DbDp::new(
-                DpEngine::new(DpConfig::new(timing).with_swap_pairs(swap_pairs), n_links),
-                influence,
-                r,
-                success_probabilities.to_vec(),
-            )),
-            PolicyKind::Eldf { influence } => Box::new(Eldf::new(
-                CentralizedEngine::new(timing),
-                influence,
-                success_probabilities.to_vec(),
-            )),
-            PolicyKind::Ldf => Box::new(Eldf::new(
-                CentralizedEngine::new(timing),
-                Box::new(Linear),
-                success_probabilities.to_vec(),
-            )),
-            PolicyKind::Fcsma { quantizer } => {
-                Box::new(FcsmaPolicy::new(FcsmaEngine::new(timing), quantizer))
-            }
-            PolicyKind::Dcf { config } => Box::new(DcfPolicy::new(DcfEngine::new(config, timing))),
-            PolicyKind::FixedPriority { sigma } => {
-                assert_eq!(sigma.len(), n_links, "fixed priority size mismatch");
-                let mut engine = DpEngine::new(DpConfig::new(timing).with_swap_pairs(0), n_links);
-                engine.set_sigma(sigma);
-                Box::new(FixedPriority::new(engine))
-            }
-            PolicyKind::FrameCsma {
-                influence,
-                control_slots,
-            } => Box::new(FrameCsmaPolicy::new(
-                FrameCsmaEngine::new(timing).with_control_slots(control_slots),
-                influence,
-            )),
-        }
-    }
 }
 
 /// Frame-based CSMA as a debt-driven policy: per-frame slot allocations
@@ -583,6 +407,9 @@ impl TransmissionPolicy for FixedPriority {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PolicySpec;
+    use rtmac_mac::{DpConfig, MacTiming};
+    use rtmac_model::influence::{Linear, PaperLog};
     use rtmac_model::Requirements;
     use rtmac_phy::channel::Bernoulli;
     use rtmac_phy::PhyProfile;
@@ -656,20 +483,18 @@ mod tests {
     }
 
     #[test]
-    fn policy_kind_instantiates_every_variant() {
+    fn policy_spec_instantiates_every_variant() {
         let p = vec![0.8; 4];
-        for kind in [
-            PolicyKind::db_dp(),
-            PolicyKind::eldf(),
-            PolicyKind::Ldf,
-            PolicyKind::fcsma(),
-            PolicyKind::dcf(),
-            PolicyKind::frame_csma(),
-            PolicyKind::FixedPriority {
-                sigma: Permutation::identity(4),
-            },
+        for spec in [
+            PolicySpec::db_dp(),
+            PolicySpec::eldf(),
+            PolicySpec::Ldf,
+            PolicySpec::Fcsma,
+            PolicySpec::Dcf,
+            PolicySpec::frame_csma(),
+            PolicySpec::FixedPriority,
         ] {
-            let mut policy = kind.instantiate(4, &p, timing());
+            let mut policy = spec.instantiate(4, &p, timing());
             let debts = debts_with(&[0.5; 4]);
             let mut ch = Bernoulli::new(p.clone()).unwrap();
             let mut rng = SeedStream::new(9).rng(0);
@@ -722,10 +547,9 @@ mod tests {
     #[test]
     fn fixed_priority_reports_sigma() {
         let sigma = Permutation::from_priorities(vec![2, 1]).unwrap();
-        let mut policy = PolicyKind::FixedPriority {
-            sigma: sigma.clone(),
-        }
-        .instantiate(2, &[1.0, 1.0], timing());
+        let mut engine = DpEngine::new(DpConfig::new(timing()).with_swap_pairs(0), 2);
+        engine.set_sigma(sigma.clone());
+        let mut policy = FixedPriority::new(engine);
         assert_eq!(policy.sigma(), Some(&sigma));
         let debts = debts_with(&[0.0, 0.0]);
         let mut ch = Bernoulli::reliable(2);

@@ -1,21 +1,18 @@
-//! The deterministic batch runner: fans [`Scenario`]s out across sweep
-//! points × replications on a bounded work-stealing pool.
+//! The deterministic batch runner: maps a job function over a batch of
+//! independent jobs (sweep points, scenarios, sample batches) on a bounded
+//! worker pool.
 //!
 //! Two properties matter more than raw speed here:
 //!
-//! * **Bounded fan-out** — a fixed number of workers share the job grid, so
-//!   a 10 000-point sweep never spawns 10 000 OS threads. Each worker is
-//!   dealt a contiguous index range up front and pops jobs off its front;
-//!   when its range drains it steals the upper half of the first non-empty
-//!   victim's range. Contiguous ranges keep cache-warm neighbours together
-//!   (sweep grids are laid out point-major, so adjacent jobs share a
-//!   scenario), and stealing halves keeps the pool balanced even when job
-//!   costs are wildly uneven — e.g. an N = 10 000 point next to an N = 10
-//!   point in the same sweep.
+//! * **Bounded fan-out** — a fixed number of workers share one job queue,
+//!   so a 10 000-point sweep never spawns 10 000 OS threads. The queue
+//!   hands out job indices in input order to whichever worker asks next,
+//!   so a worker that drew a slow job (an N = 10 000 point next to an
+//!   N = 10 point) never leaves the others idle while jobs remain.
 //! * **Worker-count independence** — every job owns its RNG (seeded from
 //!   the scenario, never from thread identity) and writes its result into
 //!   its input slot, so the output is bit-identical whether the pool has 1
-//!   worker or 64, and no matter which worker stole which range.
+//!   worker or 64, and no matter which worker ran which job.
 //!
 //! All shared state goes through the [`crate::sync`] facade rather than
 //! `std::sync` directly: in production the facade is a thin passthrough,
@@ -24,12 +21,7 @@
 //! (deadlock-freedom, exactly-once retirement, slot write-once and
 //! worker-count-independent output are model-checked per interleaving).
 //! The [`SchedProbe`] hooks exist for that checker: they observe claim /
-//! steal / slot events without perturbing the schedule.
-//!
-//! Replication seeds derive deterministically from the scenario's base
-//! seed: replication 0 *is* the base seed (so a 1-replication run
-//! reproduces the historical single-run results exactly), and replication
-//! `i > 0` uses `SeedStream::new(base).seed(i)`.
+//! slot / retire events without perturbing the schedule.
 //!
 //! # Example
 //!
@@ -37,73 +29,15 @@
 //! use rtmac::runner::Runner;
 //! use rtmac::scenario;
 //!
-//! let runner = Runner::new(2);
-//! let sc = scenario::tiny(9).with_intervals(50).with_replications(3);
-//! let reports = runner.replications(&sc)?;
+//! let sc = scenario::tiny(9).with_intervals(50);
+//! // One job per seed; the reports come back in input order.
+//! let reports = Runner::new(2).map(vec![9, 10, 11], |seed| sc.clone().with_seed(seed).run());
 //! assert_eq!(reports.len(), 3);
-//! // Replication 0 is the plain base-seed run.
-//! assert_eq!(reports[0], sc.run()?);
+//! assert_eq!(reports[0], Ok(sc.run()?));
 //! # Ok::<(), rtmac_model::ConfigError>(())
 //! ```
 
-use rtmac_model::ConfigError;
-use rtmac_sim::SeedStream;
-
-use crate::scenario::{Scenario, Sweep};
 use crate::sync::{run_threads, AtomicUsize, Mutex, Ordering};
-use crate::RunReport;
-
-/// Mean/min/max of one metric across a scenario's replications.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeriesStats {
-    /// Sample mean.
-    pub mean: f64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-}
-
-impl SeriesStats {
-    /// Aggregates a non-empty sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty.
-    #[must_use]
-    pub fn from_values(values: &[f64]) -> Self {
-        assert!(!values.is_empty(), "stats need at least one sample");
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        for &v in values {
-            min = min.min(v);
-            max = max.max(v);
-            sum += v;
-        }
-        SeriesStats {
-            mean: sum / values.len() as f64,
-            min,
-            max,
-        }
-    }
-}
-
-/// The per-replication seeds of a scenario: the base seed first, then
-/// [`SeedStream`]-derived children.
-#[must_use]
-pub fn replication_seeds(scenario: &Scenario) -> Vec<u64> {
-    let stream = SeedStream::new(scenario.seed);
-    (0..scenario.replications.max(1))
-        .map(|i| {
-            if i == 0 {
-                scenario.seed
-            } else {
-                stream.seed(i as u64)
-            }
-        })
-        .collect()
-}
 
 /// Observer hooks for the interleaving checker (`rtmac-verify sched`).
 ///
@@ -124,11 +58,7 @@ pub trait SchedProbe: Sync {
     fn slot_written(&self, worker: usize, index: usize) {
         let _ = (worker, index);
     }
-    /// Worker `thief` stole range `lo..hi` from `victim`.
-    fn stole(&self, thief: usize, victim: usize, lo: usize, hi: usize) {
-        let _ = (thief, victim, lo, hi);
-    }
-    /// Worker `worker` found every range empty and retired.
+    /// Worker `worker` found the queue empty and retired.
     fn retired(&self, worker: usize) {
         let _ = worker;
     }
@@ -140,7 +70,7 @@ pub struct NoProbe;
 
 impl SchedProbe for NoProbe {}
 
-/// A bounded work-stealing executor for scenario batches.
+/// A bounded worker pool for batches of independent jobs.
 #[derive(Debug, Clone, Copy)]
 pub struct Runner {
     workers: usize,
@@ -169,18 +99,17 @@ impl Runner {
         self.workers
     }
 
-    /// Maps `f` over `items` on the work-stealing pool. Results come back
-    /// in input order and do not depend on the worker count; at most
+    /// Maps `f` over `items` on the worker pool. Results come back in input
+    /// order and do not depend on the worker count; at most
     /// `min(workers, items.len())` threads run at once.
     ///
     /// # Panics
     ///
     /// Propagates the first panic from `f`, after every worker has been
     /// joined. A panicking worker does not strand the rest of the batch:
-    /// its remaining range is stolen and finished by the surviving
-    /// workers before the panic re-raises on the caller, and it cannot
-    /// deadlock the pool (range locks are released by unwinding). Only
-    /// the panicking job's own result is lost.
+    /// the surviving workers drain the queue before the panic re-raises
+    /// on the caller, and it cannot deadlock the pool (no lock is held
+    /// while a job runs). Only the panicking job's own result is lost.
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -196,8 +125,8 @@ impl Runner {
     /// whichever worker finished it, with a monotone `completed` count (a
     /// shared atomic, so two workers never report the same count). The
     /// callback must not assume any particular completion *order* — jobs
-    /// finish in steal order, not input order — only that the count climbs
-    /// from 1 to `total`.
+    /// on different workers finish in any order — only that the count
+    /// climbs from 1 to `total`.
     ///
     /// The returned results are identical to [`Runner::map`]: the callback
     /// observes progress but cannot perturb results or their order.
@@ -217,7 +146,7 @@ impl Runner {
     }
 
     /// [`Runner::map_with_progress`] with a [`SchedProbe`] observing the
-    /// pool's claim/steal/slot events — the entry point the
+    /// pool's claim/slot/retire events — the entry point the
     /// `rtmac-verify sched` interleaving checker drives. Results are
     /// identical to [`Runner::map`].
     ///
@@ -263,69 +192,21 @@ impl Runner {
             probe.retired(0);
             return out;
         }
-        // Deal each worker a contiguous index range. Jobs and results live
-        // in per-index slots, so whichever worker executes index `i`, the
-        // result lands in slot `i`: output order is input order and the
-        // steal schedule cannot leak into the results.
-        let jobs: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        // One shared queue gives each job index to whichever worker asks
+        // next, and each result lands in its own index's slot: output order
+        // is input order, and the schedule cannot leak into the results.
+        let queue = Mutex::new(items.into_iter().enumerate());
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let ranges: Vec<Mutex<(usize, usize)>> = (0..workers)
-            .map(|w| Mutex::new((w * n / workers, (w + 1) * n / workers)))
-            .collect();
         let completed = AtomicUsize::new(0);
         run_threads(workers, |w| loop {
-            // Pop the front of our own range; once it drains, steal
-            // the upper half of the first non-empty victim (scanning
-            // w+1, w+2, … so contention spreads) and adopt it. The own
-            // range guard drops at the end of this block, *before* any
-            // victim lock is taken: holding it across the steal scan is
-            // the lock-in-loop-hold deadlock shape.
-            let mut claimed = {
-                let mut own = ranges[w].lock();
-                (own.0 < own.1).then(|| {
-                    let i = own.0;
-                    own.0 += 1;
-                    i
-                })
-            };
-            if claimed.is_none() {
-                for offset in 1..workers {
-                    let victim = (w + offset) % workers;
-                    let stolen = {
-                        let mut other = ranges[victim].lock();
-                        (other.0 < other.1).then(|| {
-                            // Floor midpoint: a 1-job range is stolen
-                            // whole rather than left to ping-pong.
-                            let mid = (other.0 + other.1) / 2;
-                            let stolen = (mid, other.1);
-                            other.1 = mid;
-                            stolen
-                        })
-                    };
-                    if let Some((lo, hi)) = stolen {
-                        probe.stole(w, victim, lo, hi);
-                        *ranges[w].lock() = (lo + 1, hi);
-                        claimed = Some(lo);
-                        break;
-                    }
-                }
-            }
-            // No job of our own and every victim looked empty: any
-            // remaining jobs belong to live ranges whose owners will
-            // finish them, so this worker can retire.
-            let Some(i) = claimed else {
+            // The queue guard drops at the end of this statement, so no
+            // worker holds it while a job runs.
+            let next = queue.lock().next();
+            let Some((i, item)) = next else {
                 probe.retired(w);
                 break;
             };
             probe.claimed(w, i);
-            let item = jobs[i]
-                .lock()
-                .take()
-                // lint: allow(panic-expect) — range bookkeeping hands
-                // out each index exactly once; a second claim means
-                // memory corruption, so fail loudly rather than skip
-                // a job and silently corrupt batch output.
-                .expect("job claimed twice");
             let result = f(item);
             *slots[i].lock() = Some(result);
             probe.slot_written(w, i);
@@ -342,74 +223,14 @@ impl Runner {
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
-                    // lint: allow(panic-expect) — run_threads joined every
-                    // worker (propagating any panic), and a worker only
-                    // retires when every range is drained, so each slot was
-                    // filled; an empty slot would silently misalign results
-                    // with inputs, so fail loudly instead.
+                    // lint: allow(panic-expect) — workers retire only once
+                    // the queue is empty and run_threads joined them all
+                    // (propagating any panic), so every index was claimed
+                    // and its slot filled; an empty slot would silently
+                    // misalign results with inputs, so fail loudly instead.
                     .expect("worker completed every claimed job")
             })
             .collect()
-    }
-
-    /// Runs every replication of `scenario` (seeds from
-    /// [`replication_seeds`]) and returns the reports in replication order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ConfigError`] if the scenario is invalid.
-    ///
-    /// # Panics
-    ///
-    /// Propagates panics from worker threads, and panics if a worker
-    /// retires without filling a claimed result slot — a runner invariant
-    /// violation that would otherwise silently misalign results with
-    /// replications.
-    pub fn replications(&self, scenario: &Scenario) -> Result<Vec<RunReport>, ConfigError> {
-        self.map(replication_seeds(scenario), |seed| {
-            scenario
-                .network_with_seed(seed)
-                .map(|mut net| net.run(scenario.intervals))
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// Fans a sweep out across points × replications and aggregates
-    /// `metric` into one [`SeriesStats`] per point.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ConfigError`] if a sweep point is invalid.
-    ///
-    /// # Panics
-    ///
-    /// As [`Runner::replications`]: propagates worker panics and fails
-    /// loudly on an unfilled result slot. Also panics if a sweep axis
-    /// mismatches the base scenario's traffic kind (see [`Sweep::at`]).
-    pub fn series<F>(&self, sweep: &Sweep, metric: F) -> Result<Vec<SeriesStats>, ConfigError>
-    where
-        F: Fn(&RunReport) -> f64 + Sync,
-    {
-        let scenarios = sweep.scenarios();
-        let jobs: Vec<(usize, u64)> = scenarios
-            .iter()
-            .enumerate()
-            .flat_map(|(i, sc)| replication_seeds(sc).into_iter().map(move |s| (i, s)))
-            .collect();
-        let values: Vec<Result<f64, ConfigError>> = self.map(jobs.clone(), |(i, seed)| {
-            scenarios[i]
-                .network_with_seed(seed)
-                .map(|mut net| metric(&net.run(scenarios[i].intervals)))
-        });
-        let mut per_point: Vec<Vec<f64>> = vec![Vec::new(); scenarios.len()];
-        for ((i, _), value) in jobs.into_iter().zip(values) {
-            per_point[i].push(value?);
-        }
-        Ok(per_point
-            .iter()
-            .map(|values| SeriesStats::from_values(values))
-            .collect())
     }
 }
 
@@ -417,6 +238,7 @@ impl Runner {
 mod tests {
     use super::*;
     use crate::scenario::{self, PolicySpec};
+    use crate::RunReport;
 
     #[test]
     fn map_preserves_order_and_bounds_threads() {
@@ -450,9 +272,10 @@ mod tests {
     }
 
     #[test]
-    fn map_balances_skewed_job_costs_via_stealing() {
-        // All the slow jobs sit in one worker's initial contiguous range;
-        // stealing must still produce input-ordered, correct results.
+    fn map_keeps_input_order_under_skewed_job_costs() {
+        // The slow jobs all sit at the front of the batch, so later jobs
+        // can finish first; the results must still come back in input
+        // order.
         let items: Vec<u32> = (0..40).collect();
         let out = Runner::new(4).map(items, |x| {
             if x < 10 {
@@ -469,7 +292,7 @@ mod tests {
         // The documented contract on Runner::map: a panicking job
         // surfaces its payload on the caller, the pool neither deadlocks
         // nor strands work, and every *other* job still executes (the
-        // panicking worker's remaining range is stolen by survivors).
+        // surviving workers drain the queue).
         let executed = AtomicUsize::new(0);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             Runner::new(3).map((0..24).collect::<Vec<usize>>(), |x| {
@@ -524,20 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn replication_zero_is_the_base_seed() {
-        let sc = scenario::tiny(42).with_replications(4);
-        let seeds = replication_seeds(&sc);
-        assert_eq!(seeds.len(), 4);
-        assert_eq!(seeds[0], 42);
-        // Derived seeds are distinct from each other and the base.
-        for (i, &s) in seeds.iter().enumerate() {
-            for &t in &seeds[i + 1..] {
-                assert_ne!(s, t);
-            }
-        }
-    }
-
-    #[test]
     fn runner_output_is_worker_count_independent() {
         // The satellite determinism check: the fig3 sweep (at its
         // bench seed, shortened horizon) must produce identical reports
@@ -554,43 +363,5 @@ mod tests {
         let single = run(1);
         let pooled = run(4);
         assert_eq!(single, pooled);
-    }
-
-    #[test]
-    fn series_aggregates_replications() {
-        let sweep = scenario::Sweep {
-            name: "test",
-            base: scenario::tiny(5).with_intervals(40).with_replications(3),
-            axis: scenario::Axis::Ratio,
-            points: vec![0.5, 0.9],
-            shape: None,
-        };
-        let stats = Runner::new(2)
-            .series(&sweep, |r| r.final_total_deficiency)
-            .unwrap();
-        assert_eq!(stats.len(), 2);
-        for s in stats {
-            assert!(s.min <= s.mean && s.mean <= s.max);
-        }
-    }
-
-    #[test]
-    fn series_surfaces_config_errors() {
-        let sweep = scenario::Sweep {
-            name: "bad",
-            base: scenario::tiny(5),
-            axis: scenario::Axis::SuccessProbability,
-            points: vec![1.5],
-            shape: None,
-        };
-        assert!(Runner::new(2)
-            .series(&sweep, |r| r.final_total_deficiency)
-            .is_err());
-    }
-
-    #[test]
-    fn stats_from_values() {
-        let s = SeriesStats::from_values(&[2.0, 1.0, 3.0]);
-        assert_eq!((s.mean, s.min, s.max), (2.0, 1.0, 3.0));
     }
 }

@@ -4,11 +4,11 @@
 //!
 //! A [`Scenario`] is plain data — topology size, timing, channel success
 //! probabilities, traffic process, delivery-ratio requirements, a
-//! [`PolicySpec`], the horizon, the base seed, and a replication count. It
-//! is `Clone + PartialEq`, so sweeps and registries can manipulate
-//! configurations without touching any stateful simulator object; the
-//! stateful [`Network`] (and its boxed policy) is instantiated exactly once
-//! per run by [`Scenario::network`].
+//! [`PolicySpec`], the horizon, and the seed. It is `Clone + PartialEq`,
+//! so sweeps and registries can manipulate configurations without
+//! touching any stateful simulator object; the stateful [`Network`] (and
+//! its boxed policy) is instantiated exactly once per run by
+//! [`Scenario::network`].
 //!
 //! The registry at the bottom names the paper's workloads (`video20` and
 //! `control10` via [`video`] and [`control`], plus [`asym`] and [`tiny`])
@@ -34,11 +34,18 @@
 //! # Ok::<(), rtmac_model::ConfigError>(())
 //! ```
 
+use rtmac_mac::{
+    CentralizedEngine, DcfConfig, DcfEngine, DpConfig, DpEngine, FcsmaEngine, FcsmaQuantizer,
+    FrameCsmaEngine, MacTiming,
+};
 use rtmac_model::influence::{DebtInfluence, Linear, Log1p, PaperLog, Power};
-use rtmac_model::{ConfigError, LinkId, Permutation};
+use rtmac_model::{ConfigError, LinkId};
 use rtmac_traffic::{ArrivalProcess, BernoulliArrivals, BurstUniform, ConstantArrivals};
 
-use crate::{Network, NetworkBuilder, PolicyKind, RunReport};
+use crate::{
+    DbDp, DcfPolicy, Eldf, FcsmaPolicy, FixedPriority, FrameCsmaPolicy, Network, NetworkBuilder,
+    RunReport, TransmissionPolicy,
+};
 
 /// A per-link parameter: one value shared by every link, or an explicit
 /// per-link vector (the asymmetric networks of Figs. 7–8).
@@ -142,10 +149,9 @@ impl InfluenceSpec {
 
 /// Declarative, `Copy`-able policy selection.
 ///
-/// Unlike [`PolicyKind`] — which owns a boxed influence function and a
-/// stateful engine configuration — a `PolicySpec` is pure data, so sweep
-/// loops can carry it by value and instantiate the actual policy exactly
-/// once per run (inside [`Scenario::network`]).
+/// A `PolicySpec` is pure data, so sweep loops can carry it by value; the
+/// stateful policy (boxed influence function, engine) is instantiated
+/// exactly once per run (inside [`Scenario::network`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicySpec {
     /// The paper's decentralized algorithm (Algorithm 2 + Eq. 14).
@@ -233,27 +239,66 @@ impl PolicySpec {
         }
     }
 
-    /// Instantiates the stateful [`PolicyKind`] for an `n_links` network.
-    /// Called exactly once per run, from [`Scenario::to_builder`].
+    /// Instantiates the policy for a network of `n_links` links with the
+    /// given success probabilities and timing. Called exactly once per run,
+    /// from [`NetworkBuilder::build`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `success_probabilities.len() != n_links`, or if `R ≤ 0`.
     #[must_use]
-    pub fn kind(&self, n_links: usize) -> PolicyKind {
-        match *self {
+    pub fn instantiate(
+        self,
+        n_links: usize,
+        success_probabilities: &[f64],
+        timing: MacTiming,
+    ) -> Box<dyn TransmissionPolicy> {
+        assert_eq!(
+            success_probabilities.len(),
+            n_links,
+            "success probabilities must cover every link"
+        );
+        match self {
             PolicySpec::DbDp {
                 influence,
                 r,
                 swap_pairs,
-            } => PolicyKind::db_dp_with(influence.boxed(), r, swap_pairs),
-            PolicySpec::Eldf { influence } => PolicyKind::eldf_with(influence.boxed()),
-            PolicySpec::Ldf => PolicyKind::Ldf,
-            PolicySpec::Fcsma => PolicyKind::fcsma(),
-            PolicySpec::Dcf => PolicyKind::dcf(),
+            } => Box::new(DbDp::new(
+                DpEngine::new(DpConfig::new(timing).with_swap_pairs(swap_pairs), n_links),
+                influence.boxed(),
+                r,
+                success_probabilities.to_vec(),
+            )),
+            PolicySpec::Eldf { influence } => Box::new(Eldf::new(
+                CentralizedEngine::new(timing),
+                influence.boxed(),
+                success_probabilities.to_vec(),
+            )),
+            PolicySpec::Ldf => Box::new(Eldf::new(
+                CentralizedEngine::new(timing),
+                Box::new(Linear),
+                success_probabilities.to_vec(),
+            )),
+            PolicySpec::Fcsma => Box::new(FcsmaPolicy::new(
+                FcsmaEngine::new(timing),
+                FcsmaQuantizer::paper_default(),
+            )),
+            PolicySpec::Dcf => {
+                Box::new(DcfPolicy::new(DcfEngine::new(DcfConfig::default(), timing)))
+            }
             PolicySpec::FrameCsma {
                 influence,
                 control_slots,
-            } => PolicyKind::frame_csma_with(influence.boxed(), control_slots),
-            PolicySpec::FixedPriority => PolicyKind::FixedPriority {
-                sigma: Permutation::identity(n_links),
-            },
+            } => Box::new(FrameCsmaPolicy::new(
+                FrameCsmaEngine::new(timing).with_control_slots(control_slots),
+                influence.boxed(),
+            )),
+            // A new engine starts at the identity ordering, and zero swap
+            // pairs freeze it there.
+            PolicySpec::FixedPriority => Box::new(FixedPriority::new(DpEngine::new(
+                DpConfig::new(timing).with_swap_pairs(0),
+                n_links,
+            ))),
         }
     }
 }
@@ -535,11 +580,8 @@ pub struct Scenario {
     pub policy: PolicySpec,
     /// Horizon: intervals simulated by [`Scenario::run`].
     pub intervals: usize,
-    /// Base RNG seed; replication `i` derives its seed from it.
+    /// RNG seed; every random stream of the run derives from it.
     pub seed: u64,
-    /// Number of independent sample paths the
-    /// [`Runner`](crate::runner::Runner) fans this scenario out across.
-    pub replications: usize,
     /// Track one link's running throughput: `(link index, band)` as in
     /// [`NetworkBuilder::track_link`] (the Fig. 5 instrumentation).
     pub track: Option<(usize, f64)>,
@@ -569,7 +611,7 @@ impl Scenario {
         self
     }
 
-    /// Replaces the base seed.
+    /// Replaces the seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -586,13 +628,6 @@ impl Scenario {
     #[must_use]
     pub fn with_links(mut self, links: usize) -> Self {
         self.links = links;
-        self
-    }
-
-    /// Replaces the replication count.
-    #[must_use]
-    pub fn with_replications(mut self, replications: usize) -> Self {
-        self.replications = replications;
         self
     }
 
@@ -636,7 +671,7 @@ impl Scenario {
             .payload_bytes(self.payload_bytes)
             .success_probabilities(self.success.expand(self.links))
             .delivery_ratios(self.ratio.expand(self.links))
-            .policy(self.policy.kind(self.links))
+            .policy(self.policy)
             .seed(self.seed);
         if let Some(traffic) = self.traffic.instantiate(self.links) {
             b = b.traffic(traffic);
@@ -653,22 +688,13 @@ impl Scenario {
         b
     }
 
-    /// Builds the network with the scenario's base seed.
+    /// Builds the network.
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] for inconsistent parameters.
     pub fn network(&self) -> Result<Network, ConfigError> {
         self.to_builder().build()
-    }
-
-    /// Builds the network with an overridden seed (replication fan-out).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] for inconsistent parameters.
-    pub fn network_with_seed(&self, seed: u64) -> Result<Network, ConfigError> {
-        self.to_builder().seed(seed).build()
     }
 
     /// Builds the network and runs the scenario's horizon.
@@ -812,7 +838,6 @@ pub fn video(n: usize, alpha: f64, rho: f64, seed: u64) -> Scenario {
         policy: PolicySpec::db_dp(),
         intervals: DEFAULT_INTERVALS,
         seed,
-        replications: 1,
         track: None,
         fault: None,
         admission: None,
@@ -839,7 +864,6 @@ pub fn video_per_link(alpha: Vec<f64>, p: Vec<f64>, rho: Vec<f64>, seed: u64) ->
         policy: PolicySpec::db_dp(),
         intervals: DEFAULT_INTERVALS,
         seed,
-        replications: 1,
         track: None,
         fault: None,
         admission: None,
@@ -865,7 +889,6 @@ pub fn control(n: usize, lambda: f64, rho: f64, seed: u64) -> Scenario {
         policy: PolicySpec::db_dp(),
         intervals: DEFAULT_INTERVALS,
         seed,
-        replications: 1,
         track: None,
         fault: None,
         admission: None,
@@ -893,7 +916,6 @@ pub fn asym(alpha_star: f64, rho: f64, seed: u64) -> Scenario {
         policy: PolicySpec::db_dp(),
         intervals: DEFAULT_INTERVALS,
         seed,
-        replications: 1,
         track: None,
         fault: None,
         admission: None,
@@ -933,7 +955,6 @@ pub fn tiny(seed: u64) -> Scenario {
         policy: PolicySpec::db_dp(),
         intervals: DEFAULT_INTERVALS,
         seed,
-        replications: 1,
         track: None,
         fault: None,
         admission: None,
@@ -1215,7 +1236,7 @@ mod tests {
             .uniform_success_probability(0.7)
             .traffic(Box::new(traffic))
             .delivery_ratio(0.9)
-            .policy(PolicyKind::db_dp())
+            .policy(PolicySpec::db_dp())
             .seed(7)
             .build()
             .unwrap();

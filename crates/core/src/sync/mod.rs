@@ -1,4 +1,4 @@
-//! Synchronization facade for the work-stealing [`Runner`](crate::Runner).
+//! Synchronization facade for the job-queue [`Runner`](crate::Runner).
 //!
 //! Every concurrency primitive the runner touches goes through this module
 //! instead of `std::sync` directly (the `raw-sync-primitive` lint rule

@@ -325,7 +325,8 @@ pub const RULES: &[Rule] = &[
         exempt_tests: true,
         default_tokens: &["std::sync", "std::thread::spawn", "std::thread::scope"],
         summary: "concurrency primitives go through the rtmac::sync facade",
-        explain: "The work-stealing Runner's shared state flows through the \
+        explain: "The Runner's shared state (its job queue, result slots and \
+                  progress counter) flows through the \
                   rtmac::sync facade (Mutex, AtomicUsize, run_threads), which is \
                   what lets `rtmac-verify sched` run the *same* code on a \
                   cooperative model scheduler and exhaustively check its \
@@ -368,10 +369,9 @@ pub const RULES: &[Rule] = &[
         explain: "Binding `let guard = locks[i].lock()` and then entering a \
                   for/while/loop body that locks *another* element of a lock \
                   array is the symmetric-deadlock shape: two workers each hold \
-                  their own element while waiting for the other's. The runner's \
-                  steal scan is the canonical instance — the own-range guard \
-                  must drop before the victim scan starts (scope the pop in a \
-                  block). The rule fires on the inner indexed `.lock()` when an \
+                  their own element while waiting for the other's. Drop the \
+                  first guard before the loop starts (scope it in a block). \
+                  The rule fires on the inner indexed `.lock()` when an \
                   earlier `let`-bound indexed guard from the same enclosing \
                   block is still live at the loop, and stays quiet when the \
                   guard is scoped out or explicitly dropped first. A \

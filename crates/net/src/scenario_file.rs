@@ -7,8 +7,7 @@
 //! `parse(&render(sc)?)? == sc` for every renderable scenario, and
 //! rendering refuses (with [`NetError::Unsupported`]) any scenario the
 //! format cannot represent losslessly (fault injection, admission
-//! control, tracking, multi-replication runs, non-default policy
-//! parameterizations).
+//! control, tracking, non-default policy parameterizations).
 //!
 //! ```text
 //! # one key per line; '#' starts a comment
@@ -57,9 +56,6 @@ pub fn render(sc: &Scenario) -> Result<String, NetError> {
     }
     if sc.track.is_some() {
         return Err(unsupported("throughput tracking"));
-    }
-    if sc.replications != 1 {
-        return Err(unsupported("multiple replications"));
     }
     let mut out = String::from("# rtmac-netd scenario\n");
     let mut field = |key: &str, value: String| {
@@ -170,9 +166,8 @@ fn render_policy(p: &PolicySpec) -> Result<String, NetError> {
 /// assert_eq!(back.links, sc.links);
 /// ```
 pub fn parse(text: &str) -> Result<Scenario, NetError> {
-    // Start from a registry scenario so defaults (replications = 1, no
-    // fault/admission/track) are shared, then overwrite every field the
-    // format carries.
+    // Start from a registry scenario so defaults (no fault/admission/track)
+    // are shared, then overwrite every field the format carries.
     let mut sc = by_name("tiny").ok_or_else(|| NetError::Config("registry lost tiny".into()))?;
     sc.name = "custom";
     sc.engine = EngineSpec::default();
@@ -419,7 +414,7 @@ mod tests {
             .unwrap()
             .with_fault(rtmac::FaultSpec::sensing(0.01));
         assert!(matches!(render(&sc), Err(NetError::Unsupported(_))));
-        let sc = scenario::by_name("tiny").unwrap().with_replications(5);
+        let sc = scenario::by_name("tiny").unwrap().with_track(0, 0.05);
         assert!(matches!(render(&sc), Err(NetError::Unsupported(_))));
     }
 

@@ -44,7 +44,7 @@
 //!
 //! Beyond the protocol engine, the crate also model-checks the
 //! *infrastructure* the checkers run on: the [`sched`] module is a
-//! loom-style deterministic interleaving checker for the work-stealing
+//! loom-style deterministic interleaving checker for the job queue of
 //! [`rtmac::Runner`], exploring bounded-preemption schedules through the
 //! [`rtmac::sync`] facade and asserting deadlock-freedom, exactly-once
 //! job retirement, slot write-once, and output determinism on every
@@ -52,7 +52,7 @@
 //!
 //! The `rtmac-verify` binary wires this into CI (`--quick` gates every
 //! push next to `rtmac-lint`; an `smc` smoke run guards the statistical
-//! path; a `sched --quick` run gates the runner; a `fault-smoke` run
+//! path; a `sched --full` run gates the runner; a `fault-smoke` run
 //! ([`fault_smoke()`]) pins σ-liveness and reconvergence of the
 //! degraded engine at a correlated-fault corner).
 

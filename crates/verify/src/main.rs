@@ -55,13 +55,14 @@ smc flags (seeded Monte-Carlo over full decision trajectories):
   --trace FILE      also write a violating trace to FILE
   --workers W       worker threads                   [default: all cores]
 
-sched flags (loom-style interleaving checker for the work-stealing
-Runner; asserts deadlock-freedom, exactly-once retirement, slot
+sched flags (loom-style interleaving checker for the Runner's shared
+job queue; asserts deadlock-freedom, exactly-once retirement, slot
 write-once, and output determinism on every explored interleaving):
-  --quick           CI suite: exhaustive 2 workers x 6 jobs (bound 2),
-                    panic propagation, and a 200-sample randomized pass
-  --full            quick plus exhaustive 3 workers x 4 jobs and a
-                    1000-sample randomized pass at 3 workers  [default]
+  --quick           exhaustive 2 workers x 6 jobs (bound 2), panic
+                    propagation, and a 200-sample randomized pass
+  --full            CI suite: quick plus exhaustive and panic passes at
+                    3 workers x 4 jobs, and a 1000-sample randomized
+                    pass at 3 workers x 12 jobs               [default]
   --workers W       explore a single custom config instead
   --jobs J          jobs for the custom config            [default: 4]
   --preemptions B   preemption bound for the custom config [default: 2]

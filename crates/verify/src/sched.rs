@@ -1,9 +1,9 @@
-//! Deterministic interleaving checking of the work-stealing
+//! Deterministic interleaving checking of the job-queue
 //! [`Runner`] — the loom-style companion to the DP-engine
 //! checkers in this crate.
 //!
-//! The runner's shared state (job, slot and range locks plus the progress
-//! counter) goes through the [`rtmac::sync`] facade, whose
+//! The runner's shared state (the queue lock, the per-index slot locks
+//! and the progress counter) goes through the [`rtmac::sync`] facade, whose
 //! [`model`](rtmac::sync::model) mode serializes worker threads on a
 //! cooperative scheduler and records every scheduling decision. This
 //! module drives that mode two ways:
@@ -27,7 +27,7 @@
 //!    once, and the progress counter retires exactly `jobs` completions;
 //! 3. **slot write-once** — every result slot is written exactly once;
 //! 4. **output determinism** — the returned vector equals the 1-worker
-//!    reference, so the steal schedule cannot leak into results.
+//!    reference, so the schedule cannot leak into results.
 //!
 //! [`explore_panic`] additionally checks the runner's panic contract
 //! under every interleaving: a job panic must surface (never deadlock,
@@ -36,9 +36,11 @@
 //! Violations come back as a [`SchedCounterexample`] carrying the exact
 //! decision schedule, replayable via [`replay_schedule`]. The mutation
 //! suite in `crates/verify/tests/sched_mutation.rs` runs seeded
-//! concurrency faults (dropped range lock, double steal, missing
-//! increment, lock held across the steal loop) through the same explorer
-//! and convicts each one.
+//! concurrency faults (a queue cursor read and advanced under separate
+//! locks, a retiring worker spinning on the progress counter or leaking
+//! the queue guard, a torn progress update, a misrouted slot, the worker
+//! id leaking into results) through the same explorer and convicts each
+//! one.
 
 use rand::Rng;
 use rtmac::runner::{Runner, SchedProbe};
@@ -176,7 +178,7 @@ pub trait SchedSubject: Sync {
     ) -> Vec<usize>;
 }
 
-/// The real work-stealing [`Runner`] as a checking subject.
+/// The real [`Runner`] as a checking subject.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunnerSubject;
 

@@ -273,7 +273,7 @@ impl BatchOut {
 /// sample index, the reported counterexample is always the lowest-index
 /// violating sample's, and the batch geometry itself is a fixed function
 /// of the sample budget — the batches are only *scheduled* onto the
-/// runner's work-stealing pool, never shaped by it.
+/// runner's worker pool, never shaped by it.
 ///
 /// ```
 /// use rtmac::runner::Runner;
@@ -300,7 +300,7 @@ where
     let timing = check_cfg.timing();
     // Fixed batch geometry, independent of the runner's worker count:
     // carve the sample budget into at most `TARGET_BATCHES` equal slices
-    // (capped at 4096 samples each) and let the work-stealing runner
+    // (capped at 4096 samples each) and let the runner's job queue
     // balance them. Keeping the split a pure function of `cfg.samples`
     // means the identical batches — and the identical merged report —
     // fall out of every pool size.

@@ -1,5 +1,5 @@
-//! Interleaving checks of the real work-stealing [`rtmac::Runner`]: the
-//! CI-gated exhaustive configuration, a randomized (PCT-style) pass at a
+//! Interleaving checks of the real job-queue [`rtmac::Runner`]: the
+//! CI-gated exhaustive configurations, a randomized (PCT-style) pass at a
 //! size the bounded DFS cannot cover, and the panic-propagation contract
 //! under every bounded interleaving.
 
@@ -23,20 +23,28 @@ fn exhaustive_two_workers_six_jobs_is_clean() {
     let cfg = SchedConfig::new(2, 6, 2);
     let stats = explore(&RunnerSubject, &cfg).unwrap_or_else(|ce| panic!("{ce}"));
     assert_explored(&stats, "2w/6j");
-    assert!(
-        stats.executions >= 500,
-        "bound-2 DFS at 2w/6j explores hundreds of interleavings, got {}",
-        stats.executions
+    // Exact pins of the search size: any change to the Runner's
+    // synchronisation (a lock taken or dropped, an extra atomic) moves
+    // them, and must be reviewed and re-pinned on purpose.
+    assert_eq!(
+        (stats.executions, stats.decisions),
+        (384, 8448),
+        "2w/6j search size"
     );
 }
 
 #[test]
 fn exhaustive_three_workers_is_clean() {
-    // Three workers exercise multi-victim steal scans (the 2-worker
-    // search can never pick among victims).
-    let cfg = SchedConfig::new(3, 3, 1);
+    // Three workers contend three ways for the queue lock, which the
+    // 2-worker search cannot (same run as `rtmac-verify sched --full`).
+    let cfg = SchedConfig::new(3, 4, 2);
     let stats = explore(&RunnerSubject, &cfg).unwrap_or_else(|ce| panic!("{ce}"));
-    assert_explored(&stats, "3w/3j");
+    assert_explored(&stats, "3w/4j");
+    assert_eq!(
+        (stats.executions, stats.decisions),
+        (2220, 39960),
+        "3w/4j search size"
+    );
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! Mutation testing of the interleaving checker: seeded concurrency
-//! faults in a mirror of the runner's work-stealing loop must be
-//! convicted, each under the property it actually breaks, while the
-//! faithful mirror and the real [`rtmac::Runner`] pass the identical
-//! exploration. This is the evidence that the checker's verdicts carry
-//! information — a checker that passes everything proves nothing.
+//! faults in a mirror of the runner's job-queue loop must be convicted,
+//! each under the property it actually breaks, while the faithful mirror
+//! and the real [`rtmac::Runner`] pass the identical exploration. This is
+//! the evidence that the checker's verdicts carry information — a checker
+//! that passes everything proves nothing.
 //!
 //! Every conviction also replays: the counterexample's decision schedule
 //! reproduces the violation on a fresh faulty pool.
@@ -15,36 +15,30 @@ use rtmac_verify::{
 };
 
 /// The seeded concurrency faults. Each is a small, realistic slip in the
-/// work-stealing loop — the kind a refactor could introduce.
+/// queue loop — the kind a refactor could introduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Fault {
     /// Faithful mirror of the runner's loop; must pass.
     None,
-    /// Holds the worker's own range lock across the whole victim scan —
-    /// the `lock-in-loop-hold` lint shape. Two workers stealing from
-    /// each other deadlock.
-    HoldOwnWhileStealing,
-    /// Reads the own-range bounds under the lock, drops the guard, then
-    /// re-locks and writes the popped front back. A steal between the
-    /// read and the write-back races the stale bounds: both workers
-    /// claim the same index.
-    DroppedRangeLock,
-    /// The thief takes the upper half but forgets to shrink the victim's
-    /// range. Stolen jobs re-execute, and a drained thief re-steals the
-    /// never-shrinking range forever — a livelock.
-    DoubleSteal,
-    /// Off-by-one on the steal boundary: the victim keeps up to
-    /// `mid + 1` while the thief takes `mid..hi`. The overlap
-    /// double-executes, and short ranges stop shrinking — a livelock.
-    OverlappingSteal,
+    /// Reads the queue cursor under one lock, drops the guard, then
+    /// re-locks to advance it. Two workers that both read before either
+    /// advances claim the same index.
+    SplitCursorUpdate,
+    /// A worker that finds the queue empty waits for the progress counter
+    /// to reach the total instead of retiring. Scheduled ahead of the
+    /// worker still running the last job, it spins forever — a livelock.
+    SpinOnProgress,
+    /// The worker that finds the queue empty retires without releasing
+    /// the queue guard. The next worker to ask for a job blocks forever.
+    LeakGuardOnRetire,
     /// Replaces the progress counter's `fetch_add` with a load/store
     /// pair. Interleaved updates tear, so completions are lost.
     TornProgressUpdate,
     /// Routes the last job's result into its neighbour's slot: one slot
     /// is written twice and one never.
     MisroutedSlot,
-    /// Mixes the worker id into the result, leaking the steal schedule
-    /// into the output.
+    /// Mixes the worker id into the result, leaking the schedule into the
+    /// output.
     WorkerIdInResult,
 }
 
@@ -52,13 +46,8 @@ impl Fault {
     fn expected_property(self) -> SchedProperty {
         match self {
             Fault::None => unreachable!("the faithful mirror must pass"),
-            // The broken steals livelock before any double-claim is
-            // observable: the victim's range never shrinks, so a drained
-            // thief re-steals it forever.
-            Fault::HoldOwnWhileStealing | Fault::DoubleSteal | Fault::OverlappingSteal => {
-                SchedProperty::DeadlockFree
-            }
-            Fault::DroppedRangeLock | Fault::TornProgressUpdate => SchedProperty::ExactlyOnce,
+            Fault::SpinOnProgress | Fault::LeakGuardOnRetire => SchedProperty::DeadlockFree,
+            Fault::SplitCursorUpdate | Fault::TornProgressUpdate => SchedProperty::ExactlyOnce,
             Fault::MisroutedSlot => SchedProperty::SlotWriteOnce,
             Fault::WorkerIdInResult => SchedProperty::OutputDeterminism,
         }
@@ -67,8 +56,9 @@ impl Fault {
 
 /// A mirror of [`rtmac::Runner`]'s parallel `map` loop over the same
 /// `rtmac::sync` facade, with one seeded fault. Mirrors rather than
-/// wraps: faults must live inside the claim/steal/retire logic, which
-/// the real runner (correctly) does not expose.
+/// wraps: faults must live inside the claim/retire logic, which the real
+/// runner (correctly) does not expose. Job `i`'s input is `i` itself, so
+/// the queue is the index range.
 struct FaultyPool {
     fault: Fault,
 }
@@ -87,97 +77,40 @@ impl SchedSubject for FaultyPool {
             "mirror covers the parallel path"
         );
         let n = jobs;
-        let job_cells: Vec<Mutex<Option<usize>>> = (0..n).map(|i| Mutex::new(Some(i))).collect();
+        let queue = Mutex::new(0..n);
         let slots: Vec<Mutex<Option<usize>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let ranges: Vec<Mutex<(usize, usize)>> = (0..workers)
-            .map(|w| Mutex::new((w * n / workers, (w + 1) * n / workers)))
-            .collect();
         let completed = rtmac::sync::AtomicUsize::new(0);
         let fault = self.fault;
         run_threads(workers, |w| loop {
-            let mut claimed = if fault == Fault::DroppedRangeLock {
-                // Read the bounds, drop the guard, write back later: the
-                // gap races concurrent steals.
-                let (lo, hi) = {
-                    let own = ranges[w].lock();
-                    (own.0, own.1)
-                };
-                (lo < hi).then(|| {
-                    ranges[w].lock().0 = lo + 1;
-                    lo
-                })
-            } else if fault == Fault::HoldOwnWhileStealing {
-                let mut own = ranges[w].lock();
-                let mut claimed = (own.0 < own.1).then(|| {
-                    let i = own.0;
-                    own.0 += 1;
-                    i
-                });
-                if claimed.is_none() {
-                    // Victim scan while still holding `own` — the
-                    // deadlock the lock-in-loop-hold lint exists for.
-                    for offset in 1..workers {
-                        let victim = (w + offset) % workers;
-                        let mut other = ranges[victim].lock();
-                        if other.0 < other.1 {
-                            let mid = (other.0 + other.1) / 2;
-                            let (lo, hi) = (mid, other.1);
-                            other.1 = mid;
-                            probe.stole(w, victim, lo, hi);
-                            *own = (lo + 1, hi);
-                            claimed = Some(lo);
-                            break;
-                        }
-                    }
+            let next = match fault {
+                Fault::SplitCursorUpdate => {
+                    let cursor = queue.lock().start;
+                    (cursor < n).then(|| {
+                        queue.lock().start = cursor + 1;
+                        cursor
+                    })
                 }
-                claimed
-            } else {
-                let mut own = ranges[w].lock();
-                (own.0 < own.1).then(|| {
-                    let i = own.0;
-                    own.0 += 1;
-                    i
-                })
+                Fault::LeakGuardOnRetire => {
+                    let mut guard = queue.lock();
+                    let next = guard.next();
+                    if next.is_none() {
+                        std::mem::forget(guard);
+                    }
+                    next
+                }
+                _ => queue.lock().next(),
             };
-            if claimed.is_none() && fault != Fault::HoldOwnWhileStealing {
-                for offset in 1..workers {
-                    let victim = (w + offset) % workers;
-                    let stolen = {
-                        let mut other = ranges[victim].lock();
-                        (other.0 < other.1).then(|| {
-                            let mid = (other.0 + other.1) / 2;
-                            let stolen = (mid, other.1);
-                            match fault {
-                                // Forgets to shrink the victim at all.
-                                Fault::DoubleSteal => {}
-                                // Off-by-one: the victim keeps `mid`.
-                                Fault::OverlappingSteal => other.1 = (mid + 1).min(other.1),
-                                _ => other.1 = mid,
-                            }
-                            stolen
-                        })
-                    };
-                    if let Some((lo, hi)) = stolen {
-                        probe.stole(w, victim, lo, hi);
-                        *ranges[w].lock() = (lo + 1, hi);
-                        claimed = Some(lo);
-                        break;
-                    }
+            let Some(i) = next else {
+                if fault == Fault::SpinOnProgress {
+                    while completed.load(Ordering::SeqCst) < n {}
                 }
-            }
-            let Some(i) = claimed else {
                 probe.retired(w);
                 break;
             };
             probe.claimed(w, i);
-            // No `expect` here: a double-claim must surface as a checker
-            // conviction (claims != 1), not as a mirror panic.
-            let Some(item) = job_cells[i].lock().take() else {
-                continue;
-            };
             let result = match fault {
-                Fault::WorkerIdInResult => f(item) + w,
-                _ => f(item),
+                Fault::WorkerIdInResult => f(i) + w,
+                _ => f(i),
             };
             let target = match fault {
                 Fault::MisroutedSlot if i == n - 1 => n - 2,
@@ -243,26 +176,28 @@ fn the_faithful_mirror_passes_the_exploration() {
 fn the_real_runner_passes_the_identical_exploration() {
     let stats = explore(&RunnerSubject, &cfg()).expect("the real runner must pass");
     assert!(stats.complete);
+    // The mirror takes the same scheduling points as the runner, so both
+    // searches visit the same interleavings.
+    let mirror = explore(&FaultyPool { fault: Fault::None }, &cfg()).expect("mirror passes");
+    assert_eq!(
+        (stats.executions, stats.decisions),
+        (mirror.executions, mirror.decisions)
+    );
 }
 
 #[test]
-fn convicts_lock_held_across_the_steal_scan_as_deadlock() {
-    convict(Fault::HoldOwnWhileStealing);
+fn convicts_a_split_cursor_update_as_a_double_claim() {
+    convict(Fault::SplitCursorUpdate);
 }
 
 #[test]
-fn convicts_a_dropped_range_lock_as_a_double_claim() {
-    convict(Fault::DroppedRangeLock);
+fn convicts_spinning_on_progress_as_a_livelock() {
+    convict(Fault::SpinOnProgress);
 }
 
 #[test]
-fn convicts_a_double_steal_as_a_livelock() {
-    convict(Fault::DoubleSteal);
-}
-
-#[test]
-fn convicts_an_overlapping_steal_as_a_livelock() {
-    convict(Fault::OverlappingSteal);
+fn convicts_a_leaked_queue_guard_as_deadlock() {
+    convict(Fault::LeakGuardOnRetire);
 }
 
 #[test]

@@ -38,7 +38,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         policy: PolicySpec::db_dp(),
         intervals: 4000,
         seed: 5,
-        replications: 1,
         track: None,
         fault: None,
         admission: None,

@@ -28,7 +28,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         policy: PolicySpec::db_dp(),
         intervals: 2000,
         seed: 7,
-        replications: 1,
         track: None,
         fault: None,
         admission: None,

@@ -50,7 +50,6 @@ proptest! {
             policy: build_policy(policy_code),
             intervals,
             seed,
-            replications: 1,
             track: None,
             fault: None,
             admission: None,

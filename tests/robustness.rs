@@ -129,7 +129,6 @@ fn extreme_parameters_smoke() {
         policy: PolicySpec::db_dp(),
         intervals: 200,
         seed: 43,
-        replications: 1,
         track: None,
         fault: None,
         admission: None,

@@ -13,7 +13,8 @@
 //!   concede pressure, saturated N = 200);
 //! * a mixed per-link payload shape ([`MacTiming::with_link_payloads`]);
 //! * a fixed grid over swap pairs × deadlines × payloads × trace mode,
-//!   hashed into one constant.
+//!   hashed into two constants: the cases that draw at most one swap pair
+//!   and the cases that draw more.
 
 use rand::Rng;
 use rtmac_mac::{DpConfig, DpEngine, MacTiming};
@@ -64,6 +65,15 @@ fn drive(
         hash = fnv1a(hash, format!("{}", engine.sigma()).as_bytes());
     }
     hash
+}
+
+/// Which half of a split constant a case folds into: 0 when the shared
+/// draw picks at most one pair (`min(pairs, ⌊N/2⌋) ≤ 1`, a single
+/// `random_range`), 1 when it picks two or more. The halves move
+/// independently, so a change to the multi-pair sampler shows in half 1
+/// only.
+fn draw_half(swap_pairs: usize, n: usize) -> usize {
+    usize::from(swap_pairs.min(n / 2) >= 2)
 }
 
 /// Asserts a pinned fingerprint with the re-pinning instructions.
@@ -132,10 +142,11 @@ fn golden_link_payloads_match() {
 /// {200 µs, 500 µs, 2 ms, 20 ms} × payloads {100, 500, 1500} B × trace
 /// on/off, 12 intervals each. Link count, seed, channel reliability and
 /// arrival bound are derived from the case index so the grid also spans
-/// N = 2..=13. Every case's fingerprint folds into one constant.
+/// N = 2..=13. Every case's fingerprint folds into one of two constants,
+/// split by draw size (see [`draw_half`]).
 #[test]
 fn grid_fingerprint() {
-    let mut hash = FNV_OFFSET;
+    let mut hash = [FNV_OFFSET; 2];
     let mut case = 0usize;
     for swap_pairs in 0..4 {
         for deadline_us in [200u64, 500, 2_000, 20_000] {
@@ -153,12 +164,22 @@ fn grid_fingerprint() {
                     let success = 0.3 + 0.1 * ((case * 3) % 7) as f64;
                     let max_arrivals = ((case * 3) % 4) as u32;
                     let h = drive(&config, n, case as u64, 12, success, max_arrivals);
-                    hash = fnv1a(hash, &h.to_le_bytes());
+                    let half = draw_half(swap_pairs, n);
+                    hash[half] = fnv1a(hash[half], &h.to_le_bytes());
                     case += 1;
                 }
             }
         }
     }
     assert_eq!(case, 96);
-    assert_pinned("configuration grid", hash, 0x54B7_C28C_53DC_D700);
+    assert_pinned(
+        "configuration grid ≤ 1 pair",
+        hash[0],
+        0xE7E5_EB0B_680D_44A8,
+    );
+    assert_pinned(
+        "configuration grid ≥ 2 pairs",
+        hash[1],
+        0x9EE9_FECC_E1A4_2575,
+    );
 }

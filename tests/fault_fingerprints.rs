@@ -12,9 +12,10 @@
 //! the R1/R2 recovery breaks loudly.
 //!
 //! * a fixed 216-case grid over N × swap pairs × fault setting ×
-//!   recovery rule, with timing and trace mode alternating;
+//!   recovery rule, with timing and trace mode alternating, folded into
+//!   two constants split by draw size (see [`draw_half`]);
 //! * 300 seeded random configurations with mid-run blocking, fault-model
-//!   withdrawal and churn-event drains;
+//!   withdrawal and churn-event drains, split the same way;
 //! * the saturated zero-fault case in which an empty layer's R2
 //!   fallback leaves the fault-free trajectory;
 //! * four network-level robustness scenarios, pinned over their
@@ -148,6 +149,15 @@ fn drive(
     fnv1a(hash, format!("{events:?}").as_bytes())
 }
 
+/// Which half of a split constant a case folds into: 0 when the shared
+/// draw picks at most one pair (`min(pairs, ⌊N/2⌋) ≤ 1`, a single
+/// `random_range`), 1 when it picks two or more. The halves move
+/// independently, so a change to the multi-pair sampler shows in half 1
+/// only.
+fn draw_half(swap_pairs: usize, n: usize) -> usize {
+    usize::from(swap_pairs.min(n / 2) >= 2)
+}
+
 /// Asserts a pinned fingerprint with the re-pinning instructions.
 fn assert_pinned(what: &str, hash: u64, pinned: u64) {
     assert_eq!(
@@ -163,7 +173,7 @@ fn assert_pinned(what: &str, hash: u64, pinned: u64) {
 /// trace mode is on in every other pair of cases.
 #[test]
 fn fault_grid_fingerprint() {
-    let mut hash = FNV_OFFSET;
+    let mut hash = [FNV_OFFSET; 2];
     let mut case = 0usize;
     let mut totals = FaultStats::default();
     for n in [2usize, 5, 12] {
@@ -184,7 +194,8 @@ fn fault_grid_fingerprint() {
                     let unblock = (fault == 6).then_some(12);
                     let max_arrivals = 1 + (case % 3) as u32;
                     let h = drive(&mut engine, seed, 40, max_arrivals, unblock);
-                    hash = fnv1a(hash, &h.to_le_bytes());
+                    let half = draw_half(swap_pairs, n);
+                    hash[half] = fnv1a(hash[half], &h.to_le_bytes());
                     let s = engine.stats();
                     totals.divergences += s.divergences;
                     totals.fallbacks += s.fallbacks;
@@ -199,19 +210,21 @@ fn fault_grid_fingerprint() {
     // The grid reaches every recovery path it pins.
     assert!(totals.divergences > 0 && totals.fallbacks > 0);
     assert!(totals.reconvergences > 0 && totals.sensing_flips > 0);
-    assert_pinned("fault grid", hash, 0x8707_A838_8E82_2245);
+    assert_pinned("fault grid ≤ 1 pair", hash[0], 0x6F7A_83E3_C060_9B58);
+    assert_pinned("fault grid ≥ 2 pairs", hash[1], 0x1CE9_C422_3CCA_6CC4);
 }
 
 /// 300 configurations drawn from a seeded stream: N up to 40, up to 5
 /// pairs, six deadlines, per-link payloads, random noise, bursts,
 /// hidden pairs, churn, corrupted beliefs and recovery rules, with links
 /// blocked and unblocked, the fault model withdrawn and churn events
-/// drained mid-run. Every configuration's fingerprint folds into one
-/// constant.
+/// drained mid-run. Every configuration's fingerprint folds into one of
+/// two constants, split by draw size.
 #[test]
 fn random_configurations_fingerprint() {
-    let mut hash = FNV_OFFSET;
+    let mut halves = [FNV_OFFSET; 2];
     for case in 0..300u64 {
+        let mut hash = FNV_OFFSET;
         let seeds = SeedStream::new(77_000 + case);
         let mut pick = seeds.rng(9);
         let n = pick.random_range(2..=40usize);
@@ -226,8 +239,9 @@ fn random_configurations_fingerprint() {
             let payloads: Vec<u32> = (0..n).map(|l| [1500, 100, 500][l % 3]).collect();
             timing = timing.with_link_payloads(&payloads);
         }
+        let swap_pairs = pick.random_range(0..=5usize);
         let config = DpConfig::new(timing)
-            .with_swap_pairs(pick.random_range(0..=5usize))
+            .with_swap_pairs(swap_pairs)
             .with_trace(pick.random_bool(0.5));
         let eps = [0.0, 0.0, 1e-3, 0.02, 0.1, 0.3][pick.random_range(0..6usize)];
         let mut model = if eps == 0.0 {
@@ -307,8 +321,19 @@ fn random_configurations_fingerprint() {
         }
         engine.drain_churn_events(&mut events);
         hash = fnv1a(hash, format!("{:?}{events:?}", engine.stats()).as_bytes());
+        let half = draw_half(swap_pairs, n);
+        halves[half] = fnv1a(halves[half], &hash.to_le_bytes());
     }
-    assert_pinned("random configurations", hash, 0x325A_D936_0101_3BD4);
+    assert_pinned(
+        "random configurations ≤ 1 pair",
+        halves[0],
+        0x9D08_F54B_0F05_53AB,
+    );
+    assert_pinned(
+        "random configurations ≥ 2 pairs",
+        halves[1],
+        0x201C_C3BB_E971_5FB4,
+    );
 }
 
 /// An empty layer is not the fault-free engine: R2 still runs. In a

@@ -42,6 +42,8 @@
 //!    walk from the pair's claim flags, guarded by the processed bound
 //!    `B` (a boundary never processed means "check never ran").
 //!
+//! The shared candidate draw is independent of `N` too: one `random_range`
+//! per drawn pair, `O(k²)` for `k` pairs ([`draw_nonadjacent_candidates`]).
 //! The RNG is consumed in protocol order — shared candidate draw, per-pair
 //! coins in candidate order (hi before lo), channel attempts in counter
 //! order — and the decision trace is pinned by FNV fingerprints in
@@ -103,7 +105,6 @@
 //! adapters over the same body; they additionally range-check all `N`
 //! entries, in debug builds only.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 use rtmac_model::{AdjacentTransposition, LinkId, Permutation};
 use rtmac_phy::channel::LossModel;
@@ -345,8 +346,6 @@ struct DpState {
     believers: Vec<Member>,
     /// The drawn candidate set (reused buffer).
     candidates: Vec<usize>,
-    /// Shuffle scratch for the stars-and-bars candidate draw.
-    draw_pool: Vec<usize>,
     /// Links whose per-link outcome entries were written this interval;
     /// clearing only these keeps the reset O(transmitters), not O(N).
     touched: Vec<usize>,
@@ -1486,9 +1485,6 @@ impl DpEngine {
         state.pairs.reserve(want);
         state.believers.reserve(2 * want);
         state.candidates.reserve(want);
-        if want > 1 {
-            state.draw_pool.reserve(n);
-        }
         state.touched.reserve(n.min(by_deadline));
         self.report.outcome = IntervalOutcome::empty(n);
         self.report.candidates.reserve(want);
@@ -1564,7 +1560,6 @@ impl DpEngine {
             pairs,
             believers,
             candidates,
-            draw_pool,
             touched,
             collided,
             fates,
@@ -1599,9 +1594,7 @@ impl DpEngine {
                 candidates.clear();
                 candidates.extend_from_slice(c);
             }
-            None => {
-                draw_nonadjacent_candidates_into(n, config.swap_pairs(), rng, candidates, draw_pool)
-            }
+            None => draw_nonadjacent_candidates_into(n, config.swap_pairs(), rng, candidates),
         }
         for (i, &c) in candidates.iter().enumerate() {
             assert!(c >= 1 && c < n, "candidate priority {c} out of range");
@@ -1933,46 +1926,56 @@ fn check_dense_mu(mu: &[f64], n: usize) {
 #[must_use]
 pub fn draw_nonadjacent_candidates(n: usize, want: usize, rng: &mut SimRng) -> Vec<usize> {
     let mut out = Vec::new();
-    let mut pool = Vec::new();
-    draw_nonadjacent_candidates_into(n, want, rng, &mut out, &mut pool);
+    draw_nonadjacent_candidates_into(n, want, rng, &mut out);
     out
 }
 
-/// Buffer-reusing form of [`draw_nonadjacent_candidates`]: writes the drawn
-/// set into `out` using `pool` as shuffle scratch.
+/// Buffer-reusing form of [`draw_nonadjacent_candidates`]: clears `out`
+/// and writes the drawn set into it.
 ///
 /// Consumes exactly the same RNG sequence as the allocating form, so a
 /// caller that swaps one for the other (the interval kernel does) keeps
-/// bit-identical traces. Both buffers are cleared first; after the
-/// first call at a given `(n, want)` no further allocation occurs.
+/// bit-identical traces: one `random_range` per drawn pair. Once `out`
+/// can hold `min(want, ⌊n/2⌋)` entries, no allocation occurs.
 pub fn draw_nonadjacent_candidates_into(
     n: usize,
     want: usize,
     rng: &mut SimRng,
     out: &mut Vec<usize>,
-    pool: &mut Vec<usize>,
+) {
+    nonadjacent_from_choices(n, want, |j| rng.random_range(1..=j), out);
+}
+
+/// The candidate draw with its uniform choices supplied by `pick`, which
+/// is called once per drawn pair, with `j = m − k + 1, …, m` in turn
+/// (`k = min(want, ⌊n/2⌋)`, `m = n − k`), and must return a uniform
+/// value in `1..=j`.
+///
+/// Stars and bars: sorted non-adjacent `k`-sets of `{1..n−1}` correspond
+/// one-to-one to plain `k`-subsets of `{1..m}` via `x_i = y_i + (i − 1)`.
+/// Floyd's algorithm (Bentley & Floyd, "A sample of brilliance", CACM
+/// 1987) draws that subset uniformly from `k` choices: take `t` uniform in
+/// `1..=j` and add `t`, or `j` itself when `t` is already in. The subset
+/// is kept sorted with binary-search membership, so a draw costs `O(k²)`
+/// independent of `n`; every shape in the workspace draws `k ≤ 10`. With
+/// `k = 1` it is the single `random_range(1..n)` of Algorithm 2.
+fn nonadjacent_from_choices(
+    n: usize,
+    want: usize,
+    mut pick: impl FnMut(usize) -> usize,
+    out: &mut Vec<usize>,
 ) {
     out.clear();
-    let want = want.min(n / 2);
-    if n < 2 || want == 0 {
-        return;
+    let k = want.min(n / 2);
+    let m = n - k;
+    for j in m - k + 1..=m {
+        let t = pick(j);
+        match out.binary_search(&t) {
+            // Every member is at most j − 1, so j goes last.
+            Ok(_) => out.push(j),
+            Err(at) => out.insert(at, t),
+        }
     }
-    if want == 1 {
-        out.push(rng.random_range(1..n));
-        return;
-    }
-    // Stars-and-bars bijection: sorted non-adjacent `want`-sets of
-    // {1..n−1} correspond one-to-one to plain `want`-subsets of
-    // {1..n−want} via x_i = y_i + (i − 1), so drawing a uniform subset
-    // and shifting yields an exactly uniform non-adjacent set in O(n).
-    // (Rejection sampling degenerates near the maximum packing: at
-    // n = 20, want = 10 only one of the C(19,10) = 92378 subsets is
-    // non-adjacent.)
-    pool.clear();
-    pool.extend(1..=n - want);
-    pool.shuffle(rng);
-    out.extend_from_slice(&pool[..want]);
-    out.sort_unstable();
     for (i, x) in out.iter_mut().enumerate() {
         *x += i;
     }
@@ -2425,6 +2428,58 @@ mod tests {
         let mut ch = Bernoulli::reliable(2);
         let mut rng = SeedStream::new(5).rng(0);
         e.step_with_candidates(&[1, 1], &[1.5, 0.5], &[1], &mut ch, &mut rng);
+    }
+
+    /// Exact uniformity of the candidate draw: for every `n ≤ 12` and
+    /// `k ≤ ⌊n/2⌋`, running the draw on every possible sequence of its
+    /// uniform choices yields each sorted non-adjacent `k`-set of
+    /// `{1..n−1}` equally often, and nothing else.
+    #[test]
+    fn candidate_draw_is_exactly_uniform_over_nonadjacent_sets() {
+        for n in 0..=12usize {
+            for k in 0..=n / 2 {
+                // Every non-adjacent k-set of {1..n−1}, by brute force.
+                let mut expected: Vec<Vec<usize>> = (0u32..1 << n.saturating_sub(1))
+                    .filter(|&mask| mask.count_ones() as usize == k && mask & (mask << 1) == 0)
+                    .map(|mask| (1..n).filter(|&c| mask >> (c - 1) & 1 == 1).collect())
+                    .collect();
+                expected.sort();
+                // The choice for j ranges over 1..=j, j = m − k + 1..=m.
+                let m = n - k;
+                let ranges: Vec<usize> = (m - k + 1..=m).collect();
+                let mut choice = vec![1usize; k];
+                let mut counts = std::collections::BTreeMap::<Vec<usize>, usize>::new();
+                let mut out = Vec::new();
+                loop {
+                    let mut calls = 0;
+                    nonadjacent_from_choices(
+                        n,
+                        k,
+                        |j| {
+                            assert_eq!(j, ranges[calls], "choice {calls} of n={n}, k={k}");
+                            calls += 1;
+                            choice[calls - 1]
+                        },
+                        &mut out,
+                    );
+                    assert_eq!(calls, k, "one choice per drawn pair");
+                    *counts.entry(out.clone()).or_default() += 1;
+                    // Advance the odometer over the choice sequences.
+                    let Some(i) = (0..k).find(|&i| choice[i] < ranges[i]) else {
+                        break;
+                    };
+                    choice[i] += 1;
+                    choice[..i].fill(1);
+                }
+                let drawn: Vec<Vec<usize>> = counts.keys().cloned().collect();
+                assert_eq!(drawn, expected, "n={n}, k={k}: drawn sets");
+                let first = counts.values().next().copied();
+                assert!(
+                    counts.values().all(|&c| Some(c) == first),
+                    "n={n}, k={k}: unequal counts {counts:?}"
+                );
+            }
+        }
     }
 
     proptest! {

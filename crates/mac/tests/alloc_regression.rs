@@ -1,7 +1,7 @@
 //! Zero-allocation regression guard for the DP interval engine.
 //!
 //! The engine's contract is that *stepping* never touches the heap once
-//! the first step has sized its buffers (per-pair state, candidate pools,
+//! the first step has sized its buffers (per-pair state, the candidate set,
 //! the reusable report, and under a fault layer the group scratch). This
 //! test installs a counting global allocator, warms the engine, then
 //! asserts that further intervals — through the dense-μ
@@ -53,7 +53,6 @@ fn dp_step_performs_zero_heap_allocations() {
     let mu_of = |l: usize| 0.25 + 0.5 * (l as f64) / (N as f64);
     // Caller-side buffers for the injected path, sized before counting.
     let mut candidates = Vec::with_capacity(PAIRS);
-    let mut pool = Vec::with_capacity(N);
     let mut coins = [PairCoins {
         hi_up: false,
         lo_up: true,
@@ -77,7 +76,7 @@ fn dp_step_performs_zero_heap_allocations() {
         } else if k % 3 == 1 {
             engine.step_with_mu(&arrivals, &mu_of, &mut channel, &mut rng)
         } else {
-            draw_nonadjacent_candidates_into(N, PAIRS, &mut rng, &mut candidates, &mut pool);
+            draw_nonadjacent_candidates_into(N, PAIRS, &mut rng, &mut candidates);
             for c in coins.iter_mut() {
                 *c = PairCoins {
                     hi_up: rng.random_bool(0.5),

@@ -211,7 +211,7 @@ fn fault_grid_fingerprint() {
     assert!(totals.divergences > 0 && totals.fallbacks > 0);
     assert!(totals.reconvergences > 0 && totals.sensing_flips > 0);
     assert_pinned("fault grid ≤ 1 pair", hash[0], 0x6F7A_83E3_C060_9B58);
-    assert_pinned("fault grid ≥ 2 pairs", hash[1], 0x1CE9_C422_3CCA_6CC4);
+    assert_pinned("fault grid ≥ 2 pairs", hash[1], 0x4F9E_5AAE_08D6_B06C);
 }
 
 /// 300 configurations drawn from a seeded stream: N up to 40, up to 5
@@ -332,7 +332,7 @@ fn random_configurations_fingerprint() {
     assert_pinned(
         "random configurations ≥ 2 pairs",
         halves[1],
-        0x201C_C3BB_E971_5FB4,
+        0xA5A2_35E8_2427_BD7C,
     );
 }
 

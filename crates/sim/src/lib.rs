@@ -36,6 +36,6 @@ mod simulator;
 mod time;
 
 pub use event::EventQueue;
-pub use rng::{rng_from_seed, SeedStream, SimRng};
+pub use rng::{bernoulli_threshold, rng_from_seed, SeedStream, SimRng};
 pub use simulator::{SimControl, SimHandle, Simulator};
 pub use time::Nanos;

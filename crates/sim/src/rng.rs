@@ -86,6 +86,18 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The fixed-point threshold behind `random_bool(p)` for `0 ≤ p < 1`:
+/// that call draws one `next_u64` and returns whether it lies below this
+/// value. A sampler that draws many coins with the same `p` computes the
+/// threshold once and compares each draw itself, consuming exactly the
+/// stream `random_bool` would. (`random_bool(1.0)` draws nothing, so
+/// `p = 1` has no threshold.)
+#[must_use]
+pub fn bernoulli_threshold(p: f64) -> u64 {
+    const SCALE: f64 = 2.0 * (1u64 << 63) as f64;
+    (p * SCALE) as u64
+}
+
 /// Convenience: a fresh RNG from a bare seed, for tests and examples.
 #[must_use]
 pub fn rng_from_seed(seed: u64) -> SimRng {
@@ -135,6 +147,31 @@ mod tests {
         let mut a = rng_from_seed(123);
         let mut b = rng_from_seed(123);
         assert_eq!(a.random::<u64>(), b.random::<u64>());
+    }
+
+    #[test]
+    fn bernoulli_threshold_matches_random_bool() {
+        let ps = [
+            0.0,
+            1e-300,
+            2f64.powi(-64),
+            2f64.powi(-12),
+            0.3,
+            0.55,
+            0.5,
+            1.0 - 2f64.powi(-53),
+        ];
+        for (seed, &p) in ps.iter().enumerate() {
+            let mut a = SeedStream::new(seed as u64).rng(0);
+            let mut b = a.clone();
+            let threshold = bernoulli_threshold(p);
+            for _ in 0..2000 {
+                assert_eq!(a.random_bool(p), b.next_u64() < threshold, "p = {p}");
+            }
+            assert_eq!(a, b, "p = {p}: one draw per coin");
+        }
+        assert_eq!(bernoulli_threshold(2f64.powi(-12)), 1 << 52);
+        assert_eq!(bernoulli_threshold(1e-300), 0);
     }
 
     #[test]

@@ -34,9 +34,9 @@
 //! # Ok::<(), rtmac_model::ConfigError>(())
 //! ```
 
-use rand::Rng;
+use rand::{Rng, RngCore};
 use rtmac_model::{ConfigError, LinkId};
-use rtmac_sim::SimRng;
+use rtmac_sim::{bernoulli_threshold, SimRng};
 
 /// An interval-synchronous arrival process: one sample per interval yields
 /// the packet count of every link.
@@ -126,15 +126,31 @@ impl ArrivalProcess for BurstUniform {
         self.alpha.len()
     }
 
+    /// Draws, link by link, the burst coin — one `next_u64` against
+    /// `random_bool`'s threshold when `0 < α_n < 1`, nothing when `α_n` is
+    /// 0 or 1 — and then `random_range(1..=burst_max)` on a burst: the
+    /// stream of `random_bool(α_n)` followed by `random_range`. The
+    /// threshold is computed once per run of equal consecutive `α_n`, and
+    /// `out` is sized once and written in place.
     fn sample(&mut self, rng: &mut SimRng, out: &mut Vec<u32>) {
         out.clear();
-        for &a in &self.alpha {
-            let burst = a > 0.0 && (a >= 1.0 || rng.random_bool(a));
-            out.push(if burst {
-                rng.random_range(1..=self.burst_max)
-            } else {
-                0
-            });
+        out.resize(self.alpha.len(), 0);
+        let burst_max = self.burst_max;
+        let mut slots = out.as_mut_slice();
+        for run in self.alpha.chunk_by(|a, b| a == b) {
+            let (head, rest) = slots.split_at_mut(run.len());
+            slots = rest;
+            let a = run[0];
+            if a >= 1.0 {
+                head.fill_with(|| rng.random_range(1..=burst_max));
+            } else if a > 0.0 {
+                let threshold = bernoulli_threshold(a);
+                for slot in head {
+                    if rng.next_u64() < threshold {
+                        *slot = rng.random_range(1..=burst_max);
+                    }
+                }
+            }
         }
     }
 
@@ -398,6 +414,67 @@ mod tests {
         for _ in 0..1000 {
             p.sample(&mut rng, &mut buf);
             assert!(buf.iter().all(|&a| (1..=4).contains(&a)));
+        }
+    }
+
+    /// The per-link draws `sample` must reproduce: `random_bool(α_n)`
+    /// (no draw at 0 or 1), then `random_range(1..=burst_max)` on a burst.
+    fn reference_sample(alpha: &[f64], burst_max: u32, rng: &mut SimRng) -> Vec<u32> {
+        alpha
+            .iter()
+            .map(|&a| {
+                let burst = a > 0.0 && (a >= 1.0 || rng.random_bool(a));
+                if burst {
+                    rng.random_range(1..=burst_max)
+                } else {
+                    0
+                }
+            })
+            .collect()
+    }
+
+    /// The α values whose coins differ in kind: none drawn (0, 1), a
+    /// threshold of 0 (1e-300), an exact power of two, and the Fig. 3 rate.
+    const ALPHAS: [f64; 5] = [0.0, 1.0, 1.0 / 4096.0, 1e-300, 0.55];
+
+    fn assert_same_stream(alpha: Vec<f64>, burst_max: u32, seed: u64) {
+        let mut p = BurstUniform::new(alpha.clone(), burst_max).unwrap();
+        let mut rng = SeedStream::new(seed).rng(0);
+        let mut reference_rng = rng.clone();
+        let mut buf = vec![9; 3];
+        for _ in 0..20 {
+            p.sample(&mut rng, &mut buf);
+            let want = reference_sample(&alpha, burst_max, &mut reference_rng);
+            assert_eq!(buf, want, "alpha {alpha:?}");
+            assert_eq!(rng, reference_rng, "alpha {alpha:?}: RNG state");
+        }
+    }
+
+    #[test]
+    fn burst_uniform_consumes_the_random_bool_stream() {
+        let mut alpha = Vec::new();
+        for &a in ALPHAS.iter().chain(ALPHAS.iter().rev()) {
+            alpha.extend([a; 4]);
+            alpha.push(0.55);
+        }
+        assert_same_stream(alpha, 6, 3);
+        assert_same_stream(vec![0.55; 1000], 6, 4);
+        assert_same_stream(vec![1.0 / 4096.0; 5000], 3, 5);
+    }
+
+    proptest::proptest! {
+        /// Random runs of the distinct α kinds, equal neighbours included.
+        #[test]
+        fn prop_burst_uniform_matches_the_reference(
+            runs in proptest::collection::vec((0usize..5, 1usize..6), 1..20),
+            burst_max in 1u32..8,
+            seed in 0u64..1000,
+        ) {
+            let alpha = runs
+                .iter()
+                .flat_map(|&(kind, len)| std::iter::repeat_n(ALPHAS[kind], len))
+                .collect();
+            assert_same_stream(alpha, burst_max, seed);
         }
     }
 

@@ -153,16 +153,19 @@ impl Network {
             self.channel.as_mut(),
             &mut self.protocol_rng,
         );
-        self.debts.settle_interval(&outcome.deliveries);
-        self.deficiency.record(&self.debts);
+        let deficiency = self.debts.settle_and_total_deficiency(&outcome.deliveries);
+        self.deficiency.push(deficiency);
         if let Some(tracker) = &mut self.tracked {
             tracker.record(&self.debts);
         }
-        for (a, &x) in self.attempts.iter_mut().zip(&outcome.attempts) {
+        for ((a, l), (&x, &t)) in self
+            .attempts
+            .iter_mut()
+            .zip(&mut self.latency_sums)
+            .zip(outcome.attempts.iter().zip(&outcome.latency_sum))
+        {
             *a += x;
-        }
-        for (l, &x) in self.latency_sums.iter_mut().zip(&outcome.latency_sum) {
-            *l += x;
+            *l += t;
         }
         // Long-lived accumulators saturate instead of wrapping: a batch
         // horizon is caller-chosen and these counters feed every report.

@@ -125,15 +125,50 @@ impl DebtLedger {
             self.debts.len(),
             "deliveries vector must have one entry per link"
         );
-        for (n, &s) in deliveries.iter().enumerate() {
-            self.debts[n] += self.requirements.as_slice()[n] - s as f64;
-            // Saturate rather than wrap: an over-served link driven past
-            // u64::MAX (or an interval counter at the horizon limit) must
-            // clamp, not wrap to 0 and corrupt every later throughput and
-            // deficiency statistic. Debts themselves are f64 and cannot wrap.
-            self.cumulative_deliveries[n] = self.cumulative_deliveries[n].saturating_add(s);
+        for ((debt, cumulative), (&s, &q)) in self
+            .debts
+            .iter_mut()
+            .zip(&mut self.cumulative_deliveries)
+            .zip(deliveries.iter().zip(self.requirements.as_slice()))
+        {
+            settle_link(debt, cumulative, q, s);
         }
         self.interval = self.interval.saturating_add(1);
+    }
+
+    /// [`settle_interval`](Self::settle_interval) followed by
+    /// [`total_deficiency`](Self::total_deficiency), in one pass over the
+    /// ledger. Each link runs the same arithmetic and the sum runs in the
+    /// same link order, so the ledger and the returned total are bit for
+    /// bit what the two calls give.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `deliveries.len()` differs from the number of links.
+    pub fn settle_and_total_deficiency(&mut self, deliveries: &[u64]) -> f64 {
+        assert_eq!(
+            deliveries.len(),
+            self.debts.len(),
+            "deliveries vector must have one entry per link"
+        );
+        self.interval = self.interval.saturating_add(1);
+        let k = self.interval as f64;
+        self.debts
+            .iter_mut()
+            .zip(&mut self.cumulative_deliveries)
+            .zip(deliveries.iter().zip(self.requirements.as_slice()))
+            .map(|((debt, cumulative), (&s, &q))| {
+                settle_link(debt, cumulative, q, s);
+                // 0/k = 0 and q − 0 = q exactly, so a link that has
+                // delivered nothing yet owes q⁺ without the division.
+                let shortfall = if *cumulative == 0 {
+                    q
+                } else {
+                    q - *cumulative as f64 / k
+                };
+                shortfall.max(0.0)
+            })
+            .sum()
     }
 
     /// Empirical timely-throughput `Σ_j S_n(j) / k` of one link so far.
@@ -179,6 +214,17 @@ impl DebtLedger {
         self.cumulative_deliveries.fill(0);
         self.interval = 0;
     }
+}
+
+/// One link's share of an interval: `d_n ← d_n − S_n + q_n`, and `S_n`
+/// added to the link's delivery count.
+fn settle_link(debt: &mut f64, cumulative: &mut u64, q: f64, s: u64) {
+    *debt += q - s as f64;
+    // Saturate rather than wrap: an over-served link driven past u64::MAX
+    // (or an interval counter at the horizon limit) must clamp, not wrap
+    // to 0 and corrupt every later throughput and deficiency statistic.
+    // Debts themselves are f64 and cannot wrap.
+    *cumulative = cumulative.saturating_add(s);
 }
 
 #[cfg(test)]
@@ -259,6 +305,36 @@ mod tests {
     }
 
     proptest! {
+        /// The fused pass equals `settle_interval` then `total_deficiency`
+        /// bit for bit, interval after interval, for requirements that
+        /// include zero and deliveries that include `u64::MAX`.
+        #[test]
+        fn prop_fused_pass_is_bit_identical(
+            qs in proptest::collection::vec((0u8..4, 0.0f64..1.5), 1..12),
+            history in proptest::collection::vec(proptest::collection::vec(0u8..6, 12), 1..30),
+        ) {
+            let q: Vec<f64> = qs
+                .iter()
+                .map(|&(kind, q)| [0.0, q, q, 1.0][usize::from(kind)])
+                .collect();
+            let reqs = Requirements::new(q.clone()).unwrap();
+            let mut split = DebtLedger::new(reqs.clone());
+            let mut fused = DebtLedger::new(reqs);
+            for row in &history {
+                let deliveries: Vec<u64> = row[..q.len()]
+                    .iter()
+                    .map(|&s| if s == 5 { u64::MAX } else { u64::from(s) % 3 })
+                    .collect();
+                split.settle_interval(&deliveries);
+                let want = split.total_deficiency();
+                let got = fused.settle_and_total_deficiency(&deliveries);
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+                let bits = |l: &DebtLedger| l.debts().iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&fused), bits(&split));
+                prop_assert_eq!(&fused, &split);
+            }
+        }
+
         /// Invariant: after any delivery history, debt equals
         /// k·q − cumulative deliveries, and d⁺ is nonnegative.
         #[test]

@@ -38,7 +38,8 @@ impl DeficiencySeries {
         self.values.push(debts.total_deficiency());
     }
 
-    /// Appends a raw value (for tests and external recorders).
+    /// Appends a raw value: a total computed elsewhere, such as by
+    /// [`DebtLedger::settle_and_total_deficiency`], or a test value.
     pub fn push(&mut self, value: f64) {
         self.values.push(value);
     }

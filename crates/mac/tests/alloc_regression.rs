@@ -13,8 +13,6 @@
 //! on the first traced intervals), so the engine under test runs untraced —
 //! matching the benchmark configuration.
 
-use std::sync::{Mutex, PoisonError};
-
 use alloctrack::CountingAllocator;
 use rand::Rng;
 use rtmac_mac::{
@@ -26,19 +24,16 @@ use rtmac_phy::fault::{ChurnProcess, FaultModel, HiddenMatrix};
 use rtmac_phy::PhyProfile;
 use rtmac_sim::{Nanos, SeedStream};
 
+/// Each test reads its own thread's count, so tests running in parallel
+/// and the harness's threads never land in another test's window.
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
-
-/// The allocation counter is process-global: the measuring tests take
-/// turns so one test's setup never lands in another's window.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 const N: usize = 256;
 const PAIRS: usize = 3;
 
 #[test]
 fn dp_step_performs_zero_heap_allocations() {
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(20), 1500);
     let config = DpConfig::new(timing).with_swap_pairs(PAIRS);
     let mut engine = DpEngine::new(config, N);
@@ -66,7 +61,7 @@ fn dp_step_performs_zero_heap_allocations() {
         let _ = engine.step(&arrivals, &mu, &mut channel, &mut rng);
     }
 
-    let before = alloctrack::allocations();
+    let before = alloctrack::thread_allocations();
     for k in 0..100 {
         for a in arrivals.iter_mut() {
             *a = arrival_rng.random_range(0..=3);
@@ -88,7 +83,7 @@ fn dp_step_performs_zero_heap_allocations() {
         // Keep the optimizer honest without allocating.
         assert!(report.outcome.deliveries.len() == N);
     }
-    let after = alloctrack::allocations();
+    let after = alloctrack::thread_allocations();
 
     assert_eq!(
         after - before,
@@ -103,7 +98,6 @@ fn dp_step_performs_zero_heap_allocations() {
 /// hidden pair and adaptive R2, its churn events drained every interval.
 #[test]
 fn degraded_step_performs_zero_heap_allocations() {
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(2), 100);
     let config = DpConfig::new(timing).with_swap_pairs(PAIRS);
     let seeds = SeedStream::new(2018);
@@ -132,11 +126,11 @@ fn degraded_step_performs_zero_heap_allocations() {
     // Warm-up: the first step sizes the engine's buffers.
     step(&mut engine, &mut events);
 
-    let before = alloctrack::allocations();
+    let before = alloctrack::thread_allocations();
     for _ in 0..200 {
         step(&mut engine, &mut events);
     }
-    let after = alloctrack::allocations();
+    let after = alloctrack::thread_allocations();
 
     let stats = engine.stats();
     assert!(stats.sensing_flips > 0 && stats.fallbacks > 0, "{stats:?}");

@@ -311,7 +311,10 @@ mod tests {
         #[test]
         fn prop_fused_pass_is_bit_identical(
             qs in proptest::collection::vec((0u8..4, 0.0f64..1.5), 1..12),
-            history in proptest::collection::vec(proptest::collection::vec(0u8..6, 12), 1..30),
+            history in proptest::collection::vec(
+                proptest::collection::vec(0u8..6, 12),
+                1..30,
+            ),
         ) {
             let q: Vec<f64> = qs
                 .iter()
@@ -329,7 +332,9 @@ mod tests {
                 let want = split.total_deficiency();
                 let got = fused.settle_and_total_deficiency(&deliveries);
                 prop_assert_eq!(got.to_bits(), want.to_bits());
-                let bits = |l: &DebtLedger| l.debts().iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                let bits = |l: &DebtLedger| -> Vec<u64> {
+                    l.debts().iter().map(|d| d.to_bits()).collect()
+                };
                 prop_assert_eq!(bits(&fused), bits(&split));
                 prop_assert_eq!(&fused, &split);
             }

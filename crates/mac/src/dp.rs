@@ -1113,12 +1113,16 @@ pub struct DpEngine {
 }
 
 /// The name the standalone benchmark package (`benchmark/`) imports for
-/// the interval kernel; it is [`DpEngine`] itself.
+/// the interval kernel; it is [`DpEngine`] itself. Only `benchmark/`
+/// names it; the workspace's own code and tests say `DpEngine`, and the
+/// benchmark change that stops importing it deletes it.
 pub type BatchedDpEngine = DpEngine;
 
 /// The name the standalone benchmark package (`benchmark/`) imports for
 /// the degraded engine; it is [`DpEngine`] itself, with a fault layer
-/// installed by its `with_*` builders.
+/// installed by its `with_*` builders. Only `benchmark/` names it; the
+/// workspace's own code and tests say `DpEngine`, and the benchmark change
+/// that stops importing it deletes it.
 pub type FaultyDpEngine = DpEngine;
 
 impl DpEngine {

@@ -5,8 +5,9 @@
 //!
 //! The exhaustive checker and [`mod@crate::smc`] certify the *pristine*
 //! engine: [`rtmac_mac::DpEngine`] with scripted channels. The degraded
-//! engine ([`rtmac_mac::FaultyDpEngine`]) deliberately leaves the
-//! permutation invariant behind — belief vectors under sensing faults
+//! engine (the same [`rtmac_mac::DpEngine`] with a fault layer installed
+//! by its `with_*` builders) deliberately leaves the permutation
+//! invariant behind — belief vectors under sensing faults
 //! need not be bijections — so its survival properties are statistical,
 //! not enumerable. This module pins the two that matter at a fault
 //! corner the sampled suites never visit (correlated bursts *and*
@@ -27,7 +28,7 @@
 //! discipline as `rtmac_core::Network`). CI wires this next to the
 //! `smc` smoke as `rtmac-verify fault-smoke`.
 
-use rtmac_mac::{DpConfig, FaultyDpEngine, MacTiming, RecoveryConfig};
+use rtmac_mac::{DpConfig, DpEngine, MacTiming, RecoveryConfig};
 use rtmac_phy::channel::Bernoulli;
 use rtmac_phy::fault::{BurstSensing, ChurnProcess, FaultModel};
 use rtmac_phy::PhyProfile;
@@ -129,12 +130,12 @@ impl FaultSmokeReport {
 /// ε = 0.4) and Poisson churn (rate 0.01, mean downtime 8 intervals)
 /// over a reliable channel, with adaptive R2 recovery enabled. The heal
 /// phase withdraws the fault model — churn keeps running — and waits
-/// for [`FaultyDpEngine::is_bijective`].
+/// for [`DpEngine::is_bijective`].
 #[must_use]
 pub fn fault_smoke(cfg: &FaultSmokeConfig) -> FaultSmokeReport {
     let n = cfg.links;
     let seeds = SeedStream::new(cfg.seed);
-    let mut engine = FaultyDpEngine::new(DpConfig::new(timing()), n)
+    let mut engine = DpEngine::new(DpConfig::new(timing()), n)
         .with_fault_model(FaultModel::symmetric(0.02, seeds.rng(3)).with_burst(
             n,
             BurstSensing::new(0.05, 0.2, 0.4, 0.4),

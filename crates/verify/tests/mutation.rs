@@ -6,7 +6,7 @@
 mod common;
 
 use common::{Fault, FaultySubject, FrozenSigmaSubject};
-use rtmac_mac::{DpConfig, FaultyDpEngine, MacTiming, RecoveryConfig};
+use rtmac_mac::{DpConfig, DpEngine, MacTiming, RecoveryConfig};
 use rtmac_phy::channel::Bernoulli;
 use rtmac_phy::PhyProfile;
 use rtmac_sim::{Nanos, SeedStream};
@@ -105,8 +105,7 @@ fn frozen_sigma_breaks_quotient_liveness() {
 fn recovery_mutant_that_never_falls_back_is_convicted() {
     let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(2), 100);
     let reconverged_at = |recovery: RecoveryConfig| -> Option<usize> {
-        let mut engine =
-            FaultyDpEngine::new(DpConfig::new(timing.clone()), 2).with_recovery(recovery);
+        let mut engine = DpEngine::new(DpConfig::new(timing.clone()), 2).with_recovery(recovery);
         engine.set_beliefs(vec![1, 1]); // duplicate priority beliefs
         let mut channel = Bernoulli::reliable(2);
         let mut rng = SeedStream::new(7).rng(0);

@@ -23,9 +23,7 @@
 
 use rand::Rng;
 use rtmac::scenario;
-use rtmac_mac::{
-    ChurnEvent, DpConfig, DpEngine, FaultStats, FaultyDpEngine, MacTiming, RecoveryConfig,
-};
+use rtmac_mac::{ChurnEvent, DpConfig, DpEngine, FaultStats, MacTiming, RecoveryConfig};
 use rtmac_model::LinkId;
 use rtmac_phy::channel::Bernoulli;
 use rtmac_phy::fault::{BurstSensing, ChurnProcess, ChurnSchedule, FaultModel, HiddenMatrix};
@@ -57,7 +55,7 @@ const FAULT_SETTINGS: usize = 8;
 /// 5. Poisson churn with light sensing noise;
 /// 6. a flash crowd plus one blocked link (unblocked by [`drive`]);
 /// 7. corrupted starting beliefs (duplicates and holes).
-fn build(config: DpConfig, n: usize, fault: usize, recovery: usize, seed: u64) -> FaultyDpEngine {
+fn build(config: DpConfig, n: usize, fault: usize, recovery: usize, seed: u64) -> DpEngine {
     let seeds = SeedStream::new(seed);
     let model = match fault {
         1 => FaultModel::symmetric(0.05, seeds.rng(3)),
@@ -74,7 +72,7 @@ fn build(config: DpConfig, n: usize, fault: usize, recovery: usize, seed: u64) -
         1 => RecoveryConfig::new().with_adaptive_miss_limit(1, 8),
         _ => RecoveryConfig::disabled(),
     };
-    let mut engine = FaultyDpEngine::new(config, n)
+    let mut engine = DpEngine::new(config, n)
         .with_fault_model(model)
         .with_recovery(recovery);
     match fault {
@@ -114,7 +112,7 @@ fn build(config: DpConfig, n: usize, fault: usize, recovery: usize, seed: u64) -
 /// fault counters and the drained churn events. With `unblock_at`, link
 /// 0 is unblocked before that interval.
 fn drive(
-    engine: &mut FaultyDpEngine,
+    engine: &mut DpEngine,
     seed: u64,
     intervals: usize,
     max_arrivals: u32,
@@ -262,7 +260,7 @@ fn random_configurations_fingerprint() {
             2 => RecoveryConfig::new().with_adaptive_miss_limit(1 + pick.random_range(0..3u32), 16),
             _ => RecoveryConfig::disabled().with_collision_fallback(pick.random_bool(0.5)),
         };
-        let mut engine = FaultyDpEngine::new(config, n)
+        let mut engine = DpEngine::new(config, n)
             .with_fault_model(model)
             .with_recovery(recovery);
         if pick.random_bool(0.3) {
@@ -346,7 +344,7 @@ fn saturated_empty_layer_r2_fingerprint() {
     let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(2), 100);
     let config = DpConfig::new(timing);
     let mut pristine = DpEngine::new(config.clone(), n);
-    let mut layered = FaultyDpEngine::new(config, n).with_fault_model(FaultModel::none());
+    let mut layered = DpEngine::new(config, n).with_fault_model(FaultModel::none());
     let mut rng_a = SeedStream::new(2018).rng(2);
     let mut rng_b = SeedStream::new(2018).rng(2);
     let mut ch_a = Bernoulli::reliable(n);

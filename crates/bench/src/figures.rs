@@ -1,54 +1,17 @@
 //! Parameterized reproductions of Figs. 3–10 of the paper.
 //!
 //! Every figure is phrased through the [`rtmac::scenario`] registry: the
-//! workload and sweep definitions live in `rtmac` itself, and this module
-//! only decides which contenders to run at each sweep point and how to lay
-//! the results out in a [`SeriesTable`]. The paper's defaults: 5000
+//! workload, sweep and contender definitions live in `rtmac` itself, and
+//! this module only decides which contenders to run at each sweep point
+//! and how to lay the results out in a [`SeriesTable`]. The paper's defaults: 5000
 //! intervals for the video figures (Figs. 3–8), 20000 for the control
 //! figures (Figs. 9–10).
 
 use rtmac::model::LinkId;
-use rtmac::scenario::{self, FaultSpec, Param, PolicySpec, Sweep, TrafficSpec};
+use rtmac::scenario::{self, FaultSpec, Param, PolicySpec, Sweep, TrafficSpec, CONTENDERS};
 use rtmac::RunReport;
 
 use crate::table::SeriesTable;
-
-/// The three contenders of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Contender {
-    /// The paper's decentralized algorithm.
-    DbDp,
-    /// The centralized feasibility-optimal reference.
-    Ldf,
-    /// The discretized Fast-CSMA baseline.
-    Fcsma,
-}
-
-impl Contender {
-    /// All three, in the paper's plotting order.
-    pub const ALL: [Contender; 3] = [Contender::DbDp, Contender::Ldf, Contender::Fcsma];
-
-    /// Display label.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Contender::DbDp => "DB-DP",
-            Contender::Ldf => "LDF",
-            Contender::Fcsma => "FCSMA",
-        }
-    }
-
-    /// The declarative policy selection (instantiated once per run by the
-    /// scenario layer).
-    #[must_use]
-    pub fn spec(self) -> PolicySpec {
-        match self {
-            Contender::DbDp => PolicySpec::db_dp(),
-            Contender::Ldf => PolicySpec::Ldf,
-            Contender::Fcsma => PolicySpec::Fcsma,
-        }
-    }
-}
 
 /// Runs the video workload (20 ms deadline, 1500 B payload, burst-uniform
 /// arrivals) with per-link burst probabilities `alpha`, success
@@ -98,7 +61,7 @@ pub fn run_control(
 }
 
 fn contender_columns() -> Vec<String> {
-    Contender::ALL.iter().map(|c| c.label().into()).collect()
+    CONTENDERS.iter().map(PolicySpec::label).collect()
 }
 
 /// Runs every contender at every point of `sweep` and tabulates the total
@@ -106,11 +69,11 @@ fn contender_columns() -> Vec<String> {
 fn deficiency_table(title: &str, sweep: &Sweep) -> SeriesTable {
     let mut table = SeriesTable::new(title, sweep.axis.label(), contender_columns());
     let rows = crate::parallel_map(sweep.scenarios(), |sc| {
-        Contender::ALL
+        CONTENDERS
             .iter()
-            .map(|c| {
+            .map(|&spec| {
                 sc.clone()
-                    .with_policy(c.spec())
+                    .with_policy(spec)
                     .run()
                     .expect("valid sweep point")
                     .final_total_deficiency
@@ -166,8 +129,8 @@ pub fn fig5(intervals: usize, seed: u64) -> Fig5Result {
     // (Remark 6) showing how the reordering rate sets the convergence
     // constant.
     let configs = vec![
-        Contender::DbDp.spec(),
-        Contender::Ldf.spec(),
+        PolicySpec::db_dp(),
+        PolicySpec::Ldf,
         PolicySpec::db_dp_pairs(3),
     ];
     let labels: Vec<String> = configs.iter().map(PolicySpec::label).collect();
@@ -252,9 +215,9 @@ pub fn ablation_pairs(intervals: usize) -> SeriesTable {
 
 fn group_columns() -> Vec<String> {
     let mut cols = Vec::new();
-    for c in Contender::ALL {
-        cols.push(format!("{} g1", c.label()));
-        cols.push(format!("{} g2", c.label()));
+    for spec in CONTENDERS {
+        cols.push(format!("{} g1", spec.label()));
+        cols.push(format!("{} g2", spec.label()));
     }
     cols
 }
@@ -281,10 +244,10 @@ fn group_table(title: &str, sweep: &Sweep) -> SeriesTable {
             other => panic!("asymmetric sweep over non-burst traffic {other:?}"),
         };
         let mut row = Vec::new();
-        for c in Contender::ALL {
+        for spec in CONTENDERS {
             let report = sc
                 .clone()
-                .with_policy(c.spec())
+                .with_policy(spec)
                 .run()
                 .expect("valid sweep point");
             let (g1, g2) = group_deficiencies(&report, &rho, &alpha);

@@ -1,10 +1,11 @@
-//! Command-line grammar: parsing flags into [`Scenario`]s and rendering
-//! [`Scenario`]s back into flags.
+//! Command-line grammar: parsing flags into [`Scenario`]s. Values of the
+//! scenario vocabulary (`--arrivals`, `--policy`, `--p`, `--ratio`,
+//! `--param`) are spelled as in [`rtmac::scenario`].
 
 use std::error::Error;
 use std::fmt;
 
-use rtmac::scenario::{self, EngineSpec, Param, Scenario, TrafficSpec};
+use rtmac::scenario::{self, Axis, Param, ParseError, Scenario, TrafficSpec};
 pub use rtmac::PolicySpec;
 
 /// A parse- or run-time CLI error.
@@ -54,117 +55,53 @@ impl fmt::Display for CliError {
 
 impl Error for CliError {}
 
-/// Which arrival process to use.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalSpec {
-    /// `burst:ALPHA` — the paper's video model, `U{1..6}` w.p. `ALPHA`.
-    Burst(f64),
-    /// `bernoulli:LAMBDA` — the paper's control model.
-    Bernoulli(f64),
-    /// `constant` — exactly one packet per link per interval.
-    Constant,
-}
-
-/// The swept parameter of `rtmac sweep`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepParam {
-    /// Burst probability of the video arrival model.
-    Alpha,
-    /// Rate of the Bernoulli arrival model.
-    Lambda,
-    /// Required delivery ratio.
-    Ratio,
-    /// Channel success probability.
-    SuccessProbability,
-}
-
 /// Network and simulation options shared by every subcommand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkOpts {
-    /// A named workload from [`scenario::by_name`]; overrides the
-    /// network-shape flags below.
+    /// A named workload from [`scenario::by_name`]; replaces `custom`'s
+    /// network shape, keeping its horizon and seed.
     pub scenario: Option<String>,
-    /// Number of links.
-    pub links: usize,
-    /// Per-packet deadline in microseconds.
-    pub deadline_us: u64,
-    /// Payload size in bytes.
-    pub payload: u32,
-    /// Uniform channel success probability.
-    pub p: f64,
-    /// Arrival process.
-    pub arrivals: ArrivalSpec,
-    /// Required delivery ratio.
-    pub ratio: f64,
-    /// Number of intervals to simulate.
-    pub intervals: usize,
-    /// RNG seed.
-    pub seed: u64,
+    /// The `"custom"` scenario the network flags, `--intervals` and
+    /// `--seed` describe; the defaults are the 10-link video network.
+    pub custom: Scenario,
 }
 
 impl Default for NetworkOpts {
     fn default() -> Self {
         NetworkOpts {
             scenario: None,
-            links: 10,
-            deadline_us: 20_000,
-            payload: 1500,
-            p: 0.7,
-            arrivals: ArrivalSpec::Burst(0.5),
-            ratio: 0.9,
-            intervals: 1000,
-            seed: 0,
+            custom: Scenario {
+                name: "custom",
+                ..scenario::video(10, 0.5, 0.9, 0)
+            },
         }
     }
 }
 
 impl NetworkOpts {
     /// The [`Scenario`] this option set describes: the named registry entry
-    /// when `--scenario` was given (with `--intervals`, `--seed`, and the
-    /// policy still applied on top), otherwise a `"custom"` scenario built
-    /// from the individual flags.
+    /// when `--scenario` was given, otherwise the custom one, with the
+    /// policy, `--intervals` and `--seed` applied on top.
     ///
     /// # Errors
     ///
     /// Returns a [`CliError::BadValue`] for an unknown scenario name.
     pub fn to_scenario(&self, policy: PolicySpec) -> Result<Scenario, CliError> {
-        let mut sc = match &self.scenario {
+        let sc = match &self.scenario {
             Some(name) => scenario::by_name(name).ok_or_else(|| CliError::BadValue {
                 flag: "--scenario".into(),
                 value: name.clone(),
                 expected: "one of video20, control10, asym, tiny, bursty, \
                            hidden-terminal, poisson-churn, overload-admission",
             })?,
-            None => Scenario {
-                name: "custom",
-                links: self.links,
-                deadline_us: self.deadline_us,
-                payload_bytes: self.payload,
-                success: Param::Uniform(self.p),
-                traffic: match self.arrivals {
-                    ArrivalSpec::Burst(alpha) => TrafficSpec::Burst {
-                        alpha: Param::Uniform(alpha),
-                        burst_max: 6,
-                    },
-                    ArrivalSpec::Bernoulli(lambda) => TrafficSpec::Bernoulli {
-                        lambda: Param::Uniform(lambda),
-                    },
-                    ArrivalSpec::Constant => TrafficSpec::Constant,
-                },
-                ratio: Param::Uniform(self.ratio),
-                policy,
-                intervals: self.intervals,
-                seed: self.seed,
-                track: None,
-                fault: None,
-                admission: None,
-                engine: EngineSpec::Timeline,
-            },
+            None => self.custom.clone(),
         };
-        sc.policy = policy;
-        sc.intervals = self.intervals;
-        sc.seed = self.seed;
-        Ok(sc)
+        Ok(Scenario {
+            policy,
+            intervals: self.custom.intervals,
+            seed: self.custom.seed,
+            ..sc
+        })
     }
 }
 
@@ -235,7 +172,7 @@ pub enum Command {
         /// Shared options (the swept field's value is overridden).
         opts: NetworkOpts,
         /// Which parameter to sweep.
-        param: SweepParam,
+        axis: Axis,
         /// First value.
         from: f64,
         /// Last value (inclusive).
@@ -278,102 +215,18 @@ fn parse_num<T: std::str::FromStr>(
     })
 }
 
-fn parse_arrivals(flag: &str, value: &str) -> Result<ArrivalSpec, CliError> {
-    if value == "constant" {
-        return Ok(ArrivalSpec::Constant);
-    }
-    if let Some(alpha) = value.strip_prefix("burst:") {
-        return Ok(ArrivalSpec::Burst(parse_num(flag, alpha, "a probability")?));
-    }
-    if let Some(lambda) = value.strip_prefix("bernoulli:") {
-        return Ok(ArrivalSpec::Bernoulli(parse_num(
-            flag,
-            lambda,
-            "a probability",
-        )?));
-    }
-    Err(CliError::BadValue {
+/// Parses a value of the scenario vocabulary with `parse`, reporting a
+/// misspelling as a [`CliError::BadValue`] for `flag`.
+fn parse_spelled<T>(
+    flag: &str,
+    value: &str,
+    parse: fn(&str) -> Result<T, ParseError>,
+) -> Result<T, CliError> {
+    parse(value).map_err(|e| CliError::BadValue {
         flag: flag.to_string(),
-        value: value.to_string(),
-        expected: "burst:ALPHA, bernoulli:LAMBDA, or constant",
+        value: e.text,
+        expected: e.expected,
     })
-}
-
-fn parse_policy(flag: &str, value: &str) -> Result<PolicySpec, CliError> {
-    match value {
-        "db-dp" | "dbdp" => Ok(PolicySpec::db_dp()),
-        "ldf" => Ok(PolicySpec::Ldf),
-        "eldf" => Ok(PolicySpec::eldf()),
-        "fcsma" => Ok(PolicySpec::Fcsma),
-        "dcf" => Ok(PolicySpec::Dcf),
-        "frame-csma" | "framecsma" => Ok(PolicySpec::frame_csma()),
-        _ => Err(CliError::BadValue {
-            flag: flag.to_string(),
-            value: value.to_string(),
-            expected: "db-dp, ldf, eldf, fcsma, dcf, or frame-csma",
-        }),
-    }
-}
-
-/// The `--policy` spelling of a [`PolicySpec`], when it has one (only the
-/// flag-default configurations do; e.g. a DB-DP with extra swap pairs is
-/// not expressible).
-#[must_use]
-pub fn policy_flag(spec: PolicySpec) -> Option<&'static str> {
-    if spec == PolicySpec::db_dp() {
-        Some("db-dp")
-    } else if spec == PolicySpec::Ldf {
-        Some("ldf")
-    } else if spec == PolicySpec::eldf() {
-        Some("eldf")
-    } else if spec == PolicySpec::Fcsma {
-        Some("fcsma")
-    } else if spec == PolicySpec::Dcf {
-        Some("dcf")
-    } else if spec == PolicySpec::frame_csma() {
-        Some("frame-csma")
-    } else {
-        None
-    }
-}
-
-/// Renders a scenario back into `rtmac run` argument tokens — the inverse
-/// of [`parse`] for every configuration the flag grammar can express
-/// (uniform parameters, the paper's burst size, a flag-named policy;
-/// `None` otherwise). Round trip: parsing the rendered tokens and calling
-/// [`NetworkOpts::to_scenario`] reproduces the scenario, field for field.
-#[must_use]
-pub fn render_run_command(sc: &Scenario) -> Option<Vec<String>> {
-    if sc.track.is_some() || sc.fault.is_some() {
-        return None;
-    }
-    let arrivals = match &sc.traffic {
-        TrafficSpec::Burst {
-            alpha,
-            burst_max: 6,
-        } => format!("burst:{}", alpha.uniform_value()?),
-        TrafficSpec::Burst { .. } => return None,
-        TrafficSpec::Bernoulli { lambda } => format!("bernoulli:{}", lambda.uniform_value()?),
-        TrafficSpec::Constant => "constant".to_string(),
-    };
-    let policy = policy_flag(sc.policy)?;
-    let tokens = [
-        ("--links", sc.links.to_string()),
-        ("--deadline-us", sc.deadline_us.to_string()),
-        ("--payload", sc.payload_bytes.to_string()),
-        ("--p", sc.success.uniform_value()?.to_string()),
-        ("--arrivals", arrivals),
-        ("--ratio", sc.ratio.uniform_value()?.to_string()),
-        ("--intervals", sc.intervals.to_string()),
-        ("--seed", sc.seed.to_string()),
-        ("--policy", policy.to_string()),
-    ];
-    let mut argv = vec!["run".to_string()];
-    for (flag, value) in tokens {
-        argv.push(flag.to_string());
-        argv.push(value);
-    }
-    Some(argv)
 }
 
 /// Parses a full argument vector into a [`Command`].
@@ -439,7 +292,7 @@ fn parse_emulate(rest: &[String]) -> Result<Command, CliError> {
 fn parse_subcommand(command: &str, rest: &[String]) -> Result<Command, CliError> {
     let mut opts = NetworkOpts::default();
     let mut policy = PolicySpec::db_dp();
-    let mut param = None;
+    let mut axis = None;
     let mut from = None;
     let mut to = None;
     let mut steps = 5usize;
@@ -465,12 +318,12 @@ fn parse_subcommand(command: &str, rest: &[String]) -> Result<Command, CliError>
             }
             "--links" => {
                 shape(flag);
-                opts.links = parse_num(flag, value_for()?, "a positive integer")?;
+                opts.custom.links = parse_num(flag, value_for()?, "a positive integer")?;
             }
             "--deadline-ms" => {
                 shape(flag);
                 let raw = value_for()?;
-                opts.deadline_us = parse_num::<u64>(flag, raw, "a duration in ms")?
+                opts.custom.deadline_us = parse_num::<u64>(flag, raw, "a duration in ms")?
                     .checked_mul(1000)
                     .ok_or_else(|| CliError::BadValue {
                         flag: flag.clone(),
@@ -480,29 +333,35 @@ fn parse_subcommand(command: &str, rest: &[String]) -> Result<Command, CliError>
             }
             "--deadline-us" => {
                 shape(flag);
-                opts.deadline_us = parse_num(flag, value_for()?, "a duration in us")?;
+                opts.custom.deadline_us = parse_num(flag, value_for()?, "a duration in us")?;
             }
             "--payload" => {
                 shape(flag);
-                opts.payload = parse_num(flag, value_for()?, "a byte count")?;
+                opts.custom.payload_bytes = parse_num(flag, value_for()?, "a byte count")?;
             }
             "--p" => {
                 shape(flag);
-                opts.p = parse_num(flag, value_for()?, "a probability")?;
+                opts.custom.success = parse_spelled(flag, value_for()?, Param::parse)?;
             }
             "--arrivals" => {
                 shape(flag);
-                opts.arrivals = parse_arrivals(flag, value_for()?)?;
+                opts.custom.traffic = parse_spelled(flag, value_for()?, TrafficSpec::parse)?;
             }
             "--ratio" => {
                 shape(flag);
-                opts.ratio = parse_num(flag, value_for()?, "a ratio in (0,1]")?;
+                opts.custom.ratio = parse_spelled(flag, value_for()?, Param::parse)?;
             }
-            "--intervals" => opts.intervals = parse_num(flag, value_for()?, "an interval count")?,
-            "--seed" => opts.seed = parse_num(flag, value_for()?, "an integer seed")?,
-            "--policy" if command == "run" => policy = parse_policy(flag, value_for()?)?,
+            "--intervals" => {
+                opts.custom.intervals = parse_num(flag, value_for()?, "an interval count")?;
+            }
+            "--seed" => opts.custom.seed = parse_num(flag, value_for()?, "an integer seed")?,
+            "--policy" if command == "run" => {
+                policy = parse_spelled(flag, value_for()?, PolicySpec::parse)?;
+            }
             "--progress" if command == "sweep" => progress = true,
-            "--param" if command == "sweep" => param = Some(parse_sweep_param(flag, value_for()?)?),
+            "--param" if command == "sweep" => {
+                axis = Some(parse_spelled(flag, value_for()?, Axis::parse)?);
+            }
             "--from" if command == "sweep" => {
                 from = Some(parse_num(flag, value_for()?, "a number")?);
             }
@@ -526,7 +385,7 @@ fn parse_subcommand(command: &str, rest: &[String]) -> Result<Command, CliError>
         "compare" => Ok(Command::Compare { opts }),
         "timeline" => Ok(Command::Timeline { opts }),
         "sweep" => {
-            let param = param.ok_or(CliError::MissingValue("--param".into()))?;
+            let axis = axis.ok_or(CliError::MissingValue("--param".into()))?;
             let from = from.ok_or(CliError::MissingValue("--from".into()))?;
             let to = to.ok_or(CliError::MissingValue("--to".into()))?;
             if steps == 0 {
@@ -538,7 +397,7 @@ fn parse_subcommand(command: &str, rest: &[String]) -> Result<Command, CliError>
             }
             Ok(Command::Sweep {
                 opts,
-                param,
+                axis,
                 from,
                 to,
                 steps,
@@ -546,20 +405,6 @@ fn parse_subcommand(command: &str, rest: &[String]) -> Result<Command, CliError>
             })
         }
         _ => unreachable!("caller filters commands"),
-    }
-}
-
-fn parse_sweep_param(flag: &str, value: &str) -> Result<SweepParam, CliError> {
-    match value {
-        "alpha" => Ok(SweepParam::Alpha),
-        "lambda" => Ok(SweepParam::Lambda),
-        "ratio" => Ok(SweepParam::Ratio),
-        "p" => Ok(SweepParam::SuccessProbability),
-        _ => Err(CliError::BadValue {
-            flag: flag.to_string(),
-            value: value.to_string(),
-            expected: "alpha, lambda, ratio, or p",
-        }),
     }
 }
 
@@ -591,11 +436,13 @@ mod tests {
             panic!("expected run");
         };
         assert_eq!(policy, PolicySpec::Fcsma);
-        assert_eq!(opts.links, 20);
-        assert_eq!(opts.deadline_us, 20_000);
-        assert_eq!(opts.payload, 1500);
-        assert_eq!(opts.arrivals, ArrivalSpec::Burst(0.55));
-        assert_eq!(opts.seed, 42);
+        let sc = &opts.custom;
+        assert_eq!(
+            (sc.links, sc.deadline_us, sc.payload_bytes),
+            (20, 20_000, 1500)
+        );
+        assert_eq!(sc.traffic.render(), "burst:0.55:6");
+        assert_eq!(sc.seed, 42);
     }
 
     #[test]
@@ -604,7 +451,7 @@ mod tests {
         let Command::Run { opts, .. } = cmd else {
             panic!()
         };
-        assert_eq!(opts.deadline_us, 700);
+        assert_eq!(opts.custom.deadline_us, 700);
     }
 
     #[test]
@@ -648,66 +495,25 @@ mod tests {
     }
 
     #[test]
-    fn arrivals_variants() {
-        assert_eq!(
-            parse_arrivals("--arrivals", "bernoulli:0.78").unwrap(),
-            ArrivalSpec::Bernoulli(0.78)
-        );
-        assert_eq!(
-            parse_arrivals("--arrivals", "constant").unwrap(),
-            ArrivalSpec::Constant
-        );
-        assert!(parse_arrivals("--arrivals", "poisson:2").is_err());
-        assert!(parse_arrivals("--arrivals", "burst:x").is_err());
-    }
-
-    #[test]
-    fn every_policy_name_parses() {
-        for (name, spec) in [
-            ("db-dp", PolicySpec::db_dp()),
-            ("dbdp", PolicySpec::db_dp()),
-            ("ldf", PolicySpec::Ldf),
-            ("eldf", PolicySpec::eldf()),
-            ("fcsma", PolicySpec::Fcsma),
-            ("dcf", PolicySpec::Dcf),
-            ("frame-csma", PolicySpec::frame_csma()),
-        ] {
-            assert_eq!(parse_policy("--policy", name).unwrap(), spec);
-        }
-        assert!(parse_policy("--policy", "tdma").is_err());
-    }
-
-    #[test]
-    fn policy_flags_round_trip() {
-        for name in ["db-dp", "ldf", "eldf", "fcsma", "dcf", "frame-csma"] {
-            let spec = parse_policy("--policy", name).unwrap();
-            assert_eq!(policy_flag(spec), Some(name));
-        }
-        assert_eq!(policy_flag(PolicySpec::db_dp_pairs(3)), None);
-    }
-
-    #[test]
-    fn render_covers_the_flag_grammar_only() {
-        let sc = scenario::by_name("video20").unwrap();
-        let argv = render_run_command(&sc).expect("video20 is flag-expressible");
-        let Command::Run { opts, policy } = parse(&argv).unwrap() else {
+    fn vocabulary_flags_take_every_spelling() {
+        let cmd = parse(&argv(
+            "run --links 2 --p 0.9,0.8 --ratio 0.95, --arrivals burst:0.1,0.2:4 \
+             --policy db-dp:pairs=2",
+        ))
+        .unwrap();
+        let Command::Run { opts, policy } = cmd else {
             panic!()
         };
-        let back = opts.to_scenario(policy).unwrap();
-        assert_eq!(
-            Scenario {
-                name: "video20",
-                ..back
-            },
-            sc
+        assert_eq!(policy, PolicySpec::db_dp_pairs(2));
+        assert_eq!(opts.custom.success, Param::PerLink(vec![0.9, 0.8]));
+        assert_eq!(opts.custom.ratio, Param::PerLink(vec![0.95]));
+        assert_eq!(opts.custom.traffic.render(), "burst:0.1,0.2:4");
+        // A misspelling names the flag, the text and the accepted forms.
+        let err = parse(&argv("run --policy tdma")).unwrap_err().to_string();
+        assert!(
+            err.starts_with("flag `--policy`: `tdma` is not db-dp"),
+            "{err}"
         );
-        // Per-link parameters are not expressible.
-        assert_eq!(
-            render_run_command(&scenario::by_name("asym").unwrap()),
-            None
-        );
-        // Neither is Fig. 5's tracking instrumentation.
-        assert_eq!(render_run_command(&scenario::fig5(100, 0)), None);
     }
 
     #[test]
@@ -722,7 +528,7 @@ mod tests {
         );
         let cmd = parse(&argv("sweep --param ratio --from 0.8 --to 1.0 --steps 3")).unwrap();
         let Command::Sweep {
-            param,
+            axis,
             from,
             to,
             steps,
@@ -731,7 +537,7 @@ mod tests {
         else {
             panic!()
         };
-        assert_eq!(param, SweepParam::Ratio);
+        assert_eq!(axis, Axis::Ratio);
         assert_eq!((from, to, steps), (0.8, 1.0, 3));
     }
 

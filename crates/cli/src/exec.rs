@@ -3,20 +3,16 @@
 
 use std::fmt::Write as _;
 
-use rtmac::scenario::{Param, Scenario, TrafficSpec};
+use rtmac::scenario::{Axis, Scenario, Sweep, CONTENDERS};
 use rtmac::sim::Nanos;
 use rtmac::{RunReport, Runner};
-use rtmac_traffic::{ArrivalProcess, BernoulliArrivals, BurstUniform, ConstantArrivals};
 
-use crate::args::{
-    ArrivalSpec, CliError, Command, EmulateOpts, NetworkOpts, PolicySpec, SweepParam,
-};
+use crate::args::{CliError, Command, EmulateOpts, NetworkOpts, PolicySpec};
 
 const USAGE: &str = "rtmac — real-time wireless MAC simulator (Hsieh & Hou, ICDCS 2018)
 
 Usage:
-  rtmac run      [--scenario NAME | network flags]
-                 --policy <db-dp|ldf|eldf|fcsma|dcf|frame-csma>
+  rtmac run      [--scenario NAME | network flags] [--policy POLICY]
   rtmac compare  [--scenario NAME | network flags]
   rtmac sweep    [--scenario NAME | network flags] --param <alpha|lambda|ratio|p>
                  --from X --to Y [--steps N] [--progress]
@@ -40,11 +36,20 @@ workloads — these stay supported for custom networks):
   --links N          number of fully-interfering links (10)
   --deadline-ms T    per-packet deadline in ms (20); or --deadline-us T
   --payload B        data payload bytes (1500)
-  --p P              uniform channel success probability (0.7)
-  --arrivals SPEC    burst:ALPHA | bernoulli:LAMBDA | constant (burst:0.5)
-  --ratio R          required delivery ratio (0.9)
+  --p P              channel success probability, or a per-link list
+                     P1,P2,... (0.7)
+  --arrivals SPEC    constant | bernoulli:LAMBDA | burst:ALPHA[:MAX]
+                     (MAX 6; LAMBDA, ALPHA a number or per-link list)
+                     (burst:0.5)
+  --ratio R          required delivery ratio, or a per-link list (0.9)
   --intervals K      intervals to simulate (1000)
   --seed S           RNG seed (0)
+
+Run flags:
+  --policy POLICY    db-dp | db-dp:pairs=K | ldf | eldf | fcsma | dcf |
+                     frame-csma | frame-csma:slots=K | fixed (db-dp)
+
+These values are spelled as in an rtmac-netd scenario file (OPERATIONS.md).
 
 Sweep flags:
   --progress         live completed/total and items/sec on stderr while
@@ -67,19 +72,6 @@ Examples:
   rtmac sweep --scenario control10 --param lambda --from 0.5 --to 0.9 --steps 9
   rtmac emulate --scenario control10 --links 100 --intervals 200 --check-replay
 ";
-
-fn arrivals_box(spec: ArrivalSpec, links: usize) -> Result<Box<dyn ArrivalProcess>, CliError> {
-    let to_cli = |e: rtmac::model::ConfigError| CliError::Invalid(e.to_string());
-    Ok(match spec {
-        ArrivalSpec::Burst(alpha) => {
-            Box::new(BurstUniform::symmetric(links, alpha, 6).map_err(to_cli)?)
-        }
-        ArrivalSpec::Bernoulli(lambda) => {
-            Box::new(BernoulliArrivals::symmetric(links, lambda).map_err(to_cli)?)
-        }
-        ArrivalSpec::Constant => Box::new(ConstantArrivals::one_each(links).map_err(to_cli)?),
-    })
-}
 
 fn run_scenario(sc: &Scenario) -> Result<RunReport, CliError> {
     sc.run().map_err(|e| CliError::Invalid(e.to_string()))
@@ -155,10 +147,6 @@ fn render_run(sc: &Scenario, report: &RunReport) -> String {
     out
 }
 
-fn contenders() -> [PolicySpec; 3] {
-    [PolicySpec::db_dp(), PolicySpec::Ldf, PolicySpec::Fcsma]
-}
-
 fn render_compare(opts: &NetworkOpts) -> Result<String, CliError> {
     let mut out = String::new();
     let _ = writeln!(
@@ -166,7 +154,7 @@ fn render_compare(opts: &NetworkOpts) -> Result<String, CliError> {
         "{:>8} {:>12} {:>12} {:>12} {:>14}",
         "policy", "deficiency", "collisions", "idle slots", "empty packets"
     );
-    for spec in contenders() {
+    for spec in CONTENDERS {
         let report = simulate(opts, spec)?;
         let _ = writeln!(
             out,
@@ -181,61 +169,42 @@ fn render_compare(opts: &NetworkOpts) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Overrides the swept field on a scenario. The sweep replaces the arrival
-/// process outright for `alpha`/`lambda` (matching the historical flag
-/// semantics), so it applies uniformly even to per-link scenarios.
-fn apply_sweep(mut sc: Scenario, param: SweepParam, value: f64) -> Scenario {
-    match param {
-        SweepParam::Alpha => {
-            sc.traffic = TrafficSpec::Burst {
-                alpha: Param::Uniform(value),
-                burst_max: 6,
-            };
-        }
-        SweepParam::Lambda => {
-            sc.traffic = TrafficSpec::Bernoulli {
-                lambda: Param::Uniform(value),
-            };
-        }
-        SweepParam::Ratio => sc.ratio = Param::Uniform(value),
-        SweepParam::SuccessProbability => sc.success = Param::Uniform(value),
-    }
-    sc
-}
-
 fn render_sweep(
     opts: &NetworkOpts,
-    param: SweepParam,
+    axis: Axis,
     from: f64,
     to: f64,
     steps: usize,
     progress: bool,
 ) -> Result<String, CliError> {
-    let name = match param {
-        SweepParam::Alpha => "alpha",
-        SweepParam::Lambda => "lambda",
-        SweepParam::Ratio => "ratio",
-        SweepParam::SuccessProbability => "p",
-    };
-    let value_at = |i: usize| {
-        if steps == 1 {
-            from
-        } else {
-            from + (to - from) * i as f64 / (steps - 1) as f64
-        }
-    };
     // One scenario per (point, contender), fanned over the worker pool;
     // results come back in input order, so the table is deterministic.
     // The job list is reserved up front, so a point count too large to
     // hold is an error here instead of an overflow or allocation abort.
     let mut jobs = Vec::new();
     steps
-        .checked_mul(contenders().len())
+        .checked_mul(CONTENDERS.len())
         .and_then(|total| jobs.try_reserve_exact(total).ok())
         .ok_or_else(|| CliError::Invalid(format!("--steps {steps} is too many sweep points")))?;
-    for i in 0..steps {
-        for spec in contenders() {
-            jobs.push(apply_sweep(opts.to_scenario(spec)?, param, value_at(i)));
+    let base = opts.to_scenario(PolicySpec::db_dp())?;
+    let sweep = Sweep {
+        name: base.name,
+        base,
+        axis,
+        points: (0..steps)
+            .map(|i| {
+                if steps == 1 {
+                    from
+                } else {
+                    from + (to - from) * i as f64 / (steps - 1) as f64
+                }
+            })
+            .collect(),
+        shape: None,
+    };
+    for &x in &sweep.points {
+        for spec in CONTENDERS {
+            jobs.push(sweep.at(x).with_policy(spec));
         }
     }
     let reports = if progress {
@@ -259,15 +228,15 @@ fn render_sweep(
     };
 
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{name:>12} {:>12} {:>12} {:>12}",
-        "DB-DP", "LDF", "FCSMA"
-    );
+    let _ = write!(out, "{:>12}", axis.render());
+    for spec in CONTENDERS {
+        let _ = write!(out, " {:>12}", spec.label());
+    }
+    let _ = writeln!(out);
     let mut reports = reports.into_iter();
-    for i in 0..steps {
-        let _ = write!(out, "{:>12.4}", value_at(i));
-        for _ in contenders() {
+    for x in sweep.points {
+        let _ = write!(out, "{x:>12.4}");
+        for _ in CONTENDERS {
             let report = reports.next().expect("one report per job")?;
             let _ = write!(out, " {:>12.4}", report.final_total_deficiency);
         }
@@ -282,25 +251,33 @@ fn render_timeline(opts: &NetworkOpts) -> Result<String, CliError> {
     use rtmac::phy::{channel::Bernoulli, PhyProfile};
     use rtmac::sim::SeedStream;
 
+    let sc = &opts.custom;
     let invalid = |e: ConfigError| CliError::Invalid(e.to_string());
-    if opts.links == 0 {
+    if sc.links == 0 {
         return Err(invalid(ConfigError::NoLinks));
     }
     let deadline =
-        Nanos::checked_from_micros(opts.deadline_us).ok_or(invalid(ConfigError::Overflow {
+        Nanos::checked_from_micros(sc.deadline_us).ok_or(invalid(ConfigError::Overflow {
             name: "deadline_us",
-            value: opts.deadline_us,
+            value: sc.deadline_us,
         }))?;
-    let timing =
-        MacTiming::try_new(PhyProfile::ieee80211a(), deadline, opts.payload).map_err(invalid)?;
-    let mut engine = DpEngine::new(DpConfig::new(timing.clone()).with_trace(true), opts.links);
-    let mut channel =
-        Bernoulli::new(vec![opts.p; opts.links]).map_err(|e| CliError::Invalid(e.to_string()))?;
-    let mut arrivals = arrivals_box(opts.arrivals, opts.links)?;
-    let seeds = SeedStream::new(opts.seed);
+    let timing = MacTiming::try_new(PhyProfile::ieee80211a(), deadline, sc.payload_bytes)
+        .map_err(invalid)?;
+    let mut engine = DpEngine::new(DpConfig::new(timing.clone()).with_trace(true), sc.links);
+    let success = sc.success.expand(sc.links);
+    if success.len() != sc.links {
+        return Err(invalid(ConfigError::LengthMismatch {
+            what: "success probabilities",
+            expected: sc.links,
+            actual: success.len(),
+        }));
+    }
+    let mut channel = Bernoulli::new(success).map_err(invalid)?;
+    let mut arrivals = sc.traffic.instantiate(sc.links).map_err(invalid)?;
+    let seeds = SeedStream::new(sc.seed);
     let mut rng = seeds.rng(2);
     let mut arr_rng = seeds.rng(1);
-    let mu = vec![0.5; opts.links];
+    let mu = vec![0.5; sc.links];
 
     let mut out = String::new();
     let _ = writeln!(
@@ -308,7 +285,7 @@ fn render_timeline(opts: &NetworkOpts) -> Result<String, CliError> {
         "DP protocol timelines (constant mu = 0.5; # data, e empty claim, \u{b7} idle)\n"
     );
     let mut buf = Vec::new();
-    for k in 0..opts.intervals.clamp(1, 10) {
+    for k in 0..sc.intervals.clamp(1, 10) {
         arrivals.sample(&mut arr_rng, &mut buf);
         let report = engine.run_interval(&buf, &mu, &mut channel, &mut rng);
         let _ = writeln!(
@@ -321,7 +298,7 @@ fn render_timeline(opts: &NetworkOpts) -> Result<String, CliError> {
         let _ = write!(
             out,
             "{}",
-            timeline::render(&report.trace, &timing, opts.links, 100)
+            timeline::render(&report.trace, &timing, sc.links, 100)
         );
         let _ = writeln!(out);
     }
@@ -461,12 +438,12 @@ pub fn execute(command: Command) -> Result<String, CliError> {
         Command::Compare { opts } => render_compare(&opts),
         Command::Sweep {
             opts,
-            param,
+            axis,
             from,
             to,
             steps,
             progress,
-        } => render_sweep(&opts, param, from, to, steps, progress),
+        } => render_sweep(&opts, axis, from, to, steps, progress),
         Command::Timeline { opts } => render_timeline(&opts),
         Command::Emulate { opts } => run_emulate(&opts),
         Command::Netd { args } => run_netd(&args),
@@ -476,18 +453,18 @@ pub fn execute(command: Command) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtmac::scenario::{Param, TrafficSpec};
 
     fn quick_opts() -> NetworkOpts {
         NetworkOpts {
             scenario: None,
-            links: 3,
-            deadline_us: 2000,
-            payload: 100,
-            p: 0.8,
-            arrivals: ArrivalSpec::Bernoulli(0.7),
-            ratio: 0.9,
-            intervals: 100,
-            seed: 1,
+            custom: Scenario {
+                name: "custom",
+                links: 3,
+                success: Param::Uniform(0.8),
+                intervals: 100,
+                ..rtmac::scenario::control(3, 0.7, 0.9, 1)
+            },
         }
     }
 
@@ -508,7 +485,7 @@ mod tests {
     fn named_scenario_runs_end_to_end() {
         let mut opts = quick_opts();
         opts.scenario = Some("tiny".to_string());
-        opts.intervals = 50;
+        opts.custom.intervals = 50;
         let sc = opts.to_scenario(PolicySpec::Ldf).unwrap();
         assert_eq!((sc.name, sc.intervals), ("tiny", 50));
         let report = run_scenario(&sc).unwrap();
@@ -520,7 +497,7 @@ mod tests {
     fn robustness_scenario_reports_fault_and_admission_counters() {
         let mut opts = quick_opts();
         opts.scenario = Some("overload-admission".to_string());
-        opts.intervals = 200;
+        opts.custom.intervals = 200;
         let sc = opts.to_scenario(PolicySpec::db_dp()).unwrap();
         let report = run_scenario(&sc).unwrap();
         let text = render_run(&sc, &report);
@@ -539,51 +516,38 @@ mod tests {
     #[test]
     fn invalid_configuration_is_reported() {
         let mut opts = quick_opts();
-        opts.p = 1.5;
+        opts.custom.success = Param::Uniform(1.5);
         assert!(matches!(
             simulate(&opts, PolicySpec::Ldf),
             Err(CliError::Invalid(_))
         ));
         let mut opts = quick_opts();
-        opts.links = 0;
+        opts.custom.links = 0;
         assert!(simulate(&opts, PolicySpec::db_dp()).is_err());
     }
 
     #[test]
     fn sweep_single_step_uses_from() {
-        let out = render_sweep(&quick_opts(), SweepParam::Ratio, 0.85, 0.99, 1, false).unwrap();
+        let out = render_sweep(&quick_opts(), Axis::Ratio, 0.85, 0.99, 1, false).unwrap();
         assert!(out.contains("0.8500"));
         assert!(!out.contains("0.9900"));
     }
 
     #[test]
     fn sweep_endpoints_inclusive() {
-        let out = render_sweep(
-            &quick_opts(),
-            SweepParam::SuccessProbability,
-            0.5,
-            0.9,
-            3,
-            false,
-        )
-        .unwrap();
+        let out =
+            render_sweep(&quick_opts(), Axis::SuccessProbability, 0.5, 0.9, 3, false).unwrap();
         assert!(out.contains("0.5000") && out.contains("0.7000") && out.contains("0.9000"));
     }
 
     #[test]
-    fn sweep_overrides_per_link_scenarios_uniformly() {
-        let sc = apply_sweep(
-            rtmac::scenario::by_name("asym").unwrap(),
-            SweepParam::Alpha,
-            0.5,
-        );
-        assert_eq!(
-            sc.traffic,
-            TrafficSpec::Burst {
-                alpha: Param::Uniform(0.5),
-                burst_max: 6
-            }
-        );
+    fn timeline_rejects_per_link_values_of_the_wrong_length() {
+        let mut opts = quick_opts();
+        opts.custom.success = Param::PerLink(vec![0.9; 2]);
+        assert!(matches!(render_timeline(&opts), Err(CliError::Invalid(_))));
+        let mut opts = quick_opts();
+        opts.custom.traffic = TrafficSpec::parse("bernoulli:0.5,0.5,0.5,0.5").unwrap();
+        assert!(matches!(render_timeline(&opts), Err(CliError::Invalid(_))));
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! # rtmac-cli
 //!
-//! A command-line front end for the `rtmac` simulator. Three subcommands:
+//! A command-line front end for the `rtmac` simulator:
 //!
 //! * `rtmac run` — simulate one network/policy and print a report.
 //! * `rtmac compare` — run DB-DP, LDF, and FCSMA on the same network.
 //! * `rtmac sweep` — sweep one parameter (`alpha`, `lambda`, `ratio`, or
 //!   `p`) and print a deficiency series per policy.
+//! * `rtmac timeline` — print ASCII timelines of the DP protocol.
+//! * `rtmac emulate` and `rtmac netd` — run a deployment over a transport.
 //!
-//! Every subcommand can pull a named workload from the simulator's
-//! scenario registry instead of spelling out the network flags:
+//! Every simulating subcommand can pull a named workload from the
+//! simulator's scenario registry instead of spelling out the network flags:
 //!
 //! ```text
 //! rtmac run --scenario video20
@@ -25,9 +27,11 @@
 //!
 //! Either way, the grammar bottoms out in a [`rtmac::Scenario`]
 //! ([`NetworkOpts::to_scenario`]), so the CLI runs exactly the
-//! configurations the benchmark suite does. [`render_run_command`] is the
-//! inverse — it renders a flag-expressible scenario back into `rtmac run`
-//! tokens, and the round trip is property-tested.
+//! configurations the benchmark suite does. The values of `--arrivals`,
+//! `--policy`, `--p`, `--ratio` and `--param` are parsed by
+//! [`rtmac::scenario`] itself, so they are spelled exactly as in an
+//! `rtmac-netd` scenario file: `--arrivals burst:0.1,0.2:4` or
+//! `--policy db-dp:pairs=3` work here too.
 //!
 //! The argument grammar is deliberately tiny and hand-rolled (the workspace
 //! carries no CLI dependency); [`parse`] is a pure function so every corner
@@ -36,10 +40,7 @@
 mod args;
 mod exec;
 
-pub use args::{
-    parse, policy_flag, render_run_command, ArrivalSpec, CliError, Command, EmulateOpts,
-    NetworkOpts, PolicySpec, SweepParam,
-};
+pub use args::{parse, CliError, Command, EmulateOpts, NetworkOpts, PolicySpec};
 pub use exec::execute;
 
 /// Parses and executes a full command line, returning the printable output.

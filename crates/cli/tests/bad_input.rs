@@ -1,7 +1,8 @@
 //! External input never panics the CLI: deadlines below one backoff slot,
-//! deadlines whose time arithmetic overflows, empty networks and sweeps
-//! with more points than memory can hold end in a one-line `error:` and
-//! exit code 1, in debug and release builds alike.
+//! deadlines whose time arithmetic overflows, empty networks, sweeps with
+//! more points than memory can hold and invalid traffic parameters end in
+//! a one-line `error:` that names the problem and exit code 1, in debug
+//! and release builds alike.
 
 use std::process::Command;
 
@@ -53,6 +54,7 @@ fn out_of_range_inputs_are_errors_not_panics() {
         (&["timeline", "--links", "0"], "at least one link"),
         (&sweep_steps("18446744073709551615")[..], "--steps"),
         (&sweep_steps("6148914691236517206")[..], "--steps"),
+        (&["run", "--arrivals", "burst:1.5"], "arrival rate"),
     ] {
         let (code, stderr) = rtmac(args);
         assert_eq!(code, Some(1), "{args:?} must exit 1, stderr: {stderr}");

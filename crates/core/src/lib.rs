@@ -21,27 +21,23 @@
 //!   which is feasibility-optimal (Theorem 1) while remaining fully
 //!   decentralized.
 //!
-//! This crate ties the substrates together: build a [`Network`], pick a
-//! [`PolicySpec`], run intervals, and read a [`RunReport`].
+//! This crate ties the substrates together: describe a [`Scenario`] (or
+//! build a [`Network`] directly), pick a [`PolicySpec`], run intervals,
+//! and read a [`RunReport`].
 //!
 //! # Quickstart
 //!
 //! ```
-//! use rtmac::{Network, PolicySpec};
+//! use rtmac::scenario::{self, Param, Scenario};
 //!
-//! // A small symmetric network: 4 links, p = 0.8, 2 ms deadline, 100 B
-//! // control packets, one arrival per interval, 95% delivery ratio.
-//! let mut network = Network::builder()
-//!     .links(4)
-//!     .deadline_ms(2)
-//!     .payload_bytes(100)
-//!     .uniform_success_probability(0.8)
-//!     .bernoulli_arrivals(1.0)
-//!     .delivery_ratio(0.95)
-//!     .policy(PolicySpec::db_dp())
-//!     .seed(42)
-//!     .build()?;
-//! let report = network.run(500);
+//! // The paper's control network, shrunk: 4 links, 2 ms deadline, 100 B
+//! // packets, one arrival per interval, 95% delivery ratio, DB-DP, seed
+//! // 42; with p = 0.8 instead of the paper's 0.7.
+//! let sc = Scenario {
+//!     success: Param::Uniform(0.8),
+//!     ..scenario::control(4, 1.0, 0.95, 42)
+//! };
+//! let report = sc.with_intervals(500).run()?;
 //! // The requirement is comfortably feasible: deficiency dies out.
 //! assert!(report.final_total_deficiency < 0.05);
 //! # Ok::<(), rtmac_model::ConfigError>(())

@@ -7,10 +7,10 @@ use rtmac_phy::channel::{Bernoulli, LossModel};
 use rtmac_phy::fault::{BurstSensing, ChurnProcess, ChurnSchedule, FaultModel, HiddenMatrix};
 use rtmac_phy::PhyProfile;
 use rtmac_sim::{Nanos, SeedStream, SimRng};
-use rtmac_traffic::{ArrivalProcess, BernoulliArrivals, BurstUniform, ConstantArrivals};
+use rtmac_traffic::ArrivalProcess;
 
 use crate::admission::{self, AdmissionReport};
-use crate::scenario::{AdmissionSpec, FaultSpec, PolicySpec};
+use crate::scenario::{AdmissionSpec, FaultSpec, PolicySpec, TrafficSpec};
 use crate::{DbDp, RunReport, TransmissionPolicy};
 
 /// Runtime state of the feasibility-aware admission gate (see
@@ -30,6 +30,30 @@ struct AdmissionState {
 }
 
 impl AdmissionState {
+    /// Re-measures the admitted set's utilization and, with shedding on,
+    /// blocks admitted links lowest-debt-first until the survivors fit
+    /// under the threshold.
+    fn rebalance(&mut self, debts: &[f64], policy: &mut dyn TransmissionPolicy) {
+        let utilization =
+            admission::admitted_utilization(&self.q, &self.p, &self.admitted, self.budget);
+        self.peak_utilization = self.peak_utilization.max(utilization);
+        if self.shed && utilization > self.threshold {
+            let order = admission::shed_order(
+                &self.q,
+                &self.p,
+                &self.admitted,
+                debts,
+                self.budget,
+                self.threshold,
+            );
+            for v in order {
+                self.admitted[v] = false;
+                self.shed_count = self.shed_count.saturating_add(1);
+                policy.set_blocked(v, true);
+            }
+        }
+    }
+
     fn report(&self) -> AdmissionReport {
         AdmissionReport {
             admitted: self.admitted.clone(),
@@ -190,10 +214,11 @@ impl Network {
         let Some(state) = self.admission.as_mut() else {
             return;
         };
-        let mut changed = false;
+        if self.churn_events_buf.is_empty() {
+            return;
+        }
         for i in 0..self.churn_events_buf.len() {
             let ev = self.churn_events_buf[i];
-            changed = true;
             if !ev.up {
                 // A crashed link leaves the admitted set; its revival is a
                 // fresh application.
@@ -216,27 +241,7 @@ impl Network {
                 self.policy.set_blocked(ev.link, true);
             }
         }
-        if !changed {
-            return;
-        }
-        let utilization =
-            admission::admitted_utilization(&state.q, &state.p, &state.admitted, state.budget);
-        state.peak_utilization = state.peak_utilization.max(utilization);
-        if state.shed && utilization > state.threshold {
-            let order = admission::shed_order(
-                &state.q,
-                &state.p,
-                &state.admitted,
-                self.debts.debts(),
-                state.budget,
-                state.threshold,
-            );
-            for v in order {
-                state.admitted[v] = false;
-                state.shed_count = state.shed_count.saturating_add(1);
-                self.policy.set_blocked(v, true);
-            }
-        }
+        state.rebalance(self.debts.debts(), self.policy.as_mut());
     }
 
     /// Runs `intervals` more intervals and returns the cumulative report.
@@ -303,7 +308,9 @@ pub struct NetworkBuilder {
     link_payloads: Option<Vec<u32>>,
     phy: PhyProfile,
     success: Option<Vec<f64>>,
-    traffic: Option<Box<dyn ArrivalProcess>>,
+    /// The arrival process, or the error [`build`](Self::build) reports:
+    /// a missing process, or an invalid [`TrafficSpec`]'s own error.
+    traffic: Result<Box<dyn ArrivalProcess>, ConfigError>,
     requirements: Option<Requirements>,
     delivery_ratio: Option<Vec<f64>>,
     policy: Option<PolicySpec>,
@@ -323,7 +330,10 @@ impl Default for NetworkBuilder {
             link_payloads: None,
             phy: PhyProfile::ieee80211a(),
             success: None,
-            traffic: None,
+            traffic: Err(ConfigError::InvalidParameter {
+                name: "traffic (arrival process required)",
+                value: f64::NAN,
+            }),
             requirements: None,
             delivery_ratio: None,
             policy: None,
@@ -416,40 +426,14 @@ impl NetworkBuilder {
     /// Uses an arbitrary arrival process.
     #[must_use]
     pub fn traffic(mut self, traffic: Box<dyn ArrivalProcess>) -> Self {
-        self.traffic = Some(traffic);
+        self.traffic = Ok(traffic);
         self
     }
 
-    /// The paper's video traffic: `U{1..6}` packets with probability
-    /// `alpha`, else none.
-    ///
-    /// Call after [`links`](Self::links); validation happens in
-    /// [`build`](Self::build).
-    #[must_use]
-    pub fn burst_arrivals(mut self, alpha: f64) -> Self {
-        // An invalid alpha leaves traffic unset; build() then reports the
-        // missing/invalid arrival process.
-        self.traffic = BurstUniform::symmetric(self.n_links.max(1), alpha, 6)
-            .ok()
-            .map(|t| Box::new(t) as Box<dyn ArrivalProcess>);
-        self
-    }
-
-    /// The paper's control traffic: one packet with probability `lambda`.
-    #[must_use]
-    pub fn bernoulli_arrivals(mut self, lambda: f64) -> Self {
-        self.traffic = BernoulliArrivals::symmetric(self.n_links.max(1), lambda)
-            .ok()
-            .map(|t| Box::new(t) as Box<dyn ArrivalProcess>);
-        self
-    }
-
-    /// Exactly one packet per link per interval.
-    #[must_use]
-    pub fn constant_arrivals(mut self) -> Self {
-        self.traffic = ConstantArrivals::one_each(self.n_links.max(1))
-            .ok()
-            .map(|t| Box::new(t) as Box<dyn ArrivalProcess>);
+    /// Instantiates `spec` for the links set so far; an invalid spec's
+    /// error is left for [`build`](Self::build) to report.
+    pub(crate) fn traffic_spec(mut self, spec: &TrafficSpec) -> Self {
+        self.traffic = spec.instantiate(self.n_links);
         self
     }
 
@@ -546,10 +530,7 @@ impl NetworkBuilder {
             .success_probabilities(success)
             .build()?;
 
-        let traffic = self.traffic.ok_or(ConfigError::InvalidParameter {
-            name: "traffic (arrival process required, and its parameters must be valid)",
-            value: f64::NAN,
-        })?;
+        let traffic = self.traffic?;
         if traffic.n_links() != config.n_links() {
             return Err(ConfigError::LengthMismatch {
                 what: "arrival process links",
@@ -622,23 +603,10 @@ impl NetworkBuilder {
             }
             timing = timing.with_link_payloads(&payloads);
         }
-        // Links dark at interval 0 (flash-crowd blocks, crash_at == 0
-        // events) start outside the admission gate's admitted set.
-        let initially_down: Option<Vec<bool>> = self.fault.as_ref().map(|spec| {
-            let mut down = vec![false; config.n_links()];
-            if let Some(fc) = spec.flash_crowd {
-                let end = fc.first_link.saturating_add(fc.count).min(down.len());
-                for flag in down.iter_mut().take(end).skip(fc.first_link.min(end)) {
-                    *flag = true;
-                }
-            }
-            if let Some(c) = spec.churn {
-                if c.crash_at == 0 && c.link < down.len() {
-                    down[c.link] = true;
-                }
-            }
-            down
-        });
+        // The links dark at interval 0 (flash-crowd blocks, crash_at == 0
+        // events), read from the churn process before it first advances;
+        // `Some` exactly when a fault layer gives the gate its substrate.
+        let mut initially_down: Option<Vec<bool>> = None;
         let budget = timing.max_transmissions();
         let seeds = SeedStream::new(self.seed);
         let mut policy: Box<dyn TransmissionPolicy> = match (spec, self.fault) {
@@ -806,6 +774,11 @@ impl NetworkBuilder {
                     }
                     engine = engine.with_churn_process(churn_process);
                 }
+                initially_down = Some(
+                    (0..config.n_links())
+                        .map(|l| engine.churn_process().is_some_and(|c| c.is_down(l, 0)))
+                        .collect(),
+                );
                 Box::new(DbDp::new(
                     engine,
                     influence.boxed(),
@@ -837,6 +810,7 @@ impl NetworkBuilder {
         };
 
         let n = config.n_links();
+        let debts = DebtLedger::new(requirements.clone());
         let admission_state = match self.admission {
             None => None,
             Some(spec) => {
@@ -876,34 +850,13 @@ impl NetworkBuilder {
                 };
                 // Interval-0 pass: links up from the start are
                 // grandfathered in, then shed if they already overload.
-                let utilization = admission::admitted_utilization(
-                    &state.q,
-                    &state.p,
-                    &state.admitted,
-                    state.budget,
-                );
-                state.peak_utilization = utilization;
-                if state.shed && utilization > state.threshold {
-                    let zero_debts = vec![0.0; n];
-                    for v in admission::shed_order(
-                        &state.q,
-                        &state.p,
-                        &state.admitted,
-                        &zero_debts,
-                        state.budget,
-                        state.threshold,
-                    ) {
-                        state.admitted[v] = false;
-                        state.shed_count += 1;
-                        policy.set_blocked(v, true);
-                    }
-                }
+                state.rebalance(debts.debts(), policy.as_mut());
                 Some(state)
             }
         };
         Ok(Network {
             config,
-            debts: DebtLedger::new(requirements.clone()),
+            debts,
             requirements,
             traffic,
             channel,
@@ -929,6 +882,11 @@ impl NetworkBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtmac_traffic::BernoulliArrivals;
+
+    fn bernoulli(links: usize, lambda: f64) -> Box<dyn ArrivalProcess> {
+        Box::new(BernoulliArrivals::symmetric(links, lambda).unwrap())
+    }
 
     fn base_builder() -> NetworkBuilder {
         Network::builder()
@@ -936,7 +894,7 @@ mod tests {
             .deadline_ms(2)
             .payload_bytes(100)
             .uniform_success_probability(0.8)
-            .bernoulli_arrivals(0.9)
+            .traffic(bernoulli(4, 0.9))
             .delivery_ratio(0.9)
             .seed(1)
     }
@@ -985,18 +943,18 @@ mod tests {
         assert!(Network::builder().links(2).build().is_err()); // no traffic
         assert!(Network::builder()
             .links(2)
-            .bernoulli_arrivals(0.5)
+            .traffic(bernoulli(2, 0.5))
             .build()
             .is_err()); // no requirements
         assert!(Network::builder()
             .links(2)
-            .bernoulli_arrivals(0.5)
+            .traffic(bernoulli(2, 0.5))
             .delivery_ratio(0.9)
             .build()
             .is_err()); // no policy
         assert!(Network::builder()
             .links(0)
-            .bernoulli_arrivals(0.5)
+            .traffic(bernoulli(1, 0.5))
             .delivery_ratio(0.9)
             .policy(PolicySpec::Ldf)
             .build()

@@ -15,9 +15,15 @@
 //! and the robustness workloads ([`bursty`], [`hidden_terminal`],
 //! [`poisson_churn`], [`overload_admission`]),
 //! and defines each figure's sweep as a
-//! base `Scenario` plus an [`Axis`] ([`fig3`].. [`fig10`]), so the bench
-//! harness, the CLI's `--scenario` flag, and the docs all speak the same
-//! vocabulary.
+//! base `Scenario` plus an [`Axis`] ([`fig3`].. [`fig10`]) and the paper's
+//! three contenders ([`CONTENDERS`]), so the bench harness, the CLI's
+//! `--scenario` flag, and the docs all speak the same vocabulary.
+//!
+//! It is also the one place that vocabulary is spelled: [`Param`],
+//! [`TrafficSpec`], [`PolicySpec`] and [`Axis`] each have one `parse` and
+//! one canonical `render`, which the CLI's flags and the `rtmac-netd`
+//! scenario file both call, and [`TrafficSpec::instantiate`] is the only
+//! way a traffic spec becomes an arrival process.
 //!
 //! # Example
 //!
@@ -34,6 +40,8 @@
 //! # Ok::<(), rtmac_model::ConfigError>(())
 //! ```
 
+use std::fmt;
+
 use rtmac_mac::{
     CentralizedEngine, DcfConfig, DcfEngine, DpConfig, DpEngine, FcsmaEngine, FcsmaQuantizer,
     FrameCsmaEngine, MacTiming,
@@ -46,6 +54,37 @@ use crate::{
     DbDp, DcfPolicy, Eldf, FcsmaPolicy, FixedPriority, FrameCsmaPolicy, Network, NetworkBuilder,
     RunReport, TransmissionPolicy,
 };
+
+/// Text that is not a spelling of the scenario vocabulary: the rejected
+/// text and the forms that would have been accepted.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseError {
+    /// The rejected text.
+    pub text: String,
+    /// The accepted forms.
+    pub expected: &'static str,
+}
+
+impl ParseError {
+    fn new(text: &str, expected: &'static str) -> Self {
+        ParseError {
+            text: text.to_string(),
+            expected,
+        }
+    }
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "`{}` is not {}", self.text, self.expected)
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+/// The paper's maximum video burst size, and the one a spelling or a sweep
+/// uses when it names none.
+const BURST_MAX: u32 = 6;
 
 /// A per-link parameter: one value shared by every link, or an explicit
 /// per-link vector (the asymmetric networks of Figs. 7–8).
@@ -75,6 +114,43 @@ impl Param {
             Param::PerLink(_) => None,
         }
     }
+
+    /// Parses `V` (uniform) or the per-link list `V1,V2,…`; a trailing
+    /// comma makes a one-entry list.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseError`] unless every entry is a number and the list
+    /// has at least one.
+    pub fn parse(text: &str) -> Result<Self, ParseError> {
+        let bad = || ParseError::new(text, "a number or a comma-separated per-link list");
+        if !text.contains(',') {
+            return text.parse().map(Param::Uniform).map_err(|_| bad());
+        }
+        let values = text
+            .split(',')
+            .map(str::trim)
+            .filter(|v| !v.is_empty())
+            .map(str::parse)
+            .collect::<Result<Vec<f64>, _>>()
+            .map_err(|_| bad())?;
+        if values.is_empty() {
+            return Err(bad());
+        }
+        Ok(Param::PerLink(values))
+    }
+
+    /// The canonical spelling, which [`Param::parse`] reads back. An empty
+    /// per-link list renders as the empty string, which does not parse.
+    #[must_use]
+    pub fn render(&self) -> String {
+        match self {
+            Param::Uniform(v) => v.to_string(),
+            // The trailing comma keeps a one-entry list per-link.
+            Param::PerLink(v) if v.len() == 1 => format!("{},", v[0]),
+            Param::PerLink(v) => v.iter().map(f64::to_string).collect::<Vec<_>>().join(","),
+        }
+    }
 }
 
 /// Declarative arrival-process selection.
@@ -98,22 +174,75 @@ pub enum TrafficSpec {
 }
 
 impl TrafficSpec {
-    /// Instantiates the arrival process for `n_links` links. Invalid
-    /// parameters yield `None`, which [`NetworkBuilder::build`] reports as
-    /// a missing/invalid arrival process.
-    fn instantiate(&self, n_links: usize) -> Option<Box<dyn ArrivalProcess>> {
-        match self {
+    /// Instantiates the arrival process for `n_links` links.
+    ///
+    /// # Errors
+    ///
+    /// Returns the arrival process's own [`ConfigError`] for an invalid
+    /// parameter (a rate outside `[0, 1]`, a zero burst size, no links),
+    /// and [`ConfigError::LengthMismatch`] for a per-link vector that is not
+    /// `n_links` long.
+    pub fn instantiate(&self, n_links: usize) -> Result<Box<dyn ArrivalProcess>, ConfigError> {
+        let traffic: Box<dyn ArrivalProcess> = match self {
             TrafficSpec::Burst { alpha, burst_max } => {
-                BurstUniform::new(alpha.expand(n_links), *burst_max)
-                    .ok()
-                    .map(|t| Box::new(t) as Box<dyn ArrivalProcess>)
+                Box::new(BurstUniform::new(alpha.expand(n_links), *burst_max)?)
             }
-            TrafficSpec::Bernoulli { lambda } => BernoulliArrivals::new(lambda.expand(n_links))
-                .ok()
-                .map(|t| Box::new(t) as Box<dyn ArrivalProcess>),
-            TrafficSpec::Constant => ConstantArrivals::one_each(n_links)
-                .ok()
-                .map(|t| Box::new(t) as Box<dyn ArrivalProcess>),
+            TrafficSpec::Bernoulli { lambda } => {
+                Box::new(BernoulliArrivals::new(lambda.expand(n_links))?)
+            }
+            TrafficSpec::Constant => Box::new(ConstantArrivals::one_each(n_links)?),
+        };
+        if traffic.n_links() != n_links {
+            return Err(ConfigError::LengthMismatch {
+                what: "arrival process links",
+                expected: n_links,
+                actual: traffic.n_links(),
+            });
+        }
+        Ok(traffic)
+    }
+
+    /// Parses `constant`, `bernoulli:LAMBDA` or `burst:ALPHA[:MAX]`, where
+    /// `LAMBDA` and `ALPHA` are [`Param`] spellings and `MAX` defaults to
+    /// the paper's 6.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseError`] naming the whole text for any other form.
+    pub fn parse(text: &str) -> Result<Self, ParseError> {
+        let bad = || {
+            ParseError::new(
+                text,
+                "constant, bernoulli:LAMBDA or burst:ALPHA[:MAX] \
+                 (LAMBDA and ALPHA a number or a per-link list)",
+            )
+        };
+        if text == "constant" {
+            return Ok(TrafficSpec::Constant);
+        }
+        if let Some(lambda) = text.strip_prefix("bernoulli:") {
+            let lambda = Param::parse(lambda).map_err(|_| bad())?;
+            return Ok(TrafficSpec::Bernoulli { lambda });
+        }
+        let burst = text.strip_prefix("burst:").ok_or_else(bad)?;
+        let (alpha, burst_max) = match burst.rsplit_once(':') {
+            Some((alpha, max)) => (alpha, max.parse().map_err(|_| bad())?),
+            None => (burst, BURST_MAX),
+        };
+        let alpha = Param::parse(alpha).map_err(|_| bad())?;
+        Ok(TrafficSpec::Burst { alpha, burst_max })
+    }
+
+    /// The canonical spelling, which [`TrafficSpec::parse`] reads back; a
+    /// burst always names its maximum.
+    #[must_use]
+    pub fn render(&self) -> String {
+        match self {
+            TrafficSpec::Constant => "constant".to_string(),
+            TrafficSpec::Bernoulli { lambda } => format!("bernoulli:{}", lambda.render()),
+            TrafficSpec::Burst { alpha, burst_max } => {
+                format!("burst:{}:{burst_max}", alpha.render())
+            }
         }
     }
 }
@@ -188,17 +317,13 @@ pub enum PolicySpec {
 impl PolicySpec {
     /// DB-DP with the paper's simulation parameters.
     #[must_use]
-    pub fn db_dp() -> Self {
-        PolicySpec::DbDp {
-            influence: InfluenceSpec::PaperLog,
-            r: 10.0,
-            swap_pairs: 1,
-        }
+    pub const fn db_dp() -> Self {
+        Self::db_dp_pairs(1)
     }
 
     /// DB-DP with `pairs` simultaneous swap pairs (Remark 6).
     #[must_use]
-    pub fn db_dp_pairs(pairs: usize) -> Self {
+    pub const fn db_dp_pairs(pairs: usize) -> Self {
         PolicySpec::DbDp {
             influence: InfluenceSpec::PaperLog,
             r: 10.0,
@@ -218,10 +343,77 @@ impl PolicySpec {
     /// phase.
     #[must_use]
     pub fn frame_csma() -> Self {
+        Self::frame_csma_slots(32)
+    }
+
+    /// Frame-based CSMA with linear debt weights and a `control_slots`-slot
+    /// control phase.
+    fn frame_csma_slots(control_slots: u32) -> Self {
         PolicySpec::FrameCsma {
             influence: InfluenceSpec::Linear,
-            control_slots: 32,
+            control_slots,
         }
+    }
+
+    /// Parses `db-dp` (or `dbdp`), `db-dp:pairs=K`, `ldf`, `eldf`,
+    /// `fcsma`, `dcf`, `frame-csma` (or `framecsma`),
+    /// `frame-csma:slots=K` or `fixed`; every form but the two
+    /// parameterized ones is the constructor of the same name.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseError`] naming the whole text for any other form.
+    pub fn parse(text: &str) -> Result<Self, ParseError> {
+        let bad = || {
+            ParseError::new(
+                text,
+                "db-dp, db-dp:pairs=K, ldf, eldf, fcsma, dcf, frame-csma, \
+                 frame-csma:slots=K or fixed",
+            )
+        };
+        Ok(match text {
+            "db-dp" | "dbdp" => PolicySpec::db_dp(),
+            "ldf" => PolicySpec::Ldf,
+            "eldf" => PolicySpec::eldf(),
+            "fcsma" => PolicySpec::Fcsma,
+            "dcf" => PolicySpec::Dcf,
+            "frame-csma" | "framecsma" => PolicySpec::frame_csma(),
+            "fixed" => PolicySpec::FixedPriority,
+            _ => {
+                if let Some(pairs) = text.strip_prefix("db-dp:pairs=") {
+                    PolicySpec::db_dp_pairs(pairs.parse().map_err(|_| bad())?)
+                } else if let Some(slots) = text.strip_prefix("frame-csma:slots=") {
+                    PolicySpec::frame_csma_slots(slots.parse().map_err(|_| bad())?)
+                } else {
+                    return Err(bad());
+                }
+            }
+        })
+    }
+
+    /// The canonical spelling, which [`PolicySpec::parse`] reads back, or
+    /// `None` for a parameterization no spelling names (an influence
+    /// function or `R` other than the constructors').
+    #[must_use]
+    pub fn render(&self) -> Option<String> {
+        Some(match *self {
+            p if p == Self::db_dp() => "db-dp".to_string(),
+            PolicySpec::DbDp { swap_pairs, .. } if *self == Self::db_dp_pairs(swap_pairs) => {
+                format!("db-dp:pairs={swap_pairs}")
+            }
+            p if p == Self::eldf() => "eldf".to_string(),
+            PolicySpec::Ldf => "ldf".to_string(),
+            PolicySpec::Fcsma => "fcsma".to_string(),
+            PolicySpec::Dcf => "dcf".to_string(),
+            p if p == Self::frame_csma() => "frame-csma".to_string(),
+            PolicySpec::FrameCsma { control_slots, .. }
+                if *self == Self::frame_csma_slots(control_slots) =>
+            {
+                format!("frame-csma:slots={control_slots}")
+            }
+            PolicySpec::FixedPriority => "fixed".to_string(),
+            _ => return None,
+        })
     }
 
     /// Display label (the paper's plotting names).
@@ -405,9 +597,14 @@ pub struct AdaptiveRecoverySpec {
 /// policies.
 ///
 /// With zero error rates, no burst process, no hidden pairs, and no churn
-/// the degraded-mode engine is still selected, but it replays the pristine
-/// engine's randomness draw-for-draw, so results are byte-identical to a
-/// fault-free run.
+/// the degraded-mode engine is still selected and draws the pristine
+/// engine's randomness draw-for-draw, but it is not a fault-free run: its
+/// R2 rule counts an upper claim that missed the deadline as unheard, so a
+/// saturated interval can trigger a fallback the fault-free engine never
+/// takes (20 links at a 2 ms deadline with 3 arrivals each part from the
+/// fault-free trajectory at interval 8; see `rtmac_mac::dp`'s module docs).
+/// Where the deadline leaves room for every adjacent claim, results are
+/// byte-identical to a fault-free run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Probability an idle carrier-sense instant reads busy.
@@ -671,11 +868,9 @@ impl Scenario {
             .payload_bytes(self.payload_bytes)
             .success_probabilities(self.success.expand(self.links))
             .delivery_ratios(self.ratio.expand(self.links))
+            .traffic_spec(&self.traffic)
             .policy(self.policy)
             .seed(self.seed);
-        if let Some(traffic) = self.traffic.instantiate(self.links) {
-            b = b.traffic(traffic);
-        }
         if let Some((link, band)) = self.track {
             b = b.track_link(LinkId::new(link), band);
         }
@@ -714,9 +909,9 @@ impl Scenario {
 /// The parameter a [`Sweep`] varies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Axis {
-    /// Burst probability `α*` (requires [`TrafficSpec::Burst`]).
+    /// Burst probability `α*` ([`TrafficSpec::Burst`] traffic).
     Alpha,
-    /// Bernoulli arrival rate `λ*` (requires [`TrafficSpec::Bernoulli`]).
+    /// Bernoulli arrival rate `λ*` ([`TrafficSpec::Bernoulli`] traffic).
     Lambda,
     /// Required delivery ratio `ρ`.
     Ratio,
@@ -732,6 +927,32 @@ impl Axis {
             Axis::Alpha => "alpha*",
             Axis::Lambda => "lambda*",
             Axis::Ratio => "rho",
+            Axis::SuccessProbability => "p",
+        }
+    }
+
+    /// Parses `alpha`, `lambda`, `ratio` or `p`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseError`] for any other text.
+    pub fn parse(text: &str) -> Result<Self, ParseError> {
+        Ok(match text {
+            "alpha" => Axis::Alpha,
+            "lambda" => Axis::Lambda,
+            "ratio" => Axis::Ratio,
+            "p" => Axis::SuccessProbability,
+            _ => return Err(ParseError::new(text, "alpha, lambda, ratio or p")),
+        })
+    }
+
+    /// The spelling [`Axis::parse`] reads back.
+    #[must_use]
+    pub fn render(self) -> &'static str {
+        match self {
+            Axis::Alpha => "alpha",
+            Axis::Lambda => "lambda",
+            Axis::Ratio => "ratio",
             Axis::SuccessProbability => "p",
         }
     }
@@ -757,13 +978,9 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// The scenario at sweep position `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the axis does not match the base scenario's traffic kind
-    /// (e.g. [`Axis::Alpha`] over Bernoulli traffic) — sweeps come from the
-    /// registry, so this indicates a construction bug.
+    /// The scenario at sweep position `x`. An α or λ axis over traffic of
+    /// another kind replaces the traffic with the axis's kind (bursts of
+    /// up to 6 for α), so any base scenario can be swept on any axis.
     #[must_use]
     pub fn at(&self, x: f64) -> Scenario {
         let param = match &self.shape {
@@ -772,20 +989,17 @@ impl Sweep {
         };
         let mut sc = self.base.clone();
         match self.axis {
-            Axis::Alpha => match &mut sc.traffic {
-                TrafficSpec::Burst { alpha, .. } => *alpha = param,
-                // lint: allow(panic-macro) — documented `# Panics` contract:
-                // sweeps come from the registry, so an axis/traffic mismatch
-                // is a construction bug worth failing loudly on, not a
-                // runtime condition to propagate.
-                other => panic!("alpha sweep over non-burst traffic {other:?}"),
-            },
-            Axis::Lambda => match &mut sc.traffic {
-                TrafficSpec::Bernoulli { lambda } => *lambda = param,
-                // lint: allow(panic-macro) — same `# Panics` contract as the
-                // alpha arm above.
-                other => panic!("lambda sweep over non-Bernoulli traffic {other:?}"),
-            },
+            Axis::Alpha => {
+                let burst_max = match sc.traffic {
+                    TrafficSpec::Burst { burst_max, .. } => burst_max,
+                    _ => BURST_MAX,
+                };
+                sc.traffic = TrafficSpec::Burst {
+                    alpha: param,
+                    burst_max,
+                };
+            }
+            Axis::Lambda => sc.traffic = TrafficSpec::Bernoulli { lambda: param },
             Axis::Ratio => sc.ratio = param,
             Axis::SuccessProbability => sc.success = param,
         }
@@ -793,11 +1007,6 @@ impl Sweep {
     }
 
     /// All sweep points as scenarios, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sweep axis mismatches the base scenario's traffic
-    /// kind, as in [`Sweep::at`].
     #[must_use]
     pub fn scenarios(&self) -> Vec<Scenario> {
         self.points.iter().map(|&x| self.at(x)).collect()
@@ -832,7 +1041,7 @@ pub fn video(n: usize, alpha: f64, rho: f64, seed: u64) -> Scenario {
         success: Param::Uniform(0.7),
         traffic: TrafficSpec::Burst {
             alpha: Param::Uniform(alpha),
-            burst_max: 6,
+            burst_max: BURST_MAX,
         },
         ratio: Param::Uniform(rho),
         policy: PolicySpec::db_dp(),
@@ -858,7 +1067,7 @@ pub fn video_per_link(alpha: Vec<f64>, p: Vec<f64>, rho: Vec<f64>, seed: u64) ->
         success: Param::PerLink(p),
         traffic: TrafficSpec::Burst {
             alpha: Param::PerLink(alpha),
-            burst_max: 6,
+            burst_max: BURST_MAX,
         },
         ratio: Param::PerLink(rho),
         policy: PolicySpec::db_dp(),
@@ -910,7 +1119,7 @@ pub fn asym(alpha_star: f64, rho: f64, seed: u64) -> Scenario {
         success: Param::PerLink(p),
         traffic: TrafficSpec::Burst {
             alpha: Param::PerLink(alpha),
-            burst_max: 6,
+            burst_max: BURST_MAX,
         },
         ratio: Param::Uniform(rho),
         policy: PolicySpec::db_dp(),
@@ -1069,6 +1278,11 @@ pub fn by_name(name: &str) -> Option<Scenario> {
         _ => None,
     }
 }
+
+/// The paper's three contenders, in its plotting order: DB-DP, the
+/// centralized LDF reference and the FCSMA baseline. Their labels are
+/// [`PolicySpec::label`]'s.
+pub const CONTENDERS: [PolicySpec; 3] = [PolicySpec::db_dp(), PolicySpec::Ldf, PolicySpec::Fcsma];
 
 /// Fig. 3 — the symmetric video network (`ρ = 0.9`) swept over `α*`.
 #[must_use]
@@ -1260,6 +1474,32 @@ mod tests {
     }
 
     #[test]
+    fn sweep_at_adopts_the_axis_traffic_kind() {
+        for (base, axis, x, traffic) in [
+            // α over Bernoulli traffic becomes the paper's bursts.
+            ("control10", Axis::Alpha, 0.3, "burst:0.3:6"),
+            // A uniform α axis flattens the asymmetric network's per-link α.
+            ("asym", Axis::Alpha, 0.2, "burst:0.2:6"),
+            // λ over bursts or constant traffic becomes Bernoulli.
+            ("video20", Axis::Lambda, 0.6, "bernoulli:0.6"),
+            ("tiny", Axis::Lambda, 0.6, "bernoulli:0.6"),
+        ] {
+            let sweep = Sweep {
+                name: base,
+                base: by_name(base).unwrap(),
+                axis,
+                points: vec![x],
+                shape: None,
+            };
+            assert_eq!(sweep.scenarios()[0].traffic.render(), traffic, "{base}");
+        }
+        // A burst keeps its maximum.
+        let mut sweep = fig3(10, 0);
+        sweep.base.traffic = TrafficSpec::parse("burst:0.1:3").unwrap();
+        assert_eq!(sweep.at(0.4).traffic.render(), "burst:0.4:3");
+    }
+
+    #[test]
     fn asym_sweep_scales_by_shape() {
         let sweep = fig7(100, 1);
         let sc = sweep.at(0.5);
@@ -1300,6 +1540,99 @@ mod tests {
         assert_eq!(PolicySpec::db_dp_pairs(3).label(), "DB-DP 3 pairs");
         assert_eq!(PolicySpec::Ldf.label(), "LDF");
         assert_eq!(PolicySpec::Fcsma.label(), "FCSMA");
+    }
+
+    /// An invalid traffic parameter is reported as the arrival process's
+    /// own error by both ways of building a scenario's network.
+    #[test]
+    fn invalid_traffic_reports_the_arrival_process_error() {
+        for (traffic, expected) in [
+            (
+                "burst:1.5",
+                "arrival rate parameter of link 0 is invalid: 1.5",
+            ),
+            ("burst:0.5:0", "parameter burst_max is out of range: 0"),
+            (
+                "bernoulli:NaN",
+                "arrival rate parameter of link 0 is invalid: NaN",
+            ),
+            (
+                "bernoulli:0.5,0.5",
+                "arrival process links has 2 entries but the network has 3 links",
+            ),
+        ] {
+            let sc = Scenario {
+                traffic: TrafficSpec::parse(traffic).unwrap(),
+                ..tiny(0)
+            };
+            for err in [
+                sc.network().unwrap_err(),
+                sc.to_builder().build().unwrap_err(),
+            ] {
+                assert_eq!(err.to_string(), expected, "{traffic}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_policy_name_parses() {
+        for (name, spec) in [
+            ("db-dp", PolicySpec::db_dp()),
+            ("dbdp", PolicySpec::db_dp()),
+            ("db-dp:pairs=3", PolicySpec::db_dp_pairs(3)),
+            ("ldf", PolicySpec::Ldf),
+            ("eldf", PolicySpec::eldf()),
+            ("fcsma", PolicySpec::Fcsma),
+            ("dcf", PolicySpec::Dcf),
+            ("frame-csma", PolicySpec::frame_csma()),
+            ("framecsma", PolicySpec::frame_csma()),
+            ("frame-csma:slots=8", PolicySpec::frame_csma_slots(8)),
+            ("fixed", PolicySpec::FixedPriority),
+        ] {
+            assert_eq!(PolicySpec::parse(name), Ok(spec), "{name}");
+        }
+        for bad in ["tdma", "db-dp:pairs=x", "frame-csma:slots=", "DB-DP"] {
+            let err = PolicySpec::parse(bad).unwrap_err();
+            assert_eq!(err.text, bad);
+            assert!(err.to_string().contains("frame-csma:slots=K"), "{err}");
+        }
+    }
+
+    /// Every arrival spelling either front end accepted, with its meaning
+    /// written as the canonical spelling.
+    #[test]
+    fn arrivals_variants() {
+        for (text, canonical) in [
+            ("bernoulli:0.78", "bernoulli:0.78"),
+            ("constant", "constant"),
+            ("burst:0.55", "burst:0.55:6"),
+            ("burst:0.25:4", "burst:0.25:4"),
+            ("burst:0.1, 0.2:6", "burst:0.1,0.2:6"),
+            ("bernoulli:0.5,", "bernoulli:0.5,"),
+        ] {
+            let spec = TrafficSpec::parse(text).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(spec.render(), canonical);
+        }
+        assert_eq!(
+            TrafficSpec::parse("burst:0.55"),
+            Ok(TrafficSpec::Burst {
+                alpha: Param::Uniform(0.55),
+                burst_max: 6
+            })
+        );
+        for bad in [
+            "poisson:2",
+            "burst:x",
+            "burst:",
+            "burst:0.5:",
+            "bernoulli:,",
+        ] {
+            let err = TrafficSpec::parse(bad).unwrap_err();
+            assert_eq!(err.text, bad);
+            assert!(err.to_string().contains("burst:ALPHA[:MAX]"), "{err}");
+        }
+        assert!(Param::parse("0.9;0.8").is_err());
+        assert!(Axis::parse("rho").is_err());
     }
 
     #[test]

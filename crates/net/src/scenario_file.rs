@@ -14,8 +14,8 @@
 //! links = 10
 //! deadline_us = 2000
 //! payload_bytes = 100
-//! success = 0.9            # or a comma list: 0.9,0.8,...
-//! traffic = bernoulli:0.6  # or burst:0.25:6 | constant
+//! success = 0.9            # or a per-link list: 0.9,0.8,...
+//! traffic = bernoulli:0.6  # or burst:0.25:6 | burst:0.25 | constant
 //! ratio = 0.99
 //! policy = db-dp           # db-dp | db-dp:pairs=K | ldf | eldf | fcsma
 //!                          #   | dcf | frame-csma | frame-csma:slots=K | fixed
@@ -23,8 +23,15 @@
 //! seed = 2018
 //! engine = timeline        # timeline | batched (optional; inert, see EngineSpec)
 //! ```
+//!
+//! The values of `success`, `ratio`, `traffic` and `policy` are spelled
+//! as everywhere else: [`Param`], [`TrafficSpec`] and [`PolicySpec`]
+//! parse and render them, and the `rtmac` CLI's `--p`, `--ratio`,
+//! `--arrivals` and `--policy` take the same spellings. Rendering is
+//! canonical (a burst always names its maximum; `dbdp` and `framecsma`
+//! render as `db-dp` and `frame-csma`).
 
-use rtmac::scenario::{by_name, EngineSpec, Param, Scenario, TrafficSpec};
+use rtmac::scenario::{by_name, EngineSpec, Param, ParseError, Scenario, TrafficSpec};
 use rtmac::PolicySpec;
 
 use crate::error::NetError;
@@ -57,6 +64,12 @@ pub fn render(sc: &Scenario) -> Result<String, NetError> {
     if sc.track.is_some() {
         return Err(unsupported("throughput tracking"));
     }
+    let policy = sc.policy.render().ok_or_else(|| {
+        unsupported(&format!(
+            "a non-default {} parameterization",
+            sc.policy.label()
+        ))
+    })?;
     let mut out = String::from("# rtmac-netd scenario\n");
     let mut field = |key: &str, value: String| {
         out.push_str(key);
@@ -67,10 +80,10 @@ pub fn render(sc: &Scenario) -> Result<String, NetError> {
     field("links", sc.links.to_string());
     field("deadline_us", sc.deadline_us.to_string());
     field("payload_bytes", sc.payload_bytes.to_string());
-    field("success", render_param(&sc.success));
-    field("traffic", render_traffic(&sc.traffic)?);
-    field("ratio", render_param(&sc.ratio));
-    field("policy", render_policy(&sc.policy)?);
+    field("success", sc.success.render());
+    field("traffic", sc.traffic.render());
+    field("ratio", sc.ratio.render());
+    field("policy", policy);
     field("intervals", sc.intervals.to_string());
     field("seed", sc.seed.to_string());
     field("engine", sc.engine.label().to_string());
@@ -81,71 +94,6 @@ fn unsupported(what: &str) -> NetError {
     NetError::Unsupported(format!(
         "{what} cannot be expressed in the scenario file format"
     ))
-}
-
-fn render_param(p: &Param) -> String {
-    match p {
-        Param::Uniform(v) => v.to_string(),
-        // A trailing comma keeps a one-element per-link vector distinct
-        // from a uniform value, so parse(render(x)) == x holds.
-        Param::PerLink(v) if v.len() == 1 => format!("{},", v[0]),
-        Param::PerLink(v) => v.iter().map(f64::to_string).collect::<Vec<_>>().join(","),
-    }
-}
-
-fn render_traffic(t: &TrafficSpec) -> Result<String, NetError> {
-    Ok(match t {
-        TrafficSpec::Constant => "constant".to_string(),
-        TrafficSpec::Bernoulli { lambda } => format!("bernoulli:{}", render_param(lambda)),
-        TrafficSpec::Burst { alpha, burst_max } => {
-            format!("burst:{}:{burst_max}", render_param(alpha))
-        }
-    })
-}
-
-fn render_policy(p: &PolicySpec) -> Result<String, NetError> {
-    if let PolicySpec::DbDp { swap_pairs, .. } = p {
-        if *p == PolicySpec::db_dp() {
-            return Ok("db-dp".to_string());
-        }
-        if *p == PolicySpec::db_dp_pairs(*swap_pairs) {
-            return Ok(format!("db-dp:pairs={swap_pairs}"));
-        }
-        return Err(unsupported("a non-default DB-DP parameterization"));
-    }
-    if let PolicySpec::FrameCsma { control_slots, .. } = p {
-        if *p == PolicySpec::frame_csma() {
-            return Ok("frame-csma".to_string());
-        }
-        let canonical = match PolicySpec::frame_csma() {
-            PolicySpec::FrameCsma { influence, .. } => PolicySpec::FrameCsma {
-                influence,
-                control_slots: *control_slots,
-            },
-            _ => unreachable!("frame_csma() constructs FrameCsma"),
-        };
-        if *p == canonical {
-            return Ok(format!("frame-csma:slots={control_slots}"));
-        }
-        return Err(unsupported("a non-default frame-CSMA parameterization"));
-    }
-    Ok(match p {
-        PolicySpec::Ldf => "ldf",
-        PolicySpec::Fcsma => "fcsma",
-        PolicySpec::Dcf => "dcf",
-        PolicySpec::FixedPriority => "fixed",
-        PolicySpec::Eldf { .. } => {
-            if *p == PolicySpec::eldf() {
-                "eldf"
-            } else {
-                return Err(unsupported("a non-default ELDF parameterization"));
-            }
-        }
-        PolicySpec::DbDp { .. } | PolicySpec::FrameCsma { .. } => {
-            unreachable!("handled above")
-        }
-    }
-    .to_string())
 }
 
 /// Parses the file format back into a scenario (named `"custom"`).
@@ -200,10 +148,10 @@ pub fn parse(text: &str) -> Result<Scenario, NetError> {
             "links" => sc.links = parse_num(lineno, key, value)?,
             "deadline_us" => sc.deadline_us = parse_num(lineno, key, value)?,
             "payload_bytes" => sc.payload_bytes = parse_num(lineno, key, value)?,
-            "success" => sc.success = parse_param(lineno, value)?,
-            "traffic" => sc.traffic = parse_traffic(lineno, value)?,
-            "ratio" => sc.ratio = parse_param(lineno, value)?,
-            "policy" => sc.policy = parse_policy(lineno, value)?,
+            "success" => sc.success = spelled(lineno, key, Param::parse(value))?,
+            "traffic" => sc.traffic = spelled(lineno, key, TrafficSpec::parse(value))?,
+            "ratio" => sc.ratio = spelled(lineno, key, Param::parse(value))?,
+            "policy" => sc.policy = spelled(lineno, key, PolicySpec::parse(value))?,
             "intervals" => sc.intervals = parse_num(lineno, key, value)?,
             "seed" => sc.seed = parse_num(lineno, key, value)?,
             "engine" => {
@@ -242,76 +190,8 @@ fn parse_num<T: std::str::FromStr>(line: usize, key: &str, value: &str) -> Resul
         .map_err(|_| parse_err(line, &format!("bad {key} value `{value}`")))
 }
 
-fn parse_param(line: usize, value: &str) -> Result<Param, NetError> {
-    if value.contains(',') {
-        let mut out = Vec::new();
-        for part in value.split(',').filter(|p| !p.trim().is_empty()) {
-            out.push(
-                part.trim()
-                    .parse::<f64>()
-                    .map_err(|_| parse_err(line, &format!("bad number `{part}`")))?,
-            );
-        }
-        if out.is_empty() {
-            return Err(parse_err(line, "empty per-link list"));
-        }
-        Ok(Param::PerLink(out))
-    } else {
-        Ok(Param::Uniform(value.parse::<f64>().map_err(|_| {
-            parse_err(line, &format!("bad number `{value}`"))
-        })?))
-    }
-}
-
-fn parse_traffic(line: usize, value: &str) -> Result<TrafficSpec, NetError> {
-    if value == "constant" {
-        return Ok(TrafficSpec::Constant);
-    }
-    if let Some(lambda) = value.strip_prefix("bernoulli:") {
-        return Ok(TrafficSpec::Bernoulli {
-            lambda: parse_param(line, lambda)?,
-        });
-    }
-    if let Some(rest) = value.strip_prefix("burst:") {
-        let Some((alpha, burst_max)) = rest.rsplit_once(':') else {
-            return Err(parse_err(line, "burst traffic needs `burst:<alpha>:<max>`"));
-        };
-        return Ok(TrafficSpec::Burst {
-            alpha: parse_param(line, alpha)?,
-            burst_max: parse_num(line, "burst_max", burst_max)?,
-        });
-    }
-    Err(parse_err(
-        line,
-        &format!("unknown traffic `{value}` (constant, bernoulli:<λ>, burst:<α>:<max>)"),
-    ))
-}
-
-fn parse_policy(line: usize, value: &str) -> Result<PolicySpec, NetError> {
-    match value {
-        "db-dp" => return Ok(PolicySpec::db_dp()),
-        "ldf" => return Ok(PolicySpec::Ldf),
-        "eldf" => return Ok(PolicySpec::eldf()),
-        "fcsma" => return Ok(PolicySpec::Fcsma),
-        "dcf" => return Ok(PolicySpec::Dcf),
-        "frame-csma" => return Ok(PolicySpec::frame_csma()),
-        "fixed" => return Ok(PolicySpec::FixedPriority),
-        _ => {}
-    }
-    if let Some(pairs) = value.strip_prefix("db-dp:pairs=") {
-        return Ok(PolicySpec::db_dp_pairs(parse_num(line, "pairs", pairs)?));
-    }
-    if let Some(slots) = value.strip_prefix("frame-csma:slots=") {
-        let control_slots = parse_num(line, "slots", slots)?;
-        return Ok(match PolicySpec::frame_csma() {
-            PolicySpec::FrameCsma { influence, .. } => PolicySpec::FrameCsma {
-                influence,
-                control_slots,
-            },
-            _ => unreachable!("frame_csma() constructs FrameCsma"),
-        });
-    }
-    Err(parse_err(line, &format!("unknown policy `{value}`")))
+fn spelled<T>(line: usize, key: &str, value: Result<T, ParseError>) -> Result<T, NetError> {
+    value.map_err(|e| parse_err(line, &format!("bad {key} value: {e}")))
 }
 
 /// Resolves a CLI `--scenario` value: a registry name first, then a file
@@ -371,37 +251,32 @@ mod tests {
     }
 
     #[test]
-    fn per_link_vectors_survive_even_with_one_entry() {
-        let mut sc = scenario::by_name("tiny").unwrap().with_links(1);
-        sc.success = Param::PerLink(vec![0.75]);
-        sc.ratio = Param::PerLink(vec![0.5]);
-        let back = parse(&render(&sc).unwrap()).unwrap();
-        assert_eq!(back.success, Param::PerLink(vec![0.75]));
-        assert_eq!(back.ratio, Param::PerLink(vec![0.5]));
-    }
-
-    #[test]
-    fn policy_spellings_round_trip() {
-        for policy in [
-            rtmac::PolicySpec::db_dp(),
-            rtmac::PolicySpec::db_dp_pairs(4),
-            rtmac::PolicySpec::Ldf,
-            rtmac::PolicySpec::eldf(),
-            rtmac::PolicySpec::Fcsma,
-            rtmac::PolicySpec::Dcf,
-            rtmac::PolicySpec::frame_csma(),
-            rtmac::PolicySpec::FixedPriority,
-        ] {
-            let sc = scenario::by_name("tiny").unwrap().with_policy(policy);
-            let back = parse(&render(&sc).unwrap()).unwrap();
-            assert_eq!(back.policy, policy);
-        }
+    fn every_spelling_of_the_shared_grammar_is_accepted() {
+        let text = render(&scenario::by_name("tiny").unwrap())
+            .unwrap()
+            .replace("traffic = constant", "traffic = burst:0.5")
+            .replace("policy = db-dp", "policy = framecsma");
+        // Rendering is canonical.
+        let again = render(&parse(&text).unwrap()).unwrap();
+        assert!(again.contains("traffic = burst:0.5:6\n"), "{again}");
+        assert!(again.contains("policy = frame-csma\n"), "{again}");
     }
 
     #[test]
     fn bad_inputs_name_their_line() {
         let err = parse("links = 3\nwat\n").unwrap_err();
         assert!(matches!(err, NetError::Parse { line: 2, .. }));
+        // A misspelled value names its key, its text and the accepted forms.
+        let text = render(&scenario::by_name("tiny").unwrap())
+            .unwrap()
+            .replace("policy = db-dp", "policy = tdma");
+        match parse(&text).unwrap_err() {
+            NetError::Parse { line: 8, msg } => {
+                assert!(msg.contains("policy") && msg.contains("`tdma`"), "{msg}");
+                assert!(msg.contains("frame-csma:slots=K"), "{msg}");
+            }
+            e => panic!("unexpected error {e}"),
+        }
         let err = parse("nonsense = 1\n").unwrap_err();
         assert!(matches!(err, NetError::Parse { line: 1, .. }));
         // Missing keys are reported too.

@@ -10,15 +10,15 @@
 //! ```
 
 use rtmac::phy::channel::{GilbertElliott, GilbertElliottParams};
+use rtmac::scenario;
 use rtmac::PolicySpec;
-use rtmac_suite::scenarios;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let intervals = 8000;
     let rho = 0.9;
 
     // Static channel: p = 0.7 i.i.d. (the paper's model).
-    let static_report = scenarios::control(10, 0.7, rho, 21)
+    let static_report = scenario::control(10, 0.7, rho, 21)
         .with_policy(PolicySpec::db_dp())
         .with_intervals(intervals)
         .run()?;
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!((ge.mean_success() - 0.7).abs() < 1e-12);
     // The declarative layer only describes i.i.d. channels, so the bursty
     // model attaches through the builder escape hatch.
-    let mut bursty_net = scenarios::control(10, 0.7, rho, 21)
+    let mut bursty_net = scenario::control(10, 0.7, rho, 21)
         .with_policy(PolicySpec::db_dp())
         .to_builder()
         .channel(Box::new(GilbertElliott::new(vec![ge; 10])?))

@@ -10,14 +10,14 @@
 //! ```
 
 use rtmac::model::LinkId;
+use rtmac::scenario;
 use rtmac::PolicySpec;
-use rtmac_suite::scenarios;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let intervals = 10_000; // 20 seconds of factory time
     let watched = LinkId::new(9); // the lowest-priority link at startup
 
-    let mut network = scenarios::control(10, 0.78, 0.99, 3)
+    let mut network = scenario::control(10, 0.78, 0.99, 3)
         .with_policy(PolicySpec::db_dp())
         .with_track(watched.index(), 0.01)
         .network()?;

@@ -7,7 +7,8 @@
 //! cargo run --release --example video_streaming
 //! ```
 
-use rtmac_suite::scenarios;
+use rtmac::scenario::{self, CONTENDERS};
+use rtmac::PolicySpec;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let intervals = 3000;
@@ -20,16 +21,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>12} {:>12} {:>12} {:>12} {:>14}",
         "policy", "deficiency", "collisions", "idle slots", "empty packets"
     );
-    let mut lineup = scenarios::contenders();
-    lineup.push(("Frame-CSMA", rtmac::PolicySpec::frame_csma()));
-    lineup.push(("DCF", rtmac::PolicySpec::Dcf));
-    for (label, policy) in lineup {
-        let report = scenarios::video(20, alpha, rho, 42)
+    for policy in CONTENDERS
+        .into_iter()
+        .chain([PolicySpec::frame_csma(), PolicySpec::Dcf])
+    {
+        let report = scenario::video(20, alpha, rho, 42)
             .with_policy(policy)
             .with_intervals(intervals)
             .run()?;
         println!(
-            "{label:>12} {:>12.4} {:>12} {:>12} {:>14}",
+            "{:>12} {:>12.4} {:>12} {:>12} {:>14}",
+            policy.label(),
             report.final_total_deficiency,
             report.collisions,
             report.idle_slots,

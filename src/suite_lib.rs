@@ -1,80 +1,30 @@
 //! # rtmac-suite
 //!
 //! The workspace umbrella package: hosts the runnable examples under
-//! `examples/` and the cross-crate integration tests under `tests/`, plus
-//! thin re-exports of the canonical [`rtmac::Scenario`] workloads shared
-//! between them.
-
-/// Canonical experiment scenarios used by the examples and integration
-/// tests — thin wrappers over the simulator's scenario registry
-/// ([`rtmac::scenario`]), so the suite runs exactly the configurations the
-/// benchmarks and the CLI do.
-pub mod scenarios {
-    use rtmac::scenario;
-    pub use rtmac::{PolicySpec, Scenario};
-
-    /// The paper's symmetric video network (Fig. 3): `n` links, 20 ms
-    /// deadline, 1500 B payloads, p = 0.7, burst-uniform arrivals with
-    /// probability `alpha`, delivery ratio `rho`.
-    #[must_use]
-    pub fn video(n: usize, alpha: f64, rho: f64, seed: u64) -> Scenario {
-        scenario::video(n, alpha, rho, seed)
-    }
-
-    /// The paper's ultra-low-latency control network (Fig. 9): `n` links,
-    /// 2 ms deadline, 100 B payloads, p = 0.7, Bernoulli arrivals with
-    /// rate `lambda`, delivery ratio `rho`.
-    #[must_use]
-    pub fn control(n: usize, lambda: f64, rho: f64, seed: u64) -> Scenario {
-        scenario::control(n, lambda, rho, seed)
-    }
-
-    /// A tiny, fast network for smoke tests: 3 reliable links, one packet
-    /// per interval, 2 ms deadline.
-    #[must_use]
-    pub fn tiny(seed: u64) -> Scenario {
-        scenario::tiny(seed)
-    }
-
-    /// All three contender policies of the paper's evaluation.
-    #[must_use]
-    pub fn contenders() -> Vec<(&'static str, PolicySpec)> {
-        vec![
-            ("DB-DP", PolicySpec::db_dp()),
-            ("LDF", PolicySpec::Ldf),
-            ("FCSMA", PolicySpec::Fcsma),
-        ]
-    }
-}
+//! `examples/` and the cross-crate integration tests under `tests/`. Both
+//! build their workloads from the simulator's scenario registry
+//! ([`rtmac::scenario`]), so the suite runs exactly the configurations the
+//! benchmarks and the CLI do.
 
 #[cfg(test)]
 mod tests {
-    use super::scenarios;
+    use rtmac::scenario::{self, CONTENDERS};
     use rtmac::PolicySpec;
 
     #[test]
     fn scenario_builders_produce_valid_networks() {
-        assert!(scenarios::video(4, 0.5, 0.9, 0)
+        assert!(scenario::video(4, 0.5, 0.9, 0)
             .with_policy(PolicySpec::Ldf)
             .network()
             .is_ok());
-        assert!(scenarios::control(4, 0.5, 0.9, 0)
+        assert!(scenario::control(4, 0.5, 0.9, 0)
             .with_policy(PolicySpec::db_dp())
             .network()
             .is_ok());
-        assert!(scenarios::tiny(0)
+        assert!(scenario::tiny(0)
             .with_policy(PolicySpec::Fcsma)
             .network()
             .is_ok());
-        assert_eq!(scenarios::contenders().len(), 3);
-    }
-
-    #[test]
-    fn suite_scenarios_mirror_the_registry() {
-        assert_eq!(scenarios::tiny(3), rtmac::scenario::tiny(3));
-        assert_eq!(
-            scenarios::video(20, 0.55, 0.93, 1),
-            rtmac::scenario::video(20, 0.55, 0.93, 1)
-        );
+        assert_eq!(CONTENDERS.len(), 3);
     }
 }

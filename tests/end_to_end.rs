@@ -3,9 +3,8 @@
 //! algorithms on feasible and infeasible workloads. Every network is
 //! constructed through the [`Scenario`] layer.
 
-use rtmac::scenario::Param;
+use rtmac::scenario::{self, Param};
 use rtmac::{PolicySpec, Scenario};
-use rtmac_suite::scenarios;
 
 fn run(sc: Scenario, intervals: usize) -> rtmac::RunReport {
     sc.with_intervals(intervals).run().unwrap()
@@ -15,11 +14,12 @@ fn run(sc: Scenario, intervals: usize) -> rtmac::RunReport {
 /// requirement: total deficiency dies out.
 #[test]
 fn feasible_workload_is_fulfilled_by_all_debt_aware_policies() {
-    for (label, policy) in scenarios::contenders() {
-        let report = run(scenarios::control(6, 0.6, 0.9, 1).with_policy(policy), 3000);
+    for policy in scenario::CONTENDERS {
+        let report = run(scenario::control(6, 0.6, 0.9, 1).with_policy(policy), 3000);
         assert!(
             report.final_total_deficiency < 0.05,
-            "{label} left deficiency {}",
+            "{} left deficiency {}",
+            policy.label(),
             report.final_total_deficiency
         );
     }
@@ -32,14 +32,15 @@ fn feasible_workload_is_fulfilled_by_all_debt_aware_policies() {
 fn infeasible_workload_shows_persistent_deficiency() {
     // 20 links each wanting 0.99 of one packet per interval over p = 0.7
     // needs ~28 expected attempts; the 2 ms / 100 B budget is 16.
-    for (label, policy) in scenarios::contenders() {
+    for policy in scenario::CONTENDERS {
         let report = run(
-            scenarios::control(20, 1.0, 0.99, 2).with_policy(policy),
+            scenario::control(20, 1.0, 0.99, 2).with_policy(policy),
             1500,
         );
         assert!(
             report.final_total_deficiency > 1.0,
-            "{label} reported deficiency {} on an infeasible load",
+            "{} reported deficiency {} on an infeasible load",
+            policy.label(),
             report.final_total_deficiency
         );
     }
@@ -50,7 +51,7 @@ fn infeasible_workload_shows_persistent_deficiency() {
 #[test]
 fn db_dp_tracks_ldf_and_beats_fcsma_near_capacity() {
     let run = |policy| {
-        run(scenarios::video(20, 0.5, 0.9, 3).with_policy(policy), 4000).final_total_deficiency
+        run(scenario::video(20, 0.5, 0.9, 3).with_policy(policy), 4000).final_total_deficiency
     };
     let db_dp = run(PolicySpec::db_dp());
     let ldf = run(PolicySpec::Ldf);
@@ -70,7 +71,7 @@ fn db_dp_tracks_ldf_and_beats_fcsma_near_capacity() {
 #[test]
 fn frame_csma_is_suboptimal_under_unreliable_channels() {
     let run = |policy, p: f64| {
-        let mut sc = scenarios::control(8, 0.9, 0.95, 14).with_policy(policy);
+        let mut sc = scenario::control(8, 0.9, 0.95, 14).with_policy(policy);
         sc.success = Param::Uniform(p);
         run(sc, 2500).final_total_deficiency
     };
@@ -92,7 +93,7 @@ fn frame_csma_is_suboptimal_under_unreliable_channels() {
 fn runs_are_reproducible() {
     let run = || {
         let report = run(
-            scenarios::video(8, 0.5, 0.9, 99).with_policy(PolicySpec::db_dp()),
+            scenario::video(8, 0.5, 0.9, 99).with_policy(PolicySpec::db_dp()),
             300,
         );
         (
@@ -119,9 +120,9 @@ fn batched_engine_report_is_identical_to_timeline() {
     };
     for (links, seed) in [(4usize, 11u64), (12, 23), (20, 99)] {
         for base in [
-            scenarios::video(links, 0.5, 0.9, seed).with_policy(PolicySpec::db_dp()),
-            scenarios::video(links, 0.5, 0.9, seed).with_policy(PolicySpec::Ldf),
-            faulty(scenarios::video(links, 0.5, 0.9, seed).with_policy(PolicySpec::db_dp())),
+            scenario::video(links, 0.5, 0.9, seed).with_policy(PolicySpec::db_dp()),
+            scenario::video(links, 0.5, 0.9, seed).with_policy(PolicySpec::Ldf),
+            faulty(scenario::video(links, 0.5, 0.9, seed).with_policy(PolicySpec::db_dp())),
         ] {
             let timeline = run(with_engine(base.clone(), EngineSpec::Timeline), 400);
             let batched = run(with_engine(base, EngineSpec::Batched), 400);
@@ -142,7 +143,7 @@ fn dp_family_is_collision_free_end_to_end() {
         PolicySpec::FixedPriority,
         PolicySpec::db_dp_pairs(3),
     ] {
-        let report = run(scenarios::video(10, 0.6, 0.9, 5).with_policy(policy), 800);
+        let report = run(scenario::video(10, 0.6, 0.9, 5).with_policy(policy), 800);
         assert_eq!(report.collisions, 0, "policy {}", report.policy);
     }
 }
@@ -151,7 +152,7 @@ fn dp_family_is_collision_free_end_to_end() {
 #[test]
 fn random_access_baselines_do_collide() {
     for policy in [PolicySpec::Fcsma, PolicySpec::Dcf] {
-        let report = run(scenarios::video(20, 0.6, 0.9, 6).with_policy(policy), 300);
+        let report = run(scenario::video(20, 0.6, 0.9, 6).with_policy(policy), 300);
         assert!(report.collisions > 0, "policy {}", report.policy);
     }
 }
@@ -163,7 +164,7 @@ fn random_access_baselines_do_collide() {
 fn latency_ordering_under_fixed_priorities() {
     let deadline = rtmac::sim::Nanos::from_millis(20);
     let report = run(
-        scenarios::video(10, 0.8, 0.9, 4).with_policy(PolicySpec::FixedPriority),
+        scenario::video(10, 0.8, 0.9, 4).with_policy(PolicySpec::FixedPriority),
         1000,
     );
     let lat: Vec<_> = report
@@ -188,7 +189,7 @@ fn latency_ordering_under_fixed_priorities() {
 #[test]
 fn fcsma_pays_latency_for_contention() {
     let mean_over_links = |policy| {
-        let report = run(scenarios::control(6, 0.7, 0.9, 8).with_policy(policy), 1500);
+        let report = run(scenario::control(6, 0.7, 0.9, 8).with_policy(policy), 1500);
         let total: u128 = report
             .mean_latency
             .iter()
@@ -206,7 +207,7 @@ fn fcsma_pays_latency_for_contention() {
 /// cumulative accounting matches the reported throughput.
 #[test]
 fn ledger_accounting_is_consistent_with_report() {
-    let mut net = scenarios::tiny(7)
+    let mut net = scenario::tiny(7)
         .with_policy(PolicySpec::Ldf)
         .network()
         .unwrap();

@@ -5,9 +5,8 @@
 //! [`Scenario::to_builder`] escape hatch.
 
 use rtmac::phy::channel::{GilbertElliott, GilbertElliottParams, Scripted};
-use rtmac::scenario::{EngineSpec, Param, TrafficSpec};
+use rtmac::scenario::{self, EngineSpec, Param, TrafficSpec};
 use rtmac::{PolicySpec, Scenario};
-use rtmac_suite::scenarios;
 use rtmac_traffic::MarkovModulated;
 
 /// DB-DP keeps fulfilling a feasible requirement when losses are bursty
@@ -21,7 +20,7 @@ fn db_dp_survives_bursty_losses() {
         good_to_bad: 0.02,
         bad_to_good: 0.06, // stationary mean 0.7
     };
-    let mut net = scenarios::control(8, 0.6, 0.9, 31)
+    let mut net = scenario::control(8, 0.6, 0.9, 31)
         .with_policy(PolicySpec::db_dp())
         .to_builder()
         .channel(Box::new(GilbertElliott::new(vec![ge; 8]).unwrap()))
@@ -48,7 +47,7 @@ fn db_dp_handles_markov_modulated_traffic() {
         };
         // Keep the load moderate relative to the 61-transmission budget.
         assert!(mean * 12.0 / 0.7 < 45.0);
-        let mut net = scenarios::video(12, 0.5, 0.9, 17)
+        let mut net = scenario::video(12, 0.5, 0.9, 17)
             .with_policy(policy)
             .to_builder()
             .traffic(Box::new(traffic))
@@ -77,7 +76,7 @@ fn blackout_recovery() {
         s.extend(vec![true; 4000]);
         s
     };
-    let mut net = scenarios::control(4, 0.9, 0.9, 23)
+    let mut net = scenario::control(4, 0.9, 0.9, 23)
         .with_policy(PolicySpec::db_dp())
         .to_builder()
         .channel(Box::new(Scripted::new(scripts).unwrap()))
@@ -108,7 +107,7 @@ fn blackout_recovery() {
 #[test]
 fn extreme_parameters_smoke() {
     // Near-zero success probability.
-    let mut sc = scenarios::control(3, 0.9, 0.9, 41).with_policy(PolicySpec::db_dp());
+    let mut sc = scenario::control(3, 0.9, 0.9, 41).with_policy(PolicySpec::db_dp());
     sc.success = Param::Uniform(0.01);
     let r = sc.with_intervals(300).run().unwrap();
     assert_eq!(r.collisions, 0);
@@ -140,7 +139,7 @@ fn extreme_parameters_smoke() {
     assert_eq!(report.final_total_deficiency, 0.0);
 
     // Large network (50 links) smoke run.
-    let report = scenarios::video(50, 0.2, 0.9, 47)
+    let report = scenario::video(50, 0.2, 0.9, 47)
         .with_policy(PolicySpec::db_dp())
         .with_intervals(150)
         .run()

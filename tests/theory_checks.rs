@@ -3,11 +3,11 @@
 //! optimality), and the feasibility machinery.
 
 use rtmac::model::{LinkId, Permutation};
+use rtmac::scenario;
 use rtmac::PolicySpec;
 use rtmac_analysis::feasibility::{boundary_search, workload_utilization};
 use rtmac_analysis::markov::{empirical_sigma_distribution, PriorityChain};
 use rtmac_analysis::optimal::IntervalDp;
-use rtmac_suite::scenarios;
 
 /// Proposition 2 end to end: the DP engine's long-run permutation
 /// distribution matches the closed form, for an *asymmetric* mu vector.
@@ -59,7 +59,7 @@ fn eldf_is_optimal_at_the_papers_operating_point() {
 #[test]
 fn ldf_feasibility_boundary_matches_the_paper() {
     let probe = |alpha: f64| {
-        scenarios::video(20, alpha, 0.9, 8)
+        scenario::video(20, alpha, 0.9, 8)
             .with_policy(PolicySpec::Ldf)
             .with_intervals(1500)
             .run()
@@ -99,7 +99,7 @@ fn exact_region_agrees_with_ldf_simulation() {
     let q_boundary = (avail * 0.7 / n as f64).min(1.0);
 
     let run = |q: f64| {
-        let mut net = scenarios::control(n, 1.0, 0.9, 12)
+        let mut net = scenario::control(n, 1.0, 0.9, 12)
             .with_policy(PolicySpec::Ldf)
             .to_builder()
             .traffic(Box::new(
@@ -142,7 +142,7 @@ fn exact_region_agrees_with_ldf_simulation() {
 #[test]
 fn fixed_priority_profile_is_monotone_and_nonstarving() {
     let sigma = Permutation::identity(12);
-    let mut net = scenarios::video(12, 0.8, 0.9, 9)
+    let mut net = scenario::video(12, 0.8, 0.9, 9)
         .with_policy(PolicySpec::FixedPriority)
         .network()
         .unwrap();
@@ -199,7 +199,7 @@ fn handshake_survives_deadline_pressure() {
 #[test]
 fn seeded_reproducibility_across_the_stack() {
     let one = |seed| {
-        scenarios::control(5, 0.7, 0.95, seed)
+        scenario::control(5, 0.7, 0.95, seed)
             .with_policy(PolicySpec::db_dp())
             .with_intervals(400)
             .run()

@@ -38,9 +38,9 @@ workloads — these stay supported for custom networks):
   --payload B        data payload bytes (1500)
   --p P              channel success probability, or a per-link list
                      P1,P2,... (0.7)
-  --arrivals SPEC    constant | bernoulli:LAMBDA | burst:ALPHA[:MAX]
-                     (MAX 6; LAMBDA, ALPHA a number or per-link list)
-                     (burst:0.5)
+  --arrivals SPEC    constant | bernoulli:LAMBDA | burst:ALPHA[:MAX], with
+                     MAX 6 by default and LAMBDA, ALPHA a number or a
+                     per-link list (burst:0.5)
   --ratio R          required delivery ratio, or a per-link list (0.9)
   --intervals K      intervals to simulate (1000)
   --seed S           RNG seed (0)

@@ -432,6 +432,7 @@ impl NetworkBuilder {
 
     /// Instantiates `spec` for the links set so far; an invalid spec's
     /// error is left for [`build`](Self::build) to report.
+    #[must_use]
     pub(crate) fn traffic_spec(mut self, spec: &TrafficSpec) -> Self {
         self.traffic = spec.instantiate(self.n_links);
         self

@@ -25,7 +25,7 @@ pub enum CliError {
         /// The raw value.
         value: String,
         /// What was expected.
-        expected: &'static str,
+        expected: String,
     },
     /// The parameters are individually valid but inconsistent as a whole
     /// (surfaced from the simulator's own validation).
@@ -91,8 +91,7 @@ impl NetworkOpts {
             Some(name) => scenario::by_name(name).ok_or_else(|| CliError::BadValue {
                 flag: "--scenario".into(),
                 value: name.clone(),
-                expected: "one of video20, control10, asym, tiny, bursty, \
-                           hidden-terminal, poisson-churn, overload-admission",
+                expected: format!("one of {}", scenario::NAMES.join(", ")),
             })?,
             None => self.custom.clone(),
         };
@@ -211,7 +210,7 @@ fn parse_num<T: std::str::FromStr>(
     value.parse().map_err(|_| CliError::BadValue {
         flag: flag.to_string(),
         value: value.to_string(),
-        expected,
+        expected: expected.to_string(),
     })
 }
 
@@ -225,7 +224,7 @@ fn parse_spelled<T>(
     parse(value).map_err(|e| CliError::BadValue {
         flag: flag.to_string(),
         value: e.text,
-        expected: e.expected,
+        expected: e.expected.to_string(),
     })
 }
 
@@ -272,7 +271,7 @@ fn parse_emulate(rest: &[String]) -> Result<Command, CliError> {
                     rtmac_net::TransportKind::parse(value).ok_or_else(|| CliError::BadValue {
                         flag: flag.clone(),
                         value: value.clone(),
-                        expected: "loopback or udp",
+                        expected: "loopback or udp".to_string(),
                     })?;
             }
             "--processes" => opts.processes = true,
@@ -328,7 +327,7 @@ fn parse_subcommand(command: &str, rest: &[String]) -> Result<Command, CliError>
                     .ok_or_else(|| CliError::BadValue {
                         flag: flag.clone(),
                         value: raw.clone(),
-                        expected: "a duration in ms that fits the time arithmetic",
+                        expected: "a duration in ms that fits the time arithmetic".to_string(),
                     })?;
             }
             "--deadline-us" => {
@@ -392,7 +391,7 @@ fn parse_subcommand(command: &str, rest: &[String]) -> Result<Command, CliError>
                 return Err(CliError::BadValue {
                     flag: "--steps".into(),
                     value: "0".into(),
-                    expected: "at least 1 point",
+                    expected: "at least 1 point".to_string(),
                 });
             }
             Ok(Command::Sweep {
@@ -625,7 +624,7 @@ mod tests {
         let msg = CliError::BadValue {
             flag: "--p".into(),
             value: "two".into(),
-            expected: "a probability",
+            expected: "a probability".to_string(),
         }
         .to_string();
         assert!(msg.contains("--p") && msg.contains("two") && msg.contains("probability"));

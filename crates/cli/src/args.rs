@@ -38,7 +38,7 @@ impl fmt::Display for CliError {
             CliError::UnknownCommand(c) => {
                 write!(
                     f,
-                    "unknown command `{c}` (try run, compare, sweep, emulate, netd, help)"
+                    "unknown command `{c}` (try run, compare, sweep, timeline, emulate, help)"
                 )
             }
             CliError::UnknownFlag(flag) => write!(f, "unknown flag `{flag}`"),
@@ -104,8 +104,8 @@ impl NetworkOpts {
     }
 }
 
-/// Options of `rtmac emulate` — a whole deployment on one box, with the
-/// replay contract checked on request.
+/// Options of `rtmac emulate` — a whole deployment on one box, checked
+/// against the simulator (the replay contract) on every run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmulateOpts {
     /// Registry scenario name or scenario file path.
@@ -129,8 +129,6 @@ pub struct EmulateOpts {
     pub timeout_ms: u64,
     /// Write a `key=value` measurement report to this path.
     pub report: Option<String>,
-    /// Also run the sim backend and fail unless fingerprints match.
-    pub check_replay: bool,
 }
 
 impl Default for EmulateOpts {
@@ -146,7 +144,6 @@ impl Default for EmulateOpts {
             realtime: false,
             timeout_ms: 30_000,
             report: None,
-            check_replay: false,
         }
     }
 }
@@ -192,12 +189,6 @@ pub enum Command {
         /// Emulation options.
         opts: EmulateOpts,
     },
-    /// Run one link of a UDP deployment in-process — the same flags as the
-    /// standalone `rtmac-netd` binary, parsed by `rtmac-net` itself.
-    Netd {
-        /// Raw daemon arguments, handed to [`rtmac_net::netd::parse`].
-        args: Vec<String>,
-    },
     /// Print usage.
     Help,
 }
@@ -241,9 +232,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "run" | "compare" | "sweep" | "timeline" => parse_subcommand(command, &argv[1..]),
         "emulate" => parse_emulate(&argv[1..]),
-        "netd" => Ok(Command::Netd {
-            args: argv[1..].to_vec(),
-        }),
         other => Err(CliError::UnknownCommand(other.to_string())),
     }
 }
@@ -262,7 +250,19 @@ fn parse_emulate(rest: &[String]) -> Result<Command, CliError> {
                 opts.links = Some(parse_num(flag, value_for()?, "a positive integer")?);
             }
             "--intervals" => {
-                opts.intervals = Some(parse_num(flag, value_for()?, "an interval count")?);
+                let raw = value_for()?;
+                let intervals = parse_num(flag, raw, "an interval count")?;
+                // With no interval to run, a process fleet's daemons exit
+                // once they have heard every beacon, and a daemon that
+                // binds after the last one waits out its timeout.
+                if intervals == 0 {
+                    return Err(CliError::BadValue {
+                        flag: flag.clone(),
+                        value: raw.clone(),
+                        expected: "at least 1 interval".to_string(),
+                    });
+                }
+                opts.intervals = Some(intervals);
             }
             "--seed" => opts.seed = Some(parse_num(flag, value_for()?, "an integer seed")?),
             "--transport" => {
@@ -281,7 +281,6 @@ fn parse_emulate(rest: &[String]) -> Result<Command, CliError> {
                 opts.timeout_ms = parse_num(flag, value_for()?, "a duration in ms")?;
             }
             "--report" => opts.report = Some(value_for()?.clone()),
-            "--check-replay" => opts.check_replay = true,
             other => return Err(CliError::UnknownFlag(other.to_string())),
         }
     }
@@ -553,7 +552,7 @@ mod tests {
         let cmd = parse(&argv(
             "emulate --scenario tiny --links 12 --intervals 40 --seed 7 \
              --transport udp --processes --netd /opt/rtmac-netd --realtime \
-             --timeout-ms 5000 --report /tmp/emul.txt --check-replay",
+             --timeout-ms 5000 --report /tmp/emul.txt",
         ))
         .unwrap();
         let Command::Emulate { opts } = cmd else {
@@ -564,40 +563,39 @@ mod tests {
         assert_eq!(opts.intervals, Some(40));
         assert_eq!(opts.seed, Some(7));
         assert_eq!(opts.transport, rtmac_net::TransportKind::Udp);
-        assert!(opts.processes && opts.realtime && opts.check_replay);
+        assert!(opts.processes && opts.realtime);
         assert_eq!(opts.timeout_ms, 5000);
         assert_eq!(opts.netd.as_deref(), Some("/opt/rtmac-netd"));
     }
 
     #[test]
-    fn emulate_rejects_bad_transport_and_unknown_flags() {
+    fn emulate_rejects_bad_transport_zero_intervals_and_unknown_flags() {
         assert!(matches!(
             parse(&argv("emulate --transport pigeon")),
             Err(CliError::BadValue { .. })
         ));
         assert!(matches!(
-            parse(&argv("emulate --frobnicate")),
-            Err(CliError::UnknownFlag(_))
+            parse(&argv("emulate --intervals 0")),
+            Err(CliError::BadValue { ref flag, .. }) if flag == "--intervals"
         ));
-    }
-
-    #[test]
-    fn netd_passes_raw_args_through() {
-        let cmd = parse(&argv("netd --scenario tiny --link 0")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Netd {
-                args: argv("--scenario tiny --link 0"),
-            }
-        );
+        // The contract is always checked, so there is no flag asking for it.
+        for flag in ["--frobnicate", "--check-replay"] {
+            assert!(matches!(
+                parse(&argv(&format!("emulate {flag}"))),
+                Err(CliError::UnknownFlag(_))
+            ));
+        }
     }
 
     #[test]
     fn errors_are_specific() {
-        assert_eq!(
-            parse(&argv("teleport")),
-            Err(CliError::UnknownCommand("teleport".into()))
-        );
+        // The daemon is the `rtmac-netd` binary, not a subcommand.
+        for command in ["teleport", "netd"] {
+            assert_eq!(
+                parse(&argv(command)),
+                Err(CliError::UnknownCommand(command.into()))
+            );
+        }
         assert_eq!(
             parse(&argv("run --bogus 1")),
             Err(CliError::UnknownFlag("--bogus".into()))

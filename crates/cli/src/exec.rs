@@ -19,8 +19,7 @@ Usage:
   rtmac timeline [network flags]   (ASCII protocol trace, <= 10 intervals)
   rtmac emulate  [--scenario NAME|FILE] [--links N] [--intervals K] [--seed S]
                  [--transport loopback|udp] [--processes [--netd PATH]]
-                 [--realtime] [--timeout-ms T] [--report FILE] [--check-replay]
-  rtmac netd     <rtmac-netd flags>   (one link over UDP; see OPERATIONS.md)
+                 [--realtime] [--timeout-ms T] [--report FILE]
   rtmac help
 
 Scenarios:
@@ -55,22 +54,22 @@ Sweep flags:
   --progress         live completed/total and items/sec on stderr while
                      the sweep's (point x contender) grid runs
 
-Emulate flags (one lockstep node per link on this box; OPERATIONS.md has
-the full walkthrough):
+Emulate flags (one lockstep node per link on this box, each checked against
+the transport-free sim; OPERATIONS.md has the full walkthrough, and the
+rtmac-netd binary runs one link by hand):
+  --intervals K      intervals to run, at least 1 (the scenario's horizon)
   --transport T      loopback (in-memory, default) or udp (localhost sockets)
   --processes        one real rtmac-netd OS process per link over UDP
   --netd PATH        rtmac-netd binary for --processes (default: next to rtmac)
   --realtime         pace nodes at the scenario's deadline rate
   --timeout-ms T     per-node peer-silence budget (30000)
   --report FILE      write a key=value measurement report
-  --check-replay     also run the transport-free sim; fail on any
-                     decision-trace fingerprint difference
 
 Examples:
   rtmac run --scenario video20
   rtmac run --links 20 --arrivals burst:0.55 --policy db-dp --intervals 5000
   rtmac sweep --scenario control10 --param lambda --from 0.5 --to 0.9 --steps 9
-  rtmac emulate --scenario control10 --links 100 --intervals 200 --check-replay
+  rtmac emulate --scenario control10 --links 100 --intervals 200
 ";
 
 fn run_scenario(sc: &Scenario) -> Result<RunReport, CliError> {
@@ -339,6 +338,11 @@ fn render_emulation(report: &rtmac_net::EmulationReport) -> String {
         "protocol outcome: total deficiency {:.4}, {} collision(s), {} empty packet(s)",
         report.run.final_total_deficiency, report.run.collisions, report.run.empty_packets
     );
+    let _ = writeln!(
+        out,
+        "replay contract: {} decision trace matches the sim, byte for byte",
+        report.backend
+    );
     out
 }
 
@@ -377,8 +381,7 @@ fn run_emulate(opts: &EmulateOpts) -> Result<String, CliError> {
         sc = sc.with_seed(seed);
     }
     let intervals = opts.intervals.unwrap_or(sc.intervals);
-    let mut cfg = rtmac_net::EmulationConfig::new(sc.clone(), intervals);
-    cfg.transport = opts.transport;
+    let mut cfg = rtmac_net::NodeConfig::new(sc, intervals);
     cfg.realtime = opts.realtime;
     cfg.sync_timeout = std::time::Duration::from_millis(opts.timeout_ms);
     let report = if opts.processes {
@@ -386,39 +389,17 @@ fn run_emulate(opts: &EmulateOpts) -> Result<String, CliError> {
             .netd
             .clone()
             .map_or_else(rtmac_net::default_netd_path, std::path::PathBuf::from);
-        rtmac_net::run_emulation_processes(&cfg, &netd).map_err(net_err)?
+        rtmac_net::run_emulation_processes(&cfg, &netd)
     } else {
-        rtmac_net::run_emulation(&cfg).map_err(net_err)?
-    };
-    let mut out = render_emulation(&report);
-    if opts.check_replay {
-        let sim = rtmac_net::sim_trace(&sc, intervals).map_err(net_err)?;
-        if sim.fingerprint != report.fingerprint {
-            return Err(CliError::Invalid(format!(
-                "replay contract violated: sim fingerprint {:#018x} != {} fingerprint {:#018x}",
-                sim.fingerprint, report.backend, report.fingerprint
-            )));
-        }
-        let _ = writeln!(
-            out,
-            "replay contract: {} decision trace matches the sim, byte for byte",
-            report.backend
-        );
+        rtmac_net::run_emulation(&cfg, opts.transport)
     }
+    .map_err(net_err)?;
+    let out = render_emulation(&report);
     if let Some(path) = &opts.report {
         std::fs::write(path, render_emulation_kv(&report))
             .map_err(|e| CliError::Invalid(format!("cannot write report {path}: {e}")))?;
     }
     Ok(out)
-}
-
-fn run_netd(args: &[String]) -> Result<String, CliError> {
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        return Ok(rtmac_net::netd::USAGE.to_string());
-    }
-    let opts = rtmac_net::netd::parse(args).map_err(net_err)?;
-    let report = rtmac_net::netd::run(&opts).map_err(net_err)?;
-    Ok(rtmac_net::netd::render_report(&report))
 }
 
 /// Executes a parsed [`Command`] and returns its printable output.
@@ -446,7 +427,6 @@ pub fn execute(command: Command) -> Result<String, CliError> {
         } => render_sweep(&opts, axis, from, to, steps, progress),
         Command::Timeline { opts } => render_timeline(&opts),
         Command::Emulate { opts } => run_emulate(&opts),
-        Command::Netd { args } => run_netd(&args),
     }
 }
 
@@ -555,7 +535,6 @@ mod tests {
         let opts = EmulateOpts {
             scenario: "tiny".to_string(),
             intervals: Some(15),
-            check_replay: true,
             ..EmulateOpts::default()
         };
         let out = run_emulate(&opts).unwrap();
@@ -571,13 +550,6 @@ mod tests {
             ..EmulateOpts::default()
         };
         assert!(matches!(run_emulate(&opts), Err(CliError::Invalid(_))));
-    }
-
-    #[test]
-    fn netd_subcommand_surfaces_usage_and_parse_errors() {
-        assert!(run_netd(&[]).unwrap().contains("rtmac-netd"));
-        let bad = ["--frobnicate".to_string()];
-        assert!(matches!(run_netd(&bad), Err(CliError::Invalid(_))));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! * `rtmac sweep` — sweep one parameter (`alpha`, `lambda`, `ratio`, or
 //!   `p`) and print a deficiency series per policy.
 //! * `rtmac timeline` — print ASCII timelines of the DP protocol.
-//! * `rtmac emulate` and `rtmac netd` — run a deployment over a transport.
+//! * `rtmac emulate` — run a whole deployment over a transport on this box
+//!   and check it against the simulator (the replay contract). The
+//!   `rtmac-netd` binary of `rtmac-net` runs one link of a deployment.
 //!
 //! Every simulating subcommand can pull a named workload from the
 //! simulator's scenario registry instead of spelling out the network flags:

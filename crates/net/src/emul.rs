@@ -1,27 +1,27 @@
-//! The many-link emulation harness and the replay contract check.
+//! The many-link emulation harness: the one place a deployment is run,
+//! checked against the simulator and reported.
 //!
-//! [`run_emulation`] launches one [`LinkNode`] per link — as threads in
-//! this process, over either the loopback or the UDP transport — runs the
-//! deployment to completion, cross-checks every node's decision-trace
-//! fingerprint, and folds the per-node wall-clock measurements into one
-//! [`EmulationReport`]. [`run_emulation_processes`] does the same with one
-//! real `rtmac-netd` process per link exchanging datagrams over localhost
-//! sockets. [`replay_check`] is the contract in executable form: the same
-//! scenario and seed through the sim, loopback, and (optionally) UDP
-//! backends must produce the same fingerprint.
+//! [`run_emulation`] launches one [`LinkNode`] per link as threads in this
+//! process, over either the loopback or the UDP transport.
+//! [`run_emulation_processes`] launches one real `rtmac-netd` process per
+//! link, exchanging datagrams over localhost sockets. Both step the
+//! transport-free simulator ([`sim_trace`]) next to the deployment and
+//! hold every node to the replay contract: each node's decision-trace
+//! fingerprint must equal the sim's. One row per node then folds into one
+//! [`EmulationReport`], whose protocol-level [`RunReport`] is the sim's.
 
-use std::io::Write;
 use std::net::UdpSocket;
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use rtmac::scenario::Scenario;
 use rtmac::RunReport;
 
 use crate::error::NetError;
 use crate::node::{LinkNode, NodeConfig, NodeReport};
 use crate::scenario_file;
-use crate::sim::sim_trace;
+use crate::sim::{sim_trace, SimTrace};
 use crate::transport::{LoopbackHub, Transport};
 use crate::udp::UdpTransport;
 
@@ -65,45 +65,6 @@ impl TransportKind {
     }
 }
 
-/// Configuration for one emulation run.
-#[derive(Debug, Clone)]
-pub struct EmulationConfig {
-    /// The shared scenario (its `links` field sets the deployment size).
-    pub scenario: Scenario,
-    /// Intervals to run.
-    pub intervals: usize,
-    /// Transport backend.
-    pub transport: TransportKind,
-    /// Pace each node at the scenario's real-time interval rate.
-    pub realtime: bool,
-    /// Per-node peer-silence budget (see [`NodeConfig::sync_timeout`]).
-    pub sync_timeout: Duration,
-}
-
-impl EmulationConfig {
-    /// A loopback, non-realtime config with the default 30 s sync timeout.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use rtmac_net::{EmulationConfig, TransportKind};
-    ///
-    /// let sc = rtmac::scenario::by_name("tiny").unwrap();
-    /// let cfg = EmulationConfig::new(sc, 50);
-    /// assert_eq!(cfg.transport, TransportKind::Loopback);
-    /// ```
-    #[must_use]
-    pub fn new(scenario: Scenario, intervals: usize) -> Self {
-        EmulationConfig {
-            scenario,
-            intervals,
-            transport: TransportKind::Loopback,
-            realtime: false,
-            sync_timeout: Duration::from_secs(30),
-        }
-    }
-}
-
 /// What a whole emulation measured.
 #[derive(Debug, Clone)]
 pub struct EmulationReport {
@@ -113,9 +74,10 @@ pub struct EmulationReport {
     pub links: usize,
     /// Intervals run.
     pub intervals: usize,
-    /// The decision-trace fingerprint every node agreed on.
+    /// The sim's decision-trace fingerprint, which every node matched.
     pub fingerprint: u64,
-    /// The protocol-level run report (identical on every replica).
+    /// The sim's run report (the replay contract makes it every
+    /// replica's too).
     pub run: RunReport,
     /// Total wall-clock deadline misses across all nodes.
     pub misses: u64,
@@ -130,15 +92,16 @@ pub struct EmulationReport {
     pub mean_interval: Duration,
 }
 
-/// Runs one node per link as threads in this process and folds their
+/// Runs one node per link of `cfg.scenario` as threads in this process
+/// over `transport`, checks every node against the sim, and folds their
 /// reports.
 ///
 /// # Errors
 ///
-/// Propagates the first node error ([`NetError::Desync`],
-/// [`NetError::Timeout`], ...), and returns [`NetError::Mismatch`] if the
-/// nodes' fingerprints somehow disagree (which would be a bug in the
-/// lockstep layer — every desync has a dedicated error path).
+/// Returns [`NetError::Config`] when the scenario does not build,
+/// propagates the first node error ([`NetError::Desync`],
+/// [`NetError::Timeout`], ...), and returns [`NetError::Mismatch`] when a
+/// node's fingerprint differs from the sim's.
 ///
 /// # Panics
 ///
@@ -147,41 +110,40 @@ pub struct EmulationReport {
 /// # Example
 ///
 /// ```
-/// use rtmac_net::{run_emulation, EmulationConfig};
+/// use rtmac_net::{run_emulation, NodeConfig, TransportKind};
 ///
 /// let sc = rtmac::scenario::by_name("tiny").unwrap();
-/// let report = run_emulation(&EmulationConfig::new(sc, 20)).unwrap();
+/// let report = run_emulation(&NodeConfig::new(sc, 20), TransportKind::Loopback).unwrap();
 /// assert_eq!(report.links, 3);
 /// assert_eq!(report.run.intervals, 20);
 /// ```
-pub fn run_emulation(cfg: &EmulationConfig) -> Result<EmulationReport, NetError> {
+pub fn run_emulation(
+    cfg: &NodeConfig,
+    transport: TransportKind,
+) -> Result<EmulationReport, NetError> {
+    let sim = sim_trace(&cfg.scenario, cfg.intervals)?;
     let n = cfg.scenario.links;
-    let results: Vec<Result<NodeReport, NetError>> = match cfg.transport {
+    let results = match transport {
         TransportKind::Loopback => run_nodes(cfg, LoopbackHub::endpoints(n)),
         TransportKind::Udp => run_nodes(cfg, UdpTransport::local_cluster(n)?),
     };
-    let mut reports = Vec::with_capacity(n);
+    let mut rows = Vec::with_capacity(n);
     for result in results {
-        reports.push(result?);
+        rows.push(NodeRow::from(&result?));
     }
-    fold_reports(cfg.transport.name(), cfg, reports)
+    fold(transport.name(), cfg.intervals, sim, &rows)
 }
 
 fn run_nodes<T: Transport + Send>(
-    cfg: &EmulationConfig,
+    cfg: &NodeConfig,
     endpoints: Vec<T>,
 ) -> Vec<Result<NodeReport, NetError>> {
     std::thread::scope(|scope| {
         endpoints
             .into_iter()
             .map(|ep| {
-                let node_cfg = NodeConfig {
-                    scenario: cfg.scenario.clone(),
-                    intervals: cfg.intervals,
-                    sync_timeout: cfg.sync_timeout,
-                    realtime: cfg.realtime,
-                };
-                scope.spawn(move || LinkNode::new(ep, node_cfg)?.run())
+                let cfg = cfg.clone();
+                scope.spawn(move || LinkNode::new(ep, cfg)?.run())
             })
             .collect::<Vec<_>>()
             .into_iter()
@@ -190,51 +152,74 @@ fn run_nodes<T: Transport + Send>(
     })
 }
 
-fn fold_reports(
+/// One node's measurements: the part of its [`NodeReport`] (or of a
+/// daemon's report file) that the fold reads.
+#[derive(Debug, Clone)]
+struct NodeRow {
+    link: usize,
+    fingerprint: u64,
+    misses: u64,
+    max_interval: Duration,
+    mean_interval: Duration,
+}
+
+impl From<&NodeReport> for NodeRow {
+    fn from(r: &NodeReport) -> Self {
+        NodeRow {
+            link: r.link,
+            fingerprint: r.fingerprint,
+            misses: r.misses,
+            max_interval: r.max_interval,
+            mean_interval: r.mean_interval,
+        }
+    }
+}
+
+/// Folds one row per link, in the order the links were launched, into one
+/// report. Each row must name the link it was launched as and carry the
+/// sim's fingerprint.
+fn fold(
     backend: &'static str,
-    cfg: &EmulationConfig,
-    reports: Vec<NodeReport>,
+    intervals: usize,
+    sim: SimTrace,
+    rows: &[NodeRow],
 ) -> Result<EmulationReport, NetError> {
-    let n = cfg.scenario.links;
-    let fingerprint = reports.first().map(|r| r.fingerprint).unwrap_or_default();
-    for r in &reports {
-        if r.fingerprint != fingerprint {
+    for (link, row) in rows.iter().enumerate() {
+        if row.link != link {
+            return Err(NetError::Io(format!(
+                "the report of link {link} names link {}",
+                row.link
+            )));
+        }
+        if row.fingerprint != sim.fingerprint {
             return Err(NetError::Mismatch {
-                what: format!("link {} decision-trace fingerprint", r.link),
-                expected: fingerprint,
-                got: r.fingerprint,
+                what: format!("link {link} decision-trace fingerprint (vs sim)"),
+                expected: sim.fingerprint,
+                got: row.fingerprint,
             });
         }
     }
-    let misses: u64 = reports.iter().map(|r| r.misses).sum();
-    let mut per_link_misses = vec![0u64; n];
-    for r in &reports {
-        per_link_misses[r.link] = r.misses;
-    }
-    let total_intervals = (n * cfg.intervals) as u64;
-    let run = match reports.first() {
-        Some(r) => r.report.clone(),
-        None => sim_trace(&cfg.scenario, cfg.intervals)?.report,
-    };
+    let misses: u64 = rows.iter().map(|r| r.misses).sum();
+    let link_intervals = (rows.len() * intervals) as u64;
     Ok(EmulationReport {
         backend,
-        links: n,
-        intervals: cfg.intervals,
-        fingerprint,
-        run,
+        links: rows.len(),
+        intervals,
+        fingerprint: sim.fingerprint,
+        run: sim.report,
         misses,
-        miss_rate: if total_intervals == 0 {
+        miss_rate: if link_intervals == 0 {
             0.0
         } else {
-            misses as f64 / total_intervals as f64
+            misses as f64 / link_intervals as f64
         },
-        per_link_misses,
-        max_interval: reports
+        per_link_misses: rows.iter().map(|r| r.misses).collect(),
+        max_interval: rows
             .iter()
             .map(|r| r.max_interval)
             .max()
             .unwrap_or(Duration::ZERO),
-        mean_interval: mean_duration(reports.iter().map(|r| r.mean_interval)),
+        mean_interval: mean_duration(rows.iter().map(|r| r.mean_interval)),
     })
 }
 
@@ -255,34 +240,54 @@ fn mean_duration(durations: impl ExactSizeIterator<Item = Duration>) -> Duration
 /// parses the exact same text and therefore computes the same scenario
 /// digest), pre-assigns one localhost port per link, launches the daemon
 /// processes in a full mesh, and reads back each child's `key=value`
-/// report file. The protocol-level [`RunReport`] comes from a local sim
-/// replica, whose fingerprint every child must match.
+/// report file. Every child must match a local sim replica's fingerprint.
+/// Whatever happens, the harness waits for every child it launched and
+/// removes its temporary directory before returning.
 ///
 /// # Errors
 ///
 /// Returns [`NetError::Unsupported`] when the scenario cannot be rendered
 /// to a file, [`NetError::Io`] for spawn/port/report-file failures, a
-/// child's own error kind when one exits unsuccessfully, and
-/// [`NetError::Mismatch`] when a child's fingerprint differs from the sim.
+/// report that names another link, or a child that exits unsuccessfully,
+/// and [`NetError::Mismatch`] when a child's fingerprint differs from the
+/// sim.
 ///
 /// # Panics
 ///
 /// Propagates policy-engine panics from the harness's local sim replica,
 /// as in [`rtmac::Network::step`].
-pub fn run_emulation_processes(
-    cfg: &EmulationConfig,
-    netd: &Path,
-) -> Result<EmulationReport, NetError> {
+pub fn run_emulation_processes(cfg: &NodeConfig, netd: &Path) -> Result<EmulationReport, NetError> {
     // Canonicalize through the file format once so the harness's own
     // digest-relevant scenario equals the children's parse result.
     let rendered = scenario_file::render(&cfg.scenario)?;
-    let scenario = scenario_file::parse(&rendered)?;
-    let n = scenario.links;
+    let sim = sim_trace(&scenario_file::parse(&rendered)?, cfg.intervals)?;
 
-    let dir = std::env::temp_dir().join(format!("rtmac-netd-emul-{}", std::process::id()));
+    // One directory per call: two calls in one process must not share,
+    // and so delete, each other's files.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "rtmac-netd-emul-{}-{}",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::SeqCst)
+    ));
     std::fs::create_dir_all(&dir)?;
+    let rows = run_fleet(cfg, &rendered, netd, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    fold("udp-processes", cfg.intervals, sim, &rows?)
+}
+
+/// Launches and waits for the fleet, with its files in `dir`, and returns
+/// one row per link.
+fn run_fleet(
+    cfg: &NodeConfig,
+    rendered: &str,
+    netd: &Path,
+    dir: &Path,
+) -> Result<Vec<NodeRow>, NetError> {
+    let n = cfg.scenario.links;
     let scenario_path = dir.join("scenario.toml");
-    std::fs::File::create(&scenario_path)?.write_all(rendered.as_bytes())?;
+    std::fs::write(&scenario_path, rendered)?;
+    let report_path = |link: usize| dir.join(format!("report-{link}.txt"));
 
     // Reserve one OS-assigned port per link, then release the sockets so
     // the children can bind them. The gap is racy in principle; on a box
@@ -302,8 +307,7 @@ pub fn run_emulation_processes(
             .filter(|&(peer, _)| peer != link)
             .map(|(_, a)| a.to_string())
             .collect();
-        let report_path = dir.join(format!("report-{link}.txt"));
-        let mut command = std::process::Command::new(netd);
+        let mut command = Command::new(netd);
         command
             .arg("--scenario")
             .arg(&scenario_path)
@@ -318,92 +322,57 @@ pub fn run_emulation_processes(
             .arg("--timeout-ms")
             .arg(cfg.sync_timeout.as_millis().to_string())
             .arg("--report")
-            .arg(&report_path)
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::piped());
+            .arg(report_path(link))
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped());
         if cfg.realtime {
             command.arg("--realtime");
         }
-        let child = command
-            .spawn()
-            .map_err(|e| NetError::Io(format!("cannot launch {}: {e}", netd.display())))?;
-        children.push((child, report_path));
+        match command.spawn() {
+            Ok(child) => children.push(child),
+            Err(e) => {
+                // The links already launched would wait out their timeout
+                // for a peer that never comes.
+                for mut child in children {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                }
+                return Err(NetError::Io(format!(
+                    "cannot launch {}: {e}",
+                    netd.display()
+                )));
+            }
+        }
     }
 
-    let mut reports = Vec::with_capacity(n);
-    let mut failure: Option<NetError> = None;
-    for (link, (child, report_path)) in children.into_iter().enumerate() {
-        let output = child.wait_with_output()?;
-        if !output.status.success() && failure.is_none() {
-            let stderr = String::from_utf8_lossy(&output.stderr);
-            failure = Some(NetError::Io(format!(
-                "rtmac-netd for link {link} exited with {}: {}",
+    // Wait for every child before reading any report, so that no error
+    // leaves a daemon running.
+    let mut failure = None;
+    for (link, child) in children.into_iter().enumerate() {
+        let failed = match child.wait_with_output() {
+            Ok(output) if output.status.success() => continue,
+            Ok(output) => format!(
+                "exited with {}: {}",
                 output.status,
-                stderr.trim()
-            )));
-        }
-        if failure.is_none() {
-            let text = std::fs::read_to_string(&report_path)
-                .map_err(|e| NetError::Io(format!("no report from link {link}: {e}")))?;
-            reports.push(parse_child_report(&text)?);
-        }
+                String::from_utf8_lossy(&output.stderr).trim()
+            ),
+            Err(e) => format!("could not be waited for: {e}"),
+        };
+        failure.get_or_insert_with(|| NetError::Io(format!("rtmac-netd for link {link} {failed}")));
     }
-    let _ = std::fs::remove_dir_all(&dir);
     if let Some(err) = failure {
         return Err(err);
     }
-
-    let sim = sim_trace(&scenario, cfg.intervals)?;
-    let fingerprint = sim.fingerprint;
-    let mut per_link_misses = vec![0u64; n];
-    let mut misses = 0u64;
-    let mut max_interval = Duration::ZERO;
-    let mut mean_sum = Duration::ZERO;
-    for child in &reports {
-        if child.fingerprint != fingerprint {
-            return Err(NetError::Mismatch {
-                what: format!("link {} decision-trace fingerprint (vs sim)", child.link),
-                expected: fingerprint,
-                got: child.fingerprint,
-            });
-        }
-        per_link_misses[child.link] = child.misses;
-        misses += child.misses;
-        max_interval = max_interval.max(child.max_interval);
-        mean_sum += child.mean_interval;
-    }
-    let total_intervals = (n * cfg.intervals) as u64;
-    Ok(EmulationReport {
-        backend: "udp-processes",
-        links: n,
-        intervals: cfg.intervals,
-        fingerprint,
-        run: sim.report,
-        misses,
-        miss_rate: if total_intervals == 0 {
-            0.0
-        } else {
-            misses as f64 / total_intervals as f64
-        },
-        per_link_misses,
-        max_interval,
-        mean_interval: mean_sum
-            .checked_div(n.max(1) as u32)
-            .unwrap_or(Duration::ZERO),
-    })
+    (0..n)
+        .map(|link| {
+            let text = std::fs::read_to_string(report_path(link))
+                .map_err(|e| NetError::Io(format!("no report from link {link}: {e}")))?;
+            parse_row(&text)
+        })
+        .collect()
 }
 
-/// One child daemon's measurements, parsed from its report file.
-#[derive(Debug, Clone)]
-struct ChildReport {
-    link: usize,
-    fingerprint: u64,
-    misses: u64,
-    max_interval: Duration,
-    mean_interval: Duration,
-}
-
-fn parse_child_report(text: &str) -> Result<ChildReport, NetError> {
+fn parse_row(text: &str) -> Result<NodeRow, NetError> {
     let mut link = None;
     let mut fingerprint = None;
     let mut misses = None;
@@ -428,15 +397,13 @@ fn parse_child_report(text: &str) -> Result<ChildReport, NetError> {
         }
     }
     match (link, fingerprint, misses, max_us, mean_us) {
-        (Some(link), Some(fingerprint), Some(misses), Some(max_us), Some(mean_us)) => {
-            Ok(ChildReport {
-                link,
-                fingerprint,
-                misses,
-                max_interval: Duration::from_micros(max_us),
-                mean_interval: Duration::from_micros(mean_us),
-            })
-        }
+        (Some(link), Some(fingerprint), Some(misses), Some(max_us), Some(mean_us)) => Ok(NodeRow {
+            link,
+            fingerprint,
+            misses,
+            max_interval: Duration::from_micros(max_us),
+            mean_interval: Duration::from_micros(mean_us),
+        }),
         _ => Err(NetError::Io(
             "child report file is missing required keys".to_string(),
         )),
@@ -458,123 +425,55 @@ pub fn default_netd_path() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from(name))
 }
 
-/// The replay contract's verdict: one scenario, one seed, every backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayVerdict {
-    /// Deployment size checked.
-    pub links: usize,
-    /// Intervals checked.
-    pub intervals: usize,
-    /// The sim backend's fingerprint (the reference).
-    pub sim: u64,
-    /// The loopback deployment's fingerprint.
-    pub loopback: u64,
-    /// The UDP deployment's fingerprint, when that leg was run.
-    pub udp: Option<u64>,
-}
-
-impl ReplayVerdict {
-    /// True when every backend produced the reference fingerprint.
-    #[must_use]
-    pub fn matches(&self) -> bool {
-        self.loopback == self.sim && self.udp.is_none_or(|udp| udp == self.sim)
-    }
-}
-
-/// Runs the replay contract: `sc` for `intervals` intervals through the
-/// sim and loopback backends (plus UDP when `udp` is true) and reports
-/// each fingerprint.
-///
-/// # Errors
-///
-/// Propagates any emulation error; a *successful* return with
-/// `matches() == false` means the contract itself is broken.
-///
-/// # Panics
-///
-/// Panics if a node thread panics, as in [`run_emulation`].
-///
-/// # Example
-///
-/// ```
-/// use rtmac_net::replay_check;
-///
-/// let sc = rtmac::scenario::by_name("tiny").unwrap();
-/// let verdict = replay_check(&sc, 15, false).unwrap();
-/// assert!(verdict.matches());
-/// ```
-pub fn replay_check(sc: &Scenario, intervals: usize, udp: bool) -> Result<ReplayVerdict, NetError> {
-    let sim = sim_trace(sc, intervals)?;
-    let mut cfg = EmulationConfig::new(sc.clone(), intervals);
-    let loopback = run_emulation(&cfg)?;
-    let udp = if udp {
-        cfg.transport = TransportKind::Udp;
-        Some(run_emulation(&cfg)?.fingerprint)
-    } else {
-        None
-    };
-    Ok(ReplayVerdict {
-        links: sc.links,
-        intervals,
-        sim: sim.fingerprint,
-        loopback: loopback.fingerprint,
-        udp,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rtmac::scenario;
 
     #[test]
-    fn loopback_emulation_matches_sim() {
+    fn udp_emulation_matches_sim() {
         let sc = scenario::by_name("tiny").unwrap();
-        let report = run_emulation(&EmulationConfig::new(sc.clone(), 30)).unwrap();
-        let sim = sim_trace(&sc, 30).unwrap();
-        assert_eq!(report.fingerprint, sim.fingerprint);
-        assert_eq!(
-            report.run.per_link_throughput,
-            sim.report.per_link_throughput
-        );
+        let report = run_emulation(&NodeConfig::new(sc.clone(), 20), TransportKind::Udp).unwrap();
+        assert_eq!(report.backend, "udp");
+        assert_eq!(report.fingerprint, sim_trace(&sc, 20).unwrap().fingerprint);
         assert_eq!(report.per_link_misses.len(), 3);
     }
 
     #[test]
-    fn udp_emulation_matches_sim() {
-        let sc = scenario::by_name("tiny").unwrap();
-        let mut cfg = EmulationConfig::new(sc.clone(), 20);
-        cfg.transport = TransportKind::Udp;
-        let report = run_emulation(&cfg).unwrap();
-        assert_eq!(report.backend, "udp");
-        assert_eq!(report.fingerprint, sim_trace(&sc, 20).unwrap().fingerprint);
-    }
-
-    #[test]
-    fn replay_verdict_spots_disagreement() {
-        let verdict = ReplayVerdict {
-            links: 3,
-            intervals: 10,
-            sim: 1,
-            loopback: 1,
-            udp: Some(2),
+    fn fold_rejects_a_row_that_names_another_link() {
+        let sim = sim_trace(&scenario::by_name("tiny").unwrap(), 5).unwrap();
+        let fingerprint = sim.fingerprint;
+        let row = |link| NodeRow {
+            link,
+            fingerprint,
+            misses: 0,
+            max_interval: Duration::ZERO,
+            mean_interval: Duration::ZERO,
         };
-        assert!(!verdict.matches());
-        assert!(ReplayVerdict {
-            udp: None,
-            ..verdict
+        let good = [row(0), row(1), row(2)];
+        assert_eq!(fold("t", 5, sim.clone(), &good).unwrap().links, 3);
+        for rows in [[row(0), row(99), row(2)], [row(0), row(2), row(1)]] {
+            match fold("t", 5, sim.clone(), &rows) {
+                Err(NetError::Io(msg)) => assert!(msg.contains("names link"), "{msg}"),
+                other => panic!("expected a typed error, got {other:?}"),
+            }
         }
-        .matches());
+        let mut stray = row(1);
+        stray.fingerprint ^= 1;
+        assert!(matches!(
+            fold("t", 5, sim, &[row(0), stray, row(2)]),
+            Err(NetError::Mismatch { .. })
+        ));
     }
 
     #[test]
     fn child_report_round_trip_parses() {
         let text =
             "link=4\nfingerprint=0x00ff\nmisses=2\nmax_interval_us=900\nmean_interval_us=120\n";
-        let report = parse_child_report(text).unwrap();
-        assert_eq!(report.link, 4);
-        assert_eq!(report.fingerprint, 0xff);
-        assert_eq!(report.misses, 2);
-        assert!(parse_child_report("link=1\n").is_err());
+        let row = parse_row(text).unwrap();
+        assert_eq!(row.link, 4);
+        assert_eq!(row.fingerprint, 0xff);
+        assert_eq!(row.misses, 2);
+        assert!(parse_row("link=1\n").is_err());
     }
 }

@@ -22,8 +22,9 @@ use crate::frame::CodecError;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum NetError {
-    /// The scenario could not be built into a network (invalid parameters,
-    /// inconsistent lengths — whatever `rtmac`'s own validation reports).
+    /// The scenario could not be loaded or built into a network (an
+    /// unreadable scenario file, invalid parameters, inconsistent lengths —
+    /// whatever `rtmac`'s own validation reports), or a daemon flag is bad.
     Config(String),
     /// A frame failed to decode.
     Codec(CodecError),

@@ -24,30 +24,33 @@
 //! * [`LoopbackHub`] — in-memory channels carrying encoded frames;
 //! * [`UdpTransport`] — real UDP sockets, one per link.
 //!
-//! [`replay_check`] pins the contract; `rtmac-verify replay` and the CI
-//! `netd-smoke` job run it. What is allowed to differ across backends is
-//! wall-clock timing only — the emulation harness measures it and reports
-//! per-node deadline-miss rates next to the usual [`rtmac::RunReport`].
-//! DESIGN.md §15 spells out the full contract and the wire format.
+//! The emulation harness ([`run_emulation`], [`run_emulation_processes`])
+//! checks the contract on every run, and `rtmac emulate` is its front
+//! end. What is allowed to differ across backends is wall-clock timing
+//! only — the harness measures it and reports per-node deadline-miss rates
+//! next to the usual [`rtmac::RunReport`]. DESIGN.md §15 spells out the
+//! full contract and the wire format.
 //!
 //! ## Entry points
 //!
 //! * [`run_emulation`] — spawn every link of a scenario on one box
-//!   (threads over loopback or UDP) and collect an [`EmulationReport`].
+//!   (threads over loopback or UDP), check each against the sim, and
+//!   collect an [`EmulationReport`].
 //! * [`netd`] — the `rtmac-netd` daemon: one OS process per link,
-//!   exchanging frames over UDP. [`run_emulation_processes`] launches and
-//!   harvests a whole fleet of them.
+//!   exchanging frames over UDP. [`run_emulation_processes`] launches a
+//!   whole fleet of them and checks and folds their reports the same way.
 //! * [`scenario_file`] — the deployment config format: a scenario as a
 //!   plain-text `key = value` file that `rtmac-netd --scenario` loads.
 //!
 //! ```
-//! use rtmac_net::{run_emulation, sim_trace, EmulationConfig};
+//! use rtmac_net::{run_emulation, sim_trace, NodeConfig, TransportKind};
 //!
 //! let sc = rtmac::scenario::by_name("tiny").unwrap();
-//! let report = run_emulation(&EmulationConfig::new(sc.clone(), 20)).unwrap();
+//! let cfg = NodeConfig::new(sc.clone(), 20);
+//! let report = run_emulation(&cfg, TransportKind::Loopback).unwrap();
 //! assert_eq!(report.links, 3);
 //! assert_eq!(report.run.intervals, 20);
-//! // The replay contract: transport-free and loopback runs agree.
+//! // The replay contract: every node matched the transport-free sim.
 //! assert_eq!(report.fingerprint, sim_trace(&sc, 20).unwrap().fingerprint);
 //! ```
 
@@ -64,8 +67,7 @@ pub mod udp;
 mod error;
 
 pub use emul::{
-    default_netd_path, replay_check, run_emulation, run_emulation_processes, EmulationConfig,
-    EmulationReport, ReplayVerdict, TransportKind,
+    default_netd_path, run_emulation, run_emulation_processes, EmulationReport, TransportKind,
 };
 pub use error::NetError;
 pub use frame::{Activity, Beacon, CodecError, Frame, FrameKind};

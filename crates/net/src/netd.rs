@@ -1,10 +1,9 @@
 //! The `rtmac-netd` daemon: argument parsing and the run entry point.
 //!
 //! The binary in `src/bin/rtmac-netd.rs` is a thin shell around
-//! [`parse`] and [`run`]; keeping the logic here makes it testable and
-//! lets the CLI crate reuse the same spellings. One daemon process drives
-//! one link of a deployment over UDP (see [`crate::LinkNode`] for the
-//! lockstep protocol it runs).
+//! [`parse`] and [`run`]; keeping the logic here makes it testable. One
+//! daemon process drives one link of a deployment over UDP (see
+//! [`crate::LinkNode`] for the lockstep protocol it runs).
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -28,7 +27,7 @@ REQUIRED:
     --peers <addr,...>       the other links' addresses (comma-separated)
 
 OPTIONS:
-    --intervals <n>          override the scenario's horizon
+    --intervals <n>          override the scenario's horizon (at least 1)
     --seed <n>               override the scenario's seed
     --realtime               pace intervals at the scenario deadline rate
     --timeout-ms <n>         peer-silence budget (default 30000)
@@ -117,7 +116,13 @@ pub fn parse(args: &[String]) -> Result<NetdOpts, NetError> {
                 );
             }
             "--intervals" => {
-                opts.intervals = Some(parse_value("--intervals", &value("--intervals")?)?)
+                // With no interval to run, a daemon exits once it has heard
+                // every beacon; a peer that binds after its last beacon
+                // then waits out its timeout.
+                match parse_value("--intervals", &value("--intervals")?)? {
+                    0 => return Err(NetError::Config("--intervals must be at least 1".into())),
+                    k => opts.intervals = Some(k),
+                }
             }
             "--seed" => opts.seed = Some(parse_value("--seed", &value("--seed")?)?),
             "--realtime" => opts.realtime = true,
@@ -251,6 +256,10 @@ mod tests {
     fn unknown_flags_and_bad_values_are_rejected() {
         assert!(parse(&args(&["--frobnicate"])).is_err());
         assert!(parse(&args(&["--link", "minus-one"])).is_err());
+        assert!(matches!(
+            parse(&args(&["--intervals", "0"])),
+            Err(NetError::Config(ref m)) if m.contains("at least 1")
+        ));
         // There is one DP engine, so there is no engine flag.
         assert!(parse(&args(&["--engine", "batched"])).is_err());
     }

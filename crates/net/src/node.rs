@@ -441,15 +441,16 @@ mod tests {
     }
 
     #[test]
-    fn nodes_agree_with_each_other() {
+    fn nodes_agree_with_each_other_and_the_sim() {
         let sc = scenario::by_name("tiny").unwrap();
         let reports: Vec<_> = run_pair(&sc, 25).into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(reports.len(), 3);
-        let fp = reports[0].fingerprint;
+        let sim = crate::sim_trace(&sc, 25).unwrap();
         for r in &reports {
-            assert_eq!(r.fingerprint, fp);
+            assert_eq!(r.fingerprint, sim.fingerprint);
             assert_eq!(r.frames, 75);
-            assert_eq!(r.report.intervals, 25);
+            // Each live replica's own run report is the sim's.
+            assert_eq!(r.report, sim.report);
         }
     }
 

@@ -199,7 +199,7 @@ fn spelled<T>(line: usize, key: &str, value: Result<T, ParseError>) -> Result<T,
 ///
 /// # Errors
 ///
-/// Returns [`NetError::Io`] when the file cannot be read and
+/// Returns [`NetError::Config`] when the file cannot be read and
 /// [`NetError::Parse`] when its contents do not parse.
 ///
 /// # Example
@@ -215,7 +215,7 @@ pub fn load(spec: &str) -> Result<Scenario, NetError> {
         return Ok(sc);
     }
     let text = std::fs::read_to_string(spec).map_err(|e| {
-        NetError::Io(format!(
+        NetError::Config(format!(
             "`{spec}` is neither a registry scenario nor a readable file: {e}"
         ))
     })?;

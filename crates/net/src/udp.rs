@@ -105,7 +105,7 @@ impl UdpTransport {
     /// Builds an in-process cluster of `n` endpoints on OS-assigned
     /// localhost ports, fully meshed, in link order — the UDP twin of
     /// [`crate::LoopbackHub::endpoints`], used by the emulation harness's
-    /// thread mode and the replay contract's UDP leg.
+    /// thread mode.
     ///
     /// # Errors
     ///

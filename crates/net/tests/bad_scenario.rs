@@ -1,8 +1,16 @@
-//! A scenario file whose values parse but cannot be simulated is a
-//! configuration error: `rtmac-netd` reports it and exits 2 (the usage
-//! bucket of its exit-code table), in debug and release builds alike.
+//! `rtmac-netd`'s usage and configuration errors exit 2, the usage bucket
+//! of its exit-code table, in debug and release builds alike: a scenario
+//! file whose values parse but cannot be simulated, a scenario file that
+//! cannot be read, and bad or missing flags.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+fn netd(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_rtmac-netd"))
+        .args(args)
+        .output()
+        .expect("the rtmac-netd binary runs")
+}
 
 #[test]
 fn sub_slot_deadline_file_exits_with_the_config_code() {
@@ -20,14 +28,42 @@ fn sub_slot_deadline_file_exits_with_the_config_code() {
         .collect();
     let path = std::env::temp_dir().join(format!("rtmac-bad-deadline-{}.scn", std::process::id()));
     std::fs::write(&path, text).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_rtmac-netd"))
-        .args(["--scenario", path.to_str().unwrap()])
-        .args(["--link", "0", "--bind", "127.0.0.1:0", "--peers", ""])
-        .output()
-        .expect("the rtmac-netd binary runs");
+    let out = netd(&[
+        "--scenario",
+        path.to_str().unwrap(),
+        "--link",
+        "0",
+        "--bind",
+        "127.0.0.1:0",
+        "--peers",
+        "",
+    ]);
     let _ = std::fs::remove_file(&path);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("backoff slot"), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
+fn usage_and_config_errors_exit_with_the_config_code() {
+    let placed = ["--link", "0", "--bind", "127.0.0.1:0", "--peers", ""];
+    let missing_file = [&["--scenario", "/no/such/scenario.scn"][..], &placed].concat();
+    let zero_intervals = [&["--scenario", "tiny", "--intervals", "0"][..], &placed].concat();
+    let cases: [(&str, &[&str], &str); 4] = [
+        ("no arguments", &[], "USAGE"),
+        ("an unknown flag", &["--frobnicate"], "unknown flag"),
+        ("a missing scenario file", &missing_file, "readable file"),
+        ("--intervals 0", &zero_intervals, "at least 1"),
+    ];
+    for (what, args, says) in cases {
+        let out = netd(args);
+        let text = format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(out.status.code(), Some(2), "{what}: {text}");
+        assert!(text.contains(says), "{what}: {text}");
+    }
 }

@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use rtmac::scenario::by_name;
 use rtmac_net::{
-    replay_check, run_emulation_processes, sim_trace, EmulationConfig, LinkNode, LoopbackHub,
-    NetError, NodeConfig,
+    run_emulation, run_emulation_processes, sim_trace, LinkNode, LoopbackHub, NetError, NodeConfig,
+    TransportKind,
 };
 
 /// The pinned decision-trace fingerprint of `control10` at 200 intervals.
@@ -36,17 +36,18 @@ fn sim_fingerprint_matches_the_absolute_golden() {
 #[test]
 fn replay_contract_holds_across_sim_loopback_and_udp() {
     let sc = by_name("control10").expect("control10 is a registry scenario");
-    let verdict = replay_check(&sc, 200, true).expect("all three backends run");
-    assert!(verdict.matches(), "verdict diverged: {verdict:?}");
-    assert_eq!(verdict.sim, CONTROL10_200_FINGERPRINT);
-    assert_eq!(verdict.loopback, CONTROL10_200_FINGERPRINT);
-    assert_eq!(verdict.udp, Some(CONTROL10_200_FINGERPRINT));
+    let cfg = NodeConfig::new(sc, 200);
+    for transport in [TransportKind::Loopback, TransportKind::Udp] {
+        let report = run_emulation(&cfg, transport).expect("deployment matches the sim");
+        assert_eq!(report.backend, transport.name());
+        assert_eq!(report.fingerprint, CONTROL10_200_FINGERPRINT);
+    }
 }
 
 #[test]
 fn netd_process_fleet_reproduces_the_sim_trace() {
     let sc = by_name("tiny").expect("tiny is a registry scenario");
-    let mut cfg = EmulationConfig::new(sc.clone(), 30);
+    let mut cfg = NodeConfig::new(sc.clone(), 30);
     cfg.sync_timeout = Duration::from_secs(60);
     let netd = std::path::PathBuf::from(env!("CARGO_BIN_EXE_rtmac-netd"));
     let report = run_emulation_processes(&cfg, &netd).expect("process fleet runs");

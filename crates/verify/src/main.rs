@@ -6,9 +6,11 @@
 //! rtmac-verify smc [FLAGS]          statistical model checking at large N
 //! rtmac-verify sched [FLAGS]        interleaving checks of the worker pool
 //! rtmac-verify fault-smoke [FLAGS]  fault-corner smoke of the degraded engine
-//! rtmac-verify replay [FLAGS]       check the sim/transport replay contract
 //! rtmac-verify --replay FILE        re-run a recorded counterexample trace
 //! ```
+//!
+//! The transport's replay contract is checked by `rtmac emulate`, which
+//! holds every deployment to the simulator's decision trace.
 //!
 //! Exit codes: 0 = all properties hold (or the replayed trace is clean),
 //! 1 = a violation was found (the counterexample trace is printed to
@@ -38,7 +40,6 @@ usage:
   rtmac-verify smc [FLAGS]          statistical model checking at large N
   rtmac-verify sched [FLAGS]        interleaving checks of the worker pool
   rtmac-verify fault-smoke [FLAGS]  fault-corner smoke of the degraded engine
-  rtmac-verify replay [FLAGS]       check the sim/transport replay contract
   rtmac-verify --replay FILE        re-run a recorded counterexample trace
 
 exhaustive modes:
@@ -76,15 +77,6 @@ sigma-liveness through the storm and reconvergence after it):
   --intervals K     storm-phase intervals           [default: 600]
   --heal-budget K   heal-phase interval budget      [default: 3000]
   --seed S          root seed                       [default: 2018]
-
-replay flags (the rtmac-net replay contract: the same scenario and
-seed must produce the same decision-trace fingerprint through the
-transport-free sim and a live loopback deployment, byte for byte):
-  --scenario S      registry name or scenario file  [default: control10]
-  --links N         override the deployment size
-  --intervals K     intervals to run                [default: 200]
-  --seed S          override the scenario seed
-  --udp             also run the UDP-socket leg
 
 Violations print a replayable counterexample trace on stdout; feed it
 back with --replay to reproduce (sched violations print the decision
@@ -129,15 +121,6 @@ fn run(args: Vec<String>) -> i32 {
                     }
                 };
             }
-            "replay" => {
-                return match parse_replay_contract(iter.by_ref()) {
-                    Ok(opts) => run_replay_contract(&opts),
-                    Err(e) => {
-                        eprintln!("rtmac-verify: {e}");
-                        2
-                    }
-                };
-            }
             "--replay" => match iter.next() {
                 Some(path) => mode = Mode::Replay(path),
                 None => {
@@ -152,8 +135,9 @@ fn run(args: Vec<String>) -> i32 {
             other => {
                 eprintln!(
                     "rtmac-verify: unknown argument {other:?} — valid modes are \
-                     --quick, --full, smc, sched, fault-smoke, replay, and \
-                     --replay FILE (try --help)"
+                     --quick, --full, smc, sched, fault-smoke, and \
+                     --replay FILE (try --help; `rtmac emulate` checks the \
+                     transport's replay contract)"
                 );
                 return 2;
             }
@@ -477,111 +461,6 @@ fn run_fault_smoke(cfg: &FaultSmokeConfig) -> i32 {
             eprintln!("rtmac-verify: fault-smoke VIOLATION: {v}");
         }
         1
-    }
-}
-
-/// What the `replay` subcommand should check.
-struct ReplayContractOpts {
-    scenario: String,
-    links: Option<usize>,
-    intervals: usize,
-    seed: Option<u64>,
-    udp: bool,
-}
-
-/// Parses the flags after the `replay` subcommand.
-fn parse_replay_contract(
-    iter: &mut dyn Iterator<Item = String>,
-) -> Result<ReplayContractOpts, String> {
-    let mut opts = ReplayContractOpts {
-        scenario: "control10".to_string(),
-        links: None,
-        intervals: 200,
-        seed: None,
-        udp: false,
-    };
-    let parse = |value: &str, flag: &str| -> Result<u64, String> {
-        value
-            .parse()
-            .map_err(|_| format!("replay: invalid {flag} value {value:?}"))
-    };
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .ok_or_else(|| format!("replay: {name} needs a value"))
-        };
-        match flag.as_str() {
-            "--scenario" => opts.scenario = value("--scenario")?,
-            "--links" => opts.links = Some(parse(&value("--links")?, "--links")? as usize),
-            "--intervals" => {
-                opts.intervals = parse(&value("--intervals")?, "--intervals")? as usize;
-            }
-            "--seed" => opts.seed = Some(parse(&value("--seed")?, "--seed")?),
-            "--udp" => opts.udp = true,
-            other => {
-                return Err(format!(
-                    "replay: unknown flag {other:?} — valid flags are --scenario, \
-                     --links, --intervals, --seed, --udp (try --help)"
-                ));
-            }
-        }
-    }
-    if opts.intervals == 0 {
-        return Err("replay: --intervals must be at least 1".to_string());
-    }
-    Ok(opts)
-}
-
-fn run_replay_contract(opts: &ReplayContractOpts) -> i32 {
-    let mut sc = match rtmac_net::scenario_file::load(&opts.scenario) {
-        Ok(sc) => sc,
-        Err(e) => {
-            eprintln!("rtmac-verify: replay: {e}");
-            return 2;
-        }
-    };
-    if let Some(links) = opts.links {
-        sc = sc.with_links(links);
-    }
-    if let Some(seed) = opts.seed {
-        sc = sc.with_seed(seed);
-    }
-    eprintln!(
-        "rtmac-verify: replay scenario={} N={} intervals={} seed={}{}",
-        opts.scenario,
-        sc.links,
-        opts.intervals,
-        sc.seed,
-        if opts.udp { " (+udp leg)" } else { "" }
-    );
-    match rtmac_net::replay_check(&sc, opts.intervals, opts.udp) {
-        Ok(verdict) => {
-            outln!("rtmac-verify: sim      fingerprint {:#018x}", verdict.sim);
-            outln!(
-                "rtmac-verify: loopback fingerprint {:#018x}",
-                verdict.loopback
-            );
-            if let Some(udp) = verdict.udp {
-                outln!("rtmac-verify: udp      fingerprint {udp:#018x}");
-            }
-            if verdict.matches() {
-                eprintln!(
-                    "rtmac-verify: replay clean — every backend reproduced the sim's \
-                     decision trace byte for byte"
-                );
-                0
-            } else {
-                eprintln!(
-                    "rtmac-verify: replay VIOLATION: a transport backend diverged \
-                     from the sim's decision trace"
-                );
-                1
-            }
-        }
-        Err(e) => {
-            eprintln!("rtmac-verify: replay failed to run: {e}");
-            2
-        }
     }
 }
 

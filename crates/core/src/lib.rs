@@ -21,9 +21,9 @@
 //!   which is feasibility-optimal (Theorem 1) while remaining fully
 //!   decentralized.
 //!
-//! This crate ties the substrates together: describe a [`Scenario`] (or
-//! build a [`Network`] directly), pick a [`PolicySpec`], run intervals,
-//! and read a [`RunReport`].
+//! This crate ties the substrates together: describe a [`Scenario`], pick
+//! a [`PolicySpec`], build its [`Network`], run intervals, and read a
+//! [`RunReport`].
 //!
 //! # Quickstart
 //!
@@ -52,7 +52,7 @@ pub mod scenario;
 pub mod sync;
 
 pub use admission::AdmissionReport;
-pub use network::{Network, NetworkBuilder};
+pub use network::{Network, Overrides};
 pub use policy::{
     eq14_mu, DbDp, DcfPolicy, Eldf, FcsmaPolicy, FixedPriority, FrameCsmaPolicy, TransmissionPolicy,
 };

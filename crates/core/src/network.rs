@@ -1,16 +1,15 @@
 //! The end-to-end network simulator: arrivals → policy → debts → metrics.
 
-use rtmac_mac::{ChurnEvent, DpConfig, DpEngine, IntervalOutcome, MacTiming, RecoveryConfig};
+use rtmac_mac::{ChurnEvent, DpConfig, DpEngine, IntervalOutcome, RecoveryConfig};
 use rtmac_model::metrics::{ConvergenceTracker, DeficiencySeries};
 use rtmac_model::{ConfigError, DebtLedger, LinkId, NetworkConfig, Requirements};
 use rtmac_phy::channel::{Bernoulli, LossModel};
 use rtmac_phy::fault::{BurstSensing, ChurnProcess, ChurnSchedule, FaultModel, HiddenMatrix};
-use rtmac_phy::PhyProfile;
 use rtmac_sim::{Nanos, SeedStream, SimRng};
 use rtmac_traffic::ArrivalProcess;
 
 use crate::admission::{self, AdmissionReport};
-use crate::scenario::{AdmissionSpec, FaultSpec, PolicySpec, TrafficSpec};
+use crate::scenario::{PolicySpec, Scenario};
 use crate::{DbDp, RunReport, TransmissionPolicy};
 
 /// Runtime state of the feasibility-aware admission gate (see
@@ -69,7 +68,8 @@ impl AdmissionState {
 /// `rtmac-phy`), traffic (`rtmac-traffic`), a transmission policy, and the
 /// delivery-debt ledger that closes the control loop.
 ///
-/// Construct one with [`Network::builder`], then call [`Network::run`] (or
+/// Construct one with [`Scenario::network`] (or [`Scenario::network_with`]
+/// for what a scenario cannot describe), then call [`Network::run`] (or
 /// [`Network::step`] to drive interval by interval).
 pub struct Network {
     config: NetworkConfig,
@@ -106,12 +106,6 @@ impl std::fmt::Debug for Network {
 }
 
 impl Network {
-    /// Starts building a network.
-    #[must_use]
-    pub fn builder() -> NetworkBuilder {
-        NetworkBuilder::default()
-    }
-
     /// The static network description.
     #[must_use]
     pub fn config(&self) -> &NetworkConfig {
@@ -292,283 +286,50 @@ impl Network {
     }
 }
 
-/// Fluent builder for [`Network`].
-///
-/// Minimal required calls: [`links`](Self::links), an arrival process, a
-/// requirement (delivery ratio or explicit `q`), and a policy. Everything
-/// else has paper defaults (802.11a PHY, 20 ms deadline, 1500 B payload,
-/// reliable channel, seed 0).
-pub struct NetworkBuilder {
-    n_links: usize,
-    /// The per-packet deadline, or the overflow error an out-of-range
-    /// [`deadline_ms`](Self::deadline_ms) / [`deadline_us`](Self::deadline_us)
-    /// left for [`build`](Self::build) to report.
-    deadline: Result<Nanos, ConfigError>,
-    payload_bytes: u32,
-    link_payloads: Option<Vec<u32>>,
-    phy: PhyProfile,
-    success: Option<Vec<f64>>,
-    /// The arrival process, or the error [`build`](Self::build) reports:
-    /// a missing process, or an invalid [`TrafficSpec`]'s own error.
-    traffic: Result<Box<dyn ArrivalProcess>, ConfigError>,
-    requirements: Option<Requirements>,
-    delivery_ratio: Option<Vec<f64>>,
-    policy: Option<PolicySpec>,
-    channel: Option<Box<dyn LossModel>>,
-    seed: u64,
-    track: Option<(LinkId, f64)>,
-    fault: Option<FaultSpec>,
-    admission: Option<AdmissionSpec>,
+/// What a network needs that a [`Scenario`] cannot describe: a custom
+/// arrival process, a custom loss model, or per-link payloads. Pass one to
+/// [`Scenario::network_with`]; each field left `None` keeps what the
+/// scenario describes.
+#[derive(Debug, Default)]
+pub struct Overrides {
+    /// Replaces the arrival process of [`Scenario::traffic`]; the
+    /// requirements are still `q_n = ρ_n · λ_n`, with `λ_n` its mean.
+    pub traffic: Option<Box<dyn ArrivalProcess>>,
+    /// Replaces the i.i.d. Bernoulli channel of [`Scenario::success`];
+    /// the policies still read `p_n` from the scenario.
+    pub channel: Option<Box<dyn LossModel>>,
+    /// Gives each link its own payload size in bytes (mixed traffic
+    /// classes sharing one medium) in place of
+    /// [`Scenario::payload_bytes`].
+    pub link_payloads: Option<Vec<u32>>,
 }
 
-impl Default for NetworkBuilder {
-    fn default() -> Self {
-        NetworkBuilder {
-            n_links: 0,
-            deadline: Ok(Nanos::from_millis(20)),
-            payload_bytes: 1500,
-            link_payloads: None,
-            phy: PhyProfile::ieee80211a(),
-            success: None,
-            traffic: Err(ConfigError::InvalidParameter {
-                name: "traffic (arrival process required)",
-                value: f64::NAN,
-            }),
-            requirements: None,
-            delivery_ratio: None,
-            policy: None,
-            channel: None,
-            seed: 0,
-            track: None,
-            fault: None,
-            admission: None,
-        }
-    }
-}
-
-impl NetworkBuilder {
-    /// Sets the number of links `N` (required).
-    #[must_use]
-    pub fn links(mut self, n: usize) -> Self {
-        self.n_links = n;
-        self
-    }
-
-    /// Sets the per-packet deadline in milliseconds (default 20). A
-    /// deadline whose nanoseconds overflow `u64` makes
-    /// [`build`](Self::build) return [`ConfigError::Overflow`].
-    #[must_use]
-    pub fn deadline_ms(mut self, ms: u64) -> Self {
-        self.deadline = Nanos::checked_from_millis(ms).ok_or(ConfigError::Overflow {
-            name: "deadline_ms",
-            value: ms,
-        });
-        self
-    }
-
-    /// Sets the per-packet deadline in microseconds, the unit of
-    /// [`Scenario::deadline_us`](crate::Scenario::deadline_us) and
-    /// scenario files. Overflow is reported by [`build`](Self::build) as
-    /// for [`deadline_ms`](Self::deadline_ms).
-    #[must_use]
-    pub fn deadline_us(mut self, us: u64) -> Self {
-        self.deadline = Nanos::checked_from_micros(us).ok_or(ConfigError::Overflow {
-            name: "deadline_us",
-            value: us,
-        });
-        self
-    }
-
-    /// Sets the per-packet deadline exactly.
-    #[must_use]
-    pub fn deadline(mut self, t: Nanos) -> Self {
-        self.deadline = Ok(t);
-        self
-    }
-
-    /// Sets the data payload size in bytes (default 1500).
-    #[must_use]
-    pub fn payload_bytes(mut self, bytes: u32) -> Self {
-        self.payload_bytes = bytes;
-        self
-    }
-
-    /// Gives each link its own payload size — mixed traffic classes (e.g.
-    /// video and control links) sharing one medium. Overrides
-    /// [`payload_bytes`](Self::payload_bytes) per link.
-    #[must_use]
-    pub fn link_payloads(mut self, payloads: Vec<u32>) -> Self {
-        self.link_payloads = Some(payloads);
-        self
-    }
-
-    /// Sets the PHY profile (default IEEE 802.11a).
-    #[must_use]
-    pub fn phy(mut self, phy: PhyProfile) -> Self {
-        self.phy = phy;
-        self
-    }
-
-    /// Every link succeeds with probability `p`.
-    #[must_use]
-    pub fn uniform_success_probability(mut self, p: f64) -> Self {
-        self.success = Some(vec![p; self.n_links]);
-        self
-    }
-
-    /// Per-link success probabilities.
-    #[must_use]
-    pub fn success_probabilities(mut self, p: Vec<f64>) -> Self {
-        self.success = Some(p);
-        self
-    }
-
-    /// Uses an arbitrary arrival process.
-    #[must_use]
-    pub fn traffic(mut self, traffic: Box<dyn ArrivalProcess>) -> Self {
-        self.traffic = Ok(traffic);
-        self
-    }
-
-    /// Instantiates `spec` for the links set so far; an invalid spec's
-    /// error is left for [`build`](Self::build) to report.
-    #[must_use]
-    pub(crate) fn traffic_spec(mut self, spec: &TrafficSpec) -> Self {
-        self.traffic = spec.instantiate(self.n_links);
-        self
-    }
-
-    /// Requires delivery ratio `rho` on every link (`q_n = ρ·λ_n`, with
-    /// `λ_n` taken from the traffic process).
-    #[must_use]
-    pub fn delivery_ratio(mut self, rho: f64) -> Self {
-        self.delivery_ratio = Some(vec![rho; self.n_links]);
-        self
-    }
-
-    /// Per-link delivery ratios.
-    #[must_use]
-    pub fn delivery_ratios(mut self, rho: Vec<f64>) -> Self {
-        self.delivery_ratio = Some(rho);
-        self
-    }
-
-    /// Explicit timely-throughput requirements `q_n` (overrides delivery
-    /// ratios).
-    #[must_use]
-    pub fn requirements(mut self, q: Requirements) -> Self {
-        self.requirements = Some(q);
-        self
-    }
-
-    /// Selects the transmission policy (required).
-    #[must_use]
-    pub fn policy(mut self, spec: PolicySpec) -> Self {
-        self.policy = Some(spec);
-        self
-    }
-
-    /// Overrides the loss model (default: Bernoulli with the configured
-    /// success probabilities).
-    #[must_use]
-    pub fn channel(mut self, channel: Box<dyn LossModel>) -> Self {
-        self.channel = Some(channel);
-        self
-    }
-
-    /// Seeds every random stream (default 0). Equal seeds give bit-equal
-    /// runs.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Tracks one link's running timely-throughput and convergence into a
-    /// `1 − band` neighborhood of its requirement (Fig. 5).
-    #[must_use]
-    pub fn track_link(mut self, link: LinkId, band: f64) -> Self {
-        self.track = Some((link, band));
-        self
-    }
-
-    /// Injects carrier-sensing faults and link churn into the run. Only the
-    /// DB-DP policy supports fault injection (its engine gets a fault layer
-    /// and runs the degraded semantics); [`build`](Self::build) rejects
-    /// the combination with any other policy.
-    #[must_use]
-    pub fn fault(mut self, fault: FaultSpec) -> Self {
-        self.fault = Some(fault);
-        self
-    }
-
-    /// Enables the feasibility-aware admission gate: at every churn event
-    /// the network admits or rejects arriving links against the Lemma-2
-    /// utilization threshold, and (when `spec.shed` is set) trims an
-    /// overloaded admitted set lowest-debt-first. Requires fault injection
-    /// — [`build`](Self::build) rejects admission without a
-    /// [`fault`](Self::fault) spec, because the degraded DB-DP engine is
-    /// the only substrate with churn events and administrative blocking.
-    #[must_use]
-    pub fn admission(mut self, spec: AdmissionSpec) -> Self {
-        self.admission = Some(spec);
-        self
-    }
-
-    /// Validates everything and builds the [`Network`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if the topology, probabilities, traffic,
-    /// requirements, or policy are missing or inconsistent,
-    /// [`ConfigError::InvalidParameter`] for a deadline shorter than one
-    /// backoff slot, or [`ConfigError::Overflow`] for a deadline or
-    /// payload too large for the simulated time arithmetic.
-    pub fn build(self) -> Result<Network, ConfigError> {
-        let success = self.success.unwrap_or_else(|| vec![1.0; self.n_links]);
-        let config = NetworkConfig::builder(self.n_links)
-            .deadline(self.deadline?)
-            .success_probabilities(success)
-            .build()?;
-
-        let traffic = self.traffic?;
-        if traffic.n_links() != config.n_links() {
+impl Network {
+    /// Checks `sc` and assembles the network it describes, with
+    /// `overrides` in place of the parts they replace.
+    pub(crate) fn from_scenario(sc: &Scenario, overrides: Overrides) -> Result<Self, ConfigError> {
+        let (config, mut timing) = sc.medium()?;
+        let n = config.n_links();
+        let traffic = match overrides.traffic {
+            Some(traffic) => traffic,
+            None => sc.traffic.instantiate(n)?,
+        };
+        if traffic.n_links() != n {
             return Err(ConfigError::LengthMismatch {
                 what: "arrival process links",
-                expected: config.n_links(),
+                expected: n,
                 actual: traffic.n_links(),
             });
         }
+        let lambda: Vec<f64> = (0..n).map(|l| traffic.mean(LinkId::new(l))).collect();
+        let requirements = Requirements::from_delivery_ratios(&lambda, &sc.ratio.expand(n))?;
 
-        let requirements = match (self.requirements, self.delivery_ratio) {
-            (Some(q), _) => q,
-            (None, Some(rho)) => {
-                let lambda: Vec<f64> = (0..config.n_links())
-                    .map(|l| traffic.mean(LinkId::new(l)))
-                    .collect();
-                Requirements::from_delivery_ratios(&lambda, &rho)?
-            }
-            (None, None) => {
-                return Err(ConfigError::InvalidParameter {
-                    name: "requirements (set delivery_ratio or requirements)",
-                    value: f64::NAN,
-                })
-            }
-        };
-        if requirements.len() != config.n_links() {
-            return Err(ConfigError::LengthMismatch {
-                what: "requirements",
-                expected: config.n_links(),
-                actual: requirements.len(),
-            });
-        }
-
-        let channel = match self.channel {
+        let channel = match overrides.channel {
             Some(c) => {
-                if c.n_links() != config.n_links() {
+                if c.n_links() != n {
                     return Err(ConfigError::LengthMismatch {
                         what: "channel links",
-                        expected: config.n_links(),
+                        expected: n,
                         actual: c.n_links(),
                     });
                 }
@@ -577,28 +338,20 @@ impl NetworkBuilder {
             None => Box::new(Bernoulli::new(config.success_probabilities().to_vec())?),
         };
 
-        let spec = self.policy.ok_or(ConfigError::InvalidParameter {
-            name: "policy (call .policy(PolicySpec::...))",
-            value: f64::NAN,
-        })?;
-        let mut timing =
-            MacTiming::try_new(self.phy.clone(), config.deadline(), self.payload_bytes)?;
-        if let Some(bad) = self
-            .link_payloads
-            .iter()
-            .flatten()
-            .find(|&&b| self.phy.checked_packet_exchange_airtime(b).is_none())
-        {
-            return Err(ConfigError::Overflow {
-                name: "payload_bytes (frame airtime)",
-                value: u64::from(*bad),
-            });
-        }
-        if let Some(payloads) = self.link_payloads {
-            if payloads.len() != config.n_links() {
+        if let Some(payloads) = overrides.link_payloads {
+            if let Some(&bad) = payloads
+                .iter()
+                .find(|&&b| timing.phy().checked_packet_exchange_airtime(b).is_none())
+            {
+                return Err(ConfigError::Overflow {
+                    name: "payload_bytes (frame airtime)",
+                    value: u64::from(bad),
+                });
+            }
+            if payloads.len() != n {
                 return Err(ConfigError::LengthMismatch {
                     what: "per-link payloads",
-                    expected: config.n_links(),
+                    expected: n,
                     actual: payloads.len(),
                 });
             }
@@ -609,8 +362,8 @@ impl NetworkBuilder {
         // `Some` exactly when a fault layer gives the gate its substrate.
         let mut initially_down: Option<Vec<bool>> = None;
         let budget = timing.max_transmissions();
-        let seeds = SeedStream::new(self.seed);
-        let mut policy: Box<dyn TransmissionPolicy> = match (spec, self.fault) {
+        let seeds = SeedStream::new(sc.seed);
+        let mut policy: Box<dyn TransmissionPolicy> = match (sc.policy, &sc.fault) {
             (
                 PolicySpec::DbDp {
                     influence,
@@ -797,22 +550,22 @@ impl NetworkBuilder {
                 spec.instantiate(config.n_links(), config.success_probabilities(), timing)
             }
         };
-        let tracked = match self.track {
+        let tracked = match sc.track {
             Some((link, band)) => {
-                if link.index() >= config.n_links() {
+                if link >= n {
                     return Err(ConfigError::InvalidParameter {
                         name: "tracked link",
-                        value: link.index() as f64,
+                        value: link as f64,
                     });
                 }
+                let link = LinkId::new(link);
                 Some(ConvergenceTracker::new(link, requirements.q(link), band))
             }
             None => None,
         };
 
-        let n = config.n_links();
         let debts = DebtLedger::new(requirements.clone());
-        let admission_state = match self.admission {
+        let admission_state = match sc.admission {
             None => None,
             Some(spec) => {
                 if !(spec.threshold.is_finite() && spec.threshold > 0.0) {
@@ -883,26 +636,29 @@ impl NetworkBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{self, AdmissionSpec, FaultSpec, Param};
+    use rtmac_phy::PhyProfile;
     use rtmac_traffic::BernoulliArrivals;
 
-    fn bernoulli(links: usize, lambda: f64) -> Box<dyn ArrivalProcess> {
-        Box::new(BernoulliArrivals::symmetric(links, lambda).unwrap())
+    /// Four Bernoulli(0.9) links at p = 0.8 with a 90% delivery ratio, a
+    /// 2 ms deadline and 100 B payloads, seed 1, DB-DP.
+    fn base() -> Scenario {
+        Scenario {
+            success: Param::Uniform(0.8),
+            ..scenario::control(4, 0.9, 0.9, 1)
+        }
     }
 
-    fn base_builder() -> NetworkBuilder {
-        Network::builder()
-            .links(4)
-            .deadline_ms(2)
-            .payload_bytes(100)
-            .uniform_success_probability(0.8)
-            .traffic(bernoulli(4, 0.9))
-            .delivery_ratio(0.9)
-            .seed(1)
+    fn with_payloads(sc: &Scenario, payloads: Vec<u32>) -> Result<Network, ConfigError> {
+        sc.network_with(Overrides {
+            link_payloads: Some(payloads),
+            ..Overrides::default()
+        })
     }
 
     #[test]
     fn builds_and_runs_db_dp() {
-        let mut net = base_builder().policy(PolicySpec::db_dp()).build().unwrap();
+        let mut net = base().network().unwrap();
         let report = net.run(200);
         assert_eq!(report.intervals, 200);
         assert_eq!(report.per_link_throughput.len(), 4);
@@ -913,7 +669,7 @@ mod tests {
     #[test]
     fn deterministic_under_equal_seeds() {
         let run = || {
-            let mut net = base_builder().policy(PolicySpec::db_dp()).build().unwrap();
+            let mut net = base().network().unwrap();
             net.run(100).per_link_throughput
         };
         assert_eq!(run(), run());
@@ -922,11 +678,7 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let run = |seed: u64| {
-            let mut net = base_builder()
-                .seed(seed)
-                .policy(PolicySpec::db_dp())
-                .build()
-                .unwrap();
+            let mut net = base().with_seed(seed).network().unwrap();
             net.run(100).deficiency.as_slice().to_vec()
         };
         assert_ne!(run(1), run(2));
@@ -934,40 +686,43 @@ mod tests {
 
     #[test]
     fn ldf_baseline_fulfills_feasible_requirement() {
-        let mut net = base_builder().policy(PolicySpec::Ldf).build().unwrap();
+        let mut net = base().with_policy(PolicySpec::Ldf).network().unwrap();
         let report = net.run(400);
         assert!(report.final_total_deficiency < 0.1);
     }
 
     #[test]
     fn missing_pieces_are_reported() {
-        assert!(Network::builder().links(2).build().is_err()); // no traffic
-        assert!(Network::builder()
-            .links(2)
-            .traffic(bernoulli(2, 0.5))
-            .build()
-            .is_err()); // no requirements
-        assert!(Network::builder()
-            .links(2)
-            .traffic(bernoulli(2, 0.5))
-            .delivery_ratio(0.9)
-            .build()
-            .is_err()); // no policy
-        assert!(Network::builder()
-            .links(0)
-            .traffic(bernoulli(1, 0.5))
-            .delivery_ratio(0.9)
-            .policy(PolicySpec::Ldf)
-            .build()
-            .is_err()); // no links
+        assert!(matches!(
+            base().with_links(0).network(),
+            Err(ConfigError::NoLinks)
+        ));
+        // Overrides sized for another network.
+        let traffic = Box::new(BernoulliArrivals::symmetric(2, 0.5).unwrap());
+        let channel = Box::new(Bernoulli::new(vec![0.8; 5]).unwrap());
+        for overrides in [
+            Overrides {
+                traffic: Some(traffic),
+                ..Overrides::default()
+            },
+            Overrides {
+                channel: Some(channel),
+                ..Overrides::default()
+            },
+        ] {
+            assert!(matches!(
+                base().network_with(overrides),
+                Err(ConfigError::LengthMismatch { .. })
+            ));
+        }
     }
 
     #[test]
     fn tracker_follows_link() {
-        let mut net = base_builder()
-            .track_link(LinkId::new(2), 0.05)
-            .policy(PolicySpec::Ldf)
-            .build()
+        let mut net = base()
+            .with_track(2, 0.05)
+            .with_policy(PolicySpec::Ldf)
+            .network()
             .unwrap();
         let report = net.run(300);
         let tracker = report.tracked.expect("tracker configured");
@@ -978,7 +733,7 @@ mod tests {
 
     #[test]
     fn step_exposes_interval_outcomes() {
-        let mut net = base_builder().policy(PolicySpec::Ldf).build().unwrap();
+        let mut net = base().with_policy(PolicySpec::Ldf).network().unwrap();
         let out = net.step();
         assert_eq!(out.deliveries.len(), 4);
         assert_eq!(net.intervals(), 1);
@@ -987,7 +742,7 @@ mod tests {
 
     #[test]
     fn report_before_any_interval_shows_full_requirement() {
-        let net = base_builder().policy(PolicySpec::Ldf).build().unwrap();
+        let net = base().with_policy(PolicySpec::Ldf).network().unwrap();
         let report = net.report();
         // q_n = 0.9 · 0.9 = 0.81 per link, 4 links.
         assert!((report.final_total_deficiency - 4.0 * 0.81).abs() < 1e-9);
@@ -995,27 +750,21 @@ mod tests {
 
     #[test]
     fn link_payloads_validated_and_applied() {
+        let sc = base().with_policy(PolicySpec::Ldf);
         // Wrong length rejected.
         assert!(matches!(
-            base_builder()
-                .link_payloads(vec![100, 1500])
-                .policy(PolicySpec::Ldf)
-                .build(),
+            with_payloads(&sc, vec![100, 1500]),
             Err(ConfigError::LengthMismatch { .. })
         ));
         // Correct length builds and runs.
-        let mut net = base_builder()
-            .link_payloads(vec![100, 1500, 100, 1500])
-            .policy(PolicySpec::Ldf)
-            .build()
-            .unwrap();
+        let mut net = with_payloads(&sc, vec![100, 1500, 100, 1500]).unwrap();
         let report = net.run(100);
         assert_eq!(report.per_link_throughput.len(), 4);
     }
 
     #[test]
     fn mean_latency_reported_within_deadline() {
-        let mut net = base_builder().policy(PolicySpec::Ldf).build().unwrap();
+        let mut net = base().with_policy(PolicySpec::Ldf).network().unwrap();
         let report = net.run(300);
         for latency in report.mean_latency.iter().flatten() {
             assert!(*latency <= Nanos::from_millis(2));
@@ -1025,10 +774,9 @@ mod tests {
 
     #[test]
     fn fault_injection_runs_and_reports() {
-        let mut net = base_builder()
-            .fault(FaultSpec::sensing(0.05).with_churn(1, 20, 10))
-            .policy(PolicySpec::db_dp())
-            .build()
+        let mut net = base()
+            .with_fault(FaultSpec::sensing(0.05).with_churn(1, 20, 10))
+            .network()
             .unwrap();
         let report = net.run(300);
         let stats = report.fault.expect("degraded DB-DP exposes fault stats");
@@ -1045,15 +793,10 @@ mod tests {
 
     #[test]
     fn zero_rate_fault_matches_pristine_numbers() {
-        let pristine = base_builder()
-            .policy(PolicySpec::db_dp())
-            .build()
-            .unwrap()
-            .run(150);
-        let faulty = base_builder()
-            .fault(FaultSpec::sensing(0.0))
-            .policy(PolicySpec::db_dp())
-            .build()
+        let pristine = base().network().unwrap().run(150);
+        let faulty = base()
+            .with_fault(FaultSpec::sensing(0.0))
+            .network()
             .unwrap()
             .run(150);
         // Same seeds, zero fault rates: the degraded engine replays the
@@ -1068,22 +811,17 @@ mod tests {
     #[test]
     fn fault_injection_requires_db_dp() {
         assert!(matches!(
-            base_builder()
-                .fault(FaultSpec::sensing(0.01))
-                .policy(PolicySpec::Ldf)
-                .build(),
+            base()
+                .with_fault(FaultSpec::sensing(0.01))
+                .with_policy(PolicySpec::Ldf)
+                .network(),
             Err(ConfigError::InvalidParameter { .. })
         ));
     }
 
     #[test]
     fn fault_parameters_validated() {
-        let fault_build = |spec: FaultSpec| {
-            base_builder()
-                .fault(spec)
-                .policy(PolicySpec::db_dp())
-                .build()
-        };
+        let fault_build = |spec: FaultSpec| base().with_fault(spec).network();
         assert!(fault_build(FaultSpec::sensing(1.0)).is_err());
         assert!(fault_build(FaultSpec::sensing(-0.1)).is_err());
         assert!(fault_build(FaultSpec::sensing(0.01).with_miss_limit(0)).is_err());
@@ -1094,14 +832,13 @@ mod tests {
 
     #[test]
     fn burst_sensing_and_adaptive_recovery_run() {
-        let mut net = base_builder()
-            .fault(
+        let mut net = base()
+            .with_fault(
                 FaultSpec::sensing(0.01)
                     .with_burst(1.0 / 16.0, 0.25, 0.3, 0.3)
                     .with_adaptive_recovery(2, 16),
             )
-            .policy(PolicySpec::db_dp())
-            .build()
+            .network()
             .unwrap();
         let report = net.run(400);
         let stats = report.fault.expect("degraded path reports stats");
@@ -1113,12 +850,7 @@ mod tests {
 
     #[test]
     fn extended_fault_parameters_validated() {
-        let fb = |spec: FaultSpec| {
-            base_builder()
-                .fault(spec)
-                .policy(PolicySpec::db_dp())
-                .build()
-        };
+        let fb = |spec: FaultSpec| base().with_fault(spec).network();
         // Gilbert–Elliott chain parameters.
         assert!(fb(FaultSpec::sensing(0.01).with_burst(1.5, 0.5, 0.2, 0.2)).is_err());
         assert!(fb(FaultSpec::sensing(0.01).with_burst(0.1, 0.0, 0.2, 0.2)).is_err());
@@ -1146,27 +878,22 @@ mod tests {
     #[test]
     fn admission_requires_fault_injection() {
         assert!(matches!(
-            base_builder()
-                .admission(AdmissionSpec::new(0.9))
-                .policy(PolicySpec::db_dp())
-                .build(),
+            base().with_admission(AdmissionSpec::new(0.9)).network(),
             Err(ConfigError::InvalidParameter { .. })
         ));
     }
 
     #[test]
     fn permissive_admission_leaves_the_run_untouched() {
-        let faulty = base_builder()
-            .fault(FaultSpec::sensing(0.0))
-            .policy(PolicySpec::db_dp())
-            .build()
+        let faulty = base()
+            .with_fault(FaultSpec::sensing(0.0))
+            .network()
             .unwrap()
             .run(150);
-        let gated = base_builder()
-            .fault(FaultSpec::sensing(0.0))
-            .admission(AdmissionSpec::new(100.0))
-            .policy(PolicySpec::db_dp())
-            .build()
+        let gated = base()
+            .with_fault(FaultSpec::sensing(0.0))
+            .with_admission(AdmissionSpec::new(100.0))
+            .network()
             .unwrap()
             .run(150);
         // A generous threshold with no churn makes no decisions, so the
@@ -1185,11 +912,10 @@ mod tests {
         // budget (~0.063 utilization); four links are ~0.25. A 0.15
         // threshold forces two zero-debt sheds at build time, ties broken
         // by lowest index.
-        let mut net = base_builder()
-            .fault(FaultSpec::sensing(0.0))
-            .admission(AdmissionSpec::new(0.15))
-            .policy(PolicySpec::db_dp())
-            .build()
+        let mut net = base()
+            .with_fault(FaultSpec::sensing(0.0))
+            .with_admission(AdmissionSpec::new(0.15))
+            .network()
             .unwrap();
         let report = net.run(50);
         let adm = report.admission.expect("gate configured");
@@ -1200,11 +926,10 @@ mod tests {
 
     #[test]
     fn admission_without_shedding_only_gates_arrivals() {
-        let mut net = base_builder()
-            .fault(FaultSpec::sensing(0.0))
-            .admission(AdmissionSpec::new(0.15).without_shedding())
-            .policy(PolicySpec::db_dp())
-            .build()
+        let mut net = base()
+            .with_fault(FaultSpec::sensing(0.0))
+            .with_admission(AdmissionSpec::new(0.15).without_shedding())
+            .network()
             .unwrap();
         let report = net.run(50);
         let adm = report.admission.expect("gate configured");
@@ -1253,75 +978,65 @@ mod tests {
     }
 
     /// Deadlines and payloads too large for the simulated time arithmetic
-    /// are a typed [`ConfigError::Overflow`] from `build`, never an
+    /// are a typed [`ConfigError::Overflow`] from the constructor, never an
     /// overflow panic (debug) or a silent wrap (release).
     #[test]
     fn overflowing_deadline_or_payload_is_a_config_error() {
-        let overflow = |b: NetworkBuilder| match b.policy(PolicySpec::db_dp()).build() {
+        let overflow = |built: Result<Network, ConfigError>| match built {
             Err(ConfigError::Overflow { name, .. }) => name,
             Err(e) => panic!("unexpected error {e}"),
             Ok(_) => panic!("built a network"),
         };
+        let deadline_us = |us: u64| Scenario {
+            deadline_us: us,
+            ..base()
+        };
+        let payload = |bytes: u32| Scenario {
+            payload_bytes: bytes,
+            ..base()
+        };
         assert_eq!(
-            overflow(base_builder().deadline_us(u64::MAX / 1_000 + 1)),
+            overflow(deadline_us(u64::MAX / 1_000 + 1).network()),
             "deadline_us"
         );
         assert_eq!(
-            overflow(base_builder().deadline_ms(u64::MAX / 1_000_000 + 1)),
-            "deadline_ms"
-        );
-        assert_eq!(
-            overflow(base_builder().payload_bytes(u32::MAX)),
+            overflow(payload(u32::MAX).network()),
             "payload_bytes (frame airtime)"
         );
         assert_eq!(
-            overflow(base_builder().link_payloads(vec![100, 100, u32::MAX, 100])),
+            overflow(with_payloads(&base(), vec![100, 100, u32::MAX, 100])),
             "payload_bytes (frame airtime)"
         );
-        // The last setter wins: a valid deadline clears an earlier overflow.
-        let net = base_builder()
-            .deadline_us(u64::MAX)
-            .deadline_ms(2)
-            .policy(PolicySpec::db_dp())
-            .build();
-        assert!(net.is_ok());
         // The largest representable values still build.
-        for b in [
-            base_builder().deadline_us(u64::MAX / 1_000),
-            base_builder().payload_bytes(u32::MAX - 28),
-        ] {
-            assert!(b.policy(PolicySpec::db_dp()).build().is_ok());
+        for sc in [deadline_us(u64::MAX / 1_000), payload(u32::MAX - 28)] {
+            assert!(sc.network().is_ok());
         }
     }
 
-    /// A deadline shorter than one backoff slot is a typed error from
-    /// `build`, not the timing constructor's assertion.
+    /// A deadline shorter than one backoff slot is a typed error from the
+    /// constructor, not the timing constructor's assertion.
     #[test]
     fn sub_slot_deadline_is_a_config_error() {
+        let deadline_us = |us: u64| Scenario {
+            deadline_us: us,
+            ..base()
+        };
         for us in [1, 8] {
-            match base_builder()
-                .deadline_us(us)
-                .policy(PolicySpec::db_dp())
-                .build()
-            {
+            match deadline_us(us).network() {
                 Err(ConfigError::InvalidParameter { value, .. }) => assert_eq!(value, us as f64),
                 Err(e) => panic!("unexpected error {e}"),
                 Ok(_) => panic!("built a network with a {us} us deadline"),
             }
         }
         let slot = PhyProfile::ieee80211a().slot().as_micros();
-        assert!(base_builder()
-            .deadline_us(slot)
-            .policy(PolicySpec::db_dp())
-            .build()
-            .is_ok());
+        assert!(deadline_us(slot).network().is_ok());
     }
 
     #[test]
     fn sigma_accessor_for_dp_policies() {
-        let net = base_builder().policy(PolicySpec::db_dp()).build().unwrap();
+        let net = base().network().unwrap();
         assert!(net.sigma().is_some());
-        let net = base_builder().policy(PolicySpec::Ldf).build().unwrap();
+        let net = base().with_policy(PolicySpec::Ldf).network().unwrap();
         assert!(net.sigma().is_none());
     }
 }

@@ -38,15 +38,15 @@ pub struct RunReport {
     /// Total medium-busy time.
     pub busy_time: Nanos,
     /// Convergence tracker for the watched link, when one was configured
-    /// via [`crate::NetworkBuilder::track_link`].
+    /// via [`Scenario::track`](crate::Scenario::track).
     pub tracked: Option<ConvergenceTracker>,
     /// Fault-injection counters (divergences, recovery fallbacks,
     /// reconvergence times) when the run used the degraded DB-DP path via
-    /// [`crate::NetworkBuilder::fault`]; `None` for pristine runs.
+    /// [`Scenario::fault`](crate::Scenario::fault); `None` for pristine runs.
     pub fault: Option<FaultStats>,
     /// Admission-control outcome (final admitted set, accept/reject/shed
     /// counters, peak utilization) when the run used the gate via
-    /// [`crate::NetworkBuilder::admission`]; `None` otherwise.
+    /// [`Scenario::admission`](crate::Scenario::admission); `None` otherwise.
     pub admission: Option<AdmissionReport>,
 }
 

@@ -47,11 +47,13 @@ use rtmac_mac::{
     FrameCsmaEngine, MacTiming,
 };
 use rtmac_model::influence::{DebtInfluence, Linear, Log1p, PaperLog, Power};
-use rtmac_model::{ConfigError, LinkId};
+use rtmac_model::{ConfigError, NetworkConfig};
+use rtmac_phy::PhyProfile;
+use rtmac_sim::Nanos;
 use rtmac_traffic::{ArrivalProcess, BernoulliArrivals, BurstUniform, ConstantArrivals};
 
 use crate::{
-    DbDp, DcfPolicy, Eldf, FcsmaPolicy, FixedPriority, FrameCsmaPolicy, Network, NetworkBuilder,
+    DbDp, DcfPolicy, Eldf, FcsmaPolicy, FixedPriority, FrameCsmaPolicy, Network, Overrides,
     RunReport, TransmissionPolicy,
 };
 
@@ -433,7 +435,7 @@ impl PolicySpec {
 
     /// Instantiates the policy for a network of `n_links` links with the
     /// given success probabilities and timing. Called exactly once per run,
-    /// from [`NetworkBuilder::build`].
+    /// from [`Scenario::network`].
     ///
     /// # Panics
     ///
@@ -593,7 +595,7 @@ pub struct AdaptiveRecoverySpec {
 /// burst process), asymmetric hidden-terminal pairs, link churn (one
 /// scripted event, a flash-crowd ramp, and/or a Poisson crash/revive
 /// process), and the recovery rule's miss-limit policy. Only meaningful
-/// for [`PolicySpec::DbDp`]; [`NetworkBuilder::build`] rejects other
+/// for [`PolicySpec::DbDp`]; [`Scenario::network`] rejects other
 /// policies.
 ///
 /// With zero error rates, no burst process, no hidden pairs, and no churn
@@ -779,8 +781,9 @@ pub struct Scenario {
     pub intervals: usize,
     /// RNG seed; every random stream of the run derives from it.
     pub seed: u64,
-    /// Track one link's running throughput: `(link index, band)` as in
-    /// [`NetworkBuilder::track_link`] (the Fig. 5 instrumentation).
+    /// Track one link's running throughput and its convergence into a
+    /// `1 − band` neighborhood of its requirement: `(link index, band)`
+    /// (the Fig. 5 instrumentation).
     pub track: Option<(usize, f64)>,
     /// Fault injection (sensing errors + churn) for the degraded-mode DP
     /// experiments; `None` runs every policy on its fault-free path.
@@ -856,31 +859,26 @@ impl Scenario {
         self
     }
 
-    /// A preconfigured [`NetworkBuilder`] — the escape hatch for consumers
-    /// that need knobs the declarative form does not carry (custom loss
-    /// models, per-link payloads); chain the extra builder calls before
-    /// `build()`. Validation happens in [`NetworkBuilder::build`].
-    #[must_use]
-    pub fn to_builder(&self) -> NetworkBuilder {
-        let mut b = Network::builder()
-            .links(self.links)
-            .deadline_us(self.deadline_us)
-            .payload_bytes(self.payload_bytes)
-            .success_probabilities(self.success.expand(self.links))
-            .delivery_ratios(self.ratio.expand(self.links))
-            .traffic_spec(&self.traffic)
-            .policy(self.policy)
-            .seed(self.seed);
-        if let Some((link, band)) = self.track {
-            b = b.track_link(LinkId::new(link), band);
-        }
-        if let Some(fault) = &self.fault {
-            b = b.fault(fault.clone());
-        }
-        if let Some(admission) = self.admission {
-            b = b.admission(admission);
-        }
-        b
+    /// The medium this scenario describes: the validated `(N, T, p)`
+    /// description and the 802.11a timing of its payload.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::Overflow`] for a deadline or payload too
+    /// large for the simulated time arithmetic, [`NetworkConfig::new`]'s
+    /// errors (no links, a zero deadline, success probabilities that do not
+    /// cover every link or lie outside `(0, 1]`), and
+    /// [`ConfigError::InvalidParameter`] for a deadline shorter than one
+    /// backoff slot.
+    pub fn medium(&self) -> Result<(NetworkConfig, MacTiming), ConfigError> {
+        let deadline =
+            Nanos::checked_from_micros(self.deadline_us).ok_or(ConfigError::Overflow {
+                name: "deadline_us",
+                value: self.deadline_us,
+            })?;
+        let config = NetworkConfig::new(self.links, deadline, self.success.expand(self.links))?;
+        let timing = MacTiming::try_new(PhyProfile::ieee80211a(), deadline, self.payload_bytes)?;
+        Ok((config, timing))
     }
 
     /// Builds the network.
@@ -889,7 +887,19 @@ impl Scenario {
     ///
     /// Returns a [`ConfigError`] for inconsistent parameters.
     pub fn network(&self) -> Result<Network, ConfigError> {
-        self.to_builder().build()
+        self.network_with(Overrides::default())
+    }
+
+    /// Builds the network with `overrides` in place of the parts of it they
+    /// replace: the way to a custom arrival process, loss model or per-link
+    /// payloads, which the plain-data fields cannot describe.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] for inconsistent parameters, including an
+    /// override that does not cover every link.
+    pub fn network_with(&self, overrides: Overrides) -> Result<Network, ConfigError> {
+        Network::from_scenario(self, overrides)
     }
 
     /// Builds the network and runs the scenario's horizon.
@@ -1437,28 +1447,6 @@ mod tests {
     }
 
     #[test]
-    fn scenario_matches_direct_builder() {
-        // The scenario layer must reproduce a hand-built network bit for
-        // bit: same config, same seed, same trajectory.
-        let sc = video(4, 0.5, 0.9, 7).with_intervals(50);
-        let a = sc.run().unwrap();
-        let traffic = BurstUniform::symmetric(4, 0.5, 6).unwrap();
-        let mut net = Network::builder()
-            .links(4)
-            .deadline_ms(20)
-            .payload_bytes(1500)
-            .uniform_success_probability(0.7)
-            .traffic(Box::new(traffic))
-            .delivery_ratio(0.9)
-            .policy(PolicySpec::db_dp())
-            .seed(7)
-            .build()
-            .unwrap();
-        let b = net.run(50);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn sweep_at_replaces_only_the_axis() {
         let sweep = fig3(100, 1);
         let sc = sweep.at(0.40);
@@ -1543,7 +1531,7 @@ mod tests {
     }
 
     /// An invalid traffic parameter is reported as the arrival process's
-    /// own error by both ways of building a scenario's network.
+    /// own error.
     #[test]
     fn invalid_traffic_reports_the_arrival_process_error() {
         for (traffic, expected) in [
@@ -1565,12 +1553,7 @@ mod tests {
                 traffic: TrafficSpec::parse(traffic).unwrap(),
                 ..tiny(0)
             };
-            for err in [
-                sc.network().unwrap_err(),
-                sc.to_builder().build().unwrap_err(),
-            ] {
-                assert_eq!(err.to_string(), expected, "{traffic}");
-            }
+            assert_eq!(sc.network().unwrap_err().to_string(), expected, "{traffic}");
         }
     }
 
@@ -1636,14 +1619,15 @@ mod tests {
     }
 
     #[test]
-    fn to_builder_is_customizable() {
-        // The escape hatch: start from a named workload, override a knob
-        // the declarative form does not carry.
+    fn overrides_customize_a_named_workload() {
+        // Start from a named workload and override a knob the declarative
+        // form does not carry.
         let net = by_name("tiny")
             .unwrap()
-            .to_builder()
-            .payload_bytes(300)
-            .build()
+            .network_with(Overrides {
+                link_payloads: Some(vec![300, 100, 1500]),
+                ..Overrides::default()
+            })
             .unwrap();
         assert_eq!(net.config().n_links(), 3);
     }

@@ -16,8 +16,6 @@ use crate::{ConfigError, LinkId};
 /// * `p_n` — probability that an uncollided transmission on link `n`
 ///   succeeds.
 ///
-/// Use [`NetworkConfig::builder`] for fluent construction.
-///
 /// # Example
 ///
 /// ```
@@ -25,10 +23,7 @@ use crate::{ConfigError, LinkId};
 /// use rtmac_sim::Nanos;
 ///
 /// // The symmetric video network of Fig. 3: 20 links, p = 0.7, T = 20 ms.
-/// let net = NetworkConfig::builder(20)
-///     .deadline(Nanos::from_millis(20))
-///     .uniform_success_probability(0.7)
-///     .build()?;
+/// let net = NetworkConfig::new(20, Nanos::from_millis(20), vec![0.7; 20])?;
 /// assert_eq!(net.n_links(), 20);
 /// assert_eq!(net.success_probability(7.into()), 0.7);
 /// # Ok::<(), rtmac_model::ConfigError>(())
@@ -41,14 +36,41 @@ pub struct NetworkConfig {
 }
 
 impl NetworkConfig {
-    /// Starts building a network of `n_links` links.
-    #[must_use]
-    pub fn builder(n_links: usize) -> NetworkConfigBuilder {
-        NetworkConfigBuilder {
-            n_links,
-            deadline: Nanos::from_millis(20),
-            success: vec![1.0; n_links],
+    /// Validates and builds the description of `n_links` links with
+    /// deadline `deadline` and per-link success probabilities `success`.
+    ///
+    /// # Errors
+    ///
+    /// * [`ConfigError::NoLinks`] if `n_links == 0`.
+    /// * [`ConfigError::ZeroDeadline`] if `T == 0`.
+    /// * [`ConfigError::LengthMismatch`] if the probability vector length
+    ///   differs from `n_links`.
+    /// * [`ConfigError::InvalidSuccessProbability`] if some `p_n ∉ (0, 1]`
+    ///   (the paper requires `p_n > 0`).
+    pub fn new(n_links: usize, deadline: Nanos, success: Vec<f64>) -> Result<Self, ConfigError> {
+        if n_links == 0 {
+            return Err(ConfigError::NoLinks);
         }
+        if deadline.is_zero() {
+            return Err(ConfigError::ZeroDeadline);
+        }
+        if success.len() != n_links {
+            return Err(ConfigError::LengthMismatch {
+                what: "success probabilities",
+                expected: n_links,
+                actual: success.len(),
+            });
+        }
+        for (link, &p) in success.iter().enumerate() {
+            if !p.is_finite() || p <= 0.0 || p > 1.0 {
+                return Err(ConfigError::InvalidSuccessProbability { link, value: p });
+            }
+        }
+        Ok(NetworkConfig {
+            n_links,
+            deadline,
+            success,
+        })
     }
 
     /// Number of links `N`.
@@ -85,104 +107,24 @@ impl NetworkConfig {
     }
 }
 
-/// Builder for [`NetworkConfig`].
-#[derive(Debug, Clone)]
-pub struct NetworkConfigBuilder {
-    n_links: usize,
-    deadline: Nanos,
-    success: Vec<f64>,
-}
-
-impl NetworkConfigBuilder {
-    /// Sets the per-packet deadline `T` (default 20 ms).
-    #[must_use]
-    pub fn deadline(mut self, t: Nanos) -> Self {
-        self.deadline = t;
-        self
-    }
-
-    /// Gives every link the same success probability.
-    #[must_use]
-    pub fn uniform_success_probability(mut self, p: f64) -> Self {
-        self.success = vec![p; self.n_links];
-        self
-    }
-
-    /// Sets per-link success probabilities (must have one entry per link).
-    #[must_use]
-    pub fn success_probabilities(mut self, p: Vec<f64>) -> Self {
-        self.success = p;
-        self
-    }
-
-    /// Sets the success probability of a single link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is out of range.
-    #[must_use]
-    pub fn link_success_probability(mut self, link: LinkId, p: f64) -> Self {
-        self.success[link.index()] = p;
-        self
-    }
-
-    /// Validates and builds the configuration.
-    ///
-    /// # Errors
-    ///
-    /// * [`ConfigError::NoLinks`] if `n_links == 0`.
-    /// * [`ConfigError::ZeroDeadline`] if `T == 0`.
-    /// * [`ConfigError::LengthMismatch`] if the probability vector length
-    ///   differs from `n_links`.
-    /// * [`ConfigError::InvalidSuccessProbability`] if some `p_n ∉ (0, 1]`
-    ///   (the paper requires `p_n > 0`).
-    pub fn build(self) -> Result<NetworkConfig, ConfigError> {
-        if self.n_links == 0 {
-            return Err(ConfigError::NoLinks);
-        }
-        if self.deadline.is_zero() {
-            return Err(ConfigError::ZeroDeadline);
-        }
-        if self.success.len() != self.n_links {
-            return Err(ConfigError::LengthMismatch {
-                what: "success probabilities",
-                expected: self.n_links,
-                actual: self.success.len(),
-            });
-        }
-        for (link, &p) in self.success.iter().enumerate() {
-            if !p.is_finite() || p <= 0.0 || p > 1.0 {
-                return Err(ConfigError::InvalidSuccessProbability { link, value: p });
-            }
-        }
-        Ok(NetworkConfig {
-            n_links: self.n_links,
-            deadline: self.deadline,
-            success: self.success,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const T: Nanos = Nanos::from_millis(20);
+
     #[test]
-    fn builder_defaults_are_sane() {
-        let net = NetworkConfig::builder(3).build().unwrap();
+    fn accessors_return_the_description() {
+        let net = NetworkConfig::new(3, T, vec![1.0; 3]).unwrap();
         assert_eq!(net.n_links(), 3);
-        assert_eq!(net.deadline(), Nanos::from_millis(20));
+        assert_eq!(net.deadline(), T);
         assert_eq!(net.success_probabilities(), [1.0, 1.0, 1.0]);
         assert_eq!(net.links().count(), 3);
     }
 
     #[test]
     fn per_link_probability_override() {
-        let net = NetworkConfig::builder(3)
-            .uniform_success_probability(0.8)
-            .link_success_probability(LinkId::new(1), 0.5)
-            .build()
-            .unwrap();
+        let net = NetworkConfig::new(3, T, vec![0.8, 0.5, 0.8]).unwrap();
         assert_eq!(net.success_probability(0.into()), 0.8);
         assert_eq!(net.success_probability(1.into()), 0.5);
     }
@@ -190,10 +132,7 @@ mod tests {
     #[test]
     fn rejects_bad_probabilities() {
         for bad in [0.0, -0.5, 1.5, f64::NAN] {
-            let err = NetworkConfig::builder(2)
-                .uniform_success_probability(bad)
-                .build()
-                .unwrap_err();
+            let err = NetworkConfig::new(2, T, vec![bad; 2]).unwrap_err();
             assert!(matches!(
                 err,
                 ConfigError::InvalidSuccessProbability { link: 0, .. }
@@ -203,15 +142,13 @@ mod tests {
 
     #[test]
     fn rejects_structural_errors() {
-        assert_eq!(NetworkConfig::builder(0).build(), Err(ConfigError::NoLinks));
+        assert_eq!(NetworkConfig::new(0, T, vec![]), Err(ConfigError::NoLinks));
         assert_eq!(
-            NetworkConfig::builder(1).deadline(Nanos::ZERO).build(),
+            NetworkConfig::new(1, Nanos::ZERO, vec![1.0]),
             Err(ConfigError::ZeroDeadline)
         );
         assert!(matches!(
-            NetworkConfig::builder(2)
-                .success_probabilities(vec![0.5])
-                .build(),
+            NetworkConfig::new(2, T, vec![0.5]),
             Err(ConfigError::LengthMismatch { .. })
         ));
     }

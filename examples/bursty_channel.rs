@@ -11,7 +11,7 @@
 
 use rtmac::phy::channel::{GilbertElliott, GilbertElliottParams};
 use rtmac::scenario;
-use rtmac::PolicySpec;
+use rtmac::{Overrides, PolicySpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let intervals = 8000;
@@ -33,12 +33,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     assert!((ge.mean_success() - 0.7).abs() < 1e-12);
     // The declarative layer only describes i.i.d. channels, so the bursty
-    // model attaches through the builder escape hatch.
+    // model is passed alongside the scenario as an override.
     let mut bursty_net = scenario::control(10, 0.7, rho, 21)
         .with_policy(PolicySpec::db_dp())
-        .to_builder()
-        .channel(Box::new(GilbertElliott::new(vec![ge; 10])?))
-        .build()?;
+        .network_with(Overrides {
+            channel: Some(Box::new(GilbertElliott::new(vec![ge; 10])?)),
+            ..Overrides::default()
+        })?;
     let bursty_report = bursty_net.run(intervals);
 
     println!("DB-DP over i.i.d. vs bursty losses (same mean p = 0.7):\n");

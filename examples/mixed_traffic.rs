@@ -12,7 +12,7 @@
 //! ```
 
 use rtmac::scenario::{EngineSpec, Param, TrafficSpec};
-use rtmac::{PolicySpec, Scenario};
+use rtmac::{Overrides, PolicySpec, Scenario};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n_video = 8;
@@ -45,10 +45,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // Per-link payload sizes are the one knob the declarative scenario
-    // does not carry; attach them through the builder escape hatch.
+    // does not carry; they are passed alongside it as an override.
     let mut payloads = vec![1500u32; n_video];
     payloads.extend(vec![100u32; n_control]);
-    let mut network = scenario.to_builder().link_payloads(payloads).build()?;
+    let mut network = scenario.network_with(Overrides {
+        link_payloads: Some(payloads),
+        ..Overrides::default()
+    })?;
 
     let report = network.run(scenario.intervals);
     println!("mixed workload: {n_video} video links (1500 B) + {n_control} control links (100 B)");

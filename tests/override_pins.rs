@@ -7,11 +7,10 @@
 //! examples make; a change to how a network is assembled from its
 //! description that alters any of them fails here.
 
-use rtmac::model::Requirements;
 use rtmac::phy::channel::{GilbertElliott, GilbertElliottParams, Scripted};
 use rtmac::scenario::{self, EngineSpec, Param, TrafficSpec};
-use rtmac::{PolicySpec, RunReport, Scenario};
-use rtmac_traffic::{ConstantArrivals, MarkovModulated};
+use rtmac::{Overrides, PolicySpec, RunReport, Scenario};
+use rtmac_traffic::MarkovModulated;
 
 fn fnv(report: &RunReport) -> u64 {
     format!("{report:?}")
@@ -39,17 +38,19 @@ const GE: GilbertElliottParams = GilbertElliottParams {
 fn gilbert_elliott_channel() {
     let report = scenario::control(8, 0.6, 0.9, 31)
         .with_policy(PolicySpec::db_dp())
-        .to_builder()
-        .channel(Box::new(GilbertElliott::new(vec![GE; 8]).unwrap()))
-        .build()
+        .network_with(Overrides {
+            channel: Some(Box::new(GilbertElliott::new(vec![GE; 8]).unwrap())),
+            ..Overrides::default()
+        })
         .unwrap()
         .run(6000);
     assert_pinned("robustness", &report, 0xA76D_5C0A_9546_E062);
     let report = scenario::control(10, 0.7, 0.9, 21)
         .with_policy(PolicySpec::db_dp())
-        .to_builder()
-        .channel(Box::new(GilbertElliott::new(vec![GE; 10]).unwrap()))
-        .build()
+        .network_with(Overrides {
+            channel: Some(Box::new(GilbertElliott::new(vec![GE; 10]).unwrap())),
+            ..Overrides::default()
+        })
         .unwrap()
         .run(8000);
     assert_pinned("bursty_channel example", &report, 0x4588_0EFF_ECB3_253F);
@@ -62,9 +63,10 @@ fn scripted_channel() {
     scripts[0].extend(vec![true; 4000]);
     let report = scenario::control(4, 0.9, 0.9, 23)
         .with_policy(PolicySpec::db_dp())
-        .to_builder()
-        .channel(Box::new(Scripted::new(scripts).unwrap()))
-        .build()
+        .network_with(Overrides {
+            channel: Some(Box::new(Scripted::new(scripts).unwrap())),
+            ..Overrides::default()
+        })
         .unwrap()
         .run(4000);
     assert_pinned("blackout", &report, 0xC879_AAC5_7106_20F8);
@@ -79,9 +81,10 @@ fn markov_modulated_traffic() {
         let traffic = MarkovModulated::new(12, 0.2, 0.8, 0.05, 0.15, 6).unwrap();
         let report = scenario::video(12, 0.5, 0.9, 17)
             .with_policy(policy)
-            .to_builder()
-            .traffic(Box::new(traffic))
-            .build()
+            .network_with(Overrides {
+                traffic: Some(Box::new(traffic)),
+                ..Overrides::default()
+            })
             .unwrap()
             .run(5000);
         assert_pinned(&policy.label(), &report, want);
@@ -114,9 +117,10 @@ fn per_link_payloads() {
     let mut payloads = vec![1500u32; 8];
     payloads.extend(vec![100u32; 8]);
     let report = sc
-        .to_builder()
-        .link_payloads(payloads)
-        .build()
+        .network_with(Overrides {
+            link_payloads: Some(payloads),
+            ..Overrides::default()
+        })
         .unwrap()
         .run(sc.intervals);
     assert_pinned("mixed_traffic example", &report, 0x0000_BA4D_55EE_E350);
@@ -133,14 +137,12 @@ fn explicit_requirements() {
         (q_boundary * 0.96, 0x554F_838F_DDC3_CC51),
         ((q_boundary * 1.05).min(1.0), 0xE19D_2587_FFBC_E822),
     ] {
-        let report = scenario::control(n, 1.0, 0.9, 12)
-            .with_policy(PolicySpec::Ldf)
-            .to_builder()
-            .traffic(Box::new(ConstantArrivals::one_each(n).unwrap()))
-            .requirements(Requirements::uniform(n, q).unwrap())
-            .build()
-            .unwrap()
-            .run(6000);
+        let sc = Scenario {
+            traffic: TrafficSpec::Constant,
+            ratio: Param::Uniform(q),
+            ..scenario::control(n, 1.0, 0.9, 12)
+        };
+        let report = sc.with_policy(PolicySpec::Ldf).network().unwrap().run(6000);
         assert_pinned(&format!("q = {q}"), &report, want);
     }
 }

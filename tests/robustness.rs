@@ -1,12 +1,12 @@
 //! Robustness beyond the paper's model assumptions: bursty channels,
 //! bursty traffic, extreme parameters, and failure injection. Networks
 //! start from [`Scenario`]s; the non-i.i.d. channels and traffic models
-//! that the declarative layer cannot express are attached through the
-//! [`Scenario::to_builder`] escape hatch.
+//! that a scenario's plain data cannot express are passed to
+//! [`Scenario::network_with`] as [`Overrides`].
 
 use rtmac::phy::channel::{GilbertElliott, GilbertElliottParams, Scripted};
 use rtmac::scenario::{self, EngineSpec, Param, TrafficSpec};
-use rtmac::{PolicySpec, Scenario};
+use rtmac::{Overrides, PolicySpec, Scenario};
 use rtmac_traffic::MarkovModulated;
 
 /// DB-DP keeps fulfilling a feasible requirement when losses are bursty
@@ -22,9 +22,10 @@ fn db_dp_survives_bursty_losses() {
     };
     let mut net = scenario::control(8, 0.6, 0.9, 31)
         .with_policy(PolicySpec::db_dp())
-        .to_builder()
-        .channel(Box::new(GilbertElliott::new(vec![ge; 8]).unwrap()))
-        .build()
+        .network_with(Overrides {
+            channel: Some(Box::new(GilbertElliott::new(vec![ge; 8]).unwrap())),
+            ..Overrides::default()
+        })
         .unwrap();
     let report = net.run(6000);
     assert_eq!(report.collisions, 0);
@@ -49,9 +50,10 @@ fn db_dp_handles_markov_modulated_traffic() {
         assert!(mean * 12.0 / 0.7 < 45.0);
         let mut net = scenario::video(12, 0.5, 0.9, 17)
             .with_policy(policy)
-            .to_builder()
-            .traffic(Box::new(traffic))
-            .build()
+            .network_with(Overrides {
+                traffic: Some(Box::new(traffic)),
+                ..Overrides::default()
+            })
             .unwrap();
         let report = net.run(5000);
         assert!(
@@ -78,9 +80,10 @@ fn blackout_recovery() {
     };
     let mut net = scenario::control(4, 0.9, 0.9, 23)
         .with_policy(PolicySpec::db_dp())
-        .to_builder()
-        .channel(Box::new(Scripted::new(scripts).unwrap()))
-        .build()
+        .network_with(Overrides {
+            channel: Some(Box::new(Scripted::new(scripts).unwrap())),
+            ..Overrides::default()
+        })
         .unwrap();
     let report = net.run(4000);
     // Healthy links unaffected.

@@ -85,7 +85,7 @@ fn ldf_feasibility_boundary_matches_the_paper() {
 /// requirement just inside the region is fulfilled, one outside is not.
 #[test]
 fn exact_region_agrees_with_ldf_simulation() {
-    use rtmac::model::Requirements;
+    use rtmac::scenario::{Param, Scenario, TrafficSpec};
     use rtmac_analysis::feasibility::{exact_single_arrival_feasibility, expected_busy_slots};
 
     // 10 links, one packet per interval each, p = 0.7, 16-slot budget (the
@@ -98,16 +98,15 @@ fn exact_region_agrees_with_ldf_simulation() {
     let avail = expected_busy_slots(&p, budget).unwrap();
     let q_boundary = (avail * 0.7 / n as f64).min(1.0);
 
+    // One arrival per interval, so the delivery ratio is the requirement:
+    // q_n = q · 1.0.
     let run = |q: f64| {
-        let mut net = scenario::control(n, 1.0, 0.9, 12)
-            .with_policy(PolicySpec::Ldf)
-            .to_builder()
-            .traffic(Box::new(
-                rtmac_traffic::ConstantArrivals::one_each(n).unwrap(),
-            ))
-            .requirements(Requirements::uniform(n, q).unwrap())
-            .build()
-            .unwrap();
+        let sc = Scenario {
+            traffic: TrafficSpec::Constant,
+            ratio: Param::Uniform(q),
+            ..scenario::control(n, 1.0, 0.9, 12)
+        };
+        let mut net = sc.with_policy(PolicySpec::Ldf).network().unwrap();
         net.run(6000).final_total_deficiency
     };
 

@@ -5,9 +5,8 @@
 //! [`crate::tokenize::lex`], so occurrences inside comments, strings, and
 //! char literals never fire. The lexical rules look at one line at a
 //! time; the syntactic rules ([`RuleKind::FieldArith`],
-//! [`RuleKind::NanosArith`], [`RuleKind::FloatAccum`],
-//! [`RuleKind::PathCall`]) additionally use the
-//! brace-matched token stream of [`crate::syntax`] to walk operand paths
+//! [`RuleKind::NanosArith`], [`RuleKind::FloatAccum`]) additionally use
+//! the brace-matched token stream of [`crate::syntax`] to walk operand paths
 //! and method chains across line breaks. Detection is deliberately
 //! conservative and token-based — the point is a fast, dependency-free
 //! gate with an audited waiver escape hatch, not a type checker.
@@ -39,9 +38,6 @@ pub enum RuleKind {
     /// Syntactic: float accumulation (`.sum::<f64>()` and friends) over a
     /// method chain rooted at a hash-ordered collection.
     FloatAccum,
-    /// Syntactic: `Type::method(` path calls (API-boundary enforcement),
-    /// matched across line breaks.
-    PathCall,
     /// Syntactic: `seg::seg::…` module-path mentions (e.g. `std::sync`),
     /// matched across line breaks.
     SyncPath,
@@ -296,27 +292,6 @@ pub const RULES: &[Rule] = &[
                   root and fires when the chain contains an unordered iteration \
                   method and the root is a hash-ordered collection. Sort first or \
                   use a BTree collection.",
-    },
-    Rule {
-        id: "scenario-boundary",
-        kind: RuleKind::PathCall,
-        default_severity: Severity::Deny,
-        exempt_tests: false,
-        default_tokens: &[
-            "Network::builder",
-            "NetworkBuilder::new",
-            "NetworkBuilder::default",
-        ],
-        summary: "networks are constructed through rtmac::scenario only",
-        explain: "PR 1 made `rtmac::scenario` the single entry point for network \
-                  construction: a Scenario names a workload, channel, policy, and \
-                  seed declaratively, which is what makes batch runs replicable and \
-                  the figure pipeline auditable. Calling `Network::builder()` (or \
-                  `NetworkBuilder::new`/`default`) anywhere else bypasses that layer \
-                  and silently forks the configuration surface. Build a Scenario and \
-                  use `to_builder()` when you genuinely need the escape hatch; only \
-                  crates/core/src (the layer's own implementation and tests) may \
-                  name the builder directly.",
     },
     Rule {
         id: "raw-sync-primitive",
@@ -808,37 +783,6 @@ pub fn scan(rule: &Rule, file: &SourceFile, syntax: &Syntax, tokens: &[String]) 
                 }
             }
         }
-        RuleKind::PathCall => {
-            for pat in tokens {
-                let Some((ty, method)) = pat.split_once("::") else {
-                    continue;
-                };
-                for (i, t) in syntax.tokens.iter().enumerate() {
-                    if t.kind != TokKind::Ident || t.text != ty {
-                        continue;
-                    }
-                    if rule.exempt_tests && t.in_test {
-                        continue;
-                    }
-                    let text_at = |k: usize| syntax.tokens.get(k).map(|t| t.text.as_str());
-                    if text_at(i + 1) == Some("::")
-                        && text_at(i + 2) == Some(method)
-                        && text_at(i + 3) == Some("(")
-                    {
-                        findings.push(RawFinding {
-                            line: t.line,
-                            col: t.col,
-                            rule: rule.id,
-                            message: format!(
-                                "`{pat}()` bypasses the scenario layer; build \
-                                 networks through rtmac::scenario (or its \
-                                 to_builder() escape hatch)"
-                            ),
-                        });
-                    }
-                }
-            }
-        }
         RuleKind::SyncPath => {
             for pat in tokens {
                 let segs: Vec<&str> = pat.split("::").collect();
@@ -1313,24 +1257,6 @@ mod tests {
         let hits = run("float-accum-unordered", bad);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].line, 5);
-    }
-
-    #[test]
-    fn path_call_matches_across_whitespace_and_skips_docs() {
-        assert_eq!(
-            run("scenario-boundary", "let b = Network::builder();\n").len(),
-            1
-        );
-        assert_eq!(
-            run("scenario-boundary", "let b = Network ::\n    builder ();\n").len(),
-            1
-        );
-        assert!(run(
-            "scenario-boundary",
-            "/// Use [`Network::builder`].\nfn f() {}\n"
-        )
-        .is_empty());
-        assert!(run("scenario-boundary", "let b = scenario.to_builder();\n").is_empty());
     }
 
     #[test]

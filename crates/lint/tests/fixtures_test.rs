@@ -65,9 +65,6 @@ fn fixture_violations_are_found_exactly() {
         ("src/raw_sync.rs", 7, "raw-sync-primitive"),
         ("src/raw_sync.rs", 8, "raw-sync-primitive"),
         ("src/relaxed_ordering.rs", 7, "relaxed-ordering-audit"),
-        ("src/scenario_boundary.rs", 16, "scenario-boundary"),
-        ("src/scenario_boundary.rs", 20, "scenario-boundary"),
-        ("src/scenario_boundary.rs", 25, "scenario-boundary"),
         ("src/unchecked_arith.rs", 10, "unchecked-arith"),
         ("src/unchecked_arith.rs", 11, "unchecked-arith"),
         ("src/unchecked_arith.rs", 12, "unchecked-arith"),
@@ -153,11 +150,6 @@ fn syntactic_rule_columns_point_at_tokens() {
         at("src/float_accum.rs", "float-accum-unordered"),
         [(8, 16), (14, 10)]
     );
-    // All three calls start at col 5, including the line-split one.
-    assert_eq!(
-        at("src/scenario_boundary.rs", "scenario-boundary"),
-        [(16, 5), (20, 5), (25, 5)]
-    );
     // `.as_nanos() - ` — `-` at col 38; `*` at 22; `+=` at 12 (the deref
     // `*` on line 15 is not a binary operator and must not anchor).
     assert_eq!(
@@ -205,7 +197,6 @@ fn binary_reports_fixture_violations_with_exit_one() {
         "src/unchecked_arith.rs:10:16: unchecked-arith: unchecked `+=` on counter field `interval`",
         "src/nanos_arith.rs:13:38: nanos-raw-arith: raw `-` on the output of `.as_nanos()`",
         "src/float_accum.rs:8:16: float-accum-unordered: float accumulation `.sum(..)`",
-        "src/scenario_boundary.rs:16:5: scenario-boundary: `Network::builder()` bypasses",
         "src/raw_sync.rs:8:13: raw-sync-primitive: `std::thread::spawn` bypasses the rtmac::sync facade",
         "src/relaxed_ordering.rs:7:36: relaxed-ordering-audit: `Ordering::Relaxed` without an audited waiver",
         "src/lock_loop.rs:10:31: lock-in-loop-hold: indexed `.lock()` inside a `for` body while the indexed guard bound on line 8 is still live",
@@ -217,7 +208,7 @@ fn binary_reports_fixture_violations_with_exit_one() {
     }
     let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
     assert!(
-        stderr.contains("41 error(s), 1 warning(s)"),
+        stderr.contains("38 error(s), 1 warning(s)"),
         "summary line: {stderr}"
     );
 }
@@ -255,8 +246,8 @@ fn binary_json_format_reports_findings() {
         !stdout.contains("src/panics.rs:5:15:"),
         "text output leaked into JSON mode:\n{stdout}"
     );
-    // Every finding made it across (41 errors + 1 warning).
-    assert_eq!(stdout.matches("\"path\"").count(), 42);
+    // Every finding made it across (38 errors + 1 warning).
+    assert_eq!(stdout.matches("\"path\"").count(), 39);
 }
 
 /// `--format sarif` emits a SARIF 2.1.0 log with one result per finding
@@ -287,8 +278,8 @@ fn binary_sarif_format_reports_findings() {
             "sarif missing {needle:?}:\n{stdout}"
         );
     }
-    // One result per finding (41 errors + 1 warning).
-    assert_eq!(stdout.matches("\"ruleId\"").count(), 42);
+    // One result per finding (38 errors + 1 warning).
+    assert_eq!(stdout.matches("\"ruleId\"").count(), 39);
     // No rustc-style text lines mixed into the SARIF stream.
     assert!(
         !stdout.contains("src/panics.rs:5:15:"),

@@ -245,33 +245,15 @@ fn render_sweep(
 }
 
 fn render_timeline(opts: &NetworkOpts) -> Result<String, CliError> {
-    use rtmac::mac::{timeline, DpConfig, DpEngine, MacTiming};
-    use rtmac::model::ConfigError;
-    use rtmac::phy::{channel::Bernoulli, PhyProfile};
+    use rtmac::mac::{timeline, DpConfig, DpEngine};
+    use rtmac::phy::channel::Bernoulli;
     use rtmac::sim::SeedStream;
 
     let sc = &opts.custom;
-    let invalid = |e: ConfigError| CliError::Invalid(e.to_string());
-    if sc.links == 0 {
-        return Err(invalid(ConfigError::NoLinks));
-    }
-    let deadline =
-        Nanos::checked_from_micros(sc.deadline_us).ok_or(invalid(ConfigError::Overflow {
-            name: "deadline_us",
-            value: sc.deadline_us,
-        }))?;
-    let timing = MacTiming::try_new(PhyProfile::ieee80211a(), deadline, sc.payload_bytes)
-        .map_err(invalid)?;
+    let invalid = |e: rtmac::model::ConfigError| CliError::Invalid(e.to_string());
+    let (config, timing) = sc.medium().map_err(invalid)?;
     let mut engine = DpEngine::new(DpConfig::new(timing.clone()).with_trace(true), sc.links);
-    let success = sc.success.expand(sc.links);
-    if success.len() != sc.links {
-        return Err(invalid(ConfigError::LengthMismatch {
-            what: "success probabilities",
-            expected: sc.links,
-            actual: success.len(),
-        }));
-    }
-    let mut channel = Bernoulli::new(success).map_err(invalid)?;
+    let mut channel = Bernoulli::new(config.success_probabilities().to_vec()).map_err(invalid)?;
     let mut arrivals = sc.traffic.instantiate(sc.links).map_err(invalid)?;
     let seeds = SeedStream::new(sc.seed);
     let mut rng = seeds.rng(2);

@@ -238,6 +238,7 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
 
 fn parse_emulate(rest: &[String]) -> Result<Command, CliError> {
     let mut opts = EmulateOpts::default();
+    let mut transport_flag = None;
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let mut value_for = || -> Result<&String, CliError> {
@@ -273,6 +274,7 @@ fn parse_emulate(rest: &[String]) -> Result<Command, CliError> {
                         value: value.clone(),
                         expected: "loopback or udp".to_string(),
                     })?;
+                transport_flag = Some(opts.transport);
             }
             "--processes" => opts.processes = true,
             "--netd" => opts.netd = Some(value_for()?.clone()),
@@ -283,6 +285,14 @@ fn parse_emulate(rest: &[String]) -> Result<Command, CliError> {
             "--report" => opts.report = Some(value_for()?.clone()),
             other => return Err(CliError::UnknownFlag(other.to_string())),
         }
+    }
+    // The daemons of a process fleet talk over UDP.
+    if opts.processes && transport_flag == Some(rtmac_net::TransportKind::Loopback) {
+        return Err(CliError::Invalid(
+            "`--processes` runs one rtmac-netd per link over UDP and cannot be combined \
+             with `--transport loopback`"
+                .to_string(),
+        ));
     }
     Ok(Command::Emulate { opts })
 }
@@ -578,6 +588,16 @@ mod tests {
             parse(&argv("emulate --intervals 0")),
             Err(CliError::BadValue { ref flag, .. }) if flag == "--intervals"
         ));
+        // A process fleet runs over UDP, in either flag order.
+        for args in [
+            "emulate --transport loopback --processes",
+            "emulate --processes --transport loopback",
+        ] {
+            assert!(
+                matches!(parse(&argv(args)), Err(CliError::Invalid(_))),
+                "{args}"
+            );
+        }
         // The contract is always checked, so there is no flag asking for it.
         for flag in ["--frobnicate", "--check-replay"] {
             assert!(matches!(

@@ -19,7 +19,8 @@ fn real_main() -> i32 {
     let opts = match netd::parse(&args) {
         Ok(opts) => opts,
         Err(e) => {
-            eprintln!("rtmac-netd: {e}\n\n{}", netd::USAGE);
+            eprintln!("rtmac-netd: {e}");
+            eprintln!("run `rtmac-netd --help` for usage");
             return 2;
         }
     };

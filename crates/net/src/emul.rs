@@ -246,17 +246,20 @@ fn mean_duration(durations: impl ExactSizeIterator<Item = Duration>) -> Duration
 ///
 /// # Errors
 ///
-/// Returns [`NetError::Unsupported`] when the scenario cannot be rendered
-/// to a file, [`NetError::Io`] for spawn/port/report-file failures, a
-/// report that names another link, or a child that exits unsuccessfully,
-/// and [`NetError::Mismatch`] when a child's fingerprint differs from the
-/// sim.
+/// Returns [`NetError::Config`] for a zero horizon, as a node would,
+/// [`NetError::Unsupported`] when the scenario cannot be rendered to a
+/// file, [`NetError::Io`] for spawn/port/report-file failures, a report
+/// that names another link, or a child that exits unsuccessfully (quoting
+/// the last line of its stderr), and [`NetError::Mismatch`] when a
+/// child's fingerprint differs from the sim.
 ///
 /// # Panics
 ///
 /// Propagates policy-engine panics from the harness's local sim replica,
 /// as in [`rtmac::Network::step`].
 pub fn run_emulation_processes(cfg: &NodeConfig, netd: &Path) -> Result<EmulationReport, NetError> {
+    // The check each daemon's node would make, before any is launched.
+    cfg.check_horizon()?;
     // Canonicalize through the file format once so the harness's own
     // digest-relevant scenario equals the children's parse result.
     let rendered = scenario_file::render(&cfg.scenario)?;
@@ -354,7 +357,7 @@ fn run_fleet(
             Ok(output) => format!(
                 "exited with {}: {}",
                 output.status,
-                String::from_utf8_lossy(&output.stderr).trim()
+                last_line(&String::from_utf8_lossy(&output.stderr))
             ),
             Err(e) => format!("could not be waited for: {e}"),
         };
@@ -370,6 +373,15 @@ fn run_fleet(
             parse_row(&text)
         })
         .collect()
+}
+
+/// The last non-empty line of a child's stderr: its error, without
+/// whatever it printed before.
+fn last_line(text: &str) -> &str {
+    text.lines()
+        .map(str::trim)
+        .rfind(|line| !line.is_empty())
+        .unwrap_or_default()
 }
 
 fn parse_row(text: &str) -> Result<NodeRow, NetError> {
@@ -464,6 +476,15 @@ mod tests {
             fold("t", 5, sim, &[row(0), stray, row(2)]),
             Err(NetError::Mismatch { .. })
         ));
+    }
+
+    #[test]
+    fn a_failed_child_is_quoted_by_its_last_line() {
+        assert_eq!(
+            last_line("warming up\nrtmac-netd: boom \n\n"),
+            "rtmac-netd: boom"
+        );
+        assert_eq!(last_line(""), "");
     }
 
     #[test]

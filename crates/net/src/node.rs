@@ -82,6 +82,18 @@ impl NodeConfig {
             realtime: false,
         }
     }
+
+    /// Rejects a zero horizon: with no interval to run, a node exits once
+    /// it has heard every beacon, and a peer that binds after its last
+    /// beacon waits out its timeout.
+    pub(crate) fn check_horizon(&self) -> Result<(), NetError> {
+        if self.intervals == 0 {
+            return Err(NetError::Config(
+                "a deployment must run at least 1 interval".to_string(),
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// What one link node measured over its run.
@@ -140,7 +152,8 @@ impl<T: Transport> LinkNode<T> {
     /// # Errors
     ///
     /// Returns [`NetError::Config`] when the endpoint's link index or
-    /// deployment size disagrees with the scenario.
+    /// deployment size disagrees with the scenario, or when the horizon is
+    /// zero intervals.
     pub fn new(transport: T, config: NodeConfig) -> Result<Self, NetError> {
         if transport.n_links() != config.scenario.links {
             return Err(NetError::Config(format!(
@@ -156,6 +169,7 @@ impl<T: Transport> LinkNode<T> {
                 config.scenario.links
             )));
         }
+        config.check_horizon()?;
         Ok(LinkNode { transport, config })
     }
 
@@ -492,6 +506,16 @@ mod tests {
         assert!(matches!(
             LinkNode::new(ep, NodeConfig::new(sc, 5)),
             Err(NetError::Config(_))
+        ));
+    }
+
+    #[test]
+    fn zero_horizon_is_a_config_error() {
+        let sc = scenario::by_name("tiny").unwrap();
+        let ep = LoopbackHub::endpoints(3).remove(0);
+        assert!(matches!(
+            LinkNode::new(ep, NodeConfig::new(sc, 0)),
+            Err(NetError::Config(ref m)) if m.contains("at least 1 interval")
         ));
     }
 

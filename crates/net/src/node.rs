@@ -510,16 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_horizon_is_a_config_error() {
-        let sc = scenario::by_name("tiny").unwrap();
-        let ep = LoopbackHub::endpoints(3).remove(0);
-        assert!(matches!(
-            LinkNode::new(ep, NodeConfig::new(sc, 0)),
-            Err(NetError::Config(ref m)) if m.contains("at least 1 interval")
-        ));
-    }
-
-    #[test]
     fn lonely_node_times_out() {
         let sc = scenario::by_name("tiny").unwrap();
         let mut eps = LoopbackHub::endpoints(sc.links);

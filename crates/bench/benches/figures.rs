@@ -1,66 +1,25 @@
-//! Criterion benches — one per paper figure. Each measures a reduced-size
-//! version of the figure's workload (the full-length series come from the
-//! `figN` binaries); together they track the cost of regenerating the
-//! evaluation and catch performance regressions in the engines.
+//! Criterion benches — one per entry of `figures::FIGURES`. Each runs the
+//! figure at its published seed and a 250th of its published horizon (the
+//! full-length series come from the `figures` binary); together they track
+//! the cost of regenerating the evaluation and catch performance
+//! regressions in the engines.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rtmac_bench::figures;
+use rtmac_bench::figures::{FIGURES, SEED};
 use std::hint::black_box;
 
-const INTERVALS: usize = 20;
-
-fn bench_fig3(c: &mut Criterion) {
-    c.bench_function("fig3_symmetric_video_sweep", |b| {
-        b.iter(|| black_box(figures::fig3(INTERVALS, 1)))
-    });
-}
-
-fn bench_fig4(c: &mut Criterion) {
-    c.bench_function("fig4_delivery_ratio_sweep", |b| {
-        b.iter(|| black_box(figures::fig4(INTERVALS, 1)))
-    });
-}
-
-fn bench_fig5(c: &mut Criterion) {
-    c.bench_function("fig5_convergence_tracking", |b| {
-        b.iter(|| black_box(figures::fig5(INTERVALS * 5, 1)))
-    });
-}
-
-fn bench_fig6(c: &mut Criterion) {
-    c.bench_function("fig6_fixed_priority_profile", |b| {
-        b.iter(|| black_box(figures::fig6(INTERVALS * 5, 1)))
-    });
-}
-
-fn bench_fig7(c: &mut Criterion) {
-    c.bench_function("fig7_asymmetric_alpha_sweep", |b| {
-        b.iter(|| black_box(figures::fig7(INTERVALS, 1)))
-    });
-}
-
-fn bench_fig8(c: &mut Criterion) {
-    c.bench_function("fig8_asymmetric_ratio_sweep", |b| {
-        b.iter(|| black_box(figures::fig8(INTERVALS, 1)))
-    });
-}
-
-fn bench_fig9(c: &mut Criterion) {
-    c.bench_function("fig9_control_lambda_sweep", |b| {
-        b.iter(|| black_box(figures::fig9(INTERVALS * 5, 1)))
-    });
-}
-
-fn bench_fig10(c: &mut Criterion) {
-    c.bench_function("fig10_control_ratio_sweep", |b| {
-        b.iter(|| black_box(figures::fig10(INTERVALS * 5, 1)))
-    });
+fn bench_figures(c: &mut Criterion) {
+    for fig in &FIGURES {
+        let intervals = fig.intervals / 250;
+        c.bench_function(fig.name, |b| {
+            b.iter(|| black_box((fig.run)(intervals, SEED)));
+        });
+    }
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_fig3, bench_fig4, bench_fig5, bench_fig6, bench_fig7,
-              bench_fig8, bench_fig9, bench_fig10
+    targets = bench_figures
 }
 criterion_main!(benches);

@@ -1,15 +1,17 @@
 //! Result-level ablations of the design choices called out in DESIGN.md:
 //! backoff slot width, debt influence function, the Eq. 14 constant `R`,
 //! the number of swap pairs (Remark 6), and centralized polling overhead.
-//! Usage: `ablations [--quick | --intervals N]`.
+//! Usage: `ablations [--quick | --intervals N]`; only a run at the
+//! published horizon writes the CSVs under `bench_results/`.
 
 use rtmac::mac::{CentralizedEngine, DpConfig, DpEngine, MacTiming};
 use rtmac::model::{LinkId, Permutation};
 use rtmac::phy::{channel::Bernoulli, PhyProfile};
 use rtmac::scenario::{self, InfluenceSpec, PolicySpec};
 use rtmac::sim::{Nanos, SeedStream};
-use rtmac_bench::figures;
+use rtmac_bench::figures::{self, ABLATION_INTERVALS};
 use rtmac_bench::table::SeriesTable;
+use rtmac_bench::Args;
 
 /// DB-DP deliveries per interval under a given slot width, in the regime
 /// where the overhead binds: every link has exactly one packet and the
@@ -131,8 +133,8 @@ fn polling_table(intervals: usize) -> SeriesTable {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let intervals = rtmac_bench::intervals_from_args(&args, 3000);
+    let args = Args::from_env("ablations", false);
+    let intervals = args.intervals(ABLATION_INTERVALS);
     eprintln!("running ablations with {intervals} intervals each...");
 
     let tables = [
@@ -145,6 +147,8 @@ fn main() {
     for (name, table) in &tables {
         print!("{}", table.render());
         println!();
-        table.write_csv("bench_results", name).expect("write csv");
+        if args.publishes(ABLATION_INTERVALS) {
+            table.write_csv("bench_results", name).expect("write csv");
+        }
     }
 }

@@ -1,22 +1,25 @@
 //! Tracked kernel benchmark: measures DP interval-kernel throughput over
-//! an N-grid plus Runner job throughput, and *appends*
-//! the run to the machine-readable `bench_results/BENCH_kernel.json`
-//! history (one entry per recorded run, oldest first).
+//! an N-grid plus Runner job throughput, and appends the run as one line
+//! to the JSON-lines history `bench_results/BENCH_kernel.jsonl` (one entry
+//! per recorded run, oldest first).
 //!
 //! ```sh
 //! # headline run: N = 10,000 links x 1,000,000 intervals (minutes)
 //! cargo run --release -p rtmac-bench --bin bench_kernel
 //! # CI smoke: same shape, tiny interval counts (seconds)
 //! cargo run --release -p rtmac-bench --bin bench_kernel -- --quick
-//! # whole-history schema check (exit 1 on any malformed entry)
-//! cargo run --release -p rtmac-bench --bin bench_kernel -- --check bench_results/BENCH_kernel.json
+//! # whole-history schema check (exit 1 on any malformed line)
+//! cargo run --release -p rtmac-bench --bin bench_kernel -- --check bench_results/BENCH_kernel.jsonl
 //! ```
 
+use std::path::Path;
+
 use rtmac_bench::kernel::{
-    append_history, measure_kernel, measure_runner, render_entry, validate_bench_json, KernelPoint,
+    append_entry, measure_kernel, measure_runner, render_entry, validate_history, KernelPoint,
 };
 
 const SEED: u64 = 2018;
+const HISTORY: &str = "bench_results/BENCH_kernel.jsonl";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,9 +35,9 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        match validate_bench_json(&text) {
-            Ok(()) => {
-                println!("{path}: valid rtmac-bench-kernel/2 history");
+        match validate_history(&text) {
+            Ok(entries) => {
+                println!("{path}: valid kernel history, {entries} entries");
                 return;
             }
             Err(e) => {
@@ -83,23 +86,14 @@ fn main() {
     let runner = measure_runner(jobs, work);
 
     let entry = render_entry(mode, SEED, &headline, &grid, &runner);
-    let path = "bench_results/BENCH_kernel.json";
-    let existing = std::fs::read_to_string(path).ok();
-    let (doc, entries) = match append_history(existing.as_deref(), &entry) {
-        Ok(appended) => appended,
-        Err(e) => {
-            eprintln!("cannot append to {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = validate_bench_json(&doc) {
-        eprintln!("appended document failed self-check: {e}\n{doc}");
+    if let Err(e) = validate_history(&entry) {
+        eprintln!("new entry failed self-check: {e}\n{entry}");
         std::process::exit(1);
     }
-    if let Err(e) = std::fs::write(path, &doc) {
-        eprintln!("cannot write {path}: {e}");
+    if let Err(e) = append_entry(Path::new(HISTORY), &entry) {
+        eprintln!("cannot append to {HISTORY}: {e}");
         std::process::exit(1);
     }
-    print!("{entry}");
-    eprintln!("appended history entry #{entries} to {path}");
+    println!("{entry}");
+    eprintln!("appended one entry to {HISTORY}");
 }

@@ -2,7 +2,7 @@
 //! `η(d) = E_π*[debt-weighted service] / optimum` of the idealized DB-DP
 //! algorithm approaches 1 as debts scale up, for several debt profiles.
 //! Also prints the priority chain's relaxation time per network size (the
-//! two-time-scale quantity). Usage: `drift`.
+//! two-time-scale quantity). Usage: `drift` (it takes no arguments).
 
 use rtmac_analysis::drift::db_dp_drift;
 use rtmac_analysis::markov::PriorityChain;
@@ -10,6 +10,9 @@ use rtmac_bench::table::SeriesTable;
 use rtmac_model::influence::PaperLog;
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        rtmac_bench::usage_exit("drift", &format!("unexpected argument `{arg}`"));
+    }
     let influence = PaperLog::default();
     let p = [0.6, 0.9, 0.7, 0.5];
     let packets = [3u8, 2, 3, 2];

@@ -1,17 +1,22 @@
 //! Verifies Lemma 3 numerically: the ELDF ordering attains the optimum of
 //! the exact per-interval dynamic program, on a grid of random instances.
 //! Also prints the gap of the *worst* fixed ordering, to show the ordering
-//! actually matters. Usage: `optimality [--intervals N]` (N = instances).
+//! actually matters. Usage: `optimality [--quick | --intervals N]`
+//! (N = instances); only a run of the published 2000 instances writes
+//! `bench_results/optimality.csv`.
 
 use rand::Rng;
 use rtmac::sim::SeedStream;
 use rtmac_analysis::optimal::IntervalDp;
 use rtmac_bench::table::SeriesTable;
+use rtmac_bench::Args;
 use rtmac_model::{LinkId, Permutation};
 
+const PUBLISHED: usize = 2000;
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let instances = rtmac_bench::intervals_from_args(&args, 2000);
+    let args = Args::from_env("optimality", false);
+    let instances = args.intervals(PUBLISHED);
     let mut rng = SeedStream::new(2018).rng(0);
 
     let mut worst_eldf_gap = 0.0f64;
@@ -49,7 +54,9 @@ fn main() {
         worst_eldf_gap < 1e-9,
         "Lemma 3 violated: ELDF gap {worst_eldf_gap}"
     );
-    table
-        .write_csv("bench_results", "optimality")
-        .expect("write csv");
+    if args.publishes(PUBLISHED) {
+        table
+            .write_csv("bench_results", "optimality")
+            .expect("write csv");
+    }
 }

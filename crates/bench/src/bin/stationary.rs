@@ -1,15 +1,19 @@
 //! Verifies Proposition 2 end to end: runs the real DP engine with constant
 //! coin parameters and compares the empirical distribution over priority
 //! permutations against the closed-form stationary distribution
-//! (Eqs. 10–12). Usage: `stationary [--intervals N]`.
+//! (Eqs. 10–12). Usage: `stationary [--quick | --intervals N]`; only a run
+//! at the published 200 000 intervals writes `bench_results/stationary.csv`.
 
 use rtmac_analysis::markov::{empirical_sigma_distribution, PriorityChain};
 use rtmac_bench::table::SeriesTable;
+use rtmac_bench::Args;
 use rtmac_model::Permutation;
 
+const PUBLISHED: usize = 200_000;
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let intervals = rtmac_bench::intervals_from_args(&args, 200_000);
+    let args = Args::from_env("stationary", false);
+    let intervals = args.intervals(PUBLISHED);
     let mu = [0.3, 0.5, 0.7, 0.6];
     eprintln!(
         "sampling {} intervals of the DP engine with mu = {:?}...",
@@ -49,7 +53,9 @@ fn main() {
             100_000
         )
     );
-    table
-        .write_csv("bench_results", "stationary")
-        .expect("write csv");
+    if args.publishes(PUBLISHED) {
+        table
+            .write_csv("bench_results", "stationary")
+            .expect("write csv");
+    }
 }

@@ -1,11 +1,11 @@
-//! Parameterized reproductions of Figs. 3–10 of the paper.
+//! Parameterized reproductions of Figs. 3–10 of the paper and the two
+//! fault sweeps, and [`FIGURES`], the one table of their names, seed and
+//! published horizons.
 //!
 //! Every figure is phrased through the [`rtmac::scenario`] registry: the
 //! workload, sweep and contender definitions live in `rtmac` itself, and
 //! this module only decides which contenders to run at each sweep point
-//! and how to lay the results out in a [`SeriesTable`]. The paper's defaults: 5000
-//! intervals for the video figures (Figs. 3–8), 20000 for the control
-//! figures (Figs. 9–10).
+//! and how to lay the results out in a [`SeriesTable`].
 
 use rtmac::model::LinkId;
 use rtmac::scenario::{self, FaultSpec, Param, PolicySpec, Sweep, TrafficSpec, CONTENDERS};
@@ -13,29 +13,90 @@ use rtmac::RunReport;
 
 use crate::table::SeriesTable;
 
-/// Runs the video workload (20 ms deadline, 1500 B payload, burst-uniform
-/// arrivals) with per-link burst probabilities `alpha`, success
-/// probabilities `p`, and delivery ratios `rho`.
-///
-/// # Panics
-///
-/// Panics if the parameter vectors are inconsistent (they come from the
-/// figure definitions below, so this indicates a bug in the caller).
-#[must_use]
-pub fn run_video(
-    alpha: &[f64],
-    p: &[f64],
-    rho: &[f64],
-    policy: PolicySpec,
-    intervals: usize,
-    seed: u64,
-) -> RunReport {
-    scenario::video_per_link(alpha.to_vec(), p.to_vec(), rho.to_vec(), seed)
-        .with_policy(policy)
-        .with_intervals(intervals)
-        .run()
-        .expect("valid video network")
+/// The seed every figure under `bench_results/` is published with.
+pub const SEED: u64 = 2018;
+
+/// One figure of the evaluation.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// The `figures` binary's name for it, and the stem of its CSV under
+    /// `bench_results/`.
+    pub name: &'static str,
+    /// The horizon its CSV is published at.
+    pub intervals: usize,
+    /// Runs it for `(intervals, seed)` and returns its table and the notes
+    /// printed under the table, each after a `# `.
+    pub run: fn(usize, u64) -> (SeriesTable, Vec<String>),
 }
+
+/// The paper's horizon for the video figures (Figs. 3–8), which the fault
+/// sweeps share.
+const VIDEO: usize = 5000;
+/// The paper's horizon for the control figures (Figs. 9–10).
+const CONTROL: usize = 20_000;
+
+/// Every figure, in the order the `figures` binary runs them.
+pub static FIGURES: [Figure; 10] = [
+    Figure {
+        name: "fig3",
+        intervals: VIDEO,
+        run: |n, seed| (fig3(n, seed), Vec::new()),
+    },
+    Figure {
+        name: "fig4",
+        intervals: VIDEO,
+        run: |n, seed| (fig4(n, seed), Vec::new()),
+    },
+    Figure {
+        name: "fig5",
+        intervals: VIDEO,
+        run: fig5,
+    },
+    Figure {
+        name: "fig6",
+        intervals: VIDEO,
+        run: |n, seed| (fig6(n, seed), Vec::new()),
+    },
+    Figure {
+        name: "fig7",
+        intervals: VIDEO,
+        run: |n, seed| (fig7(n, seed), Vec::new()),
+    },
+    Figure {
+        name: "fig8",
+        intervals: VIDEO,
+        run: |n, seed| (fig8(n, seed), Vec::new()),
+    },
+    Figure {
+        name: "fig9",
+        intervals: CONTROL,
+        run: |n, seed| (fig9(n, seed), Vec::new()),
+    },
+    Figure {
+        name: "fig10",
+        intervals: CONTROL,
+        run: |n, seed| (fig10(n, seed), Vec::new()),
+    },
+    Figure {
+        name: "fig_fault",
+        intervals: VIDEO,
+        run: |n, seed| (fig_fault(n, seed), Vec::new()),
+    },
+    Figure {
+        name: "fig_fault_burst",
+        intervals: VIDEO,
+        run: |n, seed| (fig_fault_burst(n, seed), Vec::new()),
+    },
+];
+
+/// The entry of [`FIGURES`] called `name`.
+#[must_use]
+pub fn figure(name: &str) -> Option<&'static Figure> {
+    FIGURES.iter().find(|f| f.name == name)
+}
+
+/// The horizon the `ablations` binary publishes its tables at.
+pub const ABLATION_INTERVALS: usize = 3000;
 
 /// Runs the control workload (2 ms deadline, 100 B payload, Bernoulli
 /// arrivals with rate `lambda` on every link).
@@ -106,23 +167,13 @@ pub fn fig4(intervals: usize, seed: u64) -> SeriesTable {
     )
 }
 
-/// Fig. 5 output: the sampled running-throughput series plus the interval
-/// at which each policy entered the 1% convergence band.
-#[derive(Debug, Clone)]
-pub struct Fig5Result {
-    /// Running timely-throughput of the lowest-initial-priority link,
-    /// sampled every few intervals.
-    pub table: SeriesTable,
-    /// `(policy, first interval within 1% of q_n)`.
-    pub convergence: Vec<(String, Option<usize>)>,
-    /// The tracked link's requirement `q_n`.
-    pub requirement: f64,
-}
-
 /// Fig. 5 — convergence of the link with the lowest priority at time 0
-/// (α* = 0.55, ρ = 0.93) under DB-DP vs LDF.
+/// (α* = 0.55, ρ = 0.93) under DB-DP vs LDF: the link's running
+/// timely-throughput, sampled every few intervals, and as notes its
+/// requirement `q_n` and the interval at which each policy entered the 1%
+/// band around it.
 #[must_use]
-pub fn fig5(intervals: usize, seed: u64) -> Fig5Result {
+pub fn fig5(intervals: usize, seed: u64) -> (SeriesTable, Vec<String>) {
     let base = scenario::fig5(intervals, seed);
     let q = 0.93 * 3.5 * 0.55;
     // Three policies: the paper's two, plus DB-DP with three swap pairs
@@ -143,10 +194,13 @@ pub fn fig5(intervals: usize, seed: u64) -> Fig5Result {
         let tracker = report.tracked.expect("tracking configured");
         (tracker.settled_at(), tracker.history().to_vec())
     });
+    let mut notes = vec![format!("requirement q_n = {q:.4}")];
     let mut histories = Vec::new();
-    let mut convergence = Vec::new();
     for (label, (settled, history)) in labels.iter().zip(results) {
-        convergence.push((label.clone(), settled));
+        notes.push(match settled {
+            Some(k) => format!("{label}: settled within +/-1% of q_n at interval {k}"),
+            None => format!("{label}: still outside +/-1% at interval {intervals}"),
+        });
         histories.push(history);
     }
     let mut table = SeriesTable::new(
@@ -158,11 +212,7 @@ pub fn fig5(intervals: usize, seed: u64) -> Fig5Result {
     for k in (0..intervals).step_by(stride) {
         table.push_row(k as f64, histories.iter().map(|h| h[k]).collect());
     }
-    Fig5Result {
-        table,
-        convergence,
-        requirement: q,
-    }
+    (table, notes)
 }
 
 /// Fig. 6 — average timely-throughput per priority index under a *fixed*
@@ -463,12 +513,21 @@ mod tests {
 
     #[test]
     fn fig5_tracks_convergence() {
-        let r = fig5(300, 3);
-        assert_eq!(r.convergence.len(), 3); // DB-DP, LDF, DB-DP 3 pairs
-        assert_eq!(r.convergence[2].0, "DB-DP 3 pairs");
-        assert!(r.requirement > 0.0);
-        assert!(!r.table.rows().is_empty());
-        assert_eq!(r.table.columns().len(), 3);
+        let (table, notes) = fig5(300, 3);
+        // q_n, then DB-DP, LDF, DB-DP 3 pairs.
+        assert_eq!(notes.len(), 4);
+        assert_eq!(notes[0], "requirement q_n = 1.7903");
+        assert!(notes[3].starts_with("DB-DP 3 pairs: "), "{}", notes[3]);
+        assert!(!table.rows().is_empty());
+        assert_eq!(table.columns().len(), 3);
+    }
+
+    #[test]
+    fn every_figure_is_found_by_its_own_name() {
+        for fig in &FIGURES {
+            assert!(figure(fig.name).is_some_and(|found| std::ptr::eq(found, fig)));
+        }
+        assert!(figure("fig11").is_none());
     }
 
     #[test]

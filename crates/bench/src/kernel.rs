@@ -2,14 +2,14 @@
 //! plus the job-queue [`rtmac::Runner`]'s job throughput.
 //!
 //! The `bench_kernel` binary drives [`measure_kernel`] and
-//! [`measure_runner`] over an N-grid and *appends* the run to the
-//! machine-readable `bench_results/BENCH_kernel.json` described in
-//! `bench_results/README.md`: a `rtmac-bench-kernel/2` document whose
-//! `history` array holds one entry per recorded run, oldest first, so the
-//! tracked file accumulates a per-PR performance trail instead of
-//! overwriting it. [`append_history`] performs the append;
-//! [`validate_bench_json`] re-parses an emitted file and checks every
-//! history entry — CI runs it against the appended output so a malformed
+//! [`measure_runner`] over an N-grid and appends the run, as one line
+//! from [`render_entry`], to the JSON-lines history
+//! `bench_results/BENCH_kernel.jsonl` described in
+//! `bench_results/README.md`: one entry per recorded run, oldest first,
+//! so the tracked file accumulates a per-PR performance trail instead of
+//! overwriting it. [`append_entry`] performs the append and leaves every
+//! earlier byte alone; [`validate_history`] re-parses every line and checks
+//! each entry — CI runs it against the appended file so a malformed
 //! emitter fails the build rather than silently archiving garbage.
 //!
 //! Timing here is wall-clock by necessity (it *is* the measurement); every
@@ -19,7 +19,8 @@
 use rtmac::mac::{DpConfig, DpEngine, MacTiming};
 use rtmac::phy::{channel::Bernoulli, PhyProfile};
 use rtmac::sim::{Nanos, SeedStream};
-use std::fmt::Write as _;
+use std::io::{self, Write as _};
+use std::path::Path;
 
 /// One measured N grid point.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,19 +110,17 @@ pub fn measure_runner(jobs: usize, work_intervals: usize) -> RunnerPoint {
 /// Every point names the kernel `"batched"`, its name throughout the
 /// history (older entries also hold `"timeline"` points of the deleted
 /// slot-walking engine).
-fn write_point(out: &mut String, p: &KernelPoint) {
-    let _ = write!(
-        out,
-        "{{\"engine\": \"batched\", \"n_links\": {}, \"intervals\": {}, \
-         \"elapsed_s\": {:.6}, \"intervals_per_sec\": {:.1}}}",
+fn point(p: &KernelPoint) -> String {
+    format!(
+        "{{\"engine\":\"batched\",\"n_links\":{},\"intervals\":{},\
+         \"elapsed_s\":{:.6},\"intervals_per_sec\":{:.1}}}",
         p.n_links, p.intervals, p.elapsed_s, p.intervals_per_sec
-    );
+    )
 }
 
-/// Renders one history entry (schema in `bench_results/README.md`).
-/// `headline` is the flagship run and `grid` carries every N point. Feed
-/// the result to [`append_history`] to produce the tracked
-/// `BENCH_kernel.json` document.
+/// Renders one history entry as one compact JSON line, without the
+/// newline (schema in `bench_results/README.md`). `headline` is the
+/// flagship run and `grid` carries every N point.
 #[must_use]
 pub fn render_entry(
     mode: &str,
@@ -130,26 +129,33 @@ pub fn render_entry(
     grid: &[KernelPoint],
     runner: &RunnerPoint,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    out.push_str("  \"headline\": ");
-    write_point(&mut out, headline);
-    out.push_str(",\n  \"grid\": [\n");
-    for (i, p) in grid.iter().enumerate() {
-        out.push_str("    ");
-        write_point(&mut out, p);
-        out.push_str(if i + 1 < grid.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n  \"runner\": ");
-    let _ = write!(
-        out,
-        "{{\"workers\": {}, \"jobs\": {}, \"elapsed_s\": {:.6}, \"jobs_per_sec\": {:.1}}}",
-        runner.workers, runner.jobs, runner.elapsed_s, runner.jobs_per_sec
-    );
-    out.push_str("\n}\n");
-    out
+    let grid: Vec<String> = grid.iter().map(point).collect();
+    format!(
+        "{{\"mode\":\"{mode}\",\"seed\":{seed},\"headline\":{},\"grid\":[{}],\
+         \"runner\":{{\"workers\":{},\"jobs\":{},\"elapsed_s\":{:.6},\"jobs_per_sec\":{:.1}}}}}",
+        point(headline),
+        grid.join(","),
+        runner.workers,
+        runner.jobs,
+        runner.elapsed_s,
+        runner.jobs_per_sec
+    )
+}
+
+/// Appends `entry`, one line from [`render_entry`], to the history at
+/// `path`, creating the file if there is none. Earlier lines are not read
+/// or rewritten.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn append_entry(path: &Path, entry: &str) -> io::Result<()> {
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
+    // One write, so the line lands whole at the end of the file.
+    file.write_all(format!("{entry}\n").as_bytes())
 }
 
 // ------------------------------------------------------------------ checking
@@ -184,141 +190,6 @@ impl Json {
             _ => None,
         }
     }
-    fn is_scalar(&self) -> bool {
-        !matches!(self, Json::Arr(_) | Json::Obj(_))
-    }
-    /// Canonical pretty-printer: scalar-only objects stay on one line
-    /// (grid points, speedup rows, the runner block); arrays and nested
-    /// objects break across lines at two-space indents. Appends therefore
-    /// rewrite prior entries byte-identically.
-    fn render_into(&self, indent: usize, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Num(x) => {
-                let _ = write!(out, "{x}");
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        other => out.push(other),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    for _ in 0..indent + 2 {
-                        out.push(' ');
-                    }
-                    item.render_into(indent + 2, out);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                for _ in 0..indent {
-                    out.push(' ');
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.iter().all(|(_, v)| v.is_scalar()) {
-                    out.push('{');
-                    for (i, (k, v)) in fields.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(", ");
-                        }
-                        let _ = write!(out, "\"{k}\": ");
-                        v.render_into(indent, out);
-                    }
-                    out.push('}');
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    for _ in 0..indent + 2 {
-                        out.push(' ');
-                    }
-                    let _ = write!(out, "\"{k}\": ");
-                    v.render_into(indent + 2, out);
-                    out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-                }
-                for _ in 0..indent {
-                    out.push(' ');
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-// ------------------------------------------------------------------- history
-
-/// Parses a tracked `BENCH_kernel.json` into its run entries, oldest
-/// first: the `history` array of a `rtmac-bench-kernel/2` document. `None`
-/// or blank text yields an empty history.
-fn parse_history(existing: Option<&str>) -> Result<Vec<Json>, String> {
-    let text = match existing {
-        Some(t) if !t.trim().is_empty() => t,
-        _ => return Ok(Vec::new()),
-    };
-    let doc = Parser::new(text).parse()?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::str_val)
-        .ok_or("existing file: missing \"schema\"")?;
-    if schema != "rtmac-bench-kernel/2" {
-        return Err(format!("existing file: unknown schema \"{schema}\""));
-    }
-    let Json::Obj(fields) = doc else {
-        return Err("existing file: not an object".into());
-    };
-    match fields.into_iter().find(|(k, _)| k == "history") {
-        Some((_, Json::Arr(entries))) => Ok(entries),
-        Some(_) => Err("existing file: \"history\" is not an array".into()),
-        None => Err("existing file: missing \"history\" array".into()),
-    }
-}
-
-/// Renders the `rtmac-bench-kernel/2` framing document around `entries`.
-fn render_history(entries: Vec<Json>) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"rtmac-bench-kernel/2\",\n  \"label\": \"kernel\",\n");
-    out.push_str("  \"history\": ");
-    Json::Arr(entries).render_into(2, &mut out);
-    out.push_str("\n}\n");
-    out
-}
-
-/// Appends one run entry (the output of [`render_entry`]) to the tracked
-/// history document and returns `(document, entry_count)`.
-///
-/// `existing` is the current `BENCH_kernel.json` text, if any: the
-/// document grows by one entry, and `None` starts a fresh history.
-/// Prior entries are never modified — only re-rendered through the
-/// canonical printer — so the history is append-only by construction.
-///
-/// # Errors
-///
-/// Returns a description of the first problem: unparseable existing text,
-/// an unknown schema, or an unparseable new entry.
-pub fn append_history(existing: Option<&str>, entry: &str) -> Result<(String, usize), String> {
-    let mut entries = parse_history(existing)?;
-    let parsed = Parser::new(entry)
-        .parse()
-        .map_err(|e| format!("new entry: {e}"))?;
-    entries.push(parsed);
-    let count = entries.len();
-    Ok((render_history(entries), count))
 }
 
 struct Parser<'a> {
@@ -549,42 +420,36 @@ fn check_entry(doc: &Json, ctx: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a tracked `BENCH_kernel.json` document: well-formed JSON,
-/// the `rtmac-bench-kernel/2` schema tag, and a non-empty `history` in
-/// which *every* entry passes the per-entry checks — the whole trail is
-/// re-validated on each append, so a corrupted old entry fails the gate
-/// even if the new run is fine.
+/// Validates a kernel history: every line must parse as JSON and pass
+/// the per-entry checks. The whole trail is re-validated, so a corrupted
+/// old entry fails the gate even if the new run is fine. Returns the
+/// number of entries.
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first schema violation.
-pub fn validate_bench_json(text: &str) -> Result<(), String> {
-    let doc = Parser::new(text).parse()?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::str_val)
-        .ok_or("missing \"schema\"")?;
-    if schema != "rtmac-bench-kernel/2" {
-        return Err(format!("unknown schema \"{schema}\""));
+/// Returns a human-readable description of the first violation, naming its
+/// 1-based line.
+pub fn validate_history(text: &str) -> Result<usize, String> {
+    let mut entries = 0;
+    for (i, line) in text.lines().enumerate() {
+        let ctx = format!("line {}", i + 1);
+        let entry = Parser::new(line)
+            .parse()
+            .map_err(|e| format!("{ctx}: {e}"))?;
+        check_entry(&entry, &ctx)?;
+        entries += 1;
     }
-    if doc.get("label").and_then(Json::str_val) != Some("kernel") {
-        return Err("missing or wrong \"label\" (expected \"kernel\")".into());
+    if entries == 0 {
+        return Err("empty history — no runs recorded".into());
     }
-    let Some(Json::Arr(history)) = doc.get("history") else {
-        return Err("missing \"history\" array".into());
-    };
-    if history.is_empty() {
-        return Err("empty \"history\" — no runs recorded".into());
-    }
-    for (i, entry) in history.iter().enumerate() {
-        check_entry(entry, &format!("history[{i}]"))?;
-    }
-    Ok(())
+    Ok(entries)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const TRACKED: &str = include_str!("../../../bench_results/BENCH_kernel.jsonl");
 
     fn sample_entry() -> String {
         let headline = measure_kernel(16, 40, 2018);
@@ -594,43 +459,45 @@ mod tests {
     }
 
     #[test]
-    fn appended_documents_validate_and_preserve_prior_entries() {
+    fn an_append_keeps_every_earlier_byte_and_adds_one_line() {
+        let path = std::env::temp_dir().join(format!("rtmac-kernel-{}.jsonl", std::process::id()));
+        std::fs::write(&path, TRACKED).unwrap();
         let entry = sample_entry();
-        let (one, n1) = append_history(None, &entry).expect("fresh append");
-        assert_eq!(n1, 1);
-        assert_eq!(validate_bench_json(&one), Ok(()), "{one}");
-        let (two, n2) = append_history(Some(&one), &entry).expect("second append");
-        assert_eq!(n2, 2);
-        assert_eq!(validate_bench_json(&two), Ok(()), "{two}");
-        // Append-only: everything before the closing framing of the
-        // one-entry document survives byte-identically.
-        let stable = one.trim_end_matches("\n  ]\n}\n");
-        assert!(two.starts_with(stable), "prior entry rewritten:\n{two}");
-        // A corrupted *old* entry fails the whole-history gate.
-        let corrupt = two.replacen("\"mode\": \"quick\"", "\"mode\": \"weird\"", 1);
-        assert!(validate_bench_json(&corrupt).is_err_and(|e| e.contains("history[0]")));
+        append_entry(&path, &entry).unwrap();
+        let after = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let added = after.strip_prefix(TRACKED).expect("earlier bytes kept");
+        assert_eq!(added, format!("{entry}\n"));
+        assert_eq!(validate_history(&after), Ok(TRACKED.lines().count() + 1));
     }
 
     #[test]
-    fn validator_rejects_malformed_documents() {
-        let (doc, _) = append_history(None, &sample_entry()).expect("append");
-        // Truncation, schema drift, and a missing runner field all fail.
-        assert!(validate_bench_json(&doc[..doc.len() / 2]).is_err());
-        assert!(validate_bench_json(&doc.replace("rtmac-bench-kernel/2", "v9")).is_err());
-        assert!(validate_bench_json(&doc.replace("\"jobs\"", "\"sobs\"")).is_err());
-        // So do an empty history and non-JSON text.
-        let empty = "{\"schema\": \"rtmac-bench-kernel/2\", \
-                     \"label\": \"kernel\", \"history\": []}";
-        assert!(validate_bench_json(empty).is_err());
-        assert!(validate_bench_json("{}").is_err());
-        assert!(validate_bench_json("not json").is_err());
-        // The retired single-run v1 schema is an unknown schema to both
-        // the validator and the appender.
-        let v1 = doc.replace("rtmac-bench-kernel/2", "rtmac-bench-kernel/1");
-        assert!(validate_bench_json(&v1).is_err_and(|e| e.contains("unknown schema")));
-        assert!(
-            append_history(Some(&v1), &sample_entry()).is_err_and(|e| e.contains("unknown schema"))
+    fn check_names_the_line_of_a_corrupted_earlier_entry() {
+        let history = format!("{TRACKED}{}\n", sample_entry());
+        assert!(validate_history(&history).is_ok());
+        let mut lines: Vec<String> = history.lines().map(String::from).collect();
+        lines[1] = lines[1].replacen("\"mode\":\"full\"", "\"mode\":\"weird\"", 1);
+        let corrupt = lines.join("\n");
+        assert_eq!(
+            validate_history(&corrupt),
+            Err("line 2: unknown mode \"weird\"".into())
         );
+    }
+
+    #[test]
+    fn validator_rejects_malformed_histories() {
+        let entry = sample_entry();
+        assert_eq!(validate_history(&entry), Ok(1));
+        // Truncation, a missing runner field, an empty history, a blank
+        // line and non-JSON text all fail.
+        assert!(validate_history(&entry[..entry.len() / 2]).is_err());
+        assert!(validate_history(&entry.replace("\"jobs\"", "\"sobs\"")).is_err());
+        assert!(validate_history("").is_err());
+        assert!(validate_history(&format!("{entry}\n\n{entry}"))
+            .is_err_and(|e| e.starts_with("line 2")));
+        assert!(validate_history("not json").is_err());
+        // So does an entry spread over several lines.
+        assert!(validate_history(&entry.replace(",\"grid\"", ",\n\"grid\"")).is_err());
     }
 
     #[test]
@@ -639,14 +506,10 @@ mod tests {
     }
 
     /// The tracked history still validates, including its entries with a
-    /// timeline grid and speedup table, and new entries append to it.
+    /// timeline grid and speedup table.
     #[test]
-    fn tracked_history_validates_and_grows() {
-        let tracked = include_str!("../../../bench_results/BENCH_kernel.json");
-        assert_eq!(validate_bench_json(tracked), Ok(()));
-        let entry = sample_entry();
-        assert!(!entry.contains("speedup"));
-        let (appended, _) = append_history(Some(tracked), &entry).expect("append");
-        assert_eq!(validate_bench_json(&appended), Ok(()));
+    fn tracked_history_validates() {
+        assert!(validate_history(TRACKED).is_ok_and(|n| n >= 4));
+        assert!(!sample_entry().contains("speedup"));
     }
 }

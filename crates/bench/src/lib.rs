@@ -3,16 +3,22 @@
 //! The benchmark harness that regenerates every figure of the paper's
 //! evaluation (Section VI) plus the ablations called out in DESIGN.md.
 //!
-//! * [`figures`] — one parameterized runner per paper figure (Figs. 3–10),
-//!   each returning a [`table::SeriesTable`] with the same series the paper
-//!   plots. The `fig3`..`fig10` binaries print them and write CSVs under
+//! * [`figures`] — one parameterized runner per paper figure (Figs. 3–10)
+//!   and per fault sweep, each returning a [`table::SeriesTable`] with the
+//!   same series the paper plots, and [`figures::FIGURES`], the one table
+//!   of their names, seed and published horizons. The `figures` binary
+//!   prints them and, at the published horizon, writes CSVs under
 //!   `bench_results/`.
 //! * [`table`] — tiny text/CSV table rendering.
 //! * [`kernel`] — interval-kernel and Runner throughput measurement behind
-//!   the `bench_kernel` binary and `bench_results/BENCH_kernel.json`.
+//!   the `bench_kernel` binary and its JSON-lines history
+//!   `bench_results/BENCH_kernel.jsonl`.
+//! * [`Args`] — the command line every other binary shares,
+//!   `[NAME…] [--quick | --intervals N]`; a mistyped one exits 2 with one
+//!   line on stderr.
 //!
 //! Run a full reproduction with
-//! `cargo run --release -p rtmac-bench --bin all_figures`.
+//! `cargo run --release -p rtmac-bench --bin figures`.
 
 pub mod figures;
 pub mod kernel;
@@ -32,27 +38,91 @@ where
     rtmac::Runner::default().map(items, f)
 }
 
-/// Parses `--intervals N` and `--quick` from a binary's argument list,
-/// returning the interval count to simulate (defaults to `full`; `--quick`
-/// selects `full / 20`, handy for smoke runs).
-#[must_use]
-pub fn intervals_from_args(args: &[String], full: usize) -> usize {
-    let mut intervals = full;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => intervals = (full / 20).max(50),
-            "--intervals" => {
-                if let Some(v) = it.next() {
-                    if let Ok(n) = v.parse::<usize>() {
-                        intervals = n;
+/// A bench binary's command line: `[NAME…] [--quick | --intervals N]`.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Args {
+    /// The positional arguments (figure names), in order.
+    pub names: Vec<String>,
+    /// `--quick` or `--intervals N`, the later flag winning; `None` runs
+    /// the published horizon.
+    horizon: Option<Horizon>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Horizon {
+    Quick,
+    Intervals(usize),
+}
+
+impl Args {
+    /// Parses a bench binary's arguments (everything after the program
+    /// name).
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message for an unknown flag or for a missing,
+    /// unparseable or zero `--intervals` value.
+    pub fn parse(args: &[String]) -> Result<Args, String> {
+        let mut parsed = Args::default();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
+                "--quick" => parsed.horizon = Some(Horizon::Quick),
+                "--intervals" => {
+                    let value = it.next().ok_or("--intervals needs a value")?;
+                    match value.parse::<usize>() {
+                        Ok(0) => return Err("--intervals must be at least 1".into()),
+                        Ok(n) => parsed.horizon = Some(Horizon::Intervals(n)),
+                        Err(_) => return Err(format!("bad value `{value}` for --intervals")),
                     }
                 }
+                flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+                name => parsed.names.push(name.to_string()),
             }
-            _ => {}
+        }
+        Ok(parsed)
+    }
+
+    /// This process's arguments. A usage error, or any name when
+    /// `takes_names` is false, ends the process through [`usage_exit`].
+    #[must_use]
+    pub fn from_env(bin: &str, takes_names: bool) -> Args {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        match Args::parse(&args) {
+            Ok(parsed) => match parsed.names.first() {
+                Some(name) if !takes_names => {
+                    usage_exit(bin, &format!("unexpected argument `{name}`"))
+                }
+                _ => parsed,
+            },
+            Err(e) => usage_exit(bin, &e),
         }
     }
-    intervals
+
+    /// The interval count to run for a table published at `published`
+    /// intervals: `published` itself, a twentieth of it (at least 50) with
+    /// `--quick`, or the `--intervals` value.
+    #[must_use]
+    pub fn intervals(&self, published: usize) -> usize {
+        match self.horizon {
+            None => published,
+            Some(Horizon::Quick) => (published / 20).max(50),
+            Some(Horizon::Intervals(n)) => n,
+        }
+    }
+
+    /// Whether the run is at the published horizon. Only such a run may
+    /// rewrite the tracked CSVs under `bench_results/`.
+    #[must_use]
+    pub fn publishes(&self, published: usize) -> bool {
+        self.intervals(published) == published
+    }
+}
+
+/// Prints `{bin}: {msg}` to stderr and exits with the usage-error code 2.
+pub fn usage_exit(bin: &str, msg: &str) -> ! {
+    eprintln!("{bin}: {msg}");
+    std::process::exit(2)
 }
 
 /// Runs `metric` once per seed (in parallel) and returns the sample mean
@@ -106,24 +176,43 @@ mod tests {
 
     #[test]
     fn default_is_full() {
-        assert_eq!(intervals_from_args(&args(&[]), 5000), 5000);
+        let parsed = Args::parse(&args(&["fig3", "fig9"])).unwrap();
+        assert_eq!(parsed.names, ["fig3", "fig9"]);
+        assert_eq!(parsed.intervals(5000), 5000);
+        assert!(parsed.publishes(5000));
     }
 
     #[test]
     fn quick_divides_by_twenty() {
-        assert_eq!(intervals_from_args(&args(&["--quick"]), 5000), 250);
-        assert_eq!(intervals_from_args(&args(&["--quick"]), 100), 50);
+        let quick = Args::parse(&args(&["--quick"])).unwrap();
+        assert_eq!(quick.intervals(5000), 250);
+        assert_eq!(quick.intervals(100), 50);
+        assert!(!quick.publishes(5000));
     }
 
     #[test]
     fn explicit_intervals_win() {
+        let parsed = Args::parse(&args(&["--quick", "--intervals", "123"])).unwrap();
+        assert_eq!(parsed.intervals(5000), 123);
+        assert!(!parsed.publishes(5000));
+        assert!(Args::parse(&args(&["--intervals", "5000"]))
+            .unwrap()
+            .publishes(5000));
         assert_eq!(
-            intervals_from_args(&args(&["--intervals", "123"]), 5000),
-            123
+            Args::parse(&args(&["--intervals", "bogus"])),
+            Err("bad value `bogus` for --intervals".into())
         );
-        assert_eq!(
-            intervals_from_args(&args(&["--intervals", "bogus"]), 5000),
-            5000
-        );
+    }
+
+    #[test]
+    fn mistyped_arguments_are_errors() {
+        for (argv, says) in [
+            (&["--quik"][..], "unknown flag `--quik`"),
+            (&["--intervals"], "--intervals needs a value"),
+            (&["--intervals", "0"], "--intervals must be at least 1"),
+            (&["--intervals", "-5"], "bad value `-5` for --intervals"),
+        ] {
+            assert_eq!(Args::parse(&args(argv)), Err(says.into()), "{argv:?}");
+        }
     }
 }

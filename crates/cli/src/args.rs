@@ -30,6 +30,8 @@ pub enum CliError {
     /// The parameters are individually valid but inconsistent as a whole
     /// (surfaced from the simulator's own validation).
     Invalid(String),
+    /// A deployment failed to load, launch or run (`rtmac emulate`).
+    Net(rtmac_net::NetError),
 }
 
 impl fmt::Display for CliError {
@@ -49,6 +51,7 @@ impl fmt::Display for CliError {
                 expected,
             } => write!(f, "flag `{flag}`: `{value}` is not {expected}"),
             CliError::Invalid(msg) => write!(f, "invalid configuration: {msg}"),
+            CliError::Net(e) => write!(f, "{e}"),
         }
     }
 }

@@ -286,10 +286,6 @@ fn render_timeline(opts: &NetworkOpts) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn net_err(e: rtmac_net::NetError) -> CliError {
-    CliError::Invalid(e.to_string())
-}
-
 fn render_emulation(report: &rtmac_net::EmulationReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -355,7 +351,7 @@ fn render_emulation_kv(report: &rtmac_net::EmulationReport) -> String {
 }
 
 fn run_emulate(opts: &EmulateOpts) -> Result<String, CliError> {
-    let mut sc = rtmac_net::scenario_file::load(&opts.scenario).map_err(net_err)?;
+    let mut sc = rtmac_net::scenario_file::load(&opts.scenario).map_err(CliError::Net)?;
     if let Some(links) = opts.links {
         sc = sc.with_links(links);
     }
@@ -375,7 +371,7 @@ fn run_emulate(opts: &EmulateOpts) -> Result<String, CliError> {
     } else {
         rtmac_net::run_emulation(&cfg, opts.transport)
     }
-    .map_err(net_err)?;
+    .map_err(CliError::Net)?;
     let out = render_emulation(&report);
     if let Some(path) = &opts.report {
         std::fs::write(path, render_emulation_kv(&report))
@@ -531,7 +527,10 @@ mod tests {
             scenario: "/no/such/scenario".to_string(),
             ..EmulateOpts::default()
         };
-        assert!(matches!(run_emulate(&opts), Err(CliError::Invalid(_))));
+        assert!(matches!(
+            run_emulate(&opts),
+            Err(CliError::Net(rtmac_net::NetError::Config(_)))
+        ));
     }
 
     #[test]

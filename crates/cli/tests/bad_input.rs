@@ -2,7 +2,8 @@
 //! deadlines whose time arithmetic overflows, empty networks, sweeps with
 //! more points than memory can hold and invalid traffic parameters end in
 //! a one-line `error:` that names the problem and exit code 1, in debug
-//! and release builds alike.
+//! and release builds alike. A deployment error is printed once, with its
+//! own prefix.
 
 use std::process::Command;
 
@@ -64,5 +65,34 @@ fn out_of_range_inputs_are_errors_not_panics() {
             "{args:?}: expected a one-line error naming {mentions:?}, got {stderr:?}"
         );
         assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    }
+}
+
+#[test]
+fn emulate_prints_a_deployment_error_once() {
+    let sc = rtmac::scenario::by_name("tiny").unwrap();
+    let text: String = rtmac_net::scenario_file::render(&sc)
+        .unwrap()
+        .lines()
+        .map(|l| {
+            if l.starts_with("intervals") {
+                "intervals = 0\n".to_string()
+            } else {
+                format!("{l}\n")
+            }
+        })
+        .collect();
+    let path = std::env::temp_dir().join(format!("rtmac-zero-horizon-{}.scn", std::process::id()));
+    std::fs::write(&path, text).unwrap();
+    let file = path.to_str().unwrap();
+    let threads = rtmac(&["emulate", "--scenario", file]);
+    let processes = rtmac(&["emulate", "--scenario", file, "--processes"]);
+    let _ = std::fs::remove_file(&path);
+    for (code, stderr) in [threads, processes] {
+        assert_eq!(code, Some(1), "stderr: {stderr}");
+        assert_eq!(
+            stderr.lines().next(),
+            Some("error: invalid scenario: a deployment must run at least 1 interval")
+        );
     }
 }

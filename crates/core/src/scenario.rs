@@ -838,13 +838,6 @@ impl Scenario {
         self
     }
 
-    /// Replaces the delivery-ratio requirement.
-    #[must_use]
-    pub fn with_ratio(mut self, ratio: Param) -> Self {
-        self.ratio = ratio;
-        self
-    }
-
     /// Injects faults (sensing errors and/or churn) into the run.
     #[must_use]
     pub fn with_fault(mut self, fault: FaultSpec) -> Self {

@@ -83,13 +83,6 @@ impl RecoveryConfig {
         self
     }
 
-    /// Enables/disables the R2 miss fallback.
-    #[must_use]
-    pub fn with_miss_fallback(mut self, on: bool) -> Self {
-        self.miss_fallback = on;
-        self
-    }
-
     /// Sets a fixed number of consecutive unheard-claim intervals tolerated
     /// before the R2 fallback fires.
     ///

@@ -24,7 +24,8 @@ use crate::frame::CodecError;
 pub enum NetError {
     /// The scenario could not be loaded or built into a network (an
     /// unreadable scenario file, invalid parameters, inconsistent lengths —
-    /// whatever `rtmac`'s own validation reports), or a daemon flag is bad.
+    /// whatever `rtmac`'s own validation reports), or it cannot be deployed
+    /// as asked (a zero horizon, a peer list of the wrong size).
     Config(String),
     /// A frame failed to decode.
     Codec(CodecError),

@@ -67,7 +67,7 @@ pub struct NetdOpts {
 ///
 /// # Errors
 ///
-/// Returns [`NetError::Config`] describing the offending flag or value.
+/// Returns a one-line usage message naming the offending flag or value.
 ///
 /// # Example
 ///
@@ -79,7 +79,7 @@ pub struct NetdOpts {
 /// assert_eq!(opts.link, 0);
 /// assert_eq!(opts.peers.len(), 2);
 /// ```
-pub fn parse(args: &[String]) -> Result<NetdOpts, NetError> {
+pub fn parse(args: &[String]) -> Result<NetdOpts, String> {
     let mut scenario = None;
     let mut link = None;
     let mut bind = None;
@@ -100,7 +100,7 @@ pub fn parse(args: &[String]) -> Result<NetdOpts, NetError> {
         let mut value = |name: &str| {
             iter.next()
                 .cloned()
-                .ok_or_else(|| NetError::Config(format!("{name} needs a value")))
+                .ok_or_else(|| format!("{name} needs a value"))
         };
         match flag.as_str() {
             "--scenario" => scenario = Some(value("--scenario")?),
@@ -120,7 +120,7 @@ pub fn parse(args: &[String]) -> Result<NetdOpts, NetError> {
                 // every beacon; a peer that binds after its last beacon
                 // then waits out its timeout.
                 match parse_value("--intervals", &value("--intervals")?)? {
-                    0 => return Err(NetError::Config("--intervals must be at least 1".into())),
+                    0 => return Err("--intervals must be at least 1".into()),
                     k => opts.intervals = Some(k),
                 }
             }
@@ -131,7 +131,7 @@ pub fn parse(args: &[String]) -> Result<NetdOpts, NetError> {
                     Duration::from_millis(parse_value("--timeout-ms", &value("--timeout-ms")?)?);
             }
             "--report" => opts.report = Some(PathBuf::from(value("--report")?)),
-            other => return Err(NetError::Config(format!("unknown flag `{other}`"))),
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
     opts.scenario = scenario.ok_or_else(|| missing("--scenario"))?;
@@ -141,14 +141,14 @@ pub fn parse(args: &[String]) -> Result<NetdOpts, NetError> {
     Ok(opts)
 }
 
-fn missing(flag: &str) -> NetError {
-    NetError::Config(format!("{flag} is required"))
+fn missing(flag: &str) -> String {
+    format!("{flag} is required")
 }
 
-fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, NetError> {
+fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
     value
         .parse()
-        .map_err(|_| NetError::Config(format!("bad value `{value}` for {flag}")))
+        .map_err(|_| format!("bad value `{value}` for {flag}"))
 }
 
 /// Runs one daemon node to completion and writes the report file if one
@@ -249,17 +249,20 @@ mod tests {
     #[test]
     fn missing_required_flags_are_named() {
         let err = parse(&args(&["--link", "0"])).unwrap_err();
-        assert!(matches!(err, NetError::Config(ref m) if m.contains("--scenario")));
+        assert_eq!(err, "--scenario is required");
     }
 
     #[test]
     fn unknown_flags_and_bad_values_are_rejected() {
-        assert!(parse(&args(&["--frobnicate"])).is_err());
+        assert_eq!(
+            parse(&args(&["--frobnicate"])),
+            Err("unknown flag `--frobnicate`".into())
+        );
         assert!(parse(&args(&["--link", "minus-one"])).is_err());
-        assert!(matches!(
+        assert_eq!(
             parse(&args(&["--intervals", "0"])),
-            Err(NetError::Config(ref m)) if m.contains("at least 1")
-        ));
+            Err("--intervals must be at least 1".into())
+        );
         // There is one DP engine, so there is no engine flag.
         assert!(parse(&args(&["--engine", "batched"])).is_err());
     }

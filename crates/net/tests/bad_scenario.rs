@@ -2,8 +2,9 @@
 //! of its exit-code table, in debug and release builds alike: a scenario
 //! file whose values parse but cannot be simulated or run, a scenario file
 //! that cannot be read, and bad or missing flags. Only a bare invocation
-//! prints the usage text. A zero horizon fails both emulation harnesses at
-//! once with the daemon's one-line error.
+//! prints the usage text, and a flag error reads as a usage error, not as
+//! a scenario error. A zero horizon fails both emulation harnesses at once
+//! with the daemon's one-line error.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -103,6 +104,17 @@ fn usage_and_config_errors_exit_with_the_config_code() {
         // An error names itself and points at --help instead.
         assert_eq!(text.contains("USAGE"), args.is_empty(), "{what}: {text}");
     }
+}
+
+#[test]
+fn a_flag_error_is_reported_as_itself() {
+    let out = netd(&["--frobnicate"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert_eq!(
+        stderr.lines().next(),
+        Some("rtmac-netd: unknown flag `--frobnicate`")
+    );
 }
 
 #[test]

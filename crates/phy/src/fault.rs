@@ -120,12 +120,6 @@ impl BurstSensing {
     pub fn bad_false_idle(&self) -> f64 {
         self.bad_false_idle
     }
-
-    /// Mean bad-burst length in intervals (`1 / p_exit_bad`).
-    #[must_use]
-    pub fn mean_burst_len(&self) -> f64 {
-        1.0 / self.p_exit_bad
-    }
 }
 
 /// Per-link Gilbert–Elliott chain state carried by a [`FaultModel`].
@@ -731,12 +725,6 @@ impl ChurnProcess {
         self.scripted
             .iter()
             .any(|c| c.link().index() == link && c.is_down(interval))
-    }
-
-    /// Whether anything (scripted or Poisson) can ever take a link down.
-    #[must_use]
-    pub fn is_trivial(&self) -> bool {
-        self.scripted.is_empty() && !self.has_random_churn()
     }
 }
 

@@ -203,7 +203,7 @@ impl<T: Transport> LinkNode<T> {
         // Frames indexed by interval, then link. Peers run at most one
         // interval ahead (they need our frame to advance), but the map
         // tolerates any skew.
-        let mut pending: BTreeMap<u64, Vec<Option<Frame>>> = BTreeMap::new();
+        let mut pending = Pending::new();
         let mut last_beacon = self.handshake(&beacon, &mut pending)?;
 
         let deadline = Duration::from_micros(self.config.scenario.deadline_us);
@@ -220,37 +220,50 @@ impl<T: Transport> LinkNode<T> {
             self.transport.broadcast(&mine)?;
             let mut last_rebroadcast = Instant::now();
 
-            while !slot_complete(pending.get(&interval)) {
-                if started.elapsed() > self.config.sync_timeout {
+            // A poll that fills an empty entry of this interval's slot
+            // costs no clock read: at most n − 1 of them can happen, so the
+            // deadlines below are still checked after every other poll.
+            while pending.get(&interval).is_none_or(|slot| slot.filled < n) {
+                let heard_beacon = match self.transport.recv(RECV_SLICE)? {
+                    None => false,
+                    Some(Frame::Beacon(peer)) => {
+                        check_beacon(&beacon, &peer, n)?;
+                        true
+                    }
+                    Some(frame) => {
+                        if self.stash(frame, interval, horizon, &mut pending)? {
+                            continue;
+                        }
+                        false
+                    }
+                };
+                let now = Instant::now();
+                if now.duration_since(started) > self.config.sync_timeout {
                     let waiting_for = pending
                         .get(&interval)
-                        .and_then(|slot| slot.iter().position(Option::is_none))
+                        .and_then(|slot| slot.frames.iter().position(Option::is_none))
                         .unwrap_or(0);
                     return Err(NetError::Timeout {
                         interval,
                         waiting_for,
                     });
                 }
-                if last_rebroadcast.elapsed() >= REBROADCAST {
+                if now.duration_since(last_rebroadcast) >= REBROADCAST {
                     self.transport.broadcast(&mine)?;
-                    last_rebroadcast = Instant::now();
+                    last_rebroadcast = now;
                 }
-                match self.transport.recv(RECV_SLICE)? {
-                    None => {}
-                    Some(Frame::Beacon(peer)) => {
-                        check_beacon(&beacon, &peer, n)?;
-                        // A straggler is still handshaking; repeat our
-                        // beacon, rate-limited.
-                        if last_beacon.elapsed() >= REBEACON {
-                            self.transport.broadcast(&Frame::Beacon(beacon))?;
-                            last_beacon = Instant::now();
-                        }
-                    }
-                    Some(frame) => self.stash(frame, interval, horizon, &mut pending)?,
+                // A straggler is still handshaking; repeat our beacon,
+                // rate-limited.
+                if heard_beacon && now.duration_since(last_beacon) >= REBEACON {
+                    self.transport.broadcast(&Frame::Beacon(beacon))?;
+                    last_beacon = now;
                 }
             }
 
-            let slot = pending.remove(&interval).unwrap_or_default();
+            let slot = pending
+                .remove(&interval)
+                .map(|slot| slot.frames)
+                .unwrap_or_default();
             for (link, frame) in slot.iter().enumerate() {
                 let Some(frame) = frame else { continue };
                 let digest = frame.activity().map(|a| a.state_digest).unwrap_or_default();
@@ -295,41 +308,46 @@ impl<T: Transport> LinkNode<T> {
     /// their handshake — are buffered, not dropped. Returns the time of
     /// the last beacon broadcast so the main loop's beacon replies stay
     /// rate-limited.
-    fn handshake(
-        &mut self,
-        beacon: &Beacon,
-        pending: &mut BTreeMap<u64, Vec<Option<Frame>>>,
-    ) -> Result<Instant, NetError> {
+    fn handshake(&mut self, beacon: &Beacon, pending: &mut Pending) -> Result<Instant, NetError> {
         let n = self.transport.n_links();
         let horizon = beacon.intervals;
         let mut seen = vec![false; n];
         seen[self.transport.local_link()] = true;
+        let mut heard = 1;
         let started = Instant::now();
         if let Err(e) = self.transport.broadcast(&Frame::Beacon(*beacon)) {
             return Err(self.explain_dead_interconnect(beacon, e));
         }
         let mut last_beacon = Instant::now();
-        while seen.iter().any(|&s| !s) {
-            if started.elapsed() > self.config.sync_timeout {
+        // As in the interval loop, only a poll that heard a new peer skips
+        // the clock; there are at most n − 1 of them.
+        while heard < n {
+            match self.transport.recv(RECV_SLICE)? {
+                None => {}
+                Some(Frame::Beacon(peer)) => {
+                    check_beacon(beacon, &peer, n)?;
+                    if !std::mem::replace(&mut seen[peer.link as usize], true) {
+                        heard += 1;
+                        continue;
+                    }
+                }
+                Some(frame) => {
+                    self.stash(frame, 0, horizon, pending)?;
+                }
+            }
+            let now = Instant::now();
+            if now.duration_since(started) > self.config.sync_timeout {
                 let waiting_for = seen.iter().position(|&s| !s).unwrap_or(0);
                 return Err(NetError::Timeout {
                     interval: 0,
                     waiting_for,
                 });
             }
-            if last_beacon.elapsed() >= REBEACON {
+            if now.duration_since(last_beacon) >= REBEACON {
                 if let Err(e) = self.transport.broadcast(&Frame::Beacon(*beacon)) {
                     return Err(self.explain_dead_interconnect(beacon, e));
                 }
-                last_beacon = Instant::now();
-            }
-            match self.transport.recv(RECV_SLICE)? {
-                None => {}
-                Some(Frame::Beacon(peer)) => {
-                    check_beacon(beacon, &peer, n)?;
-                    seen[peer.link as usize] = true;
-                }
-                Some(frame) => self.stash(frame, 0, horizon, pending)?,
+                last_beacon = now;
             }
         }
         Ok(last_beacon)
@@ -356,19 +374,21 @@ impl<T: Transport> LinkNode<T> {
     /// Files an activity frame into the pending map. Stale frames (already
     /// absorbed intervals) are dropped; identical duplicates are ignored;
     /// conflicting duplicates and impossible coordinates are desyncs.
+    /// Returns whether the frame filled an empty entry of interval
+    /// `current`.
     fn stash(
         &self,
         frame: Frame,
         current: u64,
         horizon: u64,
-        pending: &mut BTreeMap<u64, Vec<Option<Frame>>>,
-    ) -> Result<(), NetError> {
+        pending: &mut Pending,
+    ) -> Result<bool, NetError> {
         let n = self.transport.n_links();
         let Some(body) = frame.activity() else {
-            return Ok(());
+            return Ok(false);
         };
         if body.interval < current {
-            return Ok(());
+            return Ok(false);
         }
         if body.interval >= horizon {
             return Err(NetError::Desync {
@@ -385,26 +405,35 @@ impl<T: Transport> LinkNode<T> {
                 detail: format!("frame from unknown link (deployment has {n})"),
             });
         }
-        let slot = pending
-            .entry(body.interval)
-            .or_insert_with(|| vec![None; n]);
-        match &slot[link] {
-            None => slot[link] = Some(frame),
-            Some(existing) if *existing == frame => {}
-            Some(_) => {
-                return Err(NetError::Desync {
-                    interval: body.interval,
-                    link,
-                    detail: "two different frames for the same interval".to_string(),
-                });
+        let slot = pending.entry(body.interval).or_insert_with(|| Slot {
+            frames: vec![None; n],
+            filled: 0,
+        });
+        match &slot.frames[link] {
+            None => {
+                slot.frames[link] = Some(frame);
+                slot.filled += 1;
+                Ok(body.interval == current)
             }
+            Some(existing) if *existing == frame => Ok(false),
+            Some(_) => Err(NetError::Desync {
+                interval: body.interval,
+                link,
+                detail: "two different frames for the same interval".to_string(),
+            }),
         }
-        Ok(())
     }
 }
 
-fn slot_complete(slot: Option<&Vec<Option<Frame>>>) -> bool {
-    slot.is_some_and(|slot| slot.iter().all(Option::is_some))
+/// Activity frames not yet absorbed, by interval.
+type Pending = BTreeMap<u64, Slot>;
+
+/// One interval's activity frames, indexed by link, and how many entries
+/// are filled, so "heard every link" is one comparison.
+#[derive(Debug)]
+struct Slot {
+    frames: Vec<Option<Frame>>,
+    filled: usize,
 }
 
 fn check_beacon(ours: &Beacon, theirs: &Beacon, n: usize) -> Result<(), NetError> {

@@ -46,6 +46,9 @@ pub struct UdpTransport {
     link: usize,
     n_links: usize,
     buf: Box<[u8; RECV_BUF]>,
+    /// The socket's read timeout as last set, so a `recv` with the same
+    /// timeout skips the `setsockopt`.
+    read_timeout: Option<Duration>,
 }
 
 impl UdpTransport {
@@ -99,6 +102,7 @@ impl UdpTransport {
             link,
             n_links,
             buf: Box::new([0; RECV_BUF]),
+            read_timeout: None,
         })
     }
 
@@ -137,6 +141,7 @@ impl UdpTransport {
                 link,
                 n_links: n,
                 buf: Box::new([0; RECV_BUF]),
+                read_timeout: None,
             })
             .collect())
     }
@@ -171,10 +176,13 @@ impl Transport for UdpTransport {
 
     fn recv(&mut self, timeout: Duration) -> Result<Option<Frame>, NetError> {
         // A zero read timeout means "block forever" to the OS; clamp up.
-        let timeout = timeout.max(Duration::from_millis(1));
-        self.socket
-            .set_read_timeout(Some(timeout))
-            .map_err(|e| NetError::Io(format!("cannot set read timeout: {e}")))?;
+        let timeout = Some(timeout.max(Duration::from_millis(1)));
+        if self.read_timeout != timeout {
+            self.socket
+                .set_read_timeout(timeout)
+                .map_err(|e| NetError::Io(format!("cannot set read timeout: {e}")))?;
+            self.read_timeout = timeout;
+        }
         match self.socket.recv_from(&mut self.buf[..]) {
             Ok((len, _)) => Ok(Some(Frame::decode_datagram(&self.buf[..len])?)),
             Err(e)
@@ -227,6 +235,34 @@ mod tests {
     fn recv_timeout_returns_none() {
         let mut eps = UdpTransport::local_cluster(2).unwrap();
         assert_eq!(eps[0].recv(Duration::from_millis(5)).unwrap(), None);
+    }
+
+    #[test]
+    fn recv_honours_a_timeout_that_changes_between_calls() {
+        let mut eps = UdpTransport::local_cluster(2).unwrap();
+        let mut listener = eps.remove(0);
+        let mut sender = eps.remove(0);
+        let frame = Frame::Beacon(crate::frame::Beacon {
+            link: 1,
+            links: 2,
+            seed: 3,
+            intervals: 4,
+            config_digest: 5,
+        });
+        assert_eq!(listener.recv(Duration::from_millis(1)).unwrap(), None);
+        // Longer than the last timeout: a frame sent later still arrives.
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            sender.broadcast(&frame).unwrap();
+        });
+        assert_eq!(listener.recv(Duration::from_secs(10)).unwrap(), Some(frame));
+        late.join().unwrap();
+        // Shorter again, and zero (clamped to 1 ms): nothing waits 10 s.
+        for timeout in [Duration::from_millis(5), Duration::ZERO] {
+            let started = std::time::Instant::now();
+            assert_eq!(listener.recv(timeout).unwrap(), None);
+            assert!(started.elapsed() < Duration::from_secs(5), "{timeout:?}");
+        }
     }
 
     #[test]

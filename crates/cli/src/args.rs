@@ -32,6 +32,8 @@ pub enum CliError {
     Invalid(String),
     /// A deployment failed to load, launch or run (`rtmac emulate`).
     Net(rtmac_net::NetError),
+    /// An output file could not be written; the message names it.
+    Io(String),
 }
 
 impl fmt::Display for CliError {
@@ -52,6 +54,7 @@ impl fmt::Display for CliError {
             } => write!(f, "flag `{flag}`: `{value}` is not {expected}"),
             CliError::Invalid(msg) => write!(f, "invalid configuration: {msg}"),
             CliError::Net(e) => write!(f, "{e}"),
+            CliError::Io(msg) => write!(f, "{msg}"),
         }
     }
 }

@@ -2,6 +2,7 @@
 //! and formats the results.
 
 use std::fmt::Write as _;
+use std::io::Write as _;
 
 use rtmac::scenario::{Axis, Scenario, Sweep, CONTENDERS};
 use rtmac::sim::Nanos;
@@ -362,6 +363,15 @@ fn run_emulate(opts: &EmulateOpts) -> Result<String, CliError> {
     let mut cfg = rtmac_net::NodeConfig::new(sc, intervals);
     cfg.realtime = opts.realtime;
     cfg.sync_timeout = std::time::Duration::from_millis(opts.timeout_ms);
+    // Open the report before launching, so a bad path wastes no run.
+    let report_out = opts
+        .report
+        .as_deref()
+        .map(|path| match std::fs::File::create(path) {
+            Ok(file) => Ok((path, file)),
+            Err(e) => Err(report_error(path, &e)),
+        })
+        .transpose()?;
     let report = if opts.processes {
         let netd = opts
             .netd
@@ -372,12 +382,15 @@ fn run_emulate(opts: &EmulateOpts) -> Result<String, CliError> {
         rtmac_net::run_emulation(&cfg, opts.transport)
     }
     .map_err(CliError::Net)?;
-    let out = render_emulation(&report);
-    if let Some(path) = &opts.report {
-        std::fs::write(path, render_emulation_kv(&report))
-            .map_err(|e| CliError::Invalid(format!("cannot write report {path}: {e}")))?;
+    if let Some((path, mut file)) = report_out {
+        file.write_all(render_emulation_kv(&report).as_bytes())
+            .map_err(|e| report_error(path, &e))?;
     }
-    Ok(out)
+    Ok(render_emulation(&report))
+}
+
+fn report_error(path: &str, e: &std::io::Error) -> CliError {
+    CliError::Io(format!("cannot write report {path}: {e}"))
 }
 
 /// Executes a parsed [`Command`] and returns its printable output.

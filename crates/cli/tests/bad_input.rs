@@ -3,7 +3,8 @@
 //! more points than memory can hold and invalid traffic parameters end in
 //! a one-line `error:` that names the problem and exit code 1, in debug
 //! and release builds alike. A deployment error is printed once, with its
-//! own prefix.
+//! own prefix, and an unwritable `--report` path fails before anything is
+//! launched.
 
 use std::process::Command;
 
@@ -95,4 +96,27 @@ fn emulate_prints_a_deployment_error_once() {
             Some("error: invalid scenario: a deployment must run at least 1 interval")
         );
     }
+}
+
+#[test]
+fn emulate_checks_its_report_path_before_launching() {
+    // The launch would fail too; the report path is tried first.
+    let (code, stderr) = rtmac(&[
+        "emulate",
+        "--scenario",
+        "tiny",
+        "--intervals",
+        "5",
+        "--processes",
+        "--netd",
+        "/nonexistent/rtmac-netd",
+        "--report",
+        "/no/such/dir/r.txt",
+    ]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(
+        first.starts_with("error: cannot write report /no/such/dir/r.txt: "),
+        "expected the report error, got {stderr:?}"
+    );
 }

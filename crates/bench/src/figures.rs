@@ -8,7 +8,7 @@
 //! and how to lay the results out in a [`SeriesTable`].
 
 use rtmac::model::LinkId;
-use rtmac::scenario::{self, FaultSpec, Param, PolicySpec, Sweep, TrafficSpec, CONTENDERS};
+use rtmac::scenario::{self, FaultSpec, PolicySpec, Sweep, TrafficSpec, CONTENDERS};
 use rtmac::RunReport;
 
 use crate::table::SeriesTable;
@@ -97,29 +97,6 @@ pub fn figure(name: &str) -> Option<&'static Figure> {
 
 /// The horizon the `ablations` binary publishes its tables at.
 pub const ABLATION_INTERVALS: usize = 3000;
-
-/// Runs the control workload (2 ms deadline, 100 B payload, Bernoulli
-/// arrivals with rate `lambda` on every link).
-///
-/// # Panics
-///
-/// Panics if the parameters are inconsistent.
-#[must_use]
-pub fn run_control(
-    n: usize,
-    lambda: f64,
-    p: f64,
-    rho: f64,
-    policy: PolicySpec,
-    intervals: usize,
-    seed: u64,
-) -> RunReport {
-    let mut sc = scenario::control(n, lambda, rho, seed)
-        .with_policy(policy)
-        .with_intervals(intervals);
-    sc.success = Param::Uniform(p);
-    sc.run().expect("valid control network")
-}
 
 fn contender_columns() -> Vec<String> {
     CONTENDERS.iter().map(PolicySpec::label).collect()
@@ -575,12 +552,5 @@ mod tests {
                 assert!(row[i] <= 1.0, "miss rate out of range at L = {len}");
             }
         }
-    }
-
-    #[test]
-    fn control_runner_is_deterministic() {
-        let a = run_control(4, 0.6, 0.7, 0.95, PolicySpec::Ldf, 50, 11);
-        let b = run_control(4, 0.6, 0.7, 0.95, PolicySpec::Ldf, 50, 11);
-        assert_eq!(a.per_link_throughput, b.per_link_throughput);
     }
 }

@@ -125,20 +125,6 @@ pub fn usage_exit(bin: &str, msg: &str) -> ! {
     std::process::exit(2)
 }
 
-/// Runs `metric` once per seed (in parallel) and returns the sample mean
-/// and standard deviation — replication bands for any figure point.
-pub fn replicate<F>(seeds: std::ops::Range<u64>, metric: F) -> (f64, f64)
-where
-    F: Fn(u64) -> f64 + Sync,
-{
-    let values = parallel_map(seeds.collect::<Vec<u64>>(), metric);
-    let mut stats = rtmac_model::metrics::RunningStats::new();
-    for v in values {
-        stats.push(v);
-    }
-    (stats.mean(), stats.std_dev())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,27 +137,6 @@ mod tests {
     fn parallel_map_preserves_order() {
         let out = parallel_map((0..16).collect(), |x: i32| x * x);
         assert_eq!(out, (0..16).map(|x| x * x).collect::<Vec<i32>>());
-    }
-
-    #[test]
-    fn replicate_reports_mean_and_spread() {
-        let (mean, std) = replicate(0..8, |seed| seed as f64);
-        assert!((mean - 3.5).abs() < 1e-12);
-        assert!(std > 2.0 && std < 3.0);
-        // Deterministic metric: zero spread.
-        let (m, s) = replicate(0..4, |_| 7.0);
-        assert_eq!((m, s), (7.0, 0.0));
-    }
-
-    #[test]
-    fn replicated_simulation_point_is_stable() {
-        // The Fig. 9 point (λ = 0.6, feasible): deficiency ~0 across seeds.
-        let (mean, std) = replicate(0..4, |seed| {
-            crate::figures::run_control(4, 0.6, 0.7, 0.9, rtmac::PolicySpec::Ldf, 200, seed)
-                .final_total_deficiency
-        });
-        assert!(mean < 0.1, "mean {mean}");
-        assert!(std < 0.1, "std {std}");
     }
 
     #[test]

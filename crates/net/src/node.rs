@@ -326,7 +326,9 @@ impl<T: Transport> LinkNode<T> {
                 None => {}
                 Some(Frame::Beacon(peer)) => {
                     check_beacon(beacon, &peer, n)?;
-                    if !std::mem::replace(&mut seen[peer.link as usize], true) {
+                    let link = peer.link as usize;
+                    if !seen[link] {
+                        seen[link] = true;
                         heard += 1;
                         continue;
                     }

@@ -45,8 +45,9 @@ struct Log {
     /// Every broadcast: the activity frame's interval (`None` for a
     /// beacon) and when it began.
     sent: Vec<(Option<u64>, Duration)>,
-    /// When each `recv` call began.
-    polls: Vec<Duration>,
+    /// When each `recv` call that served nothing from the script began:
+    /// a filler frame or nothing. None of these can be progress.
+    stalls: Vec<Duration>,
 }
 
 impl Log {
@@ -59,9 +60,9 @@ impl Log {
             .expect("the node broadcast it")
     }
 
-    /// How many `recv` calls began after `at`.
-    fn polls_after(&self, at: Duration) -> usize {
-        self.polls.iter().filter(|&&t| t > at).count()
+    /// How many stalled `recv` calls began after `at`.
+    fn stalls_after(&self, at: Duration) -> usize {
+        self.stalls.iter().filter(|&&t| t > at).count()
     }
 }
 
@@ -124,7 +125,6 @@ impl Transport for Peers<'_> {
 
     fn recv(&mut self, timeout: Duration) -> Result<Option<Frame>, NetError> {
         let now = clock();
-        self.log.polls.push(now);
         if now > self.give_up {
             return Err(NetError::Io(
                 "the node ignored its sync timeout".to_string(),
@@ -133,6 +133,7 @@ impl Transport for Peers<'_> {
         if let Some(frame) = self.inbox.pop_front() {
             return Ok(Some(frame));
         }
+        self.log.stalls.push(now);
         if !self.filler.is_empty() {
             let frame = self.filler[self.next_filler % self.filler.len()];
             self.next_filler += 1;
@@ -361,8 +362,9 @@ fn frame_one_interval_ahead_is_buffered_and_used() {
 #[test]
 fn duplicates_and_beacons_alone_still_end_in_timeout() {
     // The peers answer every poll at once, but never with anything new.
-    // The node must still give up at its first poll past the deadline:
-    // with a real transport, within one 5 ms receive slice of it.
+    // The node must still give up at its first poll past the deadline that
+    // brought nothing new: with a real transport, within one 5 ms receive
+    // slice of it.
     let case = Case::new(2);
     let sync_timeout = Duration::from_millis(100);
     let (dup, b1, b2) = (case.frame(0, 1), case.beacon(1), case.beacon(2));
@@ -390,7 +392,7 @@ fn duplicates_and_beacons_alone_still_end_in_timeout() {
         };
         assert_eq!(run, Err(timed_out), "interval {interval:?}");
         let deadline = log.first_sent(interval) + sync_timeout;
-        assert!(log.polls_after(deadline) <= 1, "interval {interval:?}");
+        assert!(log.stalls_after(deadline) <= 1, "interval {interval:?}");
     }
 }
 

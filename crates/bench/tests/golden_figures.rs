@@ -35,6 +35,21 @@ fn fig3_csv_is_byte_identical() {
 }
 
 #[test]
+fn fig4_csv_is_byte_identical() {
+    assert_published("fig4");
+}
+
+#[test]
+fn fig7_csv_is_byte_identical() {
+    assert_published("fig7");
+}
+
+#[test]
+fn fig8_csv_is_byte_identical() {
+    assert_published("fig8");
+}
+
+#[test]
 fn fig_fault_csv_is_byte_identical() {
     assert_published("fig_fault");
 }
@@ -47,6 +62,11 @@ fn fig_fault_burst_csv_is_byte_identical() {
 #[test]
 fn fig9_csv_is_byte_identical() {
     assert_published("fig9");
+}
+
+#[test]
+fn fig10_csv_is_byte_identical() {
+    assert_published("fig10");
 }
 
 #[test]

@@ -291,13 +291,19 @@ impl TransmissionPolicy for Eldf {
 pub struct FcsmaPolicy {
     engine: FcsmaEngine,
     quantizer: FcsmaQuantizer,
+    /// Per-link attempt probabilities, refilled every interval.
+    probs: Vec<f64>,
 }
 
 impl FcsmaPolicy {
     /// Wires the FCSMA engine to its debt quantizer.
     #[must_use]
     pub fn new(engine: FcsmaEngine, quantizer: FcsmaQuantizer) -> Self {
-        FcsmaPolicy { engine, quantizer }
+        FcsmaPolicy {
+            engine,
+            quantizer,
+            probs: Vec::new(),
+        }
     }
 }
 
@@ -313,13 +319,13 @@ impl TransmissionPolicy for FcsmaPolicy {
         channel: &mut dyn LossModel,
         rng: &mut SimRng,
     ) -> IntervalOutcome {
-        let probs: Vec<f64> = (0..arrivals.len())
-            .map(|n| {
-                self.quantizer
-                    .attempt_probability(debts.positive(LinkId::new(n)))
-            })
-            .collect();
-        self.engine.run_interval(arrivals, &probs, channel, rng)
+        self.probs.clear();
+        self.probs.extend((0..arrivals.len()).map(|n| {
+            self.quantizer
+                .attempt_probability(debts.positive(LinkId::new(n)))
+        }));
+        self.engine
+            .run_interval(arrivals, &self.probs, channel, rng)
     }
 }
 

@@ -15,12 +15,39 @@
 //!    ([`FcsmaQuantizer`]); beyond the last threshold FCSMA cannot react to
 //!    further debt growth, which starves weak links in asymmetric networks
 //!    (Figs. 7–8).
+//!
+//! # The contender list
+//!
+//! At the start of an interval [`FcsmaEngine::run_interval`] lists the
+//! backlogged links in link order, each with its packets left, its airtime
+//! and the threshold of its coin ([`bernoulli_threshold`]). A slot is one
+//! pass over that list. An entry whose queue has emptied or whose frame no
+//! longer fits leaves it, and every other entry flips its coin. The pass
+//! counts the attempters as it goes.
+//!
+//! This consumes the same RNG stream as the direct reading of the model: a
+//! loop that asks every link, at every slot, whether it is backlogged and
+//! its frame fits, and if so calls `random_bool(p)`.
+//!
+//! * Time only moves forward within an interval and queues only shrink. A
+//!   link that left the list would never pass that test again.
+//! * The list keeps link order, so the coins are drawn in link order.
+//! * `random_bool(p)` for `p < 1` is one `next_u64` compared with
+//!   [`bernoulli_threshold`]`(p)`. `random_bool(1.0)` draws nothing, so a
+//!   link with `p = 1` holds no threshold and attempts without a draw.
+//! * A slot in which no frame fits draws nothing and ends the interval.
+//! * A capture's channel draw follows the slot's coins.
+//!
+//! `tests/fcsma_fingerprints.rs` pins the outcome and the RNG state after
+//! every interval over a grid of shapes. The list and the collision
+//! scratch are sized on the first interval. After that an interval
+//! allocates only the outcome it returns (`tests/alloc_regression.rs`).
 
-use rand::Rng;
+use rand::RngCore;
 use rtmac_model::LinkId;
 use rtmac_phy::channel::LossModel;
 use rtmac_phy::Medium;
-use rtmac_sim::{Nanos, SimRng};
+use rtmac_sim::{bernoulli_threshold, Nanos, SimRng};
 
 use crate::{IntervalOutcome, MacTiming};
 
@@ -125,13 +152,33 @@ impl Default for FcsmaQuantizer {
 #[derive(Debug, Clone)]
 pub struct FcsmaEngine {
     timing: MacTiming,
+    /// The links still contending in the current interval, in link order.
+    contenders: Vec<Contender>,
+    /// The airtimes of one slot's attempters.
+    airtimes: Vec<Nanos>,
+}
+
+/// A backlogged link whose frame still fits in the interval.
+#[derive(Debug, Clone, Copy)]
+struct Contender {
+    link: usize,
+    /// Packets still queued.
+    left: u32,
+    airtime: Nanos,
+    /// Attempts when a draw lies below this; `None` attempts without one
+    /// (`p = 1`).
+    threshold: Option<u64>,
 }
 
 impl FcsmaEngine {
     /// Creates the engine.
     #[must_use]
     pub fn new(timing: MacTiming) -> Self {
-        FcsmaEngine { timing }
+        FcsmaEngine {
+            timing,
+            contenders: Vec::new(),
+            airtimes: Vec::new(),
+        }
     }
 
     /// The timing context.
@@ -161,69 +208,81 @@ impl FcsmaEngine {
         let n = arrivals.len();
         assert_eq!(attempt_probs.len(), n, "one attempt probability per link");
         assert_eq!(channel.n_links(), n, "channel link count mismatch");
-        for (i, &p) in attempt_probs.iter().enumerate() {
+        let Self {
+            timing,
+            contenders,
+            airtimes,
+        } = self;
+        // Sized on the first interval; no-ops from then on.
+        contenders.clear();
+        contenders.reserve(n);
+        airtimes.clear();
+        airtimes.reserve(n);
+        for (link, (&left, &p)) in arrivals.iter().zip(attempt_probs).enumerate() {
             assert!(
                 p > 0.0 && p <= 1.0,
-                "attempt_probs[{i}] = {p} out of (0, 1]"
+                "attempt_probs[{link}] = {p} out of (0, 1]"
             );
+            if left > 0 {
+                contenders.push(Contender {
+                    link,
+                    left,
+                    airtime: timing.data_airtime_for(link),
+                    threshold: (p < 1.0).then(|| bernoulli_threshold(p)),
+                });
+            }
         }
 
-        let mut data: Vec<u32> = arrivals.to_vec();
         let mut outcome = IntervalOutcome::empty(n);
         let mut medium = Medium::new();
-        let slot = self.timing.slot();
-        let deadline = self.timing.deadline();
+        let slot = timing.slot();
+        let deadline = timing.deadline();
 
         let mut t = Nanos::ZERO;
         while t < deadline {
+            // Slotted contention: every backlogged link that could still
+            // finish in time flips its coin, in link order.
+            airtimes.clear();
+            let mut kept = 0;
+            let mut sole = 0;
+            contenders.retain(|c| {
+                if c.left == 0 || !timing.fits(t, c.airtime) {
+                    return false;
+                }
+                let attempts = match c.threshold {
+                    Some(threshold) => rng.next_u64() < threshold,
+                    None => true,
+                };
+                if attempts {
+                    outcome.attempts[c.link] += 1;
+                    airtimes.push(c.airtime);
+                    sole = kept;
+                }
+                kept += 1;
+                true
+            });
             // Stop once no backlogged link's frame still fits.
-            let any_fits =
-                (0..n).any(|l| data[l] > 0 && self.timing.fits(t, self.timing.data_airtime_for(l)));
-            if !any_fits {
+            if contenders.is_empty() {
                 break;
             }
-            // Slotted contention: every backlogged link that could still
-            // finish in time flips its coin.
-            let attempters: Vec<usize> = (0..n)
-                .filter(|&l| {
-                    data[l] > 0
-                        && self.timing.fits(t, self.timing.data_airtime_for(l))
-                        && rng.random_bool(attempt_probs[l])
-                })
-                .collect();
-            match attempters.len() {
-                0 => {
-                    outcome.idle_slots += 1;
-                    t += slot;
-                }
-                1 => {
-                    // Capture: transmit one packet, then everyone
-                    // recontends (the slotted FCSMA model transmits one
-                    // packet per successful capture).
-                    let link = attempters[0];
-                    let tx = medium.transmit(t, &[self.timing.data_airtime_for(link)]);
-                    outcome.attempts[link] += 1;
-                    if channel.attempt(LinkId::new(link), rng) {
-                        data[link] -= 1;
-                        outcome.deliveries[link] += 1;
-                        outcome.latency_sum[link] += tx.ends_at;
-                    }
-                    t = tx.ends_at + slot;
-                }
-                _ => {
-                    // Collision: all frames lost, medium busy for the
-                    // longest of them.
-                    let airtimes: Vec<Nanos> = attempters
-                        .iter()
-                        .map(|&l| self.timing.data_airtime_for(l))
-                        .collect();
-                    let tx = medium.transmit(t, &airtimes);
-                    for &l in &attempters {
-                        outcome.attempts[l] += 1;
-                    }
-                    t = tx.ends_at + slot;
+            if airtimes.is_empty() {
+                outcome.idle_slots += 1;
+                t += slot;
+                continue;
+            }
+            // A collision loses every frame and keeps the medium busy for
+            // the longest of them. A sole attempter captures the medium and
+            // transmits one packet, then everyone recontends.
+            let tx = medium.transmit(t, airtimes);
+            if airtimes.len() == 1 {
+                let c = &mut contenders[sole];
+                if channel.attempt(LinkId::new(c.link), rng) {
+                    c.left -= 1;
+                    outcome.deliveries[c.link] += 1;
+                    outcome.latency_sum[c.link] += tx.ends_at;
                 }
             }
+            t = tx.ends_at + slot;
         }
 
         outcome.collisions = medium.stats().collisions;

@@ -12,12 +12,17 @@
 //! Trace mode is exempt from the contract (trace buffers legitimately grow
 //! on the first traced intervals), so the engine under test runs untraced —
 //! matching the benchmark configuration.
+//!
+//! [`FcsmaEngine::run_interval`] returns an owned outcome, so its contract
+//! is one step weaker: once the first interval has sized its contender list
+//! and collision scratch, an interval allocates the returned outcome's
+//! three per-link vectors and nothing else.
 
 use alloctrack::CountingAllocator;
 use rand::Rng;
 use rtmac_mac::{
-    draw_nonadjacent_candidates_into, ChurnEvent, DpConfig, DpEngine, MacTiming, PairCoins,
-    RecoveryConfig,
+    draw_nonadjacent_candidates_into, ChurnEvent, DpConfig, DpEngine, FcsmaEngine, FcsmaQuantizer,
+    MacTiming, PairCoins, RecoveryConfig,
 };
 use rtmac_phy::channel::Bernoulli;
 use rtmac_phy::fault::{ChurnProcess, FaultModel, HiddenMatrix};
@@ -140,6 +145,51 @@ fn degraded_step_performs_zero_heap_allocations() {
         0,
         "degraded DP stepping allocated {} times over 200 intervals; \
          the fault layer must be allocation-free",
+        after - before
+    );
+}
+
+/// The saturated control shape of Figs. 9–10 under FCSMA: 10 links, 2 ms,
+/// 100 B frames, more arrivals than an interval can carry, and attempt
+/// probabilities from the paper's quantizer that change every interval.
+#[test]
+fn fcsma_interval_allocates_only_its_outcome() {
+    const LINKS: usize = 10;
+    const INTERVALS: u64 = 100;
+    let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(2), 100);
+    let mut engine = FcsmaEngine::new(timing);
+    let quantizer = FcsmaQuantizer::paper_default();
+    let mut channel = Bernoulli::new(vec![0.7; LINKS]).unwrap();
+    let seeds = SeedStream::new(2018);
+    let mut rng = seeds.rng(0);
+    let mut debt_rng = seeds.rng(1);
+    let arrivals = [3u32; LINKS];
+    let mut probs = [0.0f64; LINKS];
+    let mut collisions = 0;
+
+    let mut interval = |engine: &mut FcsmaEngine, collisions: &mut u64| {
+        for p in probs.iter_mut() {
+            *p = quantizer.attempt_probability(debt_rng.random_range(0.0..3.0));
+        }
+        let outcome = engine.run_interval(&arrivals, &probs, &mut channel, &mut rng);
+        assert!(outcome.deliveries.len() == LINKS);
+        *collisions += outcome.collisions;
+    };
+    // Warm-up: the first interval sizes the engine's buffers.
+    interval(&mut engine, &mut collisions);
+
+    let before = alloctrack::thread_allocations();
+    for _ in 0..INTERVALS {
+        interval(&mut engine, &mut collisions);
+    }
+    let after = alloctrack::thread_allocations();
+
+    assert!(collisions > 0, "the shape must collide");
+    assert_eq!(
+        after - before,
+        3 * INTERVALS,
+        "FCSMA allocated {} times over {INTERVALS} intervals; \
+         an interval may allocate only its outcome's three vectors",
         after - before
     );
 }

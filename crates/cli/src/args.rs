@@ -61,6 +61,17 @@ impl fmt::Display for CliError {
 
 impl Error for CliError {}
 
+impl CliError {
+    /// Whether the command line caused this error, so that the usage
+    /// pointer can help: every error but a failed deployment
+    /// ([`CliError::Net`]) and an unwritable output file
+    /// ([`CliError::Io`]).
+    #[must_use]
+    pub fn is_usage(&self) -> bool {
+        !matches!(self, CliError::Net(_) | CliError::Io(_))
+    }
+}
+
 /// Network and simulation options shared by every subcommand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkOpts {

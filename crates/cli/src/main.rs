@@ -11,7 +11,9 @@ fn main() -> ExitCode {
         }
         Err(err) => {
             eprintln!("error: {err}");
-            eprintln!("run `rtmac help` for usage");
+            if err.is_usage() {
+                eprintln!("run `rtmac help` for usage");
+            }
             ExitCode::FAILURE
         }
     }

@@ -4,7 +4,8 @@
 //! a one-line `error:` that names the problem and exit code 1, in debug
 //! and release builds alike. A deployment error is printed once, with its
 //! own prefix, and an unwritable `--report` path fails before anything is
-//! launched.
+//! launched. The pointer to `rtmac help` follows only errors that the
+//! command line caused.
 
 use std::process::Command;
 
@@ -114,9 +115,26 @@ fn emulate_checks_its_report_path_before_launching() {
         "/no/such/dir/r.txt",
     ]);
     assert_eq!(code, Some(1), "stderr: {stderr}");
-    let first = stderr.lines().next().unwrap_or_default();
+    let lines: Vec<&str> = stderr.lines().collect();
+    let [only] = lines[..] else {
+        panic!("expected one line, with no usage pointer, got {stderr:?}");
+    };
     assert!(
-        first.starts_with("error: cannot write report /no/such/dir/r.txt: "),
+        only.starts_with("error: cannot write report /no/such/dir/r.txt: "),
         "expected the report error, got {stderr:?}"
+    );
+}
+
+#[test]
+fn a_command_line_error_ends_with_the_usage_pointer() {
+    let (code, stderr) = rtmac(&["run", "--no-such-flag"]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(
+        lines,
+        [
+            "error: unknown flag `--no-such-flag`",
+            "run `rtmac help` for usage"
+        ]
     );
 }

@@ -244,6 +244,8 @@ impl FcsmaEngine {
             // finish in time flips its coin, in link order.
             airtimes.clear();
             let mut kept = 0;
+            // The last attempter's place in the list: the sole one when
+            // exactly one link attempts.
             let mut sole = 0;
             contenders.retain(|c| {
                 if c.left == 0 || !timing.fits(t, c.airtime) {

@@ -167,20 +167,20 @@ fn fcsma_interval_allocates_only_its_outcome() {
     let mut probs = [0.0f64; LINKS];
     let mut collisions = 0;
 
-    let mut interval = |engine: &mut FcsmaEngine, collisions: &mut u64| {
+    let mut interval = || {
         for p in probs.iter_mut() {
             *p = quantizer.attempt_probability(debt_rng.random_range(0.0..3.0));
         }
         let outcome = engine.run_interval(&arrivals, &probs, &mut channel, &mut rng);
         assert!(outcome.deliveries.len() == LINKS);
-        *collisions += outcome.collisions;
+        collisions += outcome.collisions;
     };
     // Warm-up: the first interval sizes the engine's buffers.
-    interval(&mut engine, &mut collisions);
+    interval();
 
     let before = alloctrack::thread_allocations();
     for _ in 0..INTERVALS {
-        interval(&mut engine, &mut collisions);
+        interval();
     }
     let after = alloctrack::thread_allocations();
 

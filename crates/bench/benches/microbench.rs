@@ -1,5 +1,6 @@
 //! Microbenchmarks of the building blocks: one interval of each MAC engine,
-//! permutation machinery, and the exact Markov analyses.
+//! one arrival sample of the video model, permutation machinery, and the
+//! exact Markov analyses.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rtmac::mac::{
@@ -8,6 +9,7 @@ use rtmac::mac::{
 use rtmac::model::{LinkId, Permutation};
 use rtmac::phy::{channel::Bernoulli, PhyProfile};
 use rtmac::sim::{Nanos, SeedStream};
+use rtmac::traffic::{ArrivalProcess, BurstUniform};
 use rtmac_analysis::markov::PriorityChain;
 use std::hint::black_box;
 
@@ -70,6 +72,25 @@ fn bench_reference_interval(c: &mut Criterion) {
     });
 }
 
+/// One `video10k`-sized sample of the video model at a rare, an even and a
+/// near-certain burst coin: the burst fill costs the same at every α, while
+/// a loop branching on the coin is cheap only where the coin is predictable.
+fn bench_burst_arrivals(c: &mut Criterion) {
+    let mut group = c.benchmark_group("burst_arrivals_n10k");
+    for alpha in [0.02, 0.55, 0.98] {
+        let mut arrivals = BurstUniform::symmetric(10_000, alpha, 6).unwrap();
+        let mut rng = SeedStream::new(6).rng(0);
+        let mut out = Vec::new();
+        group.bench_function(&format!("alpha={alpha}"), |b| {
+            b.iter(|| {
+                arrivals.sample(&mut rng, &mut out);
+                black_box(out.len())
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_exact_feasibility(c: &mut Criterion) {
     use rtmac_analysis::feasibility::exact_single_arrival_feasibility;
     let q = vec![0.8; 10];
@@ -125,8 +146,8 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_dp_interval, bench_centralized_interval, bench_fcsma_interval,
-              bench_dcf_interval, bench_reference_interval, bench_permutation_rank,
-              bench_stationary_closed_form, bench_transition_matrix,
+              bench_dcf_interval, bench_reference_interval, bench_burst_arrivals,
+              bench_permutation_rank, bench_stationary_closed_form, bench_transition_matrix,
               bench_exact_feasibility, bench_drift_eval
 }
 criterion_main!(benches);

@@ -9,6 +9,7 @@ use rtmac_model::influence::DebtInfluence;
 use rtmac_model::{DebtLedger, LinkId, Permutation};
 use rtmac_phy::channel::LossModel;
 use rtmac_sim::SimRng;
+use std::cell::OnceCell;
 
 /// A per-interval transmission policy: maps (arrivals, delivery debts) to
 /// an executed interval on the shared medium.
@@ -17,7 +18,7 @@ use rtmac_sim::SimRng;
 /// make decisions only at interval boundaries, from debts.
 pub trait TransmissionPolicy {
     /// Human-readable policy name for reports and bench output. Borrowed
-    /// (policies with parameterized names precompute them at construction)
+    /// (policies with parameterized names format them once and keep them)
     /// so the per-interval hot path never allocates for display.
     fn name(&self) -> &str;
 
@@ -141,7 +142,10 @@ pub struct DbDp {
     influence: Box<dyn DebtInfluence>,
     r: f64,
     p: Vec<f64>,
-    name: String,
+    /// Formatted on the first [`name`](TransmissionPolicy::name) call, not
+    /// in `new`: formatting the f64 `R` takes microseconds when caches are
+    /// cold, a large share of building a small network.
+    name: OnceCell<String>,
 }
 
 impl DbDp {
@@ -156,18 +160,12 @@ impl DbDp {
     pub fn new(engine: DpEngine, influence: Box<dyn DebtInfluence>, r: f64, p: Vec<f64>) -> Self {
         assert!(r.is_finite() && r > 0.0, "R must be positive and finite");
         assert_eq!(p.len(), engine.n_links(), "one p_n per link");
-        let degraded = if engine.has_fault_layer() {
-            ", degraded"
-        } else {
-            ""
-        };
-        let name = format!("DB-DP(f={}, R={r}{degraded})", influence.name());
         DbDp {
             engine,
             influence,
             r,
             p,
-            name,
+            name: OnceCell::new(),
         }
     }
 
@@ -187,7 +185,14 @@ impl DbDp {
 
 impl TransmissionPolicy for DbDp {
     fn name(&self) -> &str {
-        &self.name
+        self.name.get_or_init(|| {
+            let degraded = if self.engine.has_fault_layer() {
+                ", degraded"
+            } else {
+                ""
+            };
+            format!("DB-DP(f={}, R={}{degraded})", self.influence.name(), self.r)
+        })
     }
 
     fn run_interval(
@@ -234,6 +239,10 @@ pub struct Eldf {
     influence: Box<dyn DebtInfluence>,
     p: Vec<f64>,
     name: String,
+    /// Per-link weights `f(d⁺)·p`, recomputed every interval.
+    weights: Vec<f64>,
+    /// The priority order, re-sorted every interval.
+    order: Vec<LinkId>,
 }
 
 impl Eldf {
@@ -245,26 +254,43 @@ impl Eldf {
         } else {
             format!("ELDF(f={})", influence.name())
         };
+        let order = (0..p.len()).map(LinkId::new).collect();
         Eldf {
             engine,
             influence,
+            weights: Vec::with_capacity(p.len()),
             p,
             name,
+            order,
         }
     }
 
     /// The priority order for the current debts: links sorted by
     /// decreasing `f(d⁺)·p`, ties broken by link id for determinism.
-    #[must_use]
-    pub fn priority_order(&self, debts: &DebtLedger) -> Vec<LinkId> {
-        let mut order: Vec<LinkId> = (0..self.p.len()).map(LinkId::new).collect();
-        let weight = |l: &LinkId| self.influence.eval(debts.positive(*l)) * self.p[l.index()];
-        order.sort_by(|a, b| {
-            // total_cmp agrees with partial_cmp on the finite, non-negative
-            // debt weights the influence functions produce, and cannot panic.
-            weight(b).total_cmp(&weight(a)).then_with(|| a.cmp(b))
+    pub fn priority_order(&mut self, debts: &DebtLedger) -> &[LinkId] {
+        self.sort_order(debts);
+        &self.order
+    }
+
+    /// Recomputes the weights and re-sorts `order` for the current debts.
+    fn sort_order(&mut self, debts: &DebtLedger) {
+        let (influence, p) = (self.influence.as_ref(), &self.p);
+        self.weights.clear();
+        self.weights.extend(
+            p.iter()
+                .enumerate()
+                .map(|(n, &p_n)| influence.eval(debts.positive(LinkId::new(n))) * p_n),
+        );
+        let weights = &self.weights;
+        // A total order (ties go to the lower id), so the unstable sort
+        // gives the one result whatever the previous interval left.
+        // total_cmp agrees with partial_cmp on the finite, non-negative
+        // debt weights the influence functions produce, and cannot panic.
+        self.order.sort_unstable_by(|a, b| {
+            weights[b.index()]
+                .total_cmp(&weights[a.index()])
+                .then_with(|| a.cmp(b))
         });
-        order
     }
 }
 
@@ -280,8 +306,9 @@ impl TransmissionPolicy for Eldf {
         channel: &mut dyn LossModel,
         rng: &mut SimRng,
     ) -> IntervalOutcome {
-        let order = self.priority_order(debts);
-        self.engine.run_interval(arrivals, &order, channel, rng)
+        self.sort_order(debts);
+        self.engine
+            .run_interval(arrivals, &self.order, channel, rng)
     }
 }
 
@@ -453,7 +480,7 @@ mod tests {
 
     #[test]
     fn eldf_orders_by_weight_with_deterministic_ties() {
-        let eldf = Eldf::new(
+        let mut eldf = Eldf::new(
             CentralizedEngine::new(timing()),
             Box::new(Linear),
             vec![0.5, 1.0, 1.0],

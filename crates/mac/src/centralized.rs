@@ -37,6 +37,9 @@ use crate::{IntervalOutcome, MacTiming};
 pub struct CentralizedEngine {
     timing: MacTiming,
     polling_overhead: Nanos,
+    /// Which links the order has listed, for the permutation check; sized
+    /// on the first interval.
+    seen: Vec<bool>,
 }
 
 impl CentralizedEngine {
@@ -46,6 +49,7 @@ impl CentralizedEngine {
         CentralizedEngine {
             timing,
             polling_overhead: Nanos::ZERO,
+            seen: Vec::new(),
         }
     }
 
@@ -82,13 +86,14 @@ impl CentralizedEngine {
         let n = arrivals.len();
         assert_eq!(order.len(), n, "order must list every link exactly once");
         assert_eq!(channel.n_links(), n, "channel link count mismatch");
-        let mut seen = vec![false; n];
+        self.seen.clear();
+        self.seen.resize(n, false);
         for link in order {
             assert!(
-                link.index() < n && !seen[link.index()],
+                link.index() < n && !self.seen[link.index()],
                 "order must be a permutation of the links"
             );
-            seen[link.index()] = true;
+            self.seen[link.index()] = true;
         }
 
         let mut outcome = IntervalOutcome::empty(n);

@@ -34,7 +34,7 @@
 //! # Ok::<(), rtmac_model::ConfigError>(())
 //! ```
 
-use rand::{Rng, RngCore};
+use rand::Rng;
 use rtmac_model::{ConfigError, LinkId};
 use rtmac_sim::{bernoulli_threshold, SimRng};
 
@@ -129,9 +129,10 @@ impl ArrivalProcess for BurstUniform {
     /// Draws, link by link, the burst coin — one `next_u64` against
     /// `random_bool`'s threshold when `0 < α_n < 1`, nothing when `α_n` is
     /// 0 or 1 — and then `random_range(1..=burst_max)` on a burst: the
-    /// stream of `random_bool(α_n)` followed by `random_range`. The
-    /// threshold is computed once per run of equal consecutive `α_n`, and
-    /// `out` is sized once and written in place.
+    /// stream of `random_bool(α_n)` followed by `random_range`. Each run of
+    /// equal consecutive `0 < α_n < 1` is one [`SimRng::fill_bursts`] call
+    /// with the run's threshold, and `out` is sized once and written in
+    /// place.
     fn sample(&mut self, rng: &mut SimRng, out: &mut Vec<u32>) {
         out.clear();
         out.resize(self.alpha.len(), 0);
@@ -144,12 +145,7 @@ impl ArrivalProcess for BurstUniform {
             if a >= 1.0 {
                 head.fill_with(|| rng.random_range(1..=burst_max));
             } else if a > 0.0 {
-                let threshold = bernoulli_threshold(a);
-                for slot in head {
-                    if rng.next_u64() < threshold {
-                        *slot = rng.random_range(1..=burst_max);
-                    }
-                }
+                rng.fill_bursts(bernoulli_threshold(a), burst_max, head);
             }
         }
     }

@@ -9,7 +9,6 @@ use rtmac_model::influence::DebtInfluence;
 use rtmac_model::{DebtLedger, LinkId, Permutation};
 use rtmac_phy::channel::LossModel;
 use rtmac_sim::SimRng;
-use std::cell::OnceCell;
 
 /// A per-interval transmission policy: maps (arrivals, delivery debts) to
 /// an executed interval on the shared medium.
@@ -18,7 +17,7 @@ use std::cell::OnceCell;
 /// make decisions only at interval boundaries, from debts.
 pub trait TransmissionPolicy {
     /// Human-readable policy name for reports and bench output. Borrowed
-    /// (policies with parameterized names format them once and keep them)
+    /// (policies with parameterized names precompute them at construction)
     /// so the per-interval hot path never allocates for display.
     fn name(&self) -> &str;
 
@@ -142,10 +141,7 @@ pub struct DbDp {
     influence: Box<dyn DebtInfluence>,
     r: f64,
     p: Vec<f64>,
-    /// Formatted on the first [`name`](TransmissionPolicy::name) call, not
-    /// in `new`: formatting the f64 `R` takes microseconds when caches are
-    /// cold, a large share of building a small network.
-    name: OnceCell<String>,
+    name: String,
 }
 
 impl DbDp {
@@ -160,12 +156,18 @@ impl DbDp {
     pub fn new(engine: DpEngine, influence: Box<dyn DebtInfluence>, r: f64, p: Vec<f64>) -> Self {
         assert!(r.is_finite() && r > 0.0, "R must be positive and finite");
         assert_eq!(p.len(), engine.n_links(), "one p_n per link");
+        let degraded = if engine.has_fault_layer() {
+            ", degraded"
+        } else {
+            ""
+        };
+        let name = format!("DB-DP(f={}, R={r}{degraded})", influence.name());
         DbDp {
             engine,
             influence,
             r,
             p,
-            name: OnceCell::new(),
+            name,
         }
     }
 
@@ -185,14 +187,7 @@ impl DbDp {
 
 impl TransmissionPolicy for DbDp {
     fn name(&self) -> &str {
-        self.name.get_or_init(|| {
-            let degraded = if self.engine.has_fault_layer() {
-                ", degraded"
-            } else {
-                ""
-            };
-            format!("DB-DP(f={}, R={}{degraded})", self.influence.name(), self.r)
-        })
+        &self.name
     }
 
     fn run_interval(

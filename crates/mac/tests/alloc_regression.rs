@@ -16,19 +16,17 @@
 //! [`FcsmaEngine::run_interval`] returns an owned outcome, so its contract
 //! is one step weaker: once the first interval has sized its contender list
 //! and collision scratch, an interval allocates the returned outcome's
-//! three per-link vectors and nothing else. The same holds for LDF, the
-//! `rtmac::Eldf` policy over [`CentralizedEngine`]: its weights, its order
-//! and the engine's permutation check reuse their buffers.
+//! three per-link vectors and nothing else. So does
+//! [`CentralizedEngine::run_interval`], whose permutation check reuses an
+//! engine-owned buffer.
 
 use alloctrack::CountingAllocator;
 use rand::Rng;
-use rtmac::model::influence::Linear;
-use rtmac::model::{DebtLedger, Requirements};
-use rtmac::{Eldf, TransmissionPolicy};
 use rtmac_mac::{
     draw_nonadjacent_candidates_into, CentralizedEngine, ChurnEvent, DpConfig, DpEngine,
     FcsmaEngine, FcsmaQuantizer, MacTiming, PairCoins, RecoveryConfig,
 };
+use rtmac_model::LinkId;
 use rtmac_phy::channel::Bernoulli;
 use rtmac_phy::fault::{ChurnProcess, FaultModel, HiddenMatrix};
 use rtmac_phy::PhyProfile;
@@ -199,30 +197,26 @@ fn fcsma_interval_allocates_only_its_outcome() {
     );
 }
 
-/// LDF on the same saturated control shape, its debts settled after every
-/// interval so that the priority order keeps changing.
+/// The centralized engine beneath LDF on the same saturated control shape,
+/// its priority order rotated every interval as changing debts would.
 #[test]
-fn ldf_interval_allocates_only_its_outcome() {
+fn centralized_interval_allocates_only_its_outcome() {
     const LINKS: usize = 10;
     const INTERVALS: u64 = 100;
     let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(2), 100);
-    let mut ldf = Eldf::new(
-        CentralizedEngine::new(timing),
-        Box::new(Linear),
-        vec![0.7; LINKS],
-    );
-    let mut debts = DebtLedger::new(Requirements::new(vec![0.9; LINKS]).unwrap());
+    let mut engine = CentralizedEngine::new(timing);
     let mut channel = Bernoulli::new(vec![0.7; LINKS]).unwrap();
     let mut rng = SeedStream::new(2018).rng(0);
     let arrivals = [3u32; LINKS];
-    let mut first_served = [false; LINKS];
+    let mut order: [LinkId; LINKS] = std::array::from_fn(LinkId::new);
+    let mut served_first = [0u64; LINKS];
 
     let mut interval = || {
-        let outcome = ldf.run_interval(&arrivals, &debts, &mut channel, &mut rng);
-        debts.settle_interval(&outcome.deliveries);
-        first_served[ldf.priority_order(&debts)[0].index()] = true;
+        order.rotate_left(1);
+        let outcome = engine.run_interval(&arrivals, &order, &mut channel, &mut rng);
+        served_first[order[0].index()] += outcome.deliveries[order[0].index()];
     };
-    // Warm-up: the first interval sizes the engine's buffers.
+    // Warm-up: the first interval sizes the engine's permutation check.
     interval();
 
     let before = alloctrack::thread_allocations();
@@ -231,15 +225,12 @@ fn ldf_interval_allocates_only_its_outcome() {
     }
     let after = alloctrack::thread_allocations();
 
-    assert!(
-        first_served.iter().filter(|&&f| f).count() > 1,
-        "the order must change"
-    );
+    assert!(served_first.iter().all(|&d| d > 0), "every link leads");
     assert_eq!(
         after - before,
         3 * INTERVALS,
-        "LDF allocated {} times over {INTERVALS} intervals; \
-         an interval may allocate only its outcome's three vectors",
+        "the centralized engine allocated {} times over {INTERVALS} \
+         intervals; an interval may allocate only its outcome's three vectors",
         after - before
     );
 }

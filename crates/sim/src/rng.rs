@@ -75,7 +75,6 @@ impl SimRng {
     /// `random_range(1..=burst_max)`, else 0. This consumes exactly the
     /// stream of `random_bool(p)` followed on a hit by that `random_range`
     /// call, for `threshold = bernoulli_threshold(p)` and `0 ≤ p < 1`.
-    /// `burst_max` must be at least 1, as that range requires.
     ///
     /// The coin is never branched on: with coins near ½ a branch would
     /// mispredict on every other slot. Each slot computes the coin word,
@@ -86,7 +85,12 @@ impl SimRng {
     /// `burst_max.wrapping_neg()` (probability `burst_max / 2³²`), when
     /// `random_range` may draw a second word. Such a slot is drawn by
     /// `random_bool`'s comparison and `random_range` themselves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `burst_max` is 0, as `random_range(1..=0)` does.
     pub fn fill_bursts(&mut self, threshold: u64, burst_max: u32, out: &mut [u32]) {
+        assert!(burst_max >= 1, "burst_max must be at least 1");
         let carry_limit = burst_max.wrapping_neg();
         let mut s = self.s;
         for slot in out {
@@ -357,6 +361,14 @@ mod tests {
         let word = rng.next_u64();
         assert_eq!(unstep(rng.s), start);
         assert_eq!(next_word(state_drawing(word, 1, 2, 3)), word);
+    }
+
+    #[test]
+    #[should_panic(expected = "burst_max must be at least 1")]
+    fn fill_bursts_rejects_an_empty_burst_range() {
+        SeedStream::new(0)
+            .rng(0)
+            .fill_bursts(bernoulli_threshold(0.5), 0, &mut [0; 4]);
     }
 
     #[test]

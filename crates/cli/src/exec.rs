@@ -211,17 +211,20 @@ fn render_sweep(
         // lint: allow(wall-clock) — items/sec display on an interactive
         // progress line; never feeds back into simulation state.
         let started = std::time::Instant::now();
+        let line = |done: usize, total: usize| {
+            let rate = done as f64 / started.elapsed().as_secs_f64().max(1e-9);
+            format!("\rsweep: {done}/{total} scenarios ({rate:.1}/s)")
+        };
+        let total = jobs.len();
         let reports = Runner::default().map_with_progress(
             jobs,
             |sc| run_scenario(&sc),
-            move |done, total| {
-                let rate = done as f64 / started.elapsed().as_secs_f64().max(1e-9);
-                eprint!("\rsweep: {done}/{total} scenarios ({rate:.1}/s)");
-                if done == total {
-                    eprintln!();
-                }
-            },
+            |done, total| eprint!("{}", line(done, total)),
         );
+        // Workers report their counts in any order, so the last line drawn
+        // may be an earlier count: once every worker is joined, redraw the
+        // final count and end the line.
+        eprintln!("{}", line(total, total));
         reports
     } else {
         Runner::default().map(jobs, |sc| run_scenario(&sc))

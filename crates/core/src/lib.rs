@@ -49,7 +49,6 @@ mod policy;
 mod report;
 pub mod runner;
 pub mod scenario;
-pub mod sync;
 
 pub use admission::AdmissionReport;
 pub use network::{Network, Overrides};

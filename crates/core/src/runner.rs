@@ -14,14 +14,11 @@
 //!   its input slot, so the output is bit-identical whether the pool has 1
 //!   worker or 64, and no matter which worker ran which job.
 //!
-//! All shared state goes through the [`crate::sync`] facade rather than
-//! `std::sync` directly: in production the facade is a thin passthrough,
-//! and under `rtmac-verify sched` the same code runs on a cooperative
-//! model scheduler that exhaustively explores worker interleavings
-//! (deadlock-freedom, exactly-once retirement, slot write-once and
-//! worker-count-independent output are model-checked per interleaving).
-//! The [`SchedProbe`] hooks exist for that checker: they observe claim /
-//! slot / retire events without perturbing the schedule.
+//! The pool is `std::thread::scope` over three shared objects: one
+//! `Mutex` around the enumerated job iterator, one `Mutex<Option<R>>`
+//! result slot per job, and an `AtomicUsize` progress counter. Each
+//! property this design promises is carried by a named test or by the
+//! construction itself (DESIGN.md §12).
 //!
 //! # Example
 //!
@@ -37,38 +34,8 @@
 //! # Ok::<(), rtmac_model::ConfigError>(())
 //! ```
 
-use crate::sync::{run_threads, AtomicUsize, Mutex, Ordering};
-
-/// Observer hooks for the interleaving checker (`rtmac-verify sched`).
-///
-/// [`Runner::map_probed`] reports scheduling-relevant events through this
-/// trait so the model checker can assert exactly-once claims and
-/// write-once slots per explored interleaving. Implementations must not
-/// touch [`crate::sync`] primitives: probe state is deliberately invisible
-/// to the model scheduler so observing an execution does not change the
-/// set of interleavings being explored.
-///
-/// Every method has a no-op default, so production callers pay nothing.
-pub trait SchedProbe: Sync {
-    /// Worker `worker` claimed job index `index`.
-    fn claimed(&self, worker: usize, index: usize) {
-        let _ = (worker, index);
-    }
-    /// Worker `worker` wrote the result slot for job `index`.
-    fn slot_written(&self, worker: usize, index: usize) {
-        let _ = (worker, index);
-    }
-    /// Worker `worker` found the queue empty and retired.
-    fn retired(&self, worker: usize) {
-        let _ = worker;
-    }
-}
-
-/// The probe used by the plain [`Runner::map`] path: observes nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoProbe;
-
-impl SchedProbe for NoProbe {}
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// A bounded worker pool for batches of independent jobs.
 #[derive(Debug, Clone, Copy)]
@@ -116,7 +83,7 @@ impl Runner {
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        self.map_core(items, f, |_, _| {}, &NoProbe)
+        self.map_core(items, f, |_, _| {})
     }
 
     /// [`Runner::map`] with a live progress callback.
@@ -142,54 +109,24 @@ impl Runner {
         F: Fn(T) -> R + Sync,
         P: Fn(usize, usize) + Sync,
     {
-        self.map_core(items, f, on_progress, &NoProbe)
+        self.map_core(items, f, on_progress)
     }
 
-    /// [`Runner::map_with_progress`] with a [`SchedProbe`] observing the
-    /// pool's claim/slot/retire events — the entry point the
-    /// `rtmac-verify sched` interleaving checker drives. Results are
-    /// identical to [`Runner::map`].
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from `f` or `on_progress`, under the same
-    /// join-first contract as [`Runner::map`].
-    pub fn map_probed<T, R, F, P, Pb>(
-        &self,
-        items: Vec<T>,
-        f: F,
-        on_progress: P,
-        probe: &Pb,
-    ) -> Vec<R>
+    fn map_core<T, R, F, P>(&self, items: Vec<T>, f: F, on_progress: P) -> Vec<R>
     where
         T: Send,
         R: Send,
         F: Fn(T) -> R + Sync,
         P: Fn(usize, usize) + Sync,
-        Pb: SchedProbe + ?Sized,
-    {
-        self.map_core(items, f, on_progress, probe)
-    }
-
-    fn map_core<T, R, F, P, Pb>(&self, items: Vec<T>, f: F, on_progress: P, probe: &Pb) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-        P: Fn(usize, usize) + Sync,
-        Pb: SchedProbe + ?Sized,
     {
         let n = items.len();
         let workers = self.workers.min(n);
         if workers <= 1 {
             let mut out = Vec::with_capacity(n);
             for (done, item) in items.into_iter().enumerate() {
-                probe.claimed(0, done);
                 out.push(f(item));
-                probe.slot_written(0, done);
                 on_progress(done + 1, n);
             }
-            probe.retired(0);
             return out;
         }
         // One shared queue gives each job index to whichever worker asks
@@ -198,33 +135,48 @@ impl Runner {
         let queue = Mutex::new(items.into_iter().enumerate());
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let completed = AtomicUsize::new(0);
-        run_threads(workers, |w| loop {
+        // Both locks absorb poison: a poisoned lock only means another
+        // worker panicked, and that panic re-raises after the joins below,
+        // so the data behind the lock is still coherent.
+        let work = || loop {
             // The queue guard drops at the end of this statement, so no
             // worker holds it while a job runs.
-            let next = queue.lock().next();
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
             let Some((i, item)) = next else {
-                probe.retired(w);
                 break;
             };
-            probe.claimed(w, i);
             let result = f(item);
-            *slots[i].lock() = Some(result);
-            probe.slot_written(w, i);
+            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
             // lint: allow(relaxed-ordering-audit) — `completed` is the
             // progress counter and nothing else: fetch_add's atomicity
             // alone guarantees unique, monotone `done` values, and result
             // visibility is ordered by the per-index slot mutexes plus the
-            // run_threads join, so the counter needs no ordering of its
-            // own.
+            // joins below, so the counter needs no ordering of its own.
             let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
             on_progress(done, n);
+        };
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            // Join explicitly and re-raise the original payload: a bare
+            // scope would replace it with its own "a scoped thread
+            // panicked" panic.
+            let mut first_panic = None;
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    first_panic.get_or_insert(payload);
+                }
+            }
+            if let Some(payload) = first_panic {
+                std::panic::resume_unwind(payload);
+            }
         });
         slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
                     // lint: allow(panic-expect) — workers retire only once
-                    // the queue is empty and run_threads joined them all
+                    // the queue is empty and the scope joined them all
                     // (propagating any panic), so every index was claimed
                     // and its slot filled; an empty slot would silently
                     // misalign results with inputs, so fail loudly instead.
@@ -252,43 +204,51 @@ mod tests {
 
     #[test]
     fn map_with_progress_reports_every_completion() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let high_water = AtomicUsize::new(0);
-        let calls = AtomicUsize::new(0);
+        // Tally every reported count: each of 1..=97 must arrive exactly
+        // once, which a repeated count paired with a skipped one fails.
+        let tally: Vec<AtomicUsize> = (0..=97).map(|_| AtomicUsize::new(0)).collect();
         let out = Runner::new(4).map_with_progress(
             (0..97).collect(),
             |x: u64| x + 1,
             |done, total| {
                 assert_eq!(total, 97);
                 assert!(done >= 1 && done <= total);
-                high_water.fetch_max(done, Ordering::Relaxed);
-                calls.fetch_add(1, Ordering::Relaxed);
+                tally[done].fetch_add(1, Ordering::SeqCst);
             },
         );
         assert_eq!(out, (1..=97).collect::<Vec<u64>>());
-        // Exactly one callback per job, and the count reached the total.
-        assert_eq!(calls.load(Ordering::Relaxed), 97);
-        assert_eq!(high_water.load(Ordering::Relaxed), 97);
+        for (done, hits) in tally.iter().enumerate().skip(1) {
+            assert_eq!(hits.load(Ordering::SeqCst), 1, "count {done}");
+        }
     }
 
     #[test]
     fn map_keeps_input_order_under_skewed_job_costs() {
         // The slow jobs all sit at the front of the batch, so later jobs
-        // can finish first; the results must still come back in input
-        // order.
-        let items: Vec<u32> = (0..40).collect();
-        let out = Runner::new(4).map(items, |x| {
-            if x < 10 {
-                std::thread::sleep(std::time::Duration::from_millis(2));
+        // can finish first; at every pool size the results must still
+        // come back in input order, and every job must run exactly once.
+        for workers in [2, 3, 4, 8] {
+            let runs: Vec<AtomicUsize> = (0..40).map(|_| AtomicUsize::new(0)).collect();
+            let out = Runner::new(workers).map((0..40).collect(), |x: usize| {
+                runs[x].fetch_add(1, Ordering::SeqCst);
+                if x < 10 {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                }
+                x * 3
+            });
+            assert_eq!(
+                out,
+                (0..40).map(|x| x * 3).collect::<Vec<usize>>(),
+                "{workers} workers"
+            );
+            for (i, hits) in runs.iter().enumerate() {
+                assert_eq!(hits.load(Ordering::SeqCst), 1, "job {i}, {workers} workers");
             }
-            x * 3
-        });
-        assert_eq!(out, (0..40).map(|x| x * 3).collect::<Vec<u32>>());
+        }
     }
 
     #[test]
     fn map_propagates_worker_panic_after_finishing_other_jobs() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         // The documented contract on Runner::map: a panicking job
         // surfaces its payload on the caller, the pool neither deadlocks
         // nor strands work, and every *other* job still executes (the
@@ -309,41 +269,6 @@ mod tests {
         // All 24 jobs entered `f` (the panicking one counts itself
         // before unwinding): no job was silently dropped.
         assert_eq!(executed.load(Ordering::SeqCst), 24);
-    }
-
-    #[test]
-    fn map_probed_reports_claims_and_slots() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        struct Counting {
-            claims: Vec<AtomicUsize>,
-            writes: Vec<AtomicUsize>,
-            retired: AtomicUsize,
-        }
-        impl SchedProbe for Counting {
-            fn claimed(&self, _worker: usize, index: usize) {
-                self.claims[index].fetch_add(1, Ordering::SeqCst);
-            }
-            fn slot_written(&self, _worker: usize, index: usize) {
-                self.writes[index].fetch_add(1, Ordering::SeqCst);
-            }
-            fn retired(&self, _worker: usize) {
-                self.retired.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let n = 23;
-        let probe = Counting {
-            claims: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            writes: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            retired: AtomicUsize::new(0),
-        };
-        let out =
-            Runner::new(4).map_probed((0..n).collect::<Vec<usize>>(), |x| x + 1, |_, _| {}, &probe);
-        assert_eq!(out, (1..=n).collect::<Vec<usize>>());
-        for i in 0..n {
-            assert_eq!(probe.claims[i].load(Ordering::SeqCst), 1, "claim {i}");
-            assert_eq!(probe.writes[i].load(Ordering::SeqCst), 1, "write {i}");
-        }
-        assert_eq!(probe.retired.load(Ordering::SeqCst), 4);
     }
 
     #[test]

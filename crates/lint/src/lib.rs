@@ -219,7 +219,6 @@ impl Engine {
                     | RuleKind::FieldArith
                     | RuleKind::NanosArith
                     | RuleKind::FloatAccum
-                    | RuleKind::SyncPath
                     | RuleKind::RelaxedOrdering
                     | RuleKind::LockLoop
             ) {

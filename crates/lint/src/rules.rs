@@ -38,9 +38,6 @@ pub enum RuleKind {
     /// Syntactic: float accumulation (`.sum::<f64>()` and friends) over a
     /// method chain rooted at a hash-ordered collection.
     FloatAccum,
-    /// Syntactic: `seg::seg::…` module-path mentions (e.g. `std::sync`),
-    /// matched across line breaks.
-    SyncPath,
     /// Syntactic: `Ordering::Relaxed` (or other configured memory
     /// orderings) on atomic operations.
     RelaxedOrdering,
@@ -294,28 +291,6 @@ pub const RULES: &[Rule] = &[
                   use a BTree collection.",
     },
     Rule {
-        id: "raw-sync-primitive",
-        kind: RuleKind::SyncPath,
-        default_severity: Severity::Deny,
-        exempt_tests: true,
-        default_tokens: &["std::sync", "std::thread::spawn", "std::thread::scope"],
-        summary: "concurrency primitives go through the rtmac::sync facade",
-        explain: "The Runner's shared state (its job queue, result slots and \
-                  progress counter) flows through the \
-                  rtmac::sync facade (Mutex, AtomicUsize, run_threads), which is \
-                  what lets `rtmac-verify sched` run the *same* code on a \
-                  cooperative model scheduler and exhaustively check its \
-                  interleavings. A raw std::sync::Mutex, std::sync::atomic, \
-                  std::thread::spawn, or std::thread::scope in library code is \
-                  invisible to that checker: its interleavings are never explored \
-                  and its deadlocks never convicted. Route concurrency through \
-                  crate::sync (crates/core/src/sync itself and crates/sim are the \
-                  audited implementations). Checker instrumentation that must \
-                  stay invisible to the model scheduler may waive with \
-                  `// lint: allow(raw-sync-primitive) — <why it must not be \
-                  modeled>`. Test code is exempt.",
-    },
-    Rule {
         id: "relaxed-ordering-audit",
         kind: RuleKind::RelaxedOrdering,
         default_severity: Severity::Deny,
@@ -324,10 +299,9 @@ pub const RULES: &[Rule] = &[
         summary: "Ordering::Relaxed only with an audited waiver naming the counter",
         explain: "Relaxed atomics order nothing: a Relaxed store is allowed to \
                   become visible after operations that follow it in program \
-                  order, which is exactly the class of bug the interleaving \
-                  checker cannot see (the model scheduler is sequentially \
-                  consistent — DESIGN.md §12). Default to SeqCst; the cost is \
-                  negligible off the hot path. Where Relaxed is genuinely \
+                  order, a bug that no test reliably reproduces and only \
+                  ThreadSanitizer sometimes catches. Default to SeqCst; the \
+                  cost is negligible off the hot path. Where Relaxed is genuinely \
                   sufficient — a counter whose atomicity alone carries the \
                   invariant and whose value orders nothing else — keep it and \
                   write `// lint: allow(relaxed-ordering-audit) — <which counter \
@@ -783,47 +757,6 @@ pub fn scan(rule: &Rule, file: &SourceFile, syntax: &Syntax, tokens: &[String]) 
                 }
             }
         }
-        RuleKind::SyncPath => {
-            for pat in tokens {
-                let segs: Vec<&str> = pat.split("::").collect();
-                let Some(first) = segs.first() else { continue };
-                'occurrence: for (i, t) in syntax.tokens.iter().enumerate() {
-                    if t.kind != TokKind::Ident || &t.text != first {
-                        continue;
-                    }
-                    if rule.exempt_tests && t.in_test {
-                        continue;
-                    }
-                    // The match must start a path: `foo::std::sync` is not
-                    // the std crate.
-                    if i.checked_sub(1)
-                        .and_then(|p| syntax.tokens.get(p))
-                        .is_some_and(|p| p.text == "::" || p.text == ".")
-                    {
-                        continue;
-                    }
-                    for (s, seg) in segs.iter().enumerate().skip(1) {
-                        let link = syntax.tokens.get(i + 2 * s - 1);
-                        let name = syntax.tokens.get(i + 2 * s);
-                        if link.map(|t| t.text.as_str()) != Some("::")
-                            || name.map(|t| t.text.as_str()) != Some(*seg)
-                        {
-                            continue 'occurrence;
-                        }
-                    }
-                    findings.push(RawFinding {
-                        line: t.line,
-                        col: t.col,
-                        rule: rule.id,
-                        message: format!(
-                            "`{pat}` bypasses the rtmac::sync facade; the \
-                             interleaving checker cannot model it — route \
-                             concurrency through crate::sync"
-                        ),
-                    });
-                }
-            }
-        }
         RuleKind::RelaxedOrdering => {
             for (i, t) in syntax.tokens.iter().enumerate() {
                 if t.kind != TokKind::Ident || !tokens.iter().any(|g| g == &t.text) {
@@ -1257,42 +1190,6 @@ mod tests {
         let hits = run("float-accum-unordered", bad);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].line, 5);
-    }
-
-    #[test]
-    fn sync_path_flags_raw_primitives_only_at_path_starts() {
-        assert_eq!(
-            run("raw-sync-primitive", "use std::sync::Mutex;\n").len(),
-            1
-        );
-        assert_eq!(
-            run("raw-sync-primitive", "let h = std::thread::spawn(f);\n").len(),
-            1
-        );
-        // Paths match across line breaks, like other syntactic rules.
-        assert_eq!(
-            run(
-                "raw-sync-primitive",
-                "let a = std ::\n    sync::atomic::AtomicUsize::new(0);\n"
-            )
-            .len(),
-            1
-        );
-        // `foo::std::sync` is not the std crate, and unlisted std::thread
-        // items (sleep, available_parallelism) stay silent.
-        assert!(run("raw-sync-primitive", "foo::std::sync::x();\n").is_empty());
-        assert!(run("raw-sync-primitive", "std::thread::sleep(d);\n").is_empty());
-        // Docs and test code are exempt.
-        assert!(run(
-            "raw-sync-primitive",
-            "/// Uses std::sync::Mutex.\nfn f() {}\n"
-        )
-        .is_empty());
-        assert!(run(
-            "raw-sync-primitive",
-            "#[cfg(test)]\nmod tests {\n    use std::sync::Mutex;\n}\n"
-        )
-        .is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Fixture: the lock-in-loop-hold rule.
 
-use rtmac::sync::Mutex;
+use std::sync::Mutex;
 
 /// Holds the own-range guard across the victim scan — the
 /// symmetric-deadlock shape the rule convicts.

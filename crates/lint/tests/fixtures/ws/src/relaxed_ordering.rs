@@ -1,6 +1,6 @@
 //! Fixture: the relaxed-ordering-audit rule.
 
-use rtmac::sync::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Bumps a counter with `Relaxed` and no audited waiver — flagged.
 pub fn bump(counter: &AtomicUsize) -> usize {

@@ -61,9 +61,6 @@ fn fixture_violations_are_found_exactly() {
         ("src/panics.rs", 5, "panic-unwrap"),
         ("src/panics.rs", 6, "panic-expect"),
         ("src/panics.rs", 8, "panic-macro"),
-        ("src/raw_sync.rs", 3, "raw-sync-primitive"),
-        ("src/raw_sync.rs", 7, "raw-sync-primitive"),
-        ("src/raw_sync.rs", 8, "raw-sync-primitive"),
         ("src/relaxed_ordering.rs", 7, "relaxed-ordering-audit"),
         ("src/unchecked_arith.rs", 10, "unchecked-arith"),
         ("src/unchecked_arith.rs", 11, "unchecked-arith"),
@@ -156,12 +153,8 @@ fn syntactic_rule_columns_point_at_tokens() {
         at("src/nanos_arith.rs", "nanos-raw-arith"),
         [(13, 38), (14, 22), (15, 12)]
     );
-    // The concurrency rules anchor the path head, the `Relaxed` ident, and
-    // the inner `.lock()` of the deadlock shape respectively.
-    assert_eq!(
-        at("src/raw_sync.rs", "raw-sync-primitive"),
-        [(3, 5), (7, 16), (8, 13)]
-    );
+    // The concurrency rules anchor the `Relaxed` ident and the inner
+    // `.lock()` of the deadlock shape respectively.
     assert_eq!(
         at("src/relaxed_ordering.rs", "relaxed-ordering-audit"),
         [(7, 36)]
@@ -197,7 +190,6 @@ fn binary_reports_fixture_violations_with_exit_one() {
         "src/unchecked_arith.rs:10:16: unchecked-arith: unchecked `+=` on counter field `interval`",
         "src/nanos_arith.rs:13:38: nanos-raw-arith: raw `-` on the output of `.as_nanos()`",
         "src/float_accum.rs:8:16: float-accum-unordered: float accumulation `.sum(..)`",
-        "src/raw_sync.rs:8:13: raw-sync-primitive: `std::thread::spawn` bypasses the rtmac::sync facade",
         "src/relaxed_ordering.rs:7:36: relaxed-ordering-audit: `Ordering::Relaxed` without an audited waiver",
         "src/lock_loop.rs:10:31: lock-in-loop-hold: indexed `.lock()` inside a `for` body while the indexed guard bound on line 8 is still live",
     ] {
@@ -208,7 +200,7 @@ fn binary_reports_fixture_violations_with_exit_one() {
     }
     let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
     assert!(
-        stderr.contains("38 error(s), 1 warning(s)"),
+        stderr.contains("35 error(s), 1 warning(s)"),
         "summary line: {stderr}"
     );
 }
@@ -246,8 +238,8 @@ fn binary_json_format_reports_findings() {
         !stdout.contains("src/panics.rs:5:15:"),
         "text output leaked into JSON mode:\n{stdout}"
     );
-    // Every finding made it across (38 errors + 1 warning).
-    assert_eq!(stdout.matches("\"path\"").count(), 39);
+    // Every finding made it across (35 errors + 1 warning).
+    assert_eq!(stdout.matches("\"path\"").count(), 36);
 }
 
 /// `--format sarif` emits a SARIF 2.1.0 log with one result per finding
@@ -278,8 +270,8 @@ fn binary_sarif_format_reports_findings() {
             "sarif missing {needle:?}:\n{stdout}"
         );
     }
-    // One result per finding (38 errors + 1 warning).
-    assert_eq!(stdout.matches("\"ruleId\"").count(), 39);
+    // One result per finding (35 errors + 1 warning).
+    assert_eq!(stdout.matches("\"ruleId\"").count(), 36);
     // No rustc-style text lines mixed into the SARIF stream.
     assert!(
         !stdout.contains("src/panics.rs:5:15:"),

@@ -42,25 +42,15 @@
 //!   confidence bounds ([`clopper_pearson`]) per property, with the same
 //!   replayable counterexample traces on violation.
 //!
-//! Beyond the protocol engine, the crate also model-checks the
-//! *infrastructure* the checkers run on: the [`sched`] module is a
-//! loom-style deterministic interleaving checker for the job queue of
-//! [`rtmac::Runner`], exploring bounded-preemption schedules through the
-//! [`rtmac::sync`] facade and asserting deadlock-freedom, exactly-once
-//! job retirement, slot write-once, and output determinism on every
-//! interleaving (see `DESIGN.md` §12).
-//!
 //! The `rtmac-verify` binary wires this into CI (`--quick` gates every
 //! push next to `rtmac-lint`; an `smc` smoke run guards the statistical
-//! path; a `sched --full` run gates the runner; a `fault-smoke` run
-//! ([`fault_smoke()`]) pins σ-liveness and reconvergence of the
-//! degraded engine at a correlated-fault corner).
+//! path; a `fault-smoke` run ([`fault_smoke()`]) pins σ-liveness and
+//! reconvergence of the degraded engine at a correlated-fault corner).
 
 pub mod channel;
 pub mod checker;
 pub mod counterexample;
 pub mod fault_smoke;
-pub mod sched;
 pub mod smc;
 pub mod subject;
 pub mod symmetry;
@@ -69,10 +59,6 @@ pub use channel::BitScript;
 pub use checker::{check, full_suite, quick_suite, CheckConfig, CheckStats, Property, SuiteEntry};
 pub use counterexample::{replay, Counterexample, Step};
 pub use fault_smoke::{fault_smoke, FaultSmokeConfig, FaultSmokeReport};
-pub use sched::{
-    explore, explore_panic, explore_random, replay_schedule, RunnerSubject, SchedConfig,
-    SchedCounterexample, SchedProperty, SchedStats, SchedSubject,
-};
 pub use smc::{
     clopper_pearson, smc, LivenessProbe, PropertyBound, SmcConfig, SmcReport, LIVENESS_MIN_DRAWS,
 };

@@ -4,7 +4,6 @@
 //! ```text
 //! rtmac-verify [--quick | --full]   run an exhaustive suite (default: full)
 //! rtmac-verify smc [FLAGS]          statistical model checking at large N
-//! rtmac-verify sched [FLAGS]        interleaving checks of the worker pool
 //! rtmac-verify fault-smoke [FLAGS]  fault-corner smoke of the degraded engine
 //! rtmac-verify --replay FILE        re-run a recorded counterexample trace
 //! ```
@@ -20,9 +19,8 @@ use std::io::Write as _;
 
 use rtmac::runner::Runner;
 use rtmac_verify::{
-    check, check_with_symmetry, explore, explore_panic, explore_random, fault_smoke, full_suite,
-    quick_suite, replay, smc, Counterexample, EngineSubject, FaultSmokeConfig, LinkClasses,
-    RunnerSubject, SchedConfig, SchedCounterexample, SchedStats, SmcConfig, SuiteEntry,
+    check, check_with_symmetry, fault_smoke, full_suite, quick_suite, replay, smc, Counterexample,
+    EngineSubject, FaultSmokeConfig, LinkClasses, SmcConfig, SuiteEntry,
 };
 
 /// Writes to stdout, ignoring a closed pipe (e.g. `rtmac-verify | head`).
@@ -38,7 +36,6 @@ rtmac-verify — model checking of the DP protocol's safety invariants
 usage:
   rtmac-verify [--quick | --full]   exhaustive suite (default: --full)
   rtmac-verify smc [FLAGS]          statistical model checking at large N
-  rtmac-verify sched [FLAGS]        interleaving checks of the worker pool
   rtmac-verify fault-smoke [FLAGS]  fault-corner smoke of the degraded engine
   rtmac-verify --replay FILE        re-run a recorded counterexample trace
 
@@ -56,20 +53,6 @@ smc flags (seeded Monte-Carlo over full decision trajectories):
   --trace FILE      also write a violating trace to FILE
   --workers W       worker threads                   [default: all cores]
 
-sched flags (loom-style interleaving checker for the Runner's shared
-job queue; asserts deadlock-freedom, exactly-once retirement, slot
-write-once, and output determinism on every explored interleaving):
-  --quick           exhaustive 2 workers x 6 jobs (bound 2), panic
-                    propagation, and a 200-sample randomized pass
-  --full            CI suite: quick plus exhaustive and panic passes at
-                    3 workers x 4 jobs, and a 1000-sample randomized
-                    pass at 3 workers x 12 jobs               [default]
-  --workers W       explore a single custom config instead
-  --jobs J          jobs for the custom config            [default: 4]
-  --preemptions B   preemption bound for the custom config [default: 2]
-  --random K        add K randomized (PCT) samples to the custom config
-  --seed S          seed for randomized passes            [default: 2018]
-
 fault-smoke flags (fixed-seed survival run of the degraded engine under
 high-burstiness Gilbert-Elliott sensing plus Poisson churn; asserts
 sigma-liveness through the storm and reconvergence after it):
@@ -79,9 +62,8 @@ sigma-liveness through the storm and reconvergence after it):
   --seed S          root seed                       [default: 2018]
 
 Violations print a replayable counterexample trace on stdout; feed it
-back with --replay to reproduce (sched violations print the decision
-schedule instead). Exit codes: 0 clean, 1 violation, 2 usage or I/O
-error.";
+back with --replay to reproduce. Exit codes: 0 clean, 1 violation, 2
+usage or I/O error.";
 
 fn main() {
     std::process::exit(run(std::env::args().skip(1).collect()));
@@ -97,15 +79,6 @@ fn run(args: Vec<String>) -> i32 {
             "smc" => {
                 return match parse_smc(iter.by_ref()) {
                     Ok((cfg, trace, workers)) => run_smc(&cfg, trace.as_deref(), workers),
-                    Err(e) => {
-                        eprintln!("rtmac-verify: {e}");
-                        2
-                    }
-                };
-            }
-            "sched" => {
-                return match parse_sched(iter.by_ref()) {
-                    Ok(mode) => run_sched(&mode),
                     Err(e) => {
                         eprintln!("rtmac-verify: {e}");
                         2
@@ -135,7 +108,7 @@ fn run(args: Vec<String>) -> i32 {
             other => {
                 eprintln!(
                     "rtmac-verify: unknown argument {other:?} — valid modes are \
-                     --quick, --full, smc, sched, fault-smoke, and \
+                     --quick, --full, smc, fault-smoke, and \
                      --replay FILE (try --help; `rtmac emulate` checks the \
                      transport's replay contract)"
                 );
@@ -216,173 +189,6 @@ fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, String> {
     value
         .parse()
         .map_err(|_| format!("smc: invalid {flag} value {value:?}"))
-}
-
-/// How the `sched` subcommand should explore.
-enum SchedMode {
-    Quick,
-    Full,
-    Custom {
-        workers: usize,
-        jobs: usize,
-        preemptions: usize,
-        random: u64,
-        seed: u64,
-    },
-}
-
-/// Parses the flags after the `sched` subcommand.
-fn parse_sched(iter: &mut dyn Iterator<Item = String>) -> Result<SchedMode, String> {
-    let mut suite = Some(true); // Some(full?) — None once --workers appears.
-    let mut workers = 0usize;
-    let mut jobs = 4usize;
-    let mut preemptions = 2usize;
-    let mut random = 0u64;
-    let mut seed = 2018u64;
-    let parse = |value: &str, flag: &str| -> Result<u64, String> {
-        value
-            .parse()
-            .map_err(|_| format!("sched: invalid {flag} value {value:?}"))
-    };
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next()
-                .ok_or_else(|| format!("sched: {name} needs a value"))
-        };
-        match flag.as_str() {
-            "--quick" => suite = Some(false),
-            "--full" => suite = Some(true),
-            "--workers" => {
-                suite = None;
-                workers = parse(&value("--workers")?, "--workers")? as usize;
-            }
-            "--jobs" => jobs = parse(&value("--jobs")?, "--jobs")? as usize,
-            "--preemptions" => {
-                preemptions = parse(&value("--preemptions")?, "--preemptions")? as usize;
-            }
-            "--random" => random = parse(&value("--random")?, "--random")?,
-            "--seed" => seed = parse(&value("--seed")?, "--seed")?,
-            other => {
-                return Err(format!(
-                    "sched: unknown flag {other:?} — valid flags are --quick, --full, \
-                     --workers, --jobs, --preemptions, --random, --seed (try --help)"
-                ));
-            }
-        }
-    }
-    Ok(match suite {
-        Some(true) => SchedMode::Full,
-        Some(false) => SchedMode::Quick,
-        None => {
-            if !(2..=4).contains(&workers) {
-                return Err(format!(
-                    "sched: --workers must be in 2..=4 for tractable exploration, got {workers}"
-                ));
-            }
-            if jobs == 0 || jobs > 16 {
-                return Err(format!("sched: --jobs must be in 1..=16, got {jobs}"));
-            }
-            SchedMode::Custom {
-                workers,
-                jobs,
-                preemptions,
-                random,
-                seed,
-            }
-        }
-    })
-}
-
-/// One `sched` exploration pass: runs `run` and reports the outcome,
-/// accumulating totals. Returns false on a violation.
-fn sched_pass(
-    label: &str,
-    cfg: &SchedConfig,
-    totals: &mut (u64, u64),
-    run: impl FnOnce(&SchedConfig) -> Result<SchedStats, Box<SchedCounterexample>>,
-) -> bool {
-    match run(cfg) {
-        Ok(stats) => {
-            totals.0 += stats.executions;
-            totals.1 += stats.decisions;
-            outln!(
-                "rtmac-verify: sched {label} workers={} jobs={} bound={}: \
-                 {} interleaving(s), {} decision(s), depth {}{} — ok",
-                cfg.workers,
-                cfg.jobs,
-                cfg.preemption_bound,
-                stats.executions,
-                stats.decisions,
-                stats.max_depth,
-                if stats.complete { "" } else { " (TRUNCATED)" }
-            );
-            true
-        }
-        Err(ce) => {
-            eprintln!(
-                "rtmac-verify: sched VIOLATION of {} in {label} (workers={} jobs={}): {}",
-                ce.property, ce.workers, ce.jobs, ce.detail
-            );
-            eprintln!("rtmac-verify: the violating decision schedule follows on stdout");
-            outln!("{ce}");
-            false
-        }
-    }
-}
-
-fn run_sched(mode: &SchedMode) -> i32 {
-    let subject = RunnerSubject;
-    let mut totals = (0u64, 0u64);
-    let passes: Vec<(String, SchedConfig, u64, u64)> = match mode {
-        // (label, cfg, random-samples, seed); random == 0 → exhaustive.
-        SchedMode::Quick => vec![
-            ("exhaustive".into(), SchedConfig::new(2, 6, 2), 0, 0),
-            ("panic-propagation".into(), SchedConfig::new(2, 4, 2), 0, 0),
-            ("randomized".into(), SchedConfig::new(3, 8, 0), 200, 2018),
-        ],
-        SchedMode::Full => vec![
-            ("exhaustive".into(), SchedConfig::new(2, 6, 2), 0, 0),
-            ("exhaustive".into(), SchedConfig::new(3, 4, 2), 0, 0),
-            ("panic-propagation".into(), SchedConfig::new(2, 4, 2), 0, 0),
-            ("panic-propagation".into(), SchedConfig::new(3, 4, 2), 0, 0),
-            ("randomized".into(), SchedConfig::new(3, 12, 0), 1000, 2018),
-        ],
-        SchedMode::Custom {
-            workers,
-            jobs,
-            preemptions,
-            random,
-            seed,
-        } => {
-            let cfg = SchedConfig::new(*workers, *jobs, *preemptions);
-            let mut v = vec![("exhaustive".to_string(), cfg.clone(), 0, 0)];
-            if *random > 0 {
-                v.push(("randomized".into(), cfg, *random, *seed));
-            }
-            v
-        }
-    };
-    for (label, cfg, samples, seed) in &passes {
-        let ok = match label.as_str() {
-            "panic-propagation" => {
-                sched_pass(label, cfg, &mut totals, |c| explore_panic(&subject, c))
-            }
-            _ if *samples > 0 => sched_pass(label, cfg, &mut totals, |c| {
-                explore_random(&subject, c, *samples, *seed)
-            }),
-            _ => sched_pass(label, cfg, &mut totals, |c| explore(&subject, c)),
-        };
-        if !ok {
-            return 1;
-        }
-    }
-    eprintln!(
-        "rtmac-verify: sched clean — {} interleaving(s), {} decision(s) across {} pass(es)",
-        totals.0,
-        totals.1,
-        passes.len()
-    );
-    0
 }
 
 /// Parses the flags after the `fault-smoke` subcommand.

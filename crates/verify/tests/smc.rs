@@ -184,6 +184,14 @@ fn binary_help_and_error_messages_name_the_modes() {
         "unknown-argument errors must name the valid modes: {err}"
     );
 
+    // `sched` is not a mode: like any unknown argument it exits 2.
+    let sched = Command::new(bin)
+        .arg("sched")
+        .output()
+        .expect("binary runs");
+    assert_eq!(sched.status.code(), Some(2));
+    assert!(!text.contains("sched"), "help must not offer a sched mode");
+
     let bad_flag = Command::new(bin)
         .args(["smc", "--what"])
         .output()

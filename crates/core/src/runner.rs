@@ -89,11 +89,10 @@ impl Runner {
     /// [`Runner::map`] with a live progress callback.
     ///
     /// `on_progress(completed, total)` fires after every finished job, from
-    /// whichever worker finished it, with a monotone `completed` count (a
-    /// shared atomic, so two workers never report the same count). The
-    /// callback must not assume any particular completion *order* — jobs
-    /// on different workers finish in any order — only that the count
-    /// climbs from 1 to `total`.
+    /// whichever worker finished it. Each count from 1 to `total` is
+    /// reported exactly once (a shared atomic hands them out), but calls
+    /// from different workers may arrive in any order: the call that
+    /// reports `total` need not be the last one.
     ///
     /// The returned results are identical to [`Runner::map`]: the callback
     /// observes progress but cannot perturb results or their order.
@@ -135,9 +134,10 @@ impl Runner {
         let queue = Mutex::new(items.into_iter().enumerate());
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let completed = AtomicUsize::new(0);
-        // Both locks absorb poison: a poisoned lock only means another
-        // worker panicked, and that panic re-raises after the joins below,
-        // so the data behind the lock is still coherent.
+        // Both locks absorb poison: nothing done under either one can
+        // panic midway (advancing the iterator, storing a result), so their
+        // data stays coherent, and a job's panic re-raises after the joins
+        // below.
         let work = || loop {
             // The queue guard drops at the end of this statement, so no
             // worker holds it while a job runs.

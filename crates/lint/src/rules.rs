@@ -299,9 +299,10 @@ pub const RULES: &[Rule] = &[
         summary: "Ordering::Relaxed only with an audited waiver naming the counter",
         explain: "Relaxed atomics order nothing: a Relaxed store is allowed to \
                   become visible after operations that follow it in program \
-                  order, a bug that no test reliably reproduces and only \
-                  ThreadSanitizer sometimes catches. Default to SeqCst; the \
-                  cost is negligible off the hot path. Where Relaxed is genuinely \
+                  order. x86-64's strong hardware ordering usually hides that \
+                  from tests, and ThreadSanitizer reports it only on the \
+                  schedules it observes. Default to SeqCst; the cost is \
+                  negligible off the hot path. Where Relaxed is genuinely \
                   sufficient — a counter whose atomicity alone carries the \
                   invariant and whose value orders nothing else — keep it and \
                   write `// lint: allow(relaxed-ordering-audit) — <which counter \

@@ -14,6 +14,9 @@
 //!   per-link payloads ([`MacTiming::with_link_payloads`]) on a
 //!   Gilbert–Elliott channel, where long frames stop fitting while short
 //!   ones still contend;
+//! * a fourth at the same seed whose slots all start on the 9 µs grid, so
+//!   long frames reach their last fitting start exactly while short ones
+//!   keep contending after it;
 //! * a fixed grid over N × deadlines × payloads × channel × attempt
 //!   probabilities, hashed into one constant.
 
@@ -133,6 +136,23 @@ fn golden_link_payloads_on_gilbert_elliott() {
     let mut channel = gilbert_elliott(12);
     let hash = drive(&timing, &mut channel, 2018, 300, 3, &WIDE);
     assert_pinned("per-link payloads", hash, 0x8D1E_A307_96E3_5894);
+}
+
+/// The exact-fit boundary: 150 B and 400 B frames, whose exchanges take
+/// 126 and 162 µs, in a 2016 µs interval. Every airtime and the deadline
+/// are multiples of the 9 µs slot, so every slot starts on that grid and a
+/// backlogged 400 B link reaches its last fitting start exactly, where it
+/// still flips its coin, four slots before the 150 B links stop.
+#[test]
+fn golden_exact_fit_boundary() {
+    let payloads: Vec<u32> = (0..8).map(|l| [150, 400][l % 2]).collect();
+    let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_micros(2016), 100)
+        .with_link_payloads(&payloads);
+    assert_eq!(timing.data_airtime_for(0), Nanos::from_micros(126));
+    assert_eq!(timing.data_airtime_for(1), Nanos::from_micros(162));
+    let mut channel = Bernoulli::new(vec![0.8; 8]).unwrap();
+    let hash = drive(&timing, &mut channel, 2018, 300, 3, &QUANTIZED);
+    assert_pinned("exact-fit boundary", hash, 0x8739_8E97_85F2_8150);
 }
 
 /// A fixed grid: deadlines {200 µs, 500 µs, 2 ms, 20 ms} × payloads

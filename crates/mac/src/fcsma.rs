@@ -16,21 +16,33 @@
 //!    further debt growth, which starves weak links in asymmetric networks
 //!    (Figs. 7–8).
 //!
-//! # The contender list
+//! # The contender list and its stretches
 //!
 //! At the start of an interval [`FcsmaEngine::run_interval`] lists the
-//! backlogged links in link order, each with its packets left, its airtime
-//! and the threshold of its coin ([`bernoulli_threshold`]). A slot is one
-//! pass over that list. An entry whose queue has emptied or whose frame no
-//! longer fits leaves it, and every other entry flips its coin. The pass
-//! counts the attempters as it goes.
+//! backlogged links in link order, each with its packets left, its
+//! airtime, its last fitting start (`deadline − airtime`) and the
+//! threshold of its coin ([`bernoulli_threshold`]). The interval then runs
+//! in stretches. A stretch starts by dropping the entries whose queue has
+//! emptied or whose frame no longer fits, and takes the smallest last
+//! start among the rest as its horizon. Each of its slots flips every
+//! listed coin, in link order, with no queue or fit test. It ends at the
+//! first slot with an attempter, or when an idle slot carries time past
+//! the horizon.
 //!
 //! This consumes the same RNG stream as the direct reading of the model: a
 //! loop that asks every link, at every slot, whether it is backlogged and
 //! its frame fits, and if so calls `random_bool(p)`.
 //!
 //! * Time only moves forward within an interval and queues only shrink. A
-//!   link that left the list would never pass that test again.
+//!   link that left the list would never pass that test again, and a link
+//!   whose frame is longer than the interval is never listed.
+//! * No slot of a stretch starts past its horizon, so every listed frame
+//!   fits at each of them. A queue shrinks only at a capture, which ends
+//!   the stretch. So every listed link passes the test at every slot of
+//!   a stretch, and the next test that could drop one is the filter that
+//!   starts the next stretch. Ending a stretch early would change no
+//!   draw, since the filter is the model's own test; ending it late would
+//!   draw for a frame that no longer fits.
 //! * The list keeps link order, so the coins are drawn in link order.
 //! * `random_bool(p)` for `p < 1` is one `next_u64` compared with
 //!   [`bernoulli_threshold`]`(p)`. `random_bool(1.0)` draws nothing, so a
@@ -39,9 +51,11 @@
 //! * A capture's channel draw follows the slot's coins.
 //!
 //! `tests/fcsma_fingerprints.rs` pins the outcome and the RNG state after
-//! every interval over a grid of shapes. The list and the collision
-//! scratch are sized on the first interval. After that an interval
-//! allocates only the outcome it returns (`tests/alloc_regression.rs`).
+//! every interval over a grid of shapes; one of them reaches a link's last
+//! fitting start exactly while other links keep contending after it. The
+//! list and the collision scratch are sized on the first interval. After
+//! that an interval allocates only the outcome it returns
+//! (`tests/alloc_regression.rs`).
 
 use rand::RngCore;
 use rtmac_model::LinkId;
@@ -165,6 +179,9 @@ struct Contender {
     /// Packets still queued.
     left: u32,
     airtime: Nanos,
+    /// The last slot start at which the frame still fits:
+    /// `deadline − airtime`.
+    last_start: Nanos,
     /// Attempts when a draw lies below this; `None` attempts without one
     /// (`p = 1`).
     threshold: Option<u64>,
@@ -218,59 +235,68 @@ impl FcsmaEngine {
         contenders.reserve(n);
         airtimes.clear();
         airtimes.reserve(n);
+        let slot = timing.slot();
+        let deadline = timing.deadline();
         for (link, (&left, &p)) in arrivals.iter().zip(attempt_probs).enumerate() {
             assert!(
                 p > 0.0 && p <= 1.0,
                 "attempt_probs[{link}] = {p} out of (0, 1]"
             );
-            if left > 0 {
-                contenders.push(Contender {
-                    link,
-                    left,
-                    airtime: timing.data_airtime_for(link),
-                    threshold: (p < 1.0).then(|| bernoulli_threshold(p)),
-                });
+            if left == 0 {
+                continue;
             }
+            let airtime = timing.data_airtime_for(link);
+            // A frame longer than the interval never fits.
+            let Some(last_start) = deadline.checked_sub(airtime) else {
+                continue;
+            };
+            contenders.push(Contender {
+                link,
+                left,
+                airtime,
+                last_start,
+                threshold: (p < 1.0).then(|| bernoulli_threshold(p)),
+            });
         }
 
         let mut outcome = IntervalOutcome::empty(n);
         let mut medium = Medium::new();
-        let slot = timing.slot();
-        let deadline = timing.deadline();
 
         let mut t = Nanos::ZERO;
-        while t < deadline {
-            // Slotted contention: every backlogged link that could still
-            // finish in time flips its coin, in link order.
-            airtimes.clear();
-            let mut kept = 0;
-            // The last attempter's place in the list: the sole one when
-            // exactly one link attempts.
-            let mut sole = 0;
-            contenders.retain(|c| {
-                if c.left == 0 || !timing.fits(t, c.airtime) {
-                    return false;
-                }
-                let attempts = match c.threshold {
-                    Some(threshold) => rng.next_u64() < threshold,
-                    None => true,
-                };
-                if attempts {
-                    outcome.attempts[c.link] += 1;
-                    airtimes.push(c.airtime);
-                    sole = kept;
-                }
-                kept += 1;
-                true
-            });
-            // Stop once no backlogged link's frame still fits.
-            if contenders.is_empty() {
+        'stretch: while t < deadline {
+            // A stretch starts: drop the links whose queue emptied or
+            // whose frame no longer fits, and stop once none is left.
+            contenders.retain(|c| c.left > 0 && t <= c.last_start);
+            let Some(horizon) = contenders.iter().map(|c| c.last_start).min() else {
                 break;
-            }
-            if airtimes.is_empty() {
+            };
+            // Up to the horizon every listed frame fits, and no queue
+            // changes before a slot with an attempter, so each slot flips
+            // every listed coin, in link order, without testing either.
+            // The last attempter's place in the list is the sole one's
+            // when exactly one link attempts.
+            let mut sole = 0;
+            loop {
+                airtimes.clear();
+                for (i, c) in contenders.iter().enumerate() {
+                    let attempts = match c.threshold {
+                        Some(threshold) => rng.next_u64() < threshold,
+                        None => true,
+                    };
+                    if attempts {
+                        outcome.attempts[c.link] += 1;
+                        airtimes.push(c.airtime);
+                        sole = i;
+                    }
+                }
+                if !airtimes.is_empty() {
+                    break;
+                }
                 outcome.idle_slots += 1;
                 t += slot;
-                continue;
+                if t > horizon {
+                    continue 'stretch;
+                }
             }
             // A collision loses every frame and keeps the medium busy for
             // the longest of them. A sole attempter captures the medium and

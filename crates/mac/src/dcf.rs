@@ -66,14 +66,6 @@ struct LinkState {
 pub struct DcfEngine {
     config: DcfConfig,
     timing: MacTiming,
-    /// Packets still queued per link in the current interval.
-    data: Vec<u32>,
-    /// Per-link contention state in the current interval.
-    state: Vec<LinkState>,
-    /// The links whose backoff expired at the current slot.
-    ready: Vec<usize>,
-    /// The airtimes of one slot's attempters.
-    airtimes: Vec<Nanos>,
 }
 
 impl DcfEngine {
@@ -89,20 +81,17 @@ impl DcfEngine {
             config.cw_min <= config.cw_max,
             "CWmin must not exceed CWmax"
         );
-        DcfEngine {
-            config,
-            timing,
-            data: Vec::new(),
-            state: Vec::new(),
-            ready: Vec::new(),
-            airtimes: Vec::new(),
-        }
+        DcfEngine { config, timing }
     }
 
     /// The timing context.
     #[must_use]
     pub fn timing(&self) -> &MacTiming {
         &self.timing
+    }
+
+    fn draw(&self, cw: u32, rng: &mut SimRng) -> u32 {
+        rng.random_range(0..cw)
     }
 
     /// Runs one interval of DCF contention over the given arrivals.
@@ -118,43 +107,34 @@ impl DcfEngine {
     ) -> IntervalOutcome {
         let n = arrivals.len();
         assert_eq!(channel.n_links(), n, "channel link count mismatch");
-        let Self {
-            config,
-            timing,
-            data,
-            state,
-            ready,
-            airtimes,
-        } = self;
-        // The buffers grow on the first interval and are reused after it.
-        data.clear();
-        data.extend_from_slice(arrivals);
-        state.clear();
-        state.extend((0..n).map(|_| LinkState {
-            backoff: draw(config.cw_min, rng),
-            cw: config.cw_min,
-            retries: 0,
-        }));
-        ready.clear();
-        ready.reserve(n);
-        airtimes.clear();
-        airtimes.reserve(n);
+
+        let mut data: Vec<u32> = arrivals.to_vec();
+        let mut state: Vec<LinkState> = (0..n)
+            .map(|_| LinkState {
+                backoff: self.draw(self.config.cw_min, rng),
+                cw: self.config.cw_min,
+                retries: 0,
+            })
+            .collect();
         let mut outcome = IntervalOutcome::empty(n);
         let mut medium = Medium::new();
-        let slot = timing.slot();
-        let deadline = timing.deadline();
+        let slot = self.timing.slot();
+        let deadline = self.timing.deadline();
 
         let mut t = Nanos::ZERO;
         while t < deadline {
             let any_fits =
-                (0..n).any(|l| data[l] > 0 && timing.fits(t, timing.data_airtime_for(l)));
+                (0..n).any(|l| data[l] > 0 && self.timing.fits(t, self.timing.data_airtime_for(l)));
             if !any_fits {
                 break;
             }
-            ready.clear();
-            ready.extend((0..n).filter(|&l| {
-                data[l] > 0 && state[l].backoff == 0 && timing.fits(t, timing.data_airtime_for(l))
-            }));
+            let ready: Vec<usize> = (0..n)
+                .filter(|&l| {
+                    data[l] > 0
+                        && state[l].backoff == 0
+                        && self.timing.fits(t, self.timing.data_airtime_for(l))
+                })
+                .collect();
             if ready.is_empty() {
                 for l in 0..n {
                     if data[l] > 0 && state[l].backoff > 0 {
@@ -166,9 +146,11 @@ impl DcfEngine {
                 continue;
             }
 
-            airtimes.clear();
-            airtimes.extend(ready.iter().map(|&l| timing.data_airtime_for(l)));
-            let tx = medium.transmit(t, airtimes);
+            let airtimes: Vec<Nanos> = ready
+                .iter()
+                .map(|&l| self.timing.data_airtime_for(l))
+                .collect();
+            let tx = medium.transmit(t, &airtimes);
             if ready.len() == 1 {
                 let l = ready[0];
                 outcome.attempts[l] += 1;
@@ -176,17 +158,17 @@ impl DcfEngine {
                     data[l] -= 1;
                     outcome.deliveries[l] += 1;
                     outcome.latency_sum[l] += tx.ends_at;
-                    state[l].cw = config.cw_min;
+                    state[l].cw = self.config.cw_min;
                     state[l].retries = 0;
                 } else {
-                    on_failure(config, &mut state[l], &mut data[l]);
+                    self.on_failure(&mut state[l], &mut data[l], rng);
                 }
-                state[l].backoff = draw(state[l].cw, rng);
+                state[l].backoff = self.draw(state[l].cw, rng);
             } else {
-                for &l in ready.iter() {
+                for &l in &ready {
                     outcome.attempts[l] += 1;
-                    on_failure(config, &mut state[l], &mut data[l]);
-                    state[l].backoff = draw(state[l].cw, rng);
+                    self.on_failure(&mut state[l], &mut data[l], rng);
+                    state[l].backoff = self.draw(state[l].cw, rng);
                 }
             }
             t = tx.ends_at + slot;
@@ -197,22 +179,17 @@ impl DcfEngine {
         outcome.leftover = deadline.saturating_sub(medium.busy_until());
         outcome
     }
-}
 
-/// A uniform backoff in `[0, cw)` slots.
-fn draw(cw: u32, rng: &mut SimRng) -> u32 {
-    rng.random_range(0..cw)
-}
-
-/// Failure handling: double the window; past the retry limit the head
-/// packet is dropped and contention state resets.
-fn on_failure(config: &DcfConfig, s: &mut LinkState, data: &mut u32) {
-    s.retries += 1;
-    s.cw = (s.cw * 2).min(config.cw_max);
-    if s.retries > config.retry_limit {
-        *data = data.saturating_sub(1);
-        s.retries = 0;
-        s.cw = config.cw_min;
+    /// Failure handling: double the window; past the retry limit the head
+    /// packet is dropped and contention state resets.
+    fn on_failure(&self, s: &mut LinkState, data: &mut u32, _rng: &mut SimRng) {
+        s.retries += 1;
+        s.cw = (s.cw * 2).min(self.config.cw_max);
+        if s.retries > self.config.retry_limit {
+            *data = data.saturating_sub(1);
+            s.retries = 0;
+            s.cw = self.config.cw_min;
+        }
     }
 }
 

@@ -19,23 +19,21 @@
 //! # The contender list and its stretches
 //!
 //! At the start of an interval [`FcsmaEngine::run_interval`] lists the
-//! backlogged links in link order, each with its packets left, its
-//! airtime, its last fitting start (`deadline − airtime`) and the
-//! threshold of its coin ([`bernoulli_threshold`]). The interval then runs
-//! in stretches. A stretch starts by dropping the entries whose queue has
-//! emptied or whose frame no longer fits, and takes the smallest last
-//! start among the rest as its horizon. Each of its slots flips every
-//! listed coin, in link order, with no queue or fit test. It ends at the
-//! first slot with an attempter, or when an idle slot carries time past
-//! the horizon.
+//! backlogged links in link order, each with its packets left, its airtime
+//! and the threshold of its coin ([`bernoulli_threshold`]). The interval
+//! then runs in stretches. A stretch starts by dropping the entries whose
+//! queue has emptied or whose frame no longer fits, and takes the smallest
+//! last fitting start (`deadline − airtime`) among the rest as its
+//! horizon. Each of its slots flips every listed coin, in link order, with
+//! no queue or fit test. It ends at the first slot with an attempter, or
+//! when an idle slot carries time past the horizon.
 //!
 //! This consumes the same RNG stream as the direct reading of the model: a
 //! loop that asks every link, at every slot, whether it is backlogged and
 //! its frame fits, and if so calls `random_bool(p)`.
 //!
 //! * Time only moves forward within an interval and queues only shrink. A
-//!   link that left the list would never pass that test again, and a link
-//!   whose frame is longer than the interval is never listed.
+//!   link that left the list would never pass that test again.
 //! * No slot of a stretch starts past its horizon, so every listed frame
 //!   fits at each of them. A queue shrinks only at a capture, which ends
 //!   the stretch. So every listed link passes the test at every slot of
@@ -179,9 +177,6 @@ struct Contender {
     /// Packets still queued.
     left: u32,
     airtime: Nanos,
-    /// The last slot start at which the frame still fits:
-    /// `deadline − airtime`.
-    last_start: Nanos,
     /// Attempts when a draw lies below this; `None` attempts without one
     /// (`p = 1`).
     threshold: Option<u64>,
@@ -235,39 +230,34 @@ impl FcsmaEngine {
         contenders.reserve(n);
         airtimes.clear();
         airtimes.reserve(n);
-        let slot = timing.slot();
-        let deadline = timing.deadline();
         for (link, (&left, &p)) in arrivals.iter().zip(attempt_probs).enumerate() {
             assert!(
                 p > 0.0 && p <= 1.0,
                 "attempt_probs[{link}] = {p} out of (0, 1]"
             );
-            if left == 0 {
-                continue;
+            if left > 0 {
+                contenders.push(Contender {
+                    link,
+                    left,
+                    airtime: timing.data_airtime_for(link),
+                    threshold: (p < 1.0).then(|| bernoulli_threshold(p)),
+                });
             }
-            let airtime = timing.data_airtime_for(link);
-            // A frame longer than the interval never fits.
-            let Some(last_start) = deadline.checked_sub(airtime) else {
-                continue;
-            };
-            contenders.push(Contender {
-                link,
-                left,
-                airtime,
-                last_start,
-                threshold: (p < 1.0).then(|| bernoulli_threshold(p)),
-            });
         }
 
         let mut outcome = IntervalOutcome::empty(n);
         let mut medium = Medium::new();
+        let slot = timing.slot();
+        let deadline = timing.deadline();
 
         let mut t = Nanos::ZERO;
         'stretch: while t < deadline {
             // A stretch starts: drop the links whose queue emptied or
-            // whose frame no longer fits, and stop once none is left.
-            contenders.retain(|c| c.left > 0 && t <= c.last_start);
-            let Some(horizon) = contenders.iter().map(|c| c.last_start).min() else {
+            // whose frame no longer fits, and stop once none is left. A
+            // kept frame fits at `t`, so `deadline − airtime` cannot
+            // underflow.
+            contenders.retain(|c| c.left > 0 && timing.fits(t, c.airtime));
+            let Some(horizon) = contenders.iter().map(|c| deadline - c.airtime).min() else {
                 break;
             };
             // Up to the horizon every listed frame fits, and no queue

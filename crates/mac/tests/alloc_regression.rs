@@ -16,17 +16,15 @@
 //! [`FcsmaEngine::run_interval`] returns an owned outcome, so its contract
 //! is one step weaker: once the first interval has sized its contender list
 //! and collision scratch, an interval allocates the returned outcome's
-//! three per-link vectors and nothing else. So do
-//! [`DcfEngine::run_interval`], whose per-link queues and contention state,
-//! ready list and collision scratch are engine-owned, and
+//! three per-link vectors and nothing else. So does
 //! [`CentralizedEngine::run_interval`], whose permutation check reuses an
 //! engine-owned buffer.
 
 use alloctrack::CountingAllocator;
 use rand::Rng;
 use rtmac_mac::{
-    draw_nonadjacent_candidates_into, CentralizedEngine, ChurnEvent, DcfConfig, DcfEngine,
-    DpConfig, DpEngine, FcsmaEngine, FcsmaQuantizer, MacTiming, PairCoins, RecoveryConfig,
+    draw_nonadjacent_candidates_into, CentralizedEngine, ChurnEvent, DpConfig, DpEngine,
+    FcsmaEngine, FcsmaQuantizer, MacTiming, PairCoins, RecoveryConfig,
 };
 use rtmac_model::LinkId;
 use rtmac_phy::channel::Bernoulli;
@@ -194,43 +192,6 @@ fn fcsma_interval_allocates_only_its_outcome() {
         after - before,
         3 * INTERVALS,
         "FCSMA allocated {} times over {INTERVALS} intervals; \
-         an interval may allocate only its outcome's three vectors",
-        after - before
-    );
-}
-
-/// DCF on the same saturated control shape, over a lossy channel so that
-/// links collide, retry and double their windows.
-#[test]
-fn dcf_interval_allocates_only_its_outcome() {
-    const LINKS: usize = 10;
-    const INTERVALS: u64 = 100;
-    let timing = MacTiming::new(PhyProfile::ieee80211a(), Nanos::from_millis(2), 100);
-    let mut engine = DcfEngine::new(DcfConfig::default(), timing);
-    let mut channel = Bernoulli::new(vec![0.7; LINKS]).unwrap();
-    let mut rng = SeedStream::new(2018).rng(0);
-    let arrivals = [3u32; LINKS];
-    let mut collisions = 0;
-
-    let mut interval = || {
-        let outcome = engine.run_interval(&arrivals, &mut channel, &mut rng);
-        assert!(outcome.deliveries.len() == LINKS);
-        collisions += outcome.collisions;
-    };
-    // Warm-up: the first interval sizes the engine's buffers.
-    interval();
-
-    let before = alloctrack::thread_allocations();
-    for _ in 0..INTERVALS {
-        interval();
-    }
-    let after = alloctrack::thread_allocations();
-
-    assert!(collisions > 0, "the shape must collide");
-    assert_eq!(
-        after - before,
-        3 * INTERVALS,
-        "DCF allocated {} times over {INTERVALS} intervals; \
          an interval may allocate only its outcome's three vectors",
         after - before
     );

@@ -499,6 +499,13 @@ mod tests {
     /// Drives the fast engine and the reference network through identical
     /// arrivals, candidates, coins, and scripted channel outcomes, and
     /// demands identical results.
+    ///
+    /// `idle_slots` is the one outcome field left out: the two count the
+    /// end of an interval differently. After the last frame the reference
+    /// runs one more boundary, where every device finds nothing left to
+    /// send, and counts it as an idle slot; the engine stops at the frame
+    /// end. Over these tests' 1 390 intervals the reference reads exactly
+    /// one more in 807 and the same in the rest.
     fn differential(
         n: usize,
         intervals: usize,
@@ -557,6 +564,9 @@ mod tests {
             prop_assert_eq!(&fast.outcome.attempts, &slow.attempts);
             prop_assert_eq!(fast.outcome.empty_packets, slow.empty_packets);
             prop_assert_eq!(&fast.outcome.latency_sum, &slow.latency_sum);
+            prop_assert_eq!(fast.outcome.busy_time, slow.busy_time);
+            prop_assert_eq!(fast.outcome.leftover, slow.leftover);
+            prop_assert_eq!(fast.outcome.collisions, slow.collisions);
             prop_assert_eq!(
                 engine.sigma(),
                 reference.sigma(),

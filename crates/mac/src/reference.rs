@@ -11,18 +11,21 @@
 //! * the carrier state at each slot boundary, and
 //! * its own transmission completions,
 //!
-//! and the [`ReferenceNetwork`] driver merely delivers those observations
-//! through an [`rtmac_sim::Simulator`] event loop. Differential tests in
-//! this module (and in the workspace integration suite) drive both
-//! implementations through identical arrivals, coin flips, and scripted
-//! channel outcomes and require bit-identical behaviour — strong evidence
-//! that the fast engine implements the *decentralized* protocol and not an
-//! accidental centralized approximation of it.
+//! and the [`ReferenceNetwork`] driver merely delivers those observations.
+//! Eq. 6 gives every device a distinct backoff, so at most one frame is on
+//! the air, and the driver is a loop over one pending event: the next slot
+//! boundary or the end of the frame on the air. The differential tests in
+//! this module drive both implementations through identical arrivals, coin
+//! flips, and scripted channel outcomes and require identical outcomes and
+//! priority orderings — strong evidence that the fast engine implements the
+//! *decentralized* protocol and not an accidental centralized approximation
+//! of it. `tests/reference_fingerprints.rs` pins every outcome field of
+//! this module's own runs.
 
 use rtmac_model::{AdjacentTransposition, LinkId, Permutation};
 use rtmac_phy::channel::LossModel;
 use rtmac_phy::Medium;
-use rtmac_sim::{Nanos, SimControl, SimRng, Simulator};
+use rtmac_sim::{Nanos, SimRng};
 
 use crate::{FrameKind, IntervalOutcome, MacTiming};
 
@@ -232,7 +235,7 @@ impl Device {
     }
 }
 
-/// Events of the reference driver's simulator.
+/// Events of the reference driver's loop.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// An idle slot boundary (`first` marks the interval start, which does
@@ -345,24 +348,53 @@ impl ReferenceNetwork {
 
         let mut outcome = IntervalOutcome::empty(n);
         let mut medium = Medium::new();
-        let timing = self.timing.clone();
+        let timing = &self.timing;
         let deadline = timing.deadline();
         let slot = timing.slot();
 
-        let mut sim: Simulator<Ev> = Simulator::new();
-        sim.schedule_at(Nanos::ZERO, Ev::Boundary { first: true });
-        // Run through the deadline instant itself: a frame may end exactly
-        // at the deadline and still count (`fits` allows end == deadline);
-        // no *new* transmission can start there because every airtime is
+        // Puts `link`'s frame on the air at `now`, counts it, draws a data
+        // frame's channel outcome, and returns the event of its end.
+        let mut start_frame =
+            |link: usize, kind: FrameKind, now: Nanos, outcome: &mut IntervalOutcome| {
+                let airtime = match kind {
+                    FrameKind::Data => timing.data_airtime_for(link),
+                    FrameKind::Empty => timing.empty_airtime(),
+                };
+                let tx = medium.transmit(now, &[airtime]);
+                let delivered = match kind {
+                    FrameKind::Data => {
+                        outcome.attempts[link] += 1;
+                        channel.attempt(LinkId::new(link), rng)
+                    }
+                    FrameKind::Empty => {
+                        outcome.empty_packets += 1;
+                        false
+                    }
+                };
+                (
+                    tx.ends_at,
+                    Ev::TxEnd {
+                        link,
+                        kind,
+                        delivered,
+                    },
+                )
+            };
+
+        // Every event schedules at most one follow-up (a frame end or the
+        // next boundary), so one pending event is the whole queue. Run
+        // through the deadline instant itself: a frame may end exactly at
+        // the deadline and still count (`fits` allows end == deadline); no
+        // *new* transmission can start there because every airtime is
         // positive.
-        sim.run_until(deadline, |h, ev| {
-            match ev {
+        let mut pending = Some((Nanos::ZERO, Ev::Boundary { first: true }));
+        while let Some((now, ev)) = pending.take().filter(|&(at, _)| at <= deadline) {
+            pending = match ev {
                 Ev::Boundary { first } => {
-                    let now = h.now();
                     // Phase 1: every device decides independently.
                     let mut starters: Vec<(usize, FrameKind)> = Vec::new();
                     for (link, dev) in devices.iter_mut().enumerate() {
-                        if let Some(frame) = dev.on_boundary(first, now, &timing, link) {
+                        if let Some(frame) = dev.on_boundary(first, now, timing, link) {
                             starters.push((link, frame));
                         }
                     }
@@ -377,34 +409,11 @@ impl ReferenceNetwork {
                         "reference protocol collided: {starters:?}"
                     );
                     if let Some(&(link, kind)) = starters.first() {
-                        let airtime = match kind {
-                            FrameKind::Data => timing.data_airtime_for(link),
-                            FrameKind::Empty => timing.empty_airtime(),
-                        };
-                        let tx = medium.transmit(now, &[airtime]);
-                        let delivered = match kind {
-                            FrameKind::Data => {
-                                outcome.attempts[link] += 1;
-                                channel.attempt(LinkId::new(link), rng)
-                            }
-                            FrameKind::Empty => {
-                                outcome.empty_packets += 1;
-                                false
-                            }
-                        };
-                        h.schedule_at(
-                            tx.ends_at,
-                            Ev::TxEnd {
-                                link,
-                                kind,
-                                delivered,
-                            },
-                        );
+                        Some(start_frame(link, kind, now, &mut outcome))
                     } else {
                         outcome.idle_slots += 1;
-                        if devices.iter().any(|d| !d.done) {
-                            h.schedule_at(now + slot, Ev::Boundary { first: false });
-                        }
+                        let waiting = devices.iter().any(|d| !d.done);
+                        waiting.then_some((now + slot, Ev::Boundary { first: false }))
                     }
                 }
                 Ev::TxEnd {
@@ -412,44 +421,17 @@ impl ReferenceNetwork {
                     kind,
                     delivered,
                 } => {
-                    let now = h.now();
                     if kind == FrameKind::Data && delivered {
                         outcome.deliveries[link] += 1;
                         outcome.latency_sum[link] += now;
                     }
-                    if let Some(next) =
-                        devices[link].on_tx_complete(kind, delivered, now, &timing, link)
-                    {
-                        let airtime = match next {
-                            FrameKind::Data => timing.data_airtime_for(link),
-                            FrameKind::Empty => timing.empty_airtime(),
-                        };
-                        let tx = medium.transmit(now, &[airtime]);
-                        let delivered = match next {
-                            FrameKind::Data => {
-                                outcome.attempts[link] += 1;
-                                channel.attempt(LinkId::new(link), rng)
-                            }
-                            FrameKind::Empty => {
-                                outcome.empty_packets += 1;
-                                false
-                            }
-                        };
-                        h.schedule_at(
-                            tx.ends_at,
-                            Ev::TxEnd {
-                                link,
-                                kind: next,
-                                delivered,
-                            },
-                        );
-                    } else {
-                        h.schedule_at(now + slot, Ev::Boundary { first: false });
+                    match devices[link].on_tx_complete(kind, delivered, now, timing, link) {
+                        Some(next) => Some(start_frame(link, next, now, &mut outcome)),
+                        None => Some((now + slot, Ev::Boundary { first: false })),
                     }
                 }
-            }
-            SimControl::Continue
-        });
+            };
+        }
 
         // Interval end: collect the devices' local decisions; they must be
         // consistent by construction.

@@ -1,41 +1,37 @@
 //! # rtmac-sim
 //!
-//! A small, deterministic discrete-event simulation kernel.
+//! Simulation time and deterministic randomness for the `rtmac` workspace.
 //!
-//! This crate is the substrate underneath the wireless MAC simulators in the
-//! `rtmac` workspace. It provides:
+//! Every engine in `rtmac-mac` runs its own interval loop; this crate holds
+//! what they all share:
 //!
 //! * [`Nanos`] — a nanosecond-precision simulation time newtype with checked
 //!   arithmetic and convenient constructors ([`Nanos::from_micros`],
 //!   [`Nanos::from_millis`], ...).
-//! * [`EventQueue`] — a stable priority queue of timed events. Events that
-//!   share a timestamp are dequeued in insertion order, which makes
-//!   simulations reproducible independent of heap internals.
-//! * [`Simulator`] — a minimal event loop that owns a clock and an event
-//!   queue and dispatches events to a user-supplied handler.
+//! * [`SimRng`] — the workspace's xoshiro256++ generator, which every
+//!   stochastic component takes as a `&mut SimRng`, and
+//!   [`bernoulli_threshold`], which turns a success probability into the
+//!   integer threshold a coin compares one draw against.
 //! * [`SeedStream`] — a deterministic hierarchy of RNG seeds so independent
 //!   stochastic components (channels, arrivals, coin flips, ...) each get
-//!   their own reproducible stream.
+//!   their own reproducible stream, and [`rng_from_seed`] for a generator
+//!   from one explicit seed.
 //!
 //! # Example
 //!
 //! ```
-//! use rtmac_sim::{EventQueue, Nanos};
+//! use rand::Rng;
+//! use rtmac_sim::{Nanos, SeedStream};
 //!
-//! let mut queue: EventQueue<&'static str> = EventQueue::new();
-//! queue.schedule(Nanos::from_micros(9), "slot boundary");
-//! queue.schedule(Nanos::ZERO, "interval start");
-//! let (t, ev) = queue.pop().expect("queue is non-empty");
-//! assert_eq!(t, Nanos::ZERO);
-//! assert_eq!(ev, "interval start");
+//! let slot = Nanos::from_micros(9);
+//! assert_eq!(Nanos::from_millis(2) / slot, 222);
+//! let mut a = SeedStream::new(2018).rng(3);
+//! let mut b = SeedStream::new(2018).rng(3);
+//! assert_eq!(a.random_range(0..100u32), b.random_range(0..100u32));
 //! ```
 
-mod event;
 mod rng;
-mod simulator;
 mod time;
 
-pub use event::EventQueue;
 pub use rng::{bernoulli_threshold, rng_from_seed, SeedStream, SimRng};
-pub use simulator::{SimControl, SimHandle, Simulator};
 pub use time::Nanos;

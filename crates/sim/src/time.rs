@@ -70,22 +70,6 @@ impl Nanos {
         }
     }
 
-    /// Creates a time from milliseconds, or `None` if the nanosecond
-    /// count overflows `u64`.
-    ///
-    /// ```
-    /// # use rtmac_sim::Nanos;
-    /// assert_eq!(Nanos::checked_from_millis(2), Some(Nanos::from_millis(2)));
-    /// assert_eq!(Nanos::checked_from_millis(u64::MAX / 1_000_000 + 1), None);
-    /// ```
-    #[must_use]
-    pub const fn checked_from_millis(ms: u64) -> Option<Self> {
-        match ms.checked_mul(1_000_000) {
-            Some(ns) => Some(Nanos(ns)),
-            None => None,
-        }
-    }
-
     /// Creates a time from milliseconds.
     ///
     /// ```

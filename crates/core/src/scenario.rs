@@ -1057,32 +1057,6 @@ pub fn video(n: usize, alpha: f64, rho: f64, seed: u64) -> Scenario {
     }
 }
 
-/// The video workload with explicit per-link parameter vectors (the bench
-/// figure runner's fully general form).
-#[must_use]
-pub fn video_per_link(alpha: Vec<f64>, p: Vec<f64>, rho: Vec<f64>, seed: u64) -> Scenario {
-    let links = alpha.len();
-    Scenario {
-        name: "video",
-        links,
-        deadline_us: 20_000,
-        payload_bytes: 1500,
-        success: Param::PerLink(p),
-        traffic: TrafficSpec::Burst {
-            alpha: Param::PerLink(alpha),
-            burst_max: BURST_MAX,
-        },
-        ratio: Param::PerLink(rho),
-        policy: PolicySpec::db_dp(),
-        intervals: DEFAULT_INTERVALS,
-        seed,
-        track: None,
-        fault: None,
-        admission: None,
-        engine: EngineSpec::Timeline,
-    }
-}
-
 /// The ultra-low-latency control workload (Figs. 9–10): 2 ms deadline,
 /// 100 B payloads, `p = 0.7`, Bernoulli arrivals with rate `lambda`,
 /// delivery ratio `rho`.

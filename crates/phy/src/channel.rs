@@ -238,20 +238,6 @@ impl Scripted {
             cursor: vec![0; n],
         })
     }
-
-    /// A script where every attempt on every link succeeds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn always_succeed(n: usize) -> Self {
-        assert!(n > 0, "a channel needs at least one link");
-        Scripted {
-            outcomes: vec![vec![true]; n],
-            cursor: vec![0; n],
-        }
-    }
 }
 
 impl LossModel for Scripted {
@@ -296,9 +282,6 @@ mod tests {
     fn scripted_validates() {
         assert!(Scripted::new(vec![]).is_err());
         assert!(Scripted::new(vec![vec![true], vec![]]).is_err());
-        let mut ch = Scripted::always_succeed(3);
-        let mut rng = SeedStream::new(0).rng(0);
-        assert!((0..50).all(|_| ch.attempt(LinkId::new(2), &mut rng)));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use rtmac_mac::{DpIntervalReport, FrameKind, MacTiming, PairCoins, TraceEvent};
 use rtmac_model::{DebtLedger, LinkId, Permutation, Requirements};
 use rtmac_phy::PhyProfile;
-use rtmac_sim::SeedStream;
+use rtmac_sim::{Nanos, SeedStream};
 
 use crate::channel::BitScript;
 use crate::counterexample::{Counterexample, Step};
@@ -123,12 +123,18 @@ impl CheckConfig {
     #[must_use]
     pub fn timing(&self) -> MacTiming {
         let phy = PhyProfile::ieee80211a();
-        let data = phy.packet_exchange_airtime(self.payload_bytes);
-        let empty = phy.empty_packet_airtime();
-        let slot = phy.slot();
-        let frames = self.n as u64 * u64::from(self.a_max) + 1;
-        let deadline = data * frames + empty * 2 + slot * (self.n as u64 + 6);
+        let deadline = self.deadline(&phy).unwrap_or(Nanos::MAX);
         MacTiming::new(phy, deadline, self.payload_bytes)
+    }
+
+    /// The deadline of [`CheckConfig::timing`], or `None` when it does not
+    /// fit in `u64` nanoseconds.
+    pub(crate) fn deadline(&self, phy: &PhyProfile) -> Option<Nanos> {
+        let data = phy.checked_packet_exchange_airtime(self.payload_bytes)?;
+        let frames = (self.n as u64).checked_mul(u64::from(self.a_max))? + 1;
+        data.checked_mul(frames)?
+            .checked_add(phy.empty_packet_airtime() * 2)?
+            .checked_add(phy.slot() * (self.n as u64 + 6))
     }
 
     /// The uniform requirements of the debt shadow.

@@ -9,6 +9,7 @@
 
 use rtmac_mac::PairCoins;
 use rtmac_model::Permutation;
+use rtmac_phy::PhyProfile;
 
 use crate::checker::{run_checked_step, CheckConfig, Property, StepInput};
 use crate::subject::Subject;
@@ -99,9 +100,18 @@ impl Counterexample {
 
     /// Parses a trace produced by [`Counterexample::encode`].
     ///
+    /// A trace is checked here for everything the engine asserts on, so
+    /// that a malformed one is an error rather than a panic in [`replay`]:
+    /// `n` lies in `2..=20`, the sizes [`crate::check`] and [`crate::smc`]
+    /// record, the configuration's deadline fits in `u64` nanoseconds, and
+    /// every step has `n` priorities and `n` arrival counts, sorted,
+    /// pairwise non-adjacent candidates in `1..n`, and one coin pair per
+    /// candidate. Whether σ is a permutation is left to [`replay`], which
+    /// reports it as a [`Property::SigmaBijection`] violation.
+    ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line.
+    /// Returns a description of the first malformed line or step.
     pub fn decode(text: &str) -> Result<Counterexample, String> {
         let mut lines = text.lines().map(str::trim).filter(|l| !l.is_empty());
         let header = lines.next().ok_or("empty counterexample text")?;
@@ -145,7 +155,7 @@ impl Counterexample {
                 return Err(format!("malformed line: {line:?}"));
             }
         }
-        Ok(Counterexample {
+        let ce = Counterexample {
             property: property.ok_or("missing property line")?,
             detail,
             n: n.ok_or("missing n line")?,
@@ -154,7 +164,20 @@ impl Counterexample {
             q: q.ok_or("missing q line")?,
             seed,
             steps,
-        })
+        };
+        if !(2..=20).contains(&ce.n) {
+            return Err(format!("n must be in 2..=20, got {}", ce.n));
+        }
+        if ce.config().deadline(&PhyProfile::ieee80211a()).is_none() {
+            return Err(format!(
+                "payload {} with a_max {} gives a deadline beyond u64 nanoseconds",
+                ce.payload_bytes, ce.a_max
+            ));
+        }
+        for (i, step) in ce.steps.iter().enumerate() {
+            check_step(step, ce.n).map_err(|e| format!("step {i}: {e}"))?;
+        }
+        Ok(ce)
     }
 }
 
@@ -287,6 +310,36 @@ fn decode_step(rest: &str) -> Result<Step, String> {
     })
 }
 
+/// Checks a decoded step's shape against the trace's `n` links.
+fn check_step(step: &Step, n: usize) -> Result<(), String> {
+    if step.sigma_before.len() != n {
+        return Err(format!(
+            "sigma has {} entries for n = {n}",
+            step.sigma_before.len()
+        ));
+    }
+    if step.arrivals.len() != n {
+        return Err(format!(
+            "arrivals has {} entries for n = {n}",
+            step.arrivals.len()
+        ));
+    }
+    let c = &step.candidates;
+    if c.iter().any(|&c| !(1..n).contains(&c)) || c.windows(2).any(|w| w[1] < w[0] + 2) {
+        return Err(format!(
+            "candidates {c:?} must be sorted, pairwise non-adjacent and in 1..{n}"
+        ));
+    }
+    if step.coins.len() != c.len() {
+        return Err(format!(
+            "{} coin pair(s) for {} candidate(s)",
+            step.coins.len(),
+            c.len()
+        ));
+    }
+    Ok(())
+}
+
 fn decode_coins(field: &str) -> Result<Vec<PairCoins>, String> {
     if field.is_empty() {
         return Ok(Vec::new());
@@ -393,5 +446,69 @@ mod tests {
         assert!(Counterexample::decode(&bad_bits).is_err());
         let bad_q = sample().encode().replace("q = 0.7", "q = NaN");
         assert!(Counterexample::decode(&bad_q).is_err());
+    }
+
+    /// `sample()`'s text with `from` replaced by `to`, decoded.
+    fn decode_edited(from: &str, to: &str) -> Result<Counterexample, String> {
+        let text = sample().encode();
+        assert!(text.contains(from), "{from:?} is not in the sample");
+        Counterexample::decode(&text.replacen(from, to, 1))
+    }
+
+    /// A trace over `n` links, each with one arrival, whose one step
+    /// starts from the identity and draws `candidates` with `coins`.
+    fn decode_at(n: usize, candidates: &str, coins: &str) -> Result<Counterexample, String> {
+        let ones = vec!["1"; n].join(",");
+        let sigma: Vec<String> = (1..=n).map(|p| p.to_string()).collect();
+        Counterexample::decode(&format!(
+            "rtmac-verify counterexample v1\nproperty = swap-discipline\nn = {n}\n\
+             a_max = 1\npayload = 100\nq = 0.7\nstep sigma=[{}] arrivals=[{ones}] \
+             candidates={candidates} coins={coins} bits=~\n",
+            sigma.join(",")
+        ))
+    }
+
+    #[test]
+    fn decode_bounds_the_link_count() {
+        assert!(decode_at(2, "[1]", "++").is_ok());
+        assert!(decode_at(20, "[1,19]", "++,--").is_ok());
+        // Decoding builds nothing per link, so a huge n is rejected
+        // without allocating an engine.
+        for n in ["0", "1", "21", "1000000000"] {
+            let err = decode_edited("n = 3", &format!("n = {n}")).unwrap_err();
+            assert!(err.contains("2..=20"), "n = {n}: {err}");
+        }
+    }
+
+    #[test]
+    fn decode_rejects_steps_the_engine_would_panic_on() {
+        let cases = [
+            // σ and arrivals have one entry per link.
+            ("sigma=[1,2,3] ", "sigma=[1,2] ", "sigma has 2 entries"),
+            ("sigma=[2,1,3] ", "sigma=[2,1,3,4] ", "sigma has 4 entries"),
+            ("arrivals=[0,2,1]", "arrivals=[0,2]", "arrivals has 2"),
+            // A candidate is the upper priority of a pair within 1..=n.
+            ("candidates=[1]", "candidates=[5]", "in 1..3"),
+            ("candidates=[1]", "candidates=[0]", "in 1..3"),
+            ("candidates=[2]", "candidates=[3]", "in 1..3"),
+            // One coin pair per candidate.
+            ("coins=+- ", "coins= ", "0 coin pair(s) for 1"),
+            ("coins=+- ", "coins=+-,++ ", "2 coin pair(s) for 1"),
+            // A payload whose airtime overflows.
+            ("payload = 100", "payload = 4294967295", "beyond u64"),
+        ];
+        for (from, to, want) in cases {
+            let err = decode_edited(from, to).unwrap_err();
+            assert!(err.contains(want), "{from:?} -> {to:?}: {err}");
+        }
+        assert!(decode_at(5, "[1,3]", "++,--").is_ok());
+        assert!(decode_at(5, "[2,4]", "+-,-+").is_ok());
+        for (bad, coins) in [("[3,1]", "++,++"), ("[1,2]", "++,++"), ("[2,2]", "++,++")] {
+            let err = decode_at(5, bad, coins).unwrap_err();
+            assert!(
+                err.contains("sorted, pairwise non-adjacent"),
+                "{bad}: {err}"
+            );
+        }
     }
 }

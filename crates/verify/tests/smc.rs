@@ -200,6 +200,43 @@ fn binary_help_and_error_messages_name_the_modes() {
     assert!(String::from_utf8_lossy(&bad_flag.stderr).contains("--samples"));
 }
 
+/// Traces that parse but that the engine would panic on are input
+/// errors: exit 2 with one line on stderr. The clean trace replays with 0.
+#[test]
+fn binary_replay_of_a_malformed_trace_exits_2_with_one_line() {
+    let head = "rtmac-verify counterexample v1\nproperty = swap-discipline\n\
+                a_max = 2\npayload = 100\nq = 0.7\n";
+    let step = |sigma: &str, arrivals: &str, candidates: &str, coins: &str| {
+        format!(
+            "n = 3\nstep sigma={sigma} arrivals={arrivals} \
+             candidates={candidates} coins={coins} bits=101\n"
+        )
+    };
+    let cases = [
+        ("clean", step("[1,2,3]", "[0,2,1]", "[1]", "+-"), 0),
+        ("n = 0", "n = 0\n".to_string(), 2),
+        ("short sigma", step("[1,2]", "[0,2,1]", "[1]", "+-"), 2),
+        ("short arrivals", step("[1,2,3]", "[0,2]", "[1]", "+-"), 2),
+        ("candidate 5", step("[1,2,3]", "[0,2,1]", "[5]", "+-"), 2),
+        ("no coin pair", step("[1,2,3]", "[0,2,1]", "[1]", ""), 2),
+    ];
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (i, (what, body, code)) in cases.into_iter().enumerate() {
+        let path = dir.join(format!("replay_input_{i}.txt"));
+        std::fs::write(&path, format!("{head}{body}")).expect("trace must be writable");
+        let output = Command::new(env!("CARGO_BIN_EXE_rtmac-verify"))
+            .args(["--replay", path.to_str().expect("utf-8 tmp path")])
+            .output()
+            .expect("the rtmac-verify binary must run");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(code), "{what}: {stderr}");
+        if code == 2 {
+            assert_eq!(stderr.lines().count(), 1, "{what}: {stderr}");
+            assert!(output.stdout.is_empty(), "{what}");
+        }
+    }
+}
+
 #[test]
 fn binary_smc_smoke_run_is_clean() {
     let output = Command::new(env!("CARGO_BIN_EXE_rtmac-verify"))

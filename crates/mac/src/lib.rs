@@ -26,7 +26,7 @@
 //!   with real collisions.
 //! * [`DcfEngine`] — IEEE 802.11 DCF with binary exponential backoff, a
 //!   debt-unaware ablation baseline.
-//! * [`FrameCsmaEngine`] — frame-based CSMA, the paper's reference [23]:
+//! * [`FrameCsmaEngine`] — frame-based CSMA, the paper's reference \[23\]:
 //!   a slot allocation agreed once per interval and executed open-loop,
 //!   the Section-I example of a scheme that wastes capacity on unreliable
 //!   channels.
@@ -34,7 +34,7 @@
 //!   retransmissions and no contention: the substrate for LDF/ELDF
 //!   (Algorithm 1).
 //!
-//! [`reference`] re-implements Algorithm 2 from each device's point of
+//! [`mod@reference`] re-implements Algorithm 2 from each device's point of
 //! view, as the oracle [`DpEngine`] is differential-tested against.
 //!
 //! # Example

@@ -102,7 +102,7 @@ impl Counterexample {
     ///
     /// A trace is checked here for everything the engine asserts on, so
     /// that a malformed one is an error rather than a panic in [`replay`]:
-    /// `n` lies in `2..=20`, the sizes [`crate::check`] and [`crate::smc`]
+    /// `n` lies in `2..=20`, the sizes [`crate::check`] and [`fn@crate::smc`]
     /// record, the configuration's deadline fits in `u64` nanoseconds, and
     /// every step has `n` priorities and `n` arrival counts, sorted,
     /// pairwise non-adjacent candidates in `1..n`, and one coin pair per

@@ -119,7 +119,9 @@ impl CheckConfig {
     }
 
     /// The derived timing: a deadline that fits every arrival plus two
-    /// empty claims plus slot margin, so retries are bounded.
+    /// empty claims plus slot margin, so retries are bounded. A deadline
+    /// beyond `u64` nanoseconds saturates at [`Nanos::MAX`];
+    /// [`Counterexample::decode`] rejects such a configuration.
     #[must_use]
     pub fn timing(&self) -> MacTiming {
         let phy = PhyProfile::ieee80211a();

@@ -325,7 +325,7 @@ fn check_step(step: &Step, n: usize) -> Result<(), String> {
         ));
     }
     let c = &step.candidates;
-    if c.iter().any(|&c| !(1..n).contains(&c)) || c.windows(2).any(|w| w[1] < w[0] + 2) {
+    if c.iter().any(|&p| !(1..n).contains(&p)) || c.windows(2).any(|w| w[1] < w[0] + 2) {
         return Err(format!(
             "candidates {c:?} must be sorted, pairwise non-adjacent and in 1..{n}"
         ));

@@ -100,8 +100,9 @@ impl Counterexample {
 
     /// Parses a trace produced by [`Counterexample::encode`].
     ///
-    /// A trace is checked here for everything the engine asserts on, so
-    /// that a malformed one is an error rather than a panic in [`replay`]:
+    /// A trace is checked here for the shapes the engine would otherwise
+    /// panic on, so that a malformed one is an error and not a panic in
+    /// [`replay`]:
     /// `n` lies in `2..=20`, the sizes [`crate::check`] and [`fn@crate::smc`]
     /// record, the configuration's deadline fits in `u64` nanoseconds, and
     /// every step has `n` priorities and `n` arrival counts, sorted,

@@ -102,13 +102,13 @@ impl Counterexample {
     ///
     /// A trace is checked here for the shapes the engine would otherwise
     /// panic on, so that a malformed one is an error and not a panic in
-    /// [`replay`]:
-    /// `n` lies in `2..=20`, the sizes [`crate::check`] and [`fn@crate::smc`]
-    /// record, the configuration's deadline fits in `u64` nanoseconds, and
-    /// every step has `n` priorities and `n` arrival counts, sorted,
-    /// pairwise non-adjacent candidates in `1..n`, and one coin pair per
-    /// candidate. Whether σ is a permutation is left to [`replay`], which
-    /// reports it as a [`Property::SigmaBijection`] violation.
+    /// [`replay`]: `n` lies in `2..=20`, the sizes [`crate::check`] and
+    /// [`fn@crate::smc`] record, the configuration's deadline fits in `u64`
+    /// nanoseconds, and every step has `n` priorities and `n` arrival
+    /// counts, sorted, pairwise non-adjacent candidates in `1..n`, and one
+    /// coin pair per candidate. Whether σ is a permutation is left to
+    /// [`replay`], which reports it as a [`Property::SigmaBijection`]
+    /// violation.
     ///
     /// # Errors
     ///
